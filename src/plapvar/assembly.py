@@ -7,10 +7,13 @@ p-Dirichlet energy (1/p) int |grad u|^p is evaluated exactly.  Zeroth
 order integrals (int |u|^p, loads, potential terms) use the mesh's
 Gauss rule, which has polynomial exactness degree >= 4 by default.
 
-Scalar reductions accumulate with math.fsum over per-element
-contributions, so results do not depend on the iteration order of the
-element array (deterministic-summation contract).  Vector assemblies
-scatter in a fixed element order.
+Every scalar sum goes through `_reduce`, the one summation policy:
+math.fsum over the contributions, so results do not depend on the
+iteration order of the element array (deterministic-summation
+contract).  Every element-to-free-dof sum goes through `_scatter`, the
+one scatter, which accumulates in a fixed element order; `quad_load`
+builds on it to turn a density at the quadrature nodes into a dual
+vector.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ __all__ = [
     "lp_residual",
     "pairing",
     "load_vector",
+    "quad_load",
     "stiffness_matrix",
     "values_at_quad",
     "gradients_on_elements",
@@ -108,6 +112,18 @@ def _check_p(p: float) -> None:
         raise ValueError(f"p must exceed 1, got p={p}")
 
 
+def _reduce(x: np.ndarray) -> float:
+    """Order-independent sum of a 1-D array (math.fsum)."""
+    return math.fsum(x.tolist())
+
+
+def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
+    """Sum element-local entries, shape (ne, ndim+1) or flat, into free-dof order."""
+    out = np.zeros(mesh.n_vertices)
+    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
+    return out[mesh.free_vertices]
+
+
 def _full_values(mesh: Mesh, u: DiscreteField) -> np.ndarray:
     full = np.zeros(mesh.n_vertices)
     full[mesh.free_vertices] = u.values
@@ -148,8 +164,7 @@ def dirichlet_energy(mesh: Mesh, u: DiscreteField, p: float) -> float:
     _check_p(p)
     g = gradients_on_elements(mesh, u)
     norms = np.sqrt(np.einsum("ed,ed->e", g, g))
-    contrib = mesh.measures * norms ** p
-    return math.fsum(contrib.tolist()) / p
+    return _reduce(mesh.measures * norms ** p) / p
 
 
 def plap_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
@@ -167,9 +182,7 @@ def plap_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
         factor = np.where(norms >= GRADIENT_FLOOR, norms ** (p - 2.0), 0.0)
     flux = (mesh.measures * factor)[:, None] * g          # (ne, ndim)
     contrib = np.einsum("ed,ekd->ek", flux, mesh.basis_gradients)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return DualVector(mesh, out[mesh.free_vertices])
+    return DualVector(mesh, _scatter(mesh, contrib))
 
 
 def lp_integral(mesh: Mesh, u: DiscreteField, p: float) -> float:
@@ -178,8 +191,7 @@ def lp_integral(mesh: Mesh, u: DiscreteField, p: float) -> float:
     if not (p >= 1.0):
         raise ValueError(f"lp_integral needs p >= 1, got p={p}")
     vals = values_at_quad(mesh, u)
-    contrib = np.einsum("eq,eq->e", mesh.quad_weights, np.abs(vals) ** p)
-    return math.fsum(contrib.tolist())
+    return _reduce(np.einsum("eq,eq->e", mesh.quad_weights, np.abs(vals) ** p))
 
 
 def lp_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
@@ -191,12 +203,7 @@ def lp_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
     _check_mesh(mesh, u)
     _check_p(p)
     vals = values_at_quad(mesh, u)
-    density = np.sign(vals) * np.abs(vals) ** (p - 1.0)
-    weighted = mesh.quad_weights * density               # (ne, nq)
-    contrib = weighted @ mesh.basis_at_quad              # (ne, ndim+1)
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return DualVector(mesh, out[mesh.free_vertices])
+    return quad_load(mesh, np.sign(vals) * np.abs(vals) ** (p - 1.0))
 
 
 def pairing(h: DualVector, v: DiscreteField) -> float:
@@ -223,12 +230,16 @@ def load_vector(mesh: Mesh, g) -> DualVector:
     if np.any(bad):
         where = pts[np.argmax(bad)]
         raise ValueError(f"load density is not finite at quadrature point {where}")
-    gv = gv.reshape(mesh.quad_weights.shape)
-    weighted = mesh.quad_weights * gv
-    contrib = weighted @ mesh.basis_at_quad
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return DualVector(mesh, out[mesh.free_vertices])
+    return quad_load(mesh, gv)
+
+
+def quad_load(mesh: Mesh, density_q) -> DualVector:
+    """Dual vector with entries int g psi_j dx from g at the quadrature nodes.
+
+    density_q holds g at `mesh.quad_points`, shape (ne, nq) or flat.
+    """
+    weighted = mesh.quad_weights * np.reshape(density_q, mesh.quad_weights.shape)
+    return DualVector(mesh, _scatter(mesh, weighted @ mesh.basis_at_quad))
 
 
 def stiffness_matrix(mesh: Mesh) -> sp.csc_matrix:
@@ -250,7 +261,4 @@ def stiffness_matrix(mesh: Mesh) -> sp.csc_matrix:
 
 def patch_measures(mesh: Mesh) -> np.ndarray:
     """Measure of the support patch of each free-vertex basis function."""
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(),
-              np.repeat(mesh.measures, mesh.elements.shape[1]))
-    return out[mesh.free_vertices]
+    return _scatter(mesh, np.repeat(mesh.measures, mesh.elements.shape[1]))

@@ -25,14 +25,14 @@ import ast
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import conditions as cond
 from . import nonlinearity as nl
-from .assembly import DualVector, load_vector, values_at_quad, zero_dual
+from .assembly import DualVector, load_vector, quad_load, values_at_quad, zero_dual
 from .eigen import EigenConvergenceError, first_eigenpair
 from .meshing import build_interval_mesh, build_rectangle_mesh
 from .solver import UnboundedBelowError, minimize_phi, verify_weak_solution
@@ -467,12 +467,7 @@ def _build_h(cfg: ExperimentConfig, mesh, eig) -> DualVector:
         return zero_dual(mesh)
     if kind == "density":
         return load_vector(mesh, compile_expression(arg, mesh.ndim))
-    coeff = float(arg)
-    dens = coeff * values_at_quad(mesh, eig.phi1)
-    contrib = (mesh.quad_weights * dens) @ mesh.basis_at_quad
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return DualVector(mesh, out[mesh.free_vertices])
+    return quad_load(mesh, float(arg) * values_at_quad(mesh, eig.phi1))
 
 
 def _write(path: Path, lines) -> None:
@@ -632,11 +627,6 @@ def thread_cap():
     return v if v > 0 else None
 
 
-def _with_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    from dataclasses import replace
-    return replace(cfg, seed=seed)
-
-
 def main(argv=None) -> int:
     import argparse
 
@@ -680,7 +670,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.seed is not None:
-        cfg = _with_seed(cfg, args.seed)
+        cfg = replace(cfg, seed=args.seed)
     try:
         return run(cfg, args.out, quiet=args.quiet)
     except (ValueError, ExpressionError) as exc:

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .assembly import DiscreteField, DualVector, pairing, values_at_quad
+from .assembly import DualVector, _reduce, pairing, values_at_quad
 from .eigen import EigenResult
 from .meshing import Mesh, refine_structured
 from .nonlinearity import NonlinearitySpec, SpatialWeight, eval_f, eval_G
@@ -262,7 +262,7 @@ def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh, s_points: int) -> fl
     with np.errstate(over="ignore", invalid="ignore"):
         for s in np.linspace(-R, R, s_points):
             env = np.maximum(env, np.abs(np.asarray(eval_f(spec, pts, s), dtype=float)))
-    return math.fsum((w * env).tolist())
+    return _reduce(w * env)
 
 
 def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh, s_points: int = 2001,
@@ -521,12 +521,39 @@ def _weighted_integral(values, weights, density) -> float:
     if np.any(mask_neg):
         return -math.inf
     finite = np.isfinite(values)
-    return math.fsum((weights[finite] * values[finite] * density[finite]).tolist())
+    return _reduce(weights[finite] * values[finite] * density[finite])
 
 
 def _declared_weight(spec: NonlinearitySpec) -> SpatialWeight | None:
     w = spec.params.get("eta")
     return w if isinstance(w, SpatialWeight) else None
+
+
+def _best_domination(values, converged, weights, pts, eta, order: float, p: float,
+                     ndim: int, kind: str) -> Verdict:
+    """Pointwise domination of the limsup by a weight of class `kind`.
+
+    Candidates are the declared eta (if any, with its class membership
+    at `order`) and the zero weight.  The first candidate that holds
+    wins; otherwise an inconclusive verdict outranks a failing one.
+    """
+    candidates = []
+    if eta is not None:
+        candidates.append(("declared eta", eta(pts),
+                           check_class_membership(eta.exponent, order, p, ndim, kind)))
+    candidates.append(("zero", np.zeros(pts.shape[0]),
+                       Verdict(HOLDS, {"kind": kind, "candidate": "zero"})))
+    best = None
+    for label, bound_vals, membership in candidates:
+        bounded = _dominated_by(values, converged, weights, bound_vals)
+        verdict = Verdict(_combine([bounded.status, membership.status]),
+                          {"candidate": label, "bound": bounded.evidence,
+                           "membership": membership.evidence})
+        if verdict.status == HOLDS:
+            return verdict
+        if best is None or (best.status == FAILS and verdict.status == INCONCLUSIVE):
+            best = verdict
+    return best
 
 
 def check_sign_theorem(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector,
@@ -588,25 +615,8 @@ def check_comparison_theorem(spec: NonlinearitySpec, eigenpair: EigenResult,
     uncv_fracs = []
     for direction, tag in ((1, "pos"), (-1, "neg")):
         vals, conv = _pointwise_limsup(spec, pts, denom, direction, lam, pp, r, levels)
-        candidates = []
-        if eta is not None:
-            candidates.append(("declared eta", eta(pts),
-                               check_class_membership(eta.exponent, alpha, pp,
-                                                      mesh.ndim, "X")))
-        candidates.append(("zero", np.zeros(pts.shape[0]),
-                           Verdict(HOLDS, {"kind": "X", "candidate": "zero"})))
-        best = None
-        for label, bound_vals, membership in candidates:
-            bounded = _dominated_by(vals, conv, w, bound_vals)
-            verdict = Verdict(_combine([bounded.status, membership.status]),
-                              {"candidate": label, "bound": bounded.evidence,
-                               "membership": membership.evidence})
-            if verdict.status == HOLDS:
-                best = verdict
-                break
-            if best is None or (best.status == FAILS and verdict.status == INCONCLUSIVE):
-                best = verdict
-        dom_parts.append(best)
+        dom_parts.append(_best_domination(vals, conv, w, pts, eta, alpha, pp,
+                                          mesh.ndim, "X"))
         integrals[tag] = _weighted_integral(vals, w, phi1q)
         uncv_fracs.append(float(np.sum(w[~conv])) / float(np.sum(w)))
 
@@ -645,25 +655,8 @@ def check_landesman_lazer_theorem(spec: NonlinearitySpec, eigenpair: EigenResult
     uncv_fracs = []
     for direction, tag in ((1, "pos"), (-1, "neg")):
         vals, conv = _pointwise_limsup(spec, pts, denom, direction, lam, pp, r, levels)
-        candidates = []
-        if eta is not None:
-            candidates.append(("declared eta", eta(pts),
-                               check_class_membership(eta.exponent, 1.0, pp,
-                                                      mesh.ndim, "Y")))
-        candidates.append(("zero", np.zeros(pts.shape[0]),
-                           Verdict(HOLDS, {"kind": "Y", "candidate": "zero"})))
-        best = None
-        for label, bound_vals, membership in candidates:
-            bounded = _dominated_by(vals, conv, w, bound_vals)
-            verdict = Verdict(_combine([bounded.status, membership.status]),
-                              {"candidate": label, "bound": bounded.evidence,
-                               "membership": membership.evidence})
-            if verdict.status == HOLDS:
-                best = verdict
-                break
-            if best is None or (best.status == FAILS and verdict.status == INCONCLUSIVE):
-                best = verdict
-        dom_parts.append(best)
+        dom_parts.append(_best_domination(vals, conv, w, pts, eta, 1.0, pp,
+                                          mesh.ndim, "Y"))
         limsups[tag] = (vals, conv)
         uncv_fracs.append(float(np.sum(w[~conv])) / float(np.sum(w)))
 
@@ -754,13 +747,7 @@ class IncomparabilityTable:
 
 
 def _unit_coords(mesh: Mesh, pts: np.ndarray) -> np.ndarray:
-    s = mesh.structure
-    if s and s[0] == "interval":
-        lo = np.array([s[1]]); hi = np.array([s[2]])
-    elif s and s[0] == "rectangle":
-        lo = np.array([s[1], s[3]]); hi = np.array([s[2], s[4]])
-    else:
-        lo = mesh.vertices.min(axis=0); hi = mesh.vertices.max(axis=0)
+    lo, hi = mesh.bounds
     return (pts - lo) / (hi - lo)
 
 

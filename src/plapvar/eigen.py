@@ -9,12 +9,12 @@ first eigenfunction, normalized by int |phi_1|^p = 1.
 
 The iteration is projected gradient descent on R: renormalize after
 every accepted step (R is scale invariant, so projection is free for
-the line search), Armijo backtracking from t = 1 with halving and
-constant 1e-4.  By default the descent direction is the gradient taken
-in the H^1_0 inner product, i.e. one sparse solve with the fixed p = 2
-stiffness matrix; this keeps the step count bounded independently of
-the mesh size, whereas the raw coefficient-space gradient needs
-O(h^-2) steps.  Set precondition=False for the raw iteration.
+the line search), with step lengths from the shared Armijo search
+`solver.armijo`; each trial costs one Rayleigh quotient.  By default
+the descent direction is the gradient taken in the H^1_0 inner
+product, i.e. one sparse solve with the fixed p = 2 stiffness matrix;
+this keeps the step count bounded independently of the mesh size,
+whereas the raw coefficient-space gradient needs O(h^-2) steps.  Set precondition=False for the raw iteration.
 
 The start iterate is the interpolant of the positive product bubble
 prod_i sin(pi (x_i - a_i) / (b_i - a_i)), which lies in the symmetry
@@ -38,10 +38,9 @@ from .assembly import (
     stiffness_matrix,
 )
 from .meshing import Mesh
+from .solver import armijo
 
 __all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient", "first_eigenpair"]
-
-ARMIJO = 1e-4
 
 
 @dataclass(frozen=True)
@@ -79,16 +78,7 @@ def rayleigh_quotient(mesh: Mesh, u: DiscreteField, p: float) -> float:
 
 def _bubble_start(mesh: Mesh) -> np.ndarray:
     coords = mesh.free_coordinates()
-    s = mesh.structure
-    if s and s[0] == "interval":
-        lo = np.array([s[1]])
-        hi = np.array([s[2]])
-    elif s and s[0] == "rectangle":
-        lo = np.array([s[1], s[3]])
-        hi = np.array([s[2], s[4]])
-    else:
-        lo = mesh.vertices.min(axis=0)
-        hi = mesh.vertices.max(axis=0)
+    lo, hi = mesh.bounds
     vals = np.prod(np.sin(np.pi * (coords - lo) / (hi - lo)), axis=1)
     return np.maximum(vals, 1e-12)
 
@@ -155,18 +145,16 @@ def first_eigenpair(
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
         if slope <= 0.0:
             break
-        t = 1.0
-        accepted = False
-        for _ in range(60):
+
+        def at(t):
             trial = u - t * d
-            bt = lp_integral(mesh, DiscreteField(mesh, trial), p)
-            if bt > 0.0:
-                lam_t = rayleigh_quotient(mesh, DiscreteField(mesh, trial), p)
-                if lam_t <= lam - ARMIJO * t * slope:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
+            try:
+                return rayleigh_quotient(mesh, DiscreteField(mesh, trial), p), trial
+            except ValueError:  # zero field: infeasible trial
+                return None
+
+        _, trial, _ = armijo(at, lam, slope)
+        if trial is None:
             if restarts == 0:
                 # stalled line search: jitter once and continue
                 restarts = 1

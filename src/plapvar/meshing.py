@@ -129,6 +129,7 @@ class Mesh:
     quad_weights : (ne, nq) physical quadrature weights (include measures).
     basis_at_quad : (nq, ndim + 1) reference P1 basis values at the rule nodes.
     quad_order : polynomial exactness degree of the rule.
+    bounds : (lo, hi) corners of the bounding box, each of shape (ndim,).
     structure : construction record, used for dyadic coarsening.
     """
 
@@ -144,6 +145,7 @@ class Mesh:
     quad_weights: np.ndarray
     basis_at_quad: np.ndarray
     quad_order: int
+    bounds: tuple
     structure: tuple = field(default=())
 
     @property
@@ -194,6 +196,7 @@ def _finish_mesh(ndim, vertices, elements, is_boundary, measures, grads,
         quad_weights=_freeze(qw),
         basis_at_quad=_freeze(basis_at_quad),
         quad_order=quad_order,
+        bounds=(_freeze(vertices.min(axis=0)), _freeze(vertices.max(axis=0))),
         structure=structure,
     )
 

@@ -12,8 +12,9 @@ Closed-form G matters numerically: at large |s| the two terms of the
 difference agree to every stored bit, so the subtraction returns 0 and
 the asymptotic signal is lost exactly where the limsup estimators look.
 
-Potential values are IEEE extended reals: divergent integrals surface
-as +-inf, never as exceptions.
+Every spec carries its potential F in closed form.  Potential values
+are IEEE extended reals: divergent integrals surface as +-inf, never as
+exceptions.
 
 Evaluator conventions: spatial callables take point arrays of shape
 (m, ndim) and return (m,); f/F/G take (points, s) with numpy
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "SpatialWeight",
@@ -74,23 +74,7 @@ def _odd_power(s, q):
     return np.sign(s) * np.abs(s) ** (q - 1.0)
 
 
-class _PowerPhi:
-    """|s|^alpha with its derivative; minimal stand-in for a comparison function."""
-
-    def __init__(self, alpha: float):
-        self.order = float(alpha)
-        self.label = f"|s|^{alpha:g}"
-
-    def __call__(self, s):
-        return np.abs(s) ** self.order
-
-    def derivative(self, s):
-        return _odd_power(s, self.order) * self.order
-
-
 def _as_phi(phi):
-    if isinstance(phi, (int, float)):
-        return _PowerPhi(float(phi))
     if not callable(phi) or not hasattr(phi, "order"):
         raise TypeError("phi must expose __call__ and an `order` attribute")
     return phi
@@ -102,7 +86,7 @@ class NonlinearitySpec:
 
     name: str
     f: Callable
-    F: Optional[Callable] = None
+    F: Callable
     G: Optional[Callable] = None
     p: Optional[float] = None
     lambda1: Optional[float] = None
@@ -119,35 +103,9 @@ def eval_f(spec: NonlinearitySpec, x, s):
 
 
 def eval_F(spec: NonlinearitySpec, x, s):
-    """F(x, s): closed form when available, else adaptive quadrature of f.
-
-    The quadrature path integrates f(x, .) from 0 to s with absolute
-    tolerance 1e-10 per point; it is a slow fallback meant for specs
-    constructed without a potential.
-    """
-    x = np.atleast_2d(x)
-    s_arr = np.asarray(s, dtype=float)
-    if spec.F is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(spec.F(x, s_arr))
-    return _quadrature_potential(spec, x, s_arr)
-
-
-def _quadrature_potential(spec, x, s_arr):
-    m = x.shape[0]
-    out_shape = np.broadcast_shapes((m,), s_arr.shape)
-    if len(out_shape) != 1:
-        raise ValueError("the quadrature potential path supports scalar or 1-D s only")
-    n = out_shape[0]
-    s_b = np.broadcast_to(s_arr, out_shape)
-    x_b = x if m == n else np.repeat(x, n, axis=0)
-    out = np.empty(n)
-    for i in range(n):
-        xi = x_b[i][None, :]
-        val, _ = quad(lambda t: float(eval_f(spec, xi, t)), 0.0, float(s_b[i]),
-                      epsabs=1e-10, epsrel=1e-10, limit=300)
-        out[i] = val
-    return out
+    """F(x, s) from the spec's closed form; broadcasts like eval_f."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(spec.F(np.atleast_2d(x), np.asarray(s, dtype=float)))
 
 
 def eval_G(spec: NonlinearitySpec, x, s, lambda1: float | None = None,
@@ -255,10 +213,10 @@ def weighted_comparison(eta, phi, lambda1: float, p: float,
                         eta_exponent: float = math.inf) -> NonlinearitySpec:
     """F(x, s) = lambda1 |s|^p / p + eta(x) phi(s).
 
-    phi is a comparison-type function (pass a float alpha for |s|^alpha,
-    or any object with __call__, `derivative` and `order`).  The shifted
-    potential is G = eta(x) phi(s), so G/phi recovers eta exactly while
-    G/|s|^p decays to zero.
+    phi is a comparison-type function: any object with __call__,
+    `derivative` and `order`, such as conditions.power_comparison(alpha).
+    The shifted potential is G = eta(x) phi(s), so G/phi recovers eta
+    exactly while G/|s|^p decays to zero.
     """
     w = as_weight(eta, eta_exponent, "eta")
     ph = _as_phi(phi)

@@ -20,7 +20,8 @@ which aborts with `UnboundedBelowError`.
 Descent steps are preconditioned with the (p = 2) stiffness matrix by
 default, for the same reason as in the eigensolver: raw coefficient
 gradients are mesh-size-stiff.  Pass precondition=False for plain
-gradient descent.
+gradient descent.  Step lengths come from `armijo`, the one line search,
+which the eigensolver shares.
 """
 
 from __future__ import annotations
@@ -34,10 +35,13 @@ from scipy.sparse.linalg import splu
 from .assembly import (
     DiscreteField,
     DualVector,
+    _reduce,
+    _scatter,
     dirichlet_energy,
     pairing,
     patch_measures,
     plap_residual,
+    quad_load,
     sup_norm,
     values_at_quad,
 )
@@ -54,13 +58,14 @@ __all__ = [
     "potential_integral",
     "assemble_phi",
     "phi_gradient",
-    "stationarity_measure",
+    "armijo",
     "minimize_phi",
     "estimate_lambda_u",
     "verify_weak_solution",
 ]
 
 ARMIJO = 1e-4
+MAX_TRIALS = 60
 DIVERGENCE_FLOOR = -1e12
 
 
@@ -131,11 +136,7 @@ def nonlinear_load(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> Dual
     if np.any(bad):
         where = pts[np.argmax(bad)]
         raise ValueError(f"f(x, u) is not finite at quadrature point {where}")
-    weighted = mesh.quad_weights * f_q.reshape(u_q.shape)
-    contrib = weighted @ mesh.basis_at_quad
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return DualVector(mesh, out[mesh.free_vertices])
+    return quad_load(mesh, f_q)
 
 
 def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> float:
@@ -160,7 +161,7 @@ def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> 
         return math.inf
     if has_neg:
         return -math.inf
-    return math.fsum((w * F_q).tolist())
+    return _reduce(w * F_q)
 
 
 def assemble_phi(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
@@ -187,21 +188,28 @@ def phi_gradient(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
     return DualVector(mesh, g)
 
 
-def stationarity_measure(mesh: Mesh, g: DualVector) -> float:
-    """max_j |g_j| / |patch_j|: a residual-density scale.
-
-    Raw coefficients g_j shrink with the mesh size because psi_j does;
-    dividing by the measure of the support patch gives a quantity
-    comparable across refinement levels.
-    """
-    if g.values.size == 0:
-        return 0.0
-    return float(np.max(np.abs(g.values) / patch_measures(mesh)))
-
-
 # ---------------------------------------------------------------------------
 # minimization
 # ---------------------------------------------------------------------------
+
+
+def armijo(at, f0: float, slope: float):
+    """Backtracking Armijo line search shared by both descents.
+
+    Tries t = 1, 1/2, 1/4, ... for at most MAX_TRIALS trials.  at(t)
+    returns (value, state) for the step of length t, or None when that
+    trial is infeasible.  The first trial with
+    value <= f0 - ARMIJO t slope is accepted.  Returns
+    (value, state, rejected) with the number of rejected trials, or
+    (None, None, MAX_TRIALS) when no trial is accepted.
+    """
+    t = 1.0
+    for rejected in range(MAX_TRIALS):
+        trial = at(t)
+        if trial is not None and trial[0] <= f0 - ARMIJO * t * slope:
+            return trial[0], trial[1], rejected
+        t *= 0.5
+    return None, None, MAX_TRIALS
 
 
 @dataclass(frozen=True)
@@ -279,6 +287,12 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches)
     converged = False
 
     def measure(g):
+        """max_j |g_j| / |patch_j|: a residual-density scale.
+
+        Raw coefficients g_j shrink with the mesh size because psi_j does;
+        dividing by the measure of the support patch gives a quantity
+        comparable across refinement levels.
+        """
         return float(np.max(np.abs(g.values) / patches)) if g.values.size else 0.0
 
     while steps < max_iter:
@@ -299,19 +313,13 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches)
                 stop, converged = "stationarity", True
                 break
 
-        t = 1.0
-        trial = field
-        phi_new = phi_cur
-        accepted = False
-        for _ in range(60):
+        def at(t):
             trial = DiscreteField(mesh, field.values - t * d)
-            phi_new = assemble_phi(mesh, trial, spec, h, p)
-            if phi_new <= phi_cur - ARMIJO * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-            backtracks += 1
-        if not accepted:
+            return assemble_phi(mesh, trial, spec, h, p), trial
+
+        phi_new, trial, rejected = armijo(at, phi_cur, slope)
+        backtracks += rejected
+        if trial is None:
             stop = "line-search"
             break
 
@@ -388,12 +396,8 @@ def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
     lp_contrib = mesh.quad_weights @ bq_p                      # (ne, k)
     gnorm_p = np.linalg.norm(mesh.basis_gradients, axis=2) ** p
     en_contrib = mesh.measures[:, None] * gnorm_p              # (ne, k)
-    lp_hat = np.zeros(mesh.n_vertices)
-    en_hat = np.zeros(mesh.n_vertices)
-    np.add.at(lp_hat, mesh.elements.ravel(), lp_contrib.ravel())
-    np.add.at(en_hat, mesh.elements.ravel(), en_contrib.ravel())
-    lp_hat = lp_hat[mesh.free_vertices]
-    en_hat = en_hat[mesh.free_vertices]
+    lp_hat = _scatter(mesh, lp_contrib)
+    en_hat = _scatter(mesh, en_contrib)
     if L.values.size == 0:
         return 0.0
     ratios = np.abs(L.values) / (lp_hat + en_hat) ** (1.0 / p)

@@ -155,6 +155,9 @@ class TestLoadAndPairing:
         u = pv.interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
         # int x sin(pi x) = 1/pi, P1 interpolation error O(h^2)
         assert math.isclose(pv.pairing(h, u), 1.0 / math.pi, rel_tol=1e-3)
+        # the same density sampled at the quadrature nodes gives the same bits
+        q = pv.assembly.quad_load(mesh, mesh.quad_points[:, :, 0])
+        assert np.array_equal(q.values, h.values)
 
     def test_pairing_is_bilinear(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 8)

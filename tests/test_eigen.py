@@ -109,6 +109,27 @@ class TestInvariants:
         assert result.residual > 0.0
         assert result.phi1.values.shape == (mesh.n_free,)
 
+    def test_one_lp_integral_per_trial(self, monkeypatch):
+        # each line-search trial evaluates int |u|^p once, inside the
+        # Rayleigh quotient; the only other calls renormalize the start,
+        # each accepted step and the final iterate
+        from plapvar import eigen
+        calls = {"lp": 0, "rq": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(eigen, "lp_integral", counting("lp", eigen.lp_integral))
+        monkeypatch.setattr(eigen, "rayleigh_quotient",
+                            counting("rq", eigen.rayleigh_quotient))
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        res = eigen.first_eigenpair(mesh, 3.0)
+        assert res.iterations > 0
+        assert calls["lp"] <= calls["rq"] + res.iterations + 2
+
     def test_rayleigh_quotient_zero_rejected(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 8)
         with pytest.raises(ValueError):

@@ -65,6 +65,13 @@ class TestRectangleMesh:
         # structured split: every triangle has the same area
         assert np.allclose(m.measures, 4.0 / m.n_elements)
 
+    def test_bounds(self):
+        m = pv.build_rectangle_mesh(0.0, 2.0, -1.0, 1.0, 5, 7)
+        lo, hi = m.bounds
+        assert lo.tolist() == [0.0, -1.0] and hi.tolist() == [2.0, 1.0]
+        lo, hi = pv.build_interval_mesh(-0.5, 3.0, 9).bounds
+        assert lo.tolist() == [-0.5] and hi.tolist() == [3.0]
+
     def test_boundary_ring(self):
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
         v = m.vertices

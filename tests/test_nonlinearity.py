@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -174,3 +177,13 @@ class TestVectorization:
     def test_scalar_in_scalar_out(self):
         spec = pv.sine_exp(1.0)
         assert np.ndim(pv.eval_f(spec, X, 0.5)) <= 1
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # the package needs no scipy.integrate: every spec has a closed-form F
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pv.__file__)))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import plapvar; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

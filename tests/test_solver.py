@@ -193,6 +193,31 @@ class TestMinimize:
         assert math.isclose(res.stationarity, expect, rel_tol=1e-12)
 
 
+class TestArmijo:
+    def test_first_sufficient_decrease_on_quadratic(self):
+        # f(x) = x^2 from x = 1 along the overlong direction d = 8: the
+        # gradient 2 gives slope 16, and t = 1, 1/2, 1/4 miss the bound
+        tried = []
+
+        def at(t):
+            tried.append(t)
+            return (1.0 - 8.0 * t) ** 2, t
+
+        value, state, rejected = pv.solver.armijo(at, 1.0, 16.0)
+        assert tried == [1.0, 0.5, 0.25, 0.125]
+        assert (value, state, rejected) == (0.0, 0.125, 3)
+
+    def test_infeasible_trials_exhaust_the_search(self):
+        tried = []
+
+        def at(t):
+            tried.append(t)
+            return None
+
+        assert pv.solver.armijo(at, 1.0, 1.0) == (None, None, 60)
+        assert len(tried) == 60
+
+
 class TestLambdaU:
     def test_matches_tent_formula(self, mesh):
         # u == 1 away from the boundary ramps makes the load density one, so
