@@ -7,9 +7,10 @@ different structure in the recentred potential G = F - lambda_1 |s|^p / p:
   comparison      G dominated by eta(x) phi(s) with integrable weight
   landesman_lazer the forcing trapped in the directional-limit bracket
 
-The checkers return holds / fails / inconclusive per condition.  The
-second half of the script runs the designed three-scenario table showing
-that no theorem subsumes another: each scenario satisfies exactly one.
+One call to check_theorems returns the three reports, holds / fails /
+inconclusive per condition.  The second half of the script runs the
+designed three-scenario table showing that no theorem subsumes another:
+each scenario satisfies exactly one.
 """
 from __future__ import annotations
 
@@ -42,18 +43,17 @@ def main():
     print()
     print("mild subcritical damping (every hypothesis family is satisfied):")
     spec = pv.power_perturbation(eig.lambda1, 0.5 * (1 + args.p), args.p)
-    show(pv.check_sign_theorem(spec, eig, h, mesh, args.p, levels=args.levels))
-    show(pv.check_comparison_theorem(spec, eig, h, mesh, p=args.p,
-                                     levels=args.levels))
-    show(pv.check_landesman_lazer_theorem(spec, eig, h, mesh, args.p,
-                                          levels=args.levels))
+    for report in pv.check_theorems(spec, eig, h, mesh, args.p,
+                                    levels=args.levels).values():
+        show(report)
 
     out = pv.check_superlinear_negativity(spec, levels=args.levels)
     print(f"  superlinear negativity of G: {out.status}")
 
     print()
     print("designed scenarios, one per theorem:")
-    table = pv.incomparability_suite(args.p, mesh, levels=args.levels)
+    table = pv.incomparability_suite(args.p, mesh, levels=args.levels,
+                                     eigenpair=eig)
     from plapvar.conditions import THEOREMS
     width = max(len(c) for c in table.cases) + 2
     header = " " * width + "".join(f"{t:>18}" for t in THEOREMS)

@@ -9,12 +9,16 @@ theorems on a catalog of model nonlinearities.
 
 import os as _os
 
-# Cap BLAS/OpenMP pools before numpy is imported anywhere below.
-_cap = _os.environ.get("PLAPVAR_THREADS", "")
-if _cap.isdigit() and int(_cap) > 0:
+# PLAPVAR_THREADS, parsed once to a positive int or None, caps the BLAS/OpenMP
+# pools before numpy is imported anywhere below.
+try:
+    _thread_cap = max(int(_os.environ.get("PLAPVAR_THREADS", "")), 0) or None
+except ValueError:
+    _thread_cap = None
+if _thread_cap is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        _os.environ.setdefault(_var, _cap)
+        _os.environ.setdefault(_var, str(_thread_cap))
 
 __version__ = "0.1.0"
 
@@ -77,6 +81,7 @@ from .conditions import (
     check_landesman_lazer_theorem,
     check_sign_theorem,
     check_superlinear_negativity,
+    check_theorems,
     estimate_limsup,
     incomparability_suite,
     log_power_comparison,
@@ -118,7 +123,7 @@ __all__ = [
     "LimsupEstimate", "ComparisonFunction", "power_comparison",
     "log_power_comparison", "estimate_limsup", "check_growth", "check_f0",
     "verify_comparison_function", "check_class_membership",
-    "check_sign_theorem", "check_comparison_theorem",
+    "check_theorems", "check_sign_theorem", "check_comparison_theorem",
     "check_landesman_lazer_theorem", "check_superlinear_negativity",
     "incomparability_suite", "IncomparabilityTable",
     # solver

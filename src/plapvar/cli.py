@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import ast
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -555,20 +554,16 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
 
     if want in ("conditions", "all"):
         say("checking solvability hypotheses ...")
-        reports = {
-            "sign": cond.check_sign_theorem(
-                spec, eig, h, mesh, cfg.p, r=cfg.grid_scale, levels=cfg.levels,
-                f0_R=cfg.f0_radius),
-            "comparison": cond.check_comparison_theorem(
-                spec, eig, h, mesh, None, cfg.p, r=cfg.grid_scale,
-                levels=cfg.levels, f0_R=cfg.f0_radius),
-            "landesman_lazer": cond.check_landesman_lazer_theorem(
-                spec, eig, h, mesh, cfg.p, r=cfg.grid_scale, levels=cfg.levels,
-                f0_R=cfg.f0_radius),
-        }
+
+        def note(line):
+            report.append(line)
+            say("  " + line)
+
+        reports = cond.check_theorems(spec, eig, h, mesh, cfg.p, r=cfg.grid_scale,
+                                      levels=cfg.levels, f0_R=cfg.f0_radius)
         csv = ["checker,condition,status"]
         for cname, rep in reports.items():
-            report.append(f"{cname}: {rep.overall}")
+            note(f"{cname}: {rep.overall}")
             csv.append(f"{cname},overall,{rep.overall}")
             for key, status in rep.rows():
                 csv.append(f"{cname},{key},{status}")
@@ -578,19 +573,16 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
             g0 = cond.check_superlinear_negativity(
                 spec, r=cfg.grid_scale, levels=cfg.levels,
                 lambda1=eig.lambda1, p=cfg.p)
-            report.append(f"superlinear_negativity: {g0.status}")
+            note(f"superlinear_negativity: {g0.status}")
             csv.append(f"superlinear_negativity,overall,{g0.status}")
             if g0.status == cond.INCONCLUSIVE:
                 inconclusive = True
         _write(out / "conditions.csv", csv)
-        for line in report[-len(reports) - (1 if spec.autonomous else 0):]:
-            say("  " + line)
 
     if want in ("incomparability", "all"):
         say("running the incomparability suite ...")
         table = cond.incomparability_suite(
-            cfg.p, mesh, r=cfg.grid_scale, levels=cfg.levels,
-            eigen_kwargs={"seed": cfg.seed})
+            cfg.p, mesh, r=cfg.grid_scale, levels=cfg.levels, eigenpair=eig)
         csv = ["case," + ",".join(cond.THEOREMS)]
         for case, statuses in table.rows():
             csv.append(case + "," + ",".join(statuses))
@@ -616,15 +608,9 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
 
 
 def thread_cap():
-    """PLAPVAR_THREADS parsed to a positive int, or None."""
-    raw_val = os.environ.get("PLAPVAR_THREADS")
-    if raw_val is None:
-        return None
-    try:
-        v = int(raw_val)
-    except ValueError:
-        return None
-    return v if v > 0 else None
+    """The PLAPVAR_THREADS cap applied when plapvar was imported, or None."""
+    from . import _thread_cap
+    return _thread_cap
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,11 @@ checked here rest on the asymptotic size of G normalized three ways:
                         the bracket int G_1^- phi_1 < <h, phi_1>
                         < -int G_1^+ phi_1.
 
-Limits in s are estimated on geometric grids s_k = +-r 2^k by tail
-maxima.  Estimates beyond +-1e12 are reported as the +-inf sentinels.
+Limits in s are estimated on geometric grids s_k = +-r 2^k, k <= K, by
+tail maxima.  Estimates beyond +-1e12 are reported as the +-inf
+sentinels.  check_theorems samples G once per spec and direction, on the
+tail levels K//2..K only, and builds all three reports from those
+samples.
 "a.e." and "positive measure" are read through quadrature weight: a
 set matters when it carries more than 1e-6 of the total weight.
 Strict inequalities require a 1e-9 margin; non-strict comparisons
@@ -55,6 +58,7 @@ __all__ = [
     "check_f0",
     "verify_comparison_function",
     "check_class_membership",
+    "check_theorems",
     "check_sign_theorem",
     "check_comparison_theorem",
     "check_landesman_lazer_theorem",
@@ -135,15 +139,11 @@ class LimsupEstimate:
     samples: np.ndarray
 
 
-def _tail_stats(samples: np.ndarray):
-    """Vectorized tail maxima over the last axis; returns (value, converged)."""
-    samples = np.atleast_2d(samples)
-    K = samples.shape[-1] - 1
-    t_cur = (K + 1) // 2
-    t_prev = K // 2
-    with np.errstate(invalid="ignore"):
-        m_cur = np.max(samples[..., t_cur:], axis=-1)
-        m_prev = np.max(samples[..., t_prev:K], axis=-1)
+def _tail_verdict(m_cur, m_prev):
+    """(value, converged) arrays from the tail maxima of the K-grid (levels
+    (K+1)//2..K) and of the (K-1)-grid (levels K//2..K-1)."""
+    m_cur = np.atleast_1d(m_cur)
+    m_prev = np.atleast_1d(m_prev)
 
     def sentinelize(m):
         out = m.copy()
@@ -185,26 +185,38 @@ def estimate_limsup(g, direction: int = 1, r: float = 1.0,
                 raise ValueError
         except Exception:
             samples = np.array([float(g(float(s))) for s in s_values])
-    value, converged = _tail_stats(samples)
+    with np.errstate(invalid="ignore"):
+        value, converged = _tail_verdict(np.max(samples[(levels + 1) // 2:]),
+                                         np.max(samples[levels // 2:levels]))
     return LimsupEstimate(value=float(value[0]), converged=bool(converged[0]),
                           direction=direction, s_values=s_values, samples=samples)
 
 
-def _pointwise_limsup(spec: NonlinearitySpec, pts: np.ndarray, denom, direction: int,
-                      lambda1: float, p: float, r: float, levels: int):
-    """Per-point limsup of G(x, s)/denom(|s|) over the sample points.
+def _tail_limsups(spec: NonlinearitySpec, pts: np.ndarray, denoms, direction: int,
+                  lambda1: float, p: float, r: float, levels: int):
+    """Per-point limsup of G(x, s)/denom(|s|) for each denom, in one pass.
 
-    denom maps |s| to a positive scalar (|s|^p, phi(|s|), or |s|).
-    Returns (values, converged) arrays of length len(pts).
+    Each denom maps |s| to a positive scalar (|s|^p, phi(|s|), or |s|).
+    G is evaluated once per level and only on the tail levels K//2..K
+    that the tail maxima read; running maxima replace the
+    (points x levels) block.  Returns one (values, converged) pair of
+    arrays of length len(pts) per denom.
     """
     grid = _geometric_grid(r, levels)
-    samples = np.empty((pts.shape[0], grid.size))
+    cur = [None] * len(denoms)
+    prev = [None] * len(denoms)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k, mag in enumerate(grid):
-            s = direction * mag
-            samples[:, k] = np.asarray(eval_G(spec, pts, s, lambda1, p),
-                                       dtype=float) / denom(mag)
-    return _tail_stats(samples)
+        for k in range(levels // 2, levels + 1):
+            mag = grid[k]
+            g = np.broadcast_to(np.asarray(eval_G(spec, pts, direction * mag, lambda1, p),
+                                           dtype=float), pts.shape[:1])
+            for i, denom in enumerate(denoms):
+                v = g / denom(mag)
+                if k >= (levels + 1) // 2:
+                    cur[i] = v if cur[i] is None else np.maximum(cur[i], v)
+                if k < levels:
+                    prev[i] = v if prev[i] is None else np.maximum(prev[i], v)
+    return [_tail_verdict(c, q) for c, q in zip(cur, prev)]
 
 
 # ---------------------------------------------------------------------------
@@ -458,54 +470,50 @@ def check_class_membership(exponent: float | None, alpha: float, p: float,
 # ---------------------------------------------------------------------------
 
 
-def _resolve(spec: NonlinearitySpec, eigenpair: EigenResult, p: float | None):
-    lam = spec.lambda1 if spec.lambda1 is not None else eigenpair.lambda1
-    pp = spec.p if spec.p is not None else p
-    if pp is None:
-        raise ValueError("p is needed (stored on the entry or passed explicitly)")
-    return lam, pp
-
-
-def _ae_nonpositive(values, converged, weights) -> Verdict:
-    """'limsup <= 0 a.e.' through quadrature weight."""
-    total = float(np.sum(weights))
-    with np.errstate(invalid="ignore"):
-        violating = converged & (values > ZERO_TOL)
-    frac_viol = float(np.sum(weights[violating])) / total
-    frac_uncv = float(np.sum(weights[~converged])) / total
-    if frac_viol > WEIGHT_FRACTION:
-        return Verdict(FAILS, {"violating_weight_fraction": frac_viol})
-    if frac_uncv > WEIGHT_FRACTION:
-        return Verdict(INCONCLUSIVE, {"unconverged_weight_fraction": frac_uncv})
-    return Verdict(HOLDS, {"violating_weight_fraction": frac_viol})
+def _weight_fraction(mask, weights) -> float:
+    return float(np.sum(weights[mask])) / float(np.sum(weights))
 
 
 def _strict_negative_set(values, converged, weights) -> Verdict:
     """'strictly negative on a set of positive measure'."""
-    total = float(np.sum(weights))
     with np.errstate(invalid="ignore"):
         strict = converged & (values < -STRICT_MARGIN)
-    frac = float(np.sum(weights[strict])) / total
+    frac = _weight_fraction(strict, weights)
     if frac > WEIGHT_FRACTION:
         return Verdict(HOLDS, {"strict_weight_fraction": frac})
-    frac_uncv = float(np.sum(weights[~converged])) / total
+    frac_uncv = _weight_fraction(~converged, weights)
     if frac_uncv > WEIGHT_FRACTION:
         return Verdict(INCONCLUSIVE, {"unconverged_weight_fraction": frac_uncv})
     return Verdict(FAILS, {"strict_weight_fraction": frac})
 
 
-def _dominated_by(values, converged, weights, bound_vals) -> Verdict:
-    """Pointwise 'limsup <= bound' with the uniform margin."""
-    total = float(np.sum(weights))
+def _dominated_by(values, converged, weights, bound_vals,
+                  margin: float = UNIFORM_MARGIN) -> Verdict:
+    """Pointwise 'limsup <= bound' a.e., up to `margin`."""
     with np.errstate(invalid="ignore"):
-        violating = converged & ~(values <= bound_vals + UNIFORM_MARGIN)
-    frac_viol = float(np.sum(weights[violating])) / total
-    frac_uncv = float(np.sum(weights[~converged])) / total
+        violating = converged & ~(values <= bound_vals + margin)
+    frac_viol = _weight_fraction(violating, weights)
+    frac_uncv = _weight_fraction(~converged, weights)
     if frac_viol > WEIGHT_FRACTION:
         return Verdict(FAILS, {"violating_weight_fraction": frac_viol})
     if frac_uncv > WEIGHT_FRACTION:
         return Verdict(INCONCLUSIVE, {"unconverged_weight_fraction": frac_uncv})
     return Verdict(HOLDS, {"violating_weight_fraction": frac_viol})
+
+
+def _unless_unconverged(ok: bool, converged, weights) -> str:
+    """FAILS unless ok; a holding verdict resting on more than the
+    positive-measure fraction of unconverged weight is INCONCLUSIVE."""
+    if not ok:
+        return FAILS
+    if max(_weight_fraction(~c, weights) for c in converged) > WEIGHT_FRACTION:
+        return INCONCLUSIVE
+    return HOLDS
+
+
+def _both_directions(parts) -> Verdict:
+    return Verdict(_combine(v.status for v in parts),
+                   {"pos": parts[0].evidence, "neg": parts[1].evidence})
 
 
 def _weighted_integral(values, weights, density) -> float:
@@ -556,6 +564,76 @@ def _best_domination(values, converged, weights, pts, eta, order: float, p: floa
     return best
 
 
+def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector,
+                   mesh: Mesh, p: float | None = None, *, phi=None, r: float = 1.0,
+                   levels: int = CHECKER_LEVELS, f0_R: float = 10.0) -> dict:
+    """The sign, comparison and Landesman-Lazer reports from one pass over G.
+
+    G is sampled once per direction and tail level and normalized by
+    |s|^p, phi(s) and |s|; the envelope check check_f0 runs once and is
+    shared by the three reports.  phi defaults to the entry's declared
+    comparison function, else |s|^((1 + p)/2).  Returns
+    {"sign", "comparison", "landesman_lazer": HypothesisReport}.
+    """
+    lam = spec.lambda1 if spec.lambda1 is not None else eigenpair.lambda1
+    pp = spec.p if spec.p is not None else p
+    if pp is None:
+        raise ValueError("p is needed (stored on the entry or passed explicitly)")
+    if phi is None:
+        phi = spec.params.get("phi")
+    if phi is None:
+        phi = power_comparison((1.0 + pp) / 2.0)
+    alpha = float(phi.order)
+    pts = mesh.quad_points_flat()
+    w = mesh.quad_weights_flat()
+    phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1).reshape(-1))
+    eta = _declared_weight(spec)
+    denoms = (lambda mag: mag ** pp, lambda mag: float(phi(mag)), lambda mag: mag)
+
+    ae, strict, dom_x, dom_y = [], [], [], []
+    integrals, integrals_1, convs_phi, convs_1 = {}, {}, [], []
+    for direction, tag in ((1, "pos"), (-1, "neg")):
+        (vals_p, conv_p), (vals_phi, conv_phi), (vals_1, conv_1) = _tail_limsups(
+            spec, pts, denoms, direction, lam, pp, r, levels)
+        ae.append(_dominated_by(vals_p, conv_p, w, 0.0, ZERO_TOL))
+        strict.append(_strict_negative_set(vals_p, conv_p, w))
+        dom_x.append(_best_domination(vals_phi, conv_phi, w, pts, eta, alpha, pp,
+                                      mesh.ndim, "X"))
+        integrals[tag] = _weighted_integral(vals_phi, w, phi1q ** alpha)
+        convs_phi.append(conv_phi)
+        dom_y.append(_best_domination(vals_1, conv_1, w, pts, eta, 1.0, pp,
+                                      mesh.ndim, "Y"))
+        integrals_1[tag] = _weighted_integral(vals_1, w, phi1q)
+        convs_1.append(conv_1)
+    envelope = check_f0(spec, f0_R, mesh)
+
+    axioms = verify_comparison_function(phi, pp)
+    neg_ok = integrals["pos"] < -STRICT_MARGIN and integrals["neg"] < -STRICT_MARGIN
+    I_plus, I_minus = integrals_1["pos"], integrals_1["neg"]
+    h_phi1 = pairing(h, eigenpair.phi1)
+    bracket_ok = (I_minus < h_phi1 - STRICT_MARGIN) and (h_phi1 < -I_plus - STRICT_MARGIN)
+    return {
+        "sign": make_report("sign theorem", {
+            "nonpositive_ae": _both_directions(ae),
+            "strictly_negative_set": _both_directions(strict),
+            "local_envelope_integrable": envelope,
+        }),
+        "comparison": make_report("comparison theorem", {
+            "comparison_axioms": Verdict(axioms.overall, dict(axioms.rows())),
+            "dominated_in_X": _both_directions(dom_x),
+            "negative_weighted_integrals": Verdict(
+                _unless_unconverged(neg_ok, convs_phi, w), integrals),
+            "local_envelope_integrable": envelope,
+        }),
+        "landesman_lazer": make_report("Landesman-Lazer theorem", {
+            "dominated_in_Y": _both_directions(dom_y),
+            "bracket": Verdict(_unless_unconverged(bracket_ok, convs_1, w), {
+                "lower": I_minus, "pairing": h_phi1, "upper": -I_plus}),
+            "local_envelope_integrable": envelope,
+        }),
+    }
+
+
 def check_sign_theorem(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector,
                        mesh: Mesh, p: float | None = None, *, r: float = 1.0,
                        levels: int = CHECKER_LEVELS, f0_R: float = 10.0) -> HypothesisReport:
@@ -563,26 +641,8 @@ def check_sign_theorem(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVe
     directions, strictly negative on sets of positive measure, plus the
     local integrability of the envelope sup_{|s| <= R} |f|.
     """
-    lam, pp = _resolve(spec, eigenpair, p)
-    pts = mesh.quad_points_flat()
-    w = mesh.quad_weights_flat()
-    denom = lambda mag: mag ** pp
-
-    conditions = {}
-    strict_parts = []
-    ae_parts = []
-    for direction, tag in ((1, "pos"), (-1, "neg")):
-        vals, conv = _pointwise_limsup(spec, pts, denom, direction, lam, pp, r, levels)
-        ae_parts.append(_ae_nonpositive(vals, conv, w))
-        strict_parts.append(_strict_negative_set(vals, conv, w))
-    conditions["nonpositive_ae"] = Verdict(
-        _combine(v.status for v in ae_parts),
-        {"pos": ae_parts[0].evidence, "neg": ae_parts[1].evidence})
-    conditions["strictly_negative_set"] = Verdict(
-        _combine(v.status for v in strict_parts),
-        {"pos": strict_parts[0].evidence, "neg": strict_parts[1].evidence})
-    conditions["local_envelope_integrable"] = check_f0(spec, f0_R, mesh)
-    return make_report("sign theorem", conditions)
+    return check_theorems(spec, eigenpair, h, mesh, p, r=r, levels=levels,
+                          f0_R=f0_R)["sign"]
 
 
 def check_comparison_theorem(spec: NonlinearitySpec, eigenpair: EigenResult,
@@ -593,45 +653,8 @@ def check_comparison_theorem(spec: NonlinearitySpec, eigenpair: EigenResult,
     """Domination of limsup G/phi by an X_alpha weight plus strictly
     negative phi_1^alpha-weighted integrals in both directions.
     """
-    lam, pp = _resolve(spec, eigenpair, p)
-    if phi is None:
-        phi = spec.params.get("phi")
-    if phi is None:
-        phi = power_comparison((1.0 + pp) / 2.0)
-    alpha = float(phi.order)
-    pts = mesh.quad_points_flat()
-    w = mesh.quad_weights_flat()
-    phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1).reshape(-1)) ** alpha
-
-    conditions = {}
-    axioms = verify_comparison_function(phi, pp)
-    conditions["comparison_axioms"] = Verdict(axioms.overall,
-                                              dict(axioms.rows()))
-
-    eta = _declared_weight(spec)
-    denom = lambda mag: float(phi(mag))
-    dom_parts = []
-    integrals = {}
-    uncv_fracs = []
-    for direction, tag in ((1, "pos"), (-1, "neg")):
-        vals, conv = _pointwise_limsup(spec, pts, denom, direction, lam, pp, r, levels)
-        dom_parts.append(_best_domination(vals, conv, w, pts, eta, alpha, pp,
-                                          mesh.ndim, "X"))
-        integrals[tag] = _weighted_integral(vals, w, phi1q)
-        uncv_fracs.append(float(np.sum(w[~conv])) / float(np.sum(w)))
-
-    conditions["dominated_in_X"] = Verdict(
-        _combine(v.status for v in dom_parts),
-        {"pos": dom_parts[0].evidence, "neg": dom_parts[1].evidence})
-
-    neg_ok = integrals["pos"] < -STRICT_MARGIN and integrals["neg"] < -STRICT_MARGIN
-    status = HOLDS if neg_ok else FAILS
-    if status == HOLDS and max(uncv_fracs) > WEIGHT_FRACTION:
-        status = INCONCLUSIVE
-    conditions["negative_weighted_integrals"] = Verdict(status, dict(integrals))
-
-    conditions["local_envelope_integrable"] = check_f0(spec, f0_R, mesh)
-    return make_report("comparison theorem", conditions)
+    return check_theorems(spec, eigenpair, h, mesh, p, phi=phi, r=r, levels=levels,
+                          f0_R=f0_R)["comparison"]
 
 
 def check_landesman_lazer_theorem(spec: NonlinearitySpec, eigenpair: EigenResult,
@@ -642,40 +665,8 @@ def check_landesman_lazer_theorem(spec: NonlinearitySpec, eigenpair: EigenResult
     """Domination of limsup G/|s| by a Y_1 weight plus the bracket
     int G_1^- phi_1 < <h, phi_1> < -int G_1^+ phi_1.
     """
-    lam, pp = _resolve(spec, eigenpair, p)
-    pts = mesh.quad_points_flat()
-    w = mesh.quad_weights_flat()
-    phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1).reshape(-1))
-    denom = lambda mag: mag
-
-    conditions = {}
-    eta = _declared_weight(spec)
-    dom_parts = []
-    limsups = {}
-    uncv_fracs = []
-    for direction, tag in ((1, "pos"), (-1, "neg")):
-        vals, conv = _pointwise_limsup(spec, pts, denom, direction, lam, pp, r, levels)
-        dom_parts.append(_best_domination(vals, conv, w, pts, eta, 1.0, pp,
-                                          mesh.ndim, "Y"))
-        limsups[tag] = (vals, conv)
-        uncv_fracs.append(float(np.sum(w[~conv])) / float(np.sum(w)))
-
-    conditions["dominated_in_Y"] = Verdict(
-        _combine(v.status for v in dom_parts),
-        {"pos": dom_parts[0].evidence, "neg": dom_parts[1].evidence})
-
-    I_plus = _weighted_integral(limsups["pos"][0], w, phi1q)
-    I_minus = _weighted_integral(limsups["neg"][0], w, phi1q)
-    h_phi1 = pairing(h, eigenpair.phi1)
-    bracket_ok = (I_minus < h_phi1 - STRICT_MARGIN) and (h_phi1 < -I_plus - STRICT_MARGIN)
-    status = HOLDS if bracket_ok else FAILS
-    if status == HOLDS and max(uncv_fracs) > WEIGHT_FRACTION:
-        status = INCONCLUSIVE
-    conditions["bracket"] = Verdict(status, {
-        "lower": I_minus, "pairing": h_phi1, "upper": -I_plus})
-
-    conditions["local_envelope_integrable"] = check_f0(spec, f0_R, mesh)
-    return make_report("Landesman-Lazer theorem", conditions)
+    return check_theorems(spec, eigenpair, h, mesh, p, r=r, levels=levels,
+                          f0_R=f0_R)["landesman_lazer"]
 
 
 def check_superlinear_negativity(spec: NonlinearitySpec, r: float = 1.0,
@@ -695,21 +686,14 @@ def check_superlinear_negativity(spec: NonlinearitySpec, r: float = 1.0,
         raise ValueError("lambda1 and p are needed (spec metadata or arguments)")
     dummy = np.zeros((1, 1))
     results = {}
-    ok = True
-    inconclusive = False
+    statuses = []
     for direction, tag in ((1, "pos"), (-1, "neg")):
-        vals, conv = _pointwise_limsup(spec, dummy, lambda mag: mag, direction,
+        [(vals, conv)] = _tail_limsups(spec, dummy, (lambda mag: mag,), direction,
                                        lam, pp, r, levels)
         results[tag] = {"value": float(vals[0]), "converged": bool(conv[0])}
-        if not conv[0]:
-            inconclusive = True
-        elif not np.isneginf(vals[0]):
-            ok = False
-    if not ok:
-        return Verdict(FAILS, results)
-    if inconclusive:
-        return Verdict(INCONCLUSIVE, results)
-    return Verdict(HOLDS, results)
+        statuses.append(INCONCLUSIVE if not conv[0]
+                        else HOLDS if np.isneginf(vals[0]) else FAILS)
+    return Verdict(_combine(statuses), results)
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +726,7 @@ class IncomparabilityTable:
         return True
 
     def rows(self):
-        for c in self.cases:
-            yield c, [self.verdicts[c][t] for t in THEOREMS]
+        yield from zip(self.cases, self.matrix())
 
 
 def _unit_coords(mesh: Mesh, pts: np.ndarray) -> np.ndarray:
@@ -782,7 +765,7 @@ def _plateau_bump(mesh: Mesh) -> SpatialWeight:
 
 def incomparability_suite(p: float, mesh: Mesh, *, r: float = 1.0,
                           levels: int = CHECKER_LEVELS,
-                          eigen_kwargs: dict | None = None) -> IncomparabilityTable:
+                          eigenpair: EigenResult | None = None) -> IncomparabilityTable:
     """Run the three canonical catalog cases through all three theorem
     checkers with h = 0.
 
@@ -793,13 +776,14 @@ def incomparability_suite(p: float, mesh: Mesh, *, r: float = 1.0,
       sign_case            F = (lambda1/p + a(x)) |s|^p + sqrt(phi(s) |s|^p)
 
     The expected verdict matrix is a permutation: one "holds" per row
-    and per column (see is_exclusive_diagonal).
+    and per column (see is_exclusive_diagonal).  `eigenpair` is the first
+    eigenpair of (mesh, p); it is computed only when none is passed.
     """
     from .assembly import zero_dual
     from .eigen import first_eigenpair
     from .nonlinearity import modulated_resonance, weighted_absval, weighted_comparison
 
-    eig = first_eigenpair(mesh, p, **(eigen_kwargs or {}))
+    eig = eigenpair if eigenpair is not None else first_eigenpair(mesh, p)
     lam = eig.lambda1
     h = zero_dual(mesh)
     alpha = (1.0 + p) / 2.0
@@ -818,23 +802,9 @@ def incomparability_suite(p: float, mesh: Mesh, *, r: float = 1.0,
         "sign_case": "sign",
     }
 
-    checkers = {
-        "sign": lambda s: check_sign_theorem(s, eig, h, mesh, p, r=r, levels=levels),
-        "comparison": lambda s: check_comparison_theorem(s, eig, h, mesh, None, p,
-                                                         r=r, levels=levels),
-        "landesman_lazer": lambda s: check_landesman_lazer_theorem(s, eig, h, mesh, p,
-                                                                   r=r, levels=levels),
-    }
-
-    verdicts = {}
-    reports = {}
-    for case, spec in specs.items():
-        verdicts[case] = {}
-        reports[case] = {}
-        for theorem, run in checkers.items():
-            rep = run(spec)
-            verdicts[case][theorem] = rep.overall
-            reports[case][theorem] = rep
-
+    reports = {case: check_theorems(spec, eig, h, mesh, p, r=r, levels=levels)
+               for case, spec in specs.items()}
+    verdicts = {case: {t: rep.overall for t, rep in reps.items()}
+                for case, reps in reports.items()}
     return IncomparabilityTable(cases=tuple(specs), verdicts=verdicts,
                                 reports=reports, designed=designed)

@@ -83,6 +83,14 @@ def _bubble_start(mesh: Mesh) -> np.ndarray:
     return np.maximum(vals, 1e-12)
 
 
+def _assemble(mesh: Mesh, uvals: np.ndarray, p: float):
+    """Field, Rayleigh quotient, eigen-residual vector and its max norm at uvals."""
+    field = DiscreteField(mesh, uvals)
+    lam = rayleigh_quotient(mesh, field, p)
+    r = plap_residual(mesh, field, p).values - lam * lp_residual(mesh, field, p).values
+    return field, lam, r, float(np.max(np.abs(r))) if r.size else 0.0
+
+
 def _normalize(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
     b = lp_integral(mesh, DiscreteField(mesh, values), p)
     return values / b ** (1.0 / p)
@@ -122,19 +130,12 @@ def first_eigenpair(
     u = _normalize(mesh, _bubble_start(mesh), p)
     restarts = 0
 
-    def assemble(uvals):
-        field = DiscreteField(mesh, uvals)
-        lam = rayleigh_quotient(mesh, field, p)
-        r = plap_residual(mesh, field, p).values - lam * lp_residual(mesh, field, p).values
-        return field, lam, r
-
-    field, lam, r = assemble(u)
+    _, lam, r, res_norm = _assemble(mesh, u, p)
     iterations = 0
     converged = False
     stagnant = 0
     best_res = np.inf
     for _ in range(max_iter):
-        res_norm = float(np.max(np.abs(r))) if r.size else 0.0
         if res_norm < residual_tol:
             converged = True
             break
@@ -159,12 +160,12 @@ def first_eigenpair(
                 # stalled line search: jitter once and continue
                 restarts = 1
                 u = _normalize(mesh, u + 1e-8 * rng.standard_normal(u.size), p)
-                field, lam, r = assemble(u)
+                _, lam, r, res_norm = _assemble(mesh, u, p)
                 continue
             break
         u = _normalize(mesh, trial, p)
         lam_prev = lam
-        field, lam, r = assemble(u)
+        _, lam, r, res_norm = _assemble(mesh, u, p)
         iterations += 1
         if abs(lam_prev - lam) < rel_tol * abs(lam):
             stagnant += 1
@@ -172,22 +173,16 @@ def first_eigenpair(
                 converged = True
                 break
 
-    res_norm = float(np.max(np.abs(r))) if r.size else 0.0
     if not converged and res_norm >= residual_tol:
-        result = _finalize(mesh, u, p, iterations, res_norm)
+        result = _finalize(mesh, u, p, iterations)
         raise EigenConvergenceError(
             f"eigen descent did not converge in {iterations} accepted steps "
             f"(residual {res_norm:.3e})", result)
-    return _finalize(mesh, u, p, iterations, res_norm)
+    return _finalize(mesh, u, p, iterations)
 
 
-def _finalize(mesh: Mesh, u: np.ndarray, p: float, iterations: int,
-              res_norm: float) -> EigenResult:
+def _finalize(mesh: Mesh, u: np.ndarray, p: float, iterations: int) -> EigenResult:
     if u.size and float(np.sum(u)) < 0.0:
         u = -u
-    u = _normalize(mesh, u, p)
-    field = DiscreteField(mesh, u)
-    lam = rayleigh_quotient(mesh, field, p)
-    r = plap_residual(mesh, field, p).values - lam * lp_residual(mesh, field, p).values
-    res = float(np.max(np.abs(r))) if r.size else 0.0
+    field, lam, _, res = _assemble(mesh, _normalize(mesh, u, p), p)
     return EigenResult(lambda1=lam, phi1=field, iterations=iterations, residual=res)

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -240,3 +243,65 @@ class TestDeterminism:
         assert names == [p.name for p in sorted(out2.iterdir())]
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+class TestSharedWork:
+    def test_one_envelope_per_spec_one_eigenpair_tail_levels_only(
+            self, tmp_path, monkeypatch):
+        # pipeline = all audits the configured spec and the suite's three
+        # cases: each gets one check_f0 and one tail-only pass over G, and
+        # the suite reuses the run's eigenpair
+        from plapvar import cli, conditions, eigen
+        check_f0, first_eigenpair, eval_G = (
+            conditions.check_f0, eigen.first_eigenpair, conditions.eval_G)
+        f0_specs, eig_calls, s_seen = [], [], []
+
+        def counting_f0(spec, *args, **kwargs):
+            f0_specs.append(spec)
+            return check_f0(spec, *args, **kwargs)
+
+        def counting_eigen(*args, **kwargs):
+            eig_calls.append(args)
+            return first_eigenpair(*args, **kwargs)
+
+        def recording_G(spec, x, s, *args, **kwargs):
+            s_seen.append(float(s))
+            return eval_G(spec, x, s, *args, **kwargs)
+
+        monkeypatch.setattr(conditions, "check_f0", counting_f0)
+        monkeypatch.setattr(conditions, "eval_G", recording_G)
+        monkeypatch.setattr(eigen, "first_eigenpair", counting_eigen)
+        monkeypatch.setattr(cli, "first_eigenpair", counting_eigen)
+
+        levels = 8
+        cfg = write(tmp_path, "c.cfg",
+                    "p = 3.0\ndomain = rectangle\nnx = 6\nny = 6\n"
+                    f"pipeline = all\nlevels = {levels}\n"
+                    "nonlinearity = power_perturbation\n"
+                    "nonlinearity.beta = 2.0\nh = phi1: 0.1\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) in (0, 2)
+
+        assert len(f0_specs) == len({id(s) for s in f0_specs}) == 4
+        assert len(eig_calls) == 1
+        tail = [2.0 ** k for k in range(levels // 2, levels + 1)]
+        # 4 specs through check_theorems + the autonomous superlinear check
+        assert len(s_seen) == 5 * 2 * len(tail)
+        assert sorted(set(abs(s) for s in s_seen)) == tail
+
+
+@pytest.mark.parametrize("raw", ["2", " 4", "+4"])
+def test_manifest_thread_cap_is_the_applied_cap(tmp_path, raw):
+    # the manifest reports the cap the import applied to the thread pools
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pv.__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if not k.endswith("_NUM_THREADS") and k != "VECLIB_MAXIMUM_THREADS"}
+    env["PLAPVAR_THREADS"] = raw
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+            "from plapvar.cli import parse_config, run; "
+            "run(parse_config('pipeline = eigen\\nn = 8\\n'), sys.argv[2], quiet=True); "
+            "print(os.environ.get('OMP_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", code, src, str(tmp_path)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    manifest = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert f"thread_cap = {out.strip()}" in manifest
+    assert out.strip() == str(int(raw))

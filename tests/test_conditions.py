@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import plapvar as pv
-from plapvar import HOLDS, FAILS, INCONCLUSIVE
+from plapvar import HOLDS, FAILS, INCONCLUSIVE, conditions
 
 LAM = math.pi**2
 
@@ -96,6 +96,58 @@ class TestEstimateLimsup:
             / np.abs(s) ** 2)
         assert est.converged
         assert abs(est.value - LAM) / LAM < 0.02
+
+
+def _block_limsup(spec, pts, denom, direction, lam, p, r, levels):
+    """The (points x levels) reference: G sampled on every level, then the
+    tail maxima of the K- and (K-1)-grids."""
+    grid = r * np.exp2(np.arange(levels + 1, dtype=float))
+    samples = np.empty((pts.shape[0], grid.size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k, mag in enumerate(grid):
+            samples[:, k] = np.asarray(pv.eval_G(spec, pts, direction * mag, lam, p),
+                                       dtype=float) / denom(mag)
+        m_cur = np.max(samples[:, (levels + 1) // 2:], axis=-1)
+        m_prev = np.max(samples[:, levels // 2:levels], axis=-1)
+    return conditions._tail_verdict(m_cur, m_prev)
+
+
+def _audited_specs(mesh, p):
+    lam = pv.first_eigenpair(mesh, p).lambda1
+    phi = pv.power_comparison((1.0 + p) / 2.0)
+    return {
+        "power_perturbation": pv.power_perturbation(lam, (1.0 + p) / 2.0, p),
+        "weighted_comparison": pv.weighted_comparison(
+            conditions._tilted_weight(mesh), phi, lam, p),
+        "weighted_absval": pv.weighted_absval(conditions._tilted_weight(mesh), lam, p),
+        "modulated_resonance": pv.modulated_resonance(
+            conditions._plateau_bump(mesh), phi, lam, p),
+    }, lam, phi
+
+
+class TestStreamedTailMaxima:
+    @pytest.mark.parametrize("domain", ["interval", "rectangle"])
+    def test_matches_block_reference_bit_for_bit(self, domain):
+        if domain == "interval":
+            mesh, p = pv.build_interval_mesh(0.0, 1.0, 16), 2.0
+        else:
+            mesh, p = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4), 3.0
+        specs, lam, phi = _audited_specs(mesh, p)
+        assert specs["power_perturbation"].autonomous
+        pts = mesh.quad_points_flat()
+        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+        for name, spec in specs.items():
+            for direction in (1, -1):
+                for levels in (8, 200):
+                    streamed = conditions._tail_limsups(spec, pts, denoms, direction,
+                                                        lam, p, 1.0, levels)
+                    for denom, (vals, conv) in zip(denoms, streamed):
+                        ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction,
+                                                           lam, p, 1.0, levels)
+                        key = (name, direction, levels)
+                        assert vals.shape == ref_vals.shape == (pts.shape[0],), key
+                        assert vals.tobytes() == ref_vals.tobytes(), key
+                        assert np.array_equal(conv, ref_conv), key
 
 
 class TestCheckGrowth:
