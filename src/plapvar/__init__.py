@@ -10,7 +10,8 @@ theorems on a catalog of model nonlinearities.
 import os as _os
 
 # PLAPVAR_THREADS, parsed once to a positive int or None, caps the BLAS/OpenMP
-# pools before numpy is imported anywhere below.
+# pools before numpy is imported anywhere below; it overrides pool variables
+# that are already set, so the manifest's thread_cap is the cap in force.
 try:
     _thread_cap = max(int(_os.environ.get("PLAPVAR_THREADS", "")), 0) or None
 except ValueError:
@@ -18,7 +19,7 @@ except ValueError:
 if _thread_cap is not None:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                  "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
-        _os.environ.setdefault(_var, str(_thread_cap))
+        _os.environ[_var] = str(_thread_cap)
 
 __version__ = "0.1.0"
 

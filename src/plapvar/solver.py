@@ -21,7 +21,8 @@ Descent steps are preconditioned with the (p = 2) stiffness matrix by
 default, for the same reason as in the eigensolver: raw coefficient
 gradients are mesh-size-stiff.  Pass precondition=False for plain
 gradient descent.  Step lengths come from `armijo`, the one line search,
-which the eigensolver shares.
+which the eigensolver shares; each search starts from twice the last
+accepted step (at most 1), not from t = 1.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ __all__ = [
 
 ARMIJO = 1e-4
 MAX_TRIALS = 60
+STEP_GROWTH = 2.0
 DIVERGENCE_FLOOR = -1e12
 
 
@@ -193,17 +195,23 @@ def phi_gradient(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
 # ---------------------------------------------------------------------------
 
 
-def armijo(at, f0: float, slope: float):
+def armijo(at, f0: float, slope: float, t: float = 1.0):
     """Backtracking Armijo line search shared by both descents.
 
-    Tries t = 1, 1/2, 1/4, ... for at most MAX_TRIALS trials.  at(t)
-    returns (value, state) for the step of length t, or None when that
-    trial is infeasible.  The first trial with
+    Tries t, t/2, t/4, ... for at most MAX_TRIALS trials, from the start
+    step t.  at(t) returns (value, state) for the step of length t, or
+    None when that trial is infeasible.  The first trial with
     value <= f0 - ARMIJO t slope is accepted.  Returns
-    (value, state, rejected) with the number of rejected trials, or
-    (None, None, MAX_TRIALS) when no trial is accepted.
+    (value, state, rejected) with the number of trials rejected below
+    the start step, or (None, None, MAX_TRIALS) when no trial is
+    accepted.
+
+    Both descents warm-start the search: the accepted step is
+    t * 0.5**rejected (exact in binary), and the next search starts at
+    STEP_GROWTH = 2 times that step, capped at 1 (`_next_start`),
+    instead of shrinking from 1 again to the step length the last
+    search already found.
     """
-    t = 1.0
     for rejected in range(MAX_TRIALS):
         trial = at(t)
         if trial is not None and trial[0] <= f0 - ARMIJO * t * slope:
@@ -212,13 +220,20 @@ def armijo(at, f0: float, slope: float):
     return None, None, MAX_TRIALS
 
 
+def _next_start(t: float, rejected: int) -> float:
+    """Start step after a search from t accepted with `rejected` rejections."""
+    return min(1.0, STEP_GROWTH * t * 0.5 ** rejected)
+
+
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one energy descent.
 
     stop_reason is "stationarity" (gradient measure below tolerance),
     "phi-decrease" (energy progress below tolerance), "line-search"
-    (no acceptable step found) or "max-iter".
+    (no acceptable step found) or "max-iter".  backtracks sums, over
+    all line searches, the trials rejected below each step's start t
+    (the warm start of `armijo`, not t = 1).
     """
 
     u: DiscreteField
@@ -283,6 +298,7 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches)
     phi_cur = assemble_phi(mesh, field, spec, h, p)
     backtracks = 0
     steps = 0
+    t0 = 1.0
     stop = "max-iter"
     converged = False
 
@@ -317,11 +333,12 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches)
             trial = DiscreteField(mesh, field.values - t * d)
             return assemble_phi(mesh, trial, spec, h, p), trial
 
-        phi_new, trial, rejected = armijo(at, phi_cur, slope)
+        phi_new, trial, rejected = armijo(at, phi_cur, slope, t0)
         backtracks += rejected
         if trial is None:
             stop = "line-search"
             break
+        t0 = _next_start(t0, rejected)
 
         steps += 1
         field = trial

@@ -289,13 +289,18 @@ class TestSharedWork:
         assert sorted(set(abs(s) for s in s_seen)) == tail
 
 
-@pytest.mark.parametrize("raw", ["2", " 4", "+4"])
-def test_manifest_thread_cap_is_the_applied_cap(tmp_path, raw):
-    # the manifest reports the cap the import applied to the thread pools
+@pytest.mark.parametrize("raw, preset", [("2", None), (" 4", None), ("+4", None),
+                                         ("2", "8")],
+                         ids=["2", " 4", "+4", "2-over-omp-8"])
+def test_manifest_thread_cap_is_the_applied_cap(tmp_path, raw, preset):
+    # the manifest reports the cap the import applied to the thread pools,
+    # also when a pool variable was already set
     src = os.path.dirname(os.path.dirname(os.path.abspath(pv.__file__)))
     env = {k: v for k, v in os.environ.items()
            if not k.endswith("_NUM_THREADS") and k != "VECLIB_MAXIMUM_THREADS"}
     env["PLAPVAR_THREADS"] = raw
+    if preset is not None:
+        env["OMP_NUM_THREADS"] = preset
     code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
             "from plapvar.cli import parse_config, run; "
             "run(parse_config('pipeline = eigen\\nn = 8\\n'), sys.argv[2], quiet=True); "
@@ -305,3 +310,17 @@ def test_manifest_thread_cap_is_the_applied_cap(tmp_path, raw):
     manifest = (tmp_path / "manifest.txt").read_text().splitlines()
     assert f"thread_cap = {out.strip()}" in manifest
     assert out.strip() == str(int(raw))
+
+
+def test_python_dash_m_runs_the_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pv.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    done = subprocess.run(
+        [sys.executable, "-m", "plapvar", "check-config",
+         os.path.join(root, "demos", "experiment.cfg")],
+        env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "pipeline" in done.stdout

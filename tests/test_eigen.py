@@ -100,6 +100,13 @@ class TestInvariants:
         assert a.lambda1 == b.lambda1
         assert np.array_equal(a.phi1.values, b.phi1.values)
 
+    def test_deterministic_rectangle(self):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8)
+        a = pv.first_eigenpair(mesh, 3.0, seed=5)
+        b = pv.first_eigenpair(mesh, 3.0, seed=5)
+        assert a.lambda1 == b.lambda1
+        assert np.array_equal(a.phi1.values, b.phi1.values)
+
     def test_failure_carries_last_iterate(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 64)
         with pytest.raises(pv.EigenConvergenceError) as exc:
@@ -129,6 +136,26 @@ class TestInvariants:
         res = eigen.first_eigenpair(mesh, 3.0)
         assert res.iterations > 0
         assert calls["lp"] <= calls["rq"] + res.iterations + 2
+
+    def test_warm_started_line_search(self, monkeypatch):
+        # the Armijo search starts at twice the last accepted step, so once
+        # the step length settles a step costs about two trials; restarting
+        # every search at t = 1 costs ~12 per step here (648 for 52 steps)
+        from plapvar import eigen
+        calls = {"rq": 0}
+        quotient = eigen.rayleigh_quotient
+
+        def counting(*args, **kwargs):
+            calls["rq"] += 1
+            return quotient(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "rayleigh_quotient", counting)
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        res = eigen.first_eigenpair(mesh, 3.0)
+        assert res.iterations > 0
+        # one quotient at the start, one per accepted step and one final
+        trials = calls["rq"] - res.iterations - 2
+        assert trials <= 3 * res.iterations
 
     def test_rayleigh_quotient_zero_rejected(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 8)

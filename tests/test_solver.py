@@ -207,6 +207,19 @@ class TestArmijo:
         assert tried == [1.0, 0.5, 0.25, 0.125]
         assert (value, state, rejected) == (0.0, 0.125, 3)
 
+    def test_search_starts_from_the_given_step(self):
+        # the same quadratic warm-started at t = 1/4: one rejection, and
+        # `rejected` counts from the start step, not from t = 1
+        tried = []
+
+        def at(t):
+            tried.append(t)
+            return (1.0 - 8.0 * t) ** 2, t
+
+        value, state, rejected = pv.solver.armijo(at, 1.0, 16.0, 0.25)
+        assert tried == [0.25, 0.125]
+        assert (value, state, rejected) == (0.0, 0.125, 1)
+
     def test_infeasible_trials_exhaust_the_search(self):
         tried = []
 
