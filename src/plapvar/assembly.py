@@ -7,18 +7,19 @@ p-Dirichlet energy (1/p) int |grad u|^p is evaluated exactly.  Zeroth
 order integrals (int |u|^p, loads, potential terms) use the mesh's
 Gauss rule, which has polynomial exactness degree >= 4 by default.
 
-Every scalar sum goes through `_reduce`, the one summation policy:
-math.fsum over the contributions, so results do not depend on the
-iteration order of the element array (deterministic-summation
-contract).  Every element-to-free-dof sum goes through `_scatter`, the
-one scatter, which accumulates in a fixed element order; `quad_load`
-builds on it to turn a density at the quadrature nodes into a dual
-vector.
+Every scalar sum goes through `_reduce`, the one summation policy: one
+pairwise `np.sum` over the contiguous contributions, in the mesh's fixed
+element order.  Sums are deterministic per mesh and per numpy build, but
+permuting the element array may change their last bits; the pairwise
+error, O(eps log n) times the sum of |contributions|, is far below
+every tolerance in the package.  Every element-to-free-dof sum goes
+through `_scatter`, the one scatter, which accumulates in a fixed
+element order; `quad_load` builds on it to turn a density at the
+quadrature nodes into a dual vector.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,12 @@ def _check_p(p: float) -> None:
 
 
 def _reduce(x: np.ndarray) -> float:
-    """Order-independent sum of a 1-D array (math.fsum)."""
-    return math.fsum(x.tolist())
+    """Pairwise sum of a 1-D array in element order (one `np.sum`).
+
+    Deterministic for a fixed mesh and numpy build; permuting the
+    elements may change the last bits.
+    """
+    return float(np.sum(x))
 
 
 def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:

@@ -50,19 +50,28 @@ __all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient", "first_e
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Converged first eigenpair.
+    """First eigenpair, converged unless carried by EigenConvergenceError.
 
     lambda1   discrete first eigenvalue (Rayleigh quotient at phi1)
     phi1      eigenfunction, int |phi1|^p = 1, positive at free vertices
     iterations  accepted descent steps
     residual  max_j |int |grad phi1|^(p-2) grad phi1 . grad psi_j
                      - lambda1 int |phi1|^(p-2) phi1 psi_j|
+    stop_reason  why the descent stopped.  A returned result carries
+              "residual" (residual below residual_tol) or "stagnation"
+              (25 consecutive steps moved the quotient by less than
+              rel_tol while the residual stopped improving).  The result
+              inside EigenConvergenceError carries "max-iter" (max_iter
+              steps used up), "line-search" (no acceptable step, even
+              after the one perturbed restart) or "non-descent" (the
+              preconditioned direction had slope <= 0).
     """
 
     lambda1: float
     phi1: DiscreteField
     iterations: int
     residual: float
+    stop_reason: str
 
 
 class EigenConvergenceError(RuntimeError):
@@ -119,8 +128,8 @@ def first_eigenpair(
     during which the residual also stopped improving: near a minimum the
     quotient error is quadratic in the eigenvector error, so quotient
     stagnation alone would end the polish many digits too early.
-    Non-convergence within max_iter raises EigenConvergenceError
-    carrying the last iterate.  `seed` controls the perturbed restart
+    Any other stop raises EigenConvergenceError carrying the last
+    iterate; EigenResult.stop_reason says which rule fired.  `seed` controls the perturbed restart
     used if the line search stalls early.
     """
     if not (p > 1.0):
@@ -138,12 +147,12 @@ def first_eigenpair(
     _, lam, r, res_norm = _assemble(mesh, u, p)
     iterations = 0
     t0 = 1.0
-    converged = False
+    stop = "max-iter"
     stagnant = 0
     best_res = np.inf
     for _ in range(max_iter):
         if res_norm < residual_tol:
-            converged = True
+            stop = "residual"
             break
         if res_norm < 0.99 * best_res:
             best_res = res_norm
@@ -151,6 +160,7 @@ def first_eigenpair(
         d = solve(r.copy()) if solve is not None else r
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
         if slope <= 0.0:
+            stop = "non-descent"
             break
 
         def at(t):
@@ -169,6 +179,7 @@ def first_eigenpair(
                 u = _normalize(mesh, u + 1e-8 * rng.standard_normal(u.size), p)
                 _, lam, r, res_norm = _assemble(mesh, u, p)
                 continue
+            stop = "line-search"
             break
         t0 = _next_start(t0, rejected)
         u = _normalize(mesh, trial, p)
@@ -178,19 +189,23 @@ def first_eigenpair(
         if abs(lam_prev - lam) < rel_tol * abs(lam):
             stagnant += 1
             if stagnant >= 25:
-                converged = True
+                stop = "stagnation"
                 break
 
-    if not converged and res_norm >= residual_tol:
-        result = _finalize(mesh, u, p, iterations)
+    if stop == "max-iter" and res_norm < residual_tol:
+        stop = "residual"  # the last allowed step reached the tolerance
+    result = _finalize(mesh, u, p, iterations, stop)
+    if stop not in ("residual", "stagnation"):
         raise EigenConvergenceError(
             f"eigen descent did not converge in {iterations} accepted steps "
-            f"(residual {res_norm:.3e})", result)
-    return _finalize(mesh, u, p, iterations)
+            f"(residual {res_norm:.3e}, stop {stop})", result)
+    return result
 
 
-def _finalize(mesh: Mesh, u: np.ndarray, p: float, iterations: int) -> EigenResult:
+def _finalize(mesh: Mesh, u: np.ndarray, p: float, iterations: int,
+              stop: str) -> EigenResult:
     if u.size and float(np.sum(u)) < 0.0:
         u = -u
     field, lam, _, res = _assemble(mesh, _normalize(mesh, u, p), p)
-    return EigenResult(lambda1=lam, phi1=field, iterations=iterations, residual=res)
+    return EigenResult(lambda1=lam, phi1=field, iterations=iterations, residual=res,
+                       stop_reason=stop)

@@ -13,7 +13,6 @@ of freedom and the piecewise-linear space is nested under bisection.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,7 +161,7 @@ class Mesh:
 
     @property
     def domain_measure(self) -> float:
-        return math.fsum(self.measures.tolist())
+        return float(np.sum(self.measures))
 
     def free_coordinates(self) -> np.ndarray:
         """Coordinates of the free vertices, shape (nf, ndim)."""

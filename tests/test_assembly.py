@@ -188,3 +188,47 @@ class TestSupNorm:
     def test_zero(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 6)
         assert pv.sup_norm(mesh, pv.zero_field(mesh)) == 0.0
+
+
+class TestSummationPolicy:
+    # every scalar sum is one pairwise np.sum over the contributions, in
+    # the mesh's element order; math.fsum is not on any path
+
+    def test_reduce_is_one_numpy_sum(self):
+        from plapvar.assembly import _reduce
+        x = np.random.default_rng(0).standard_normal(32768)
+        got = _reduce(x)
+        assert type(got) is float
+        assert got == float(np.sum(x))
+        assert got != math.fsum(x.tolist())  # this vector tells the two apart
+
+    def test_pipeline_never_calls_fsum(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("math.fsum called")
+
+        monkeypatch.setattr(math, "fsum", refuse)
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        p = 2.5
+        eig = pv.first_eigenpair(mesh, p)
+        spec = pv.power_perturbation(eig.lambda1, (1.0 + p) / 2.0, p)
+        h = pv.load_vector(mesh, 1.0)
+        res = pv.minimize_phi(mesh, spec, h, p)
+        check = pv.verify_weak_solution(mesh, res.u, spec, h, p)
+        assert math.isfinite(res.phi) and math.isfinite(check.max_relative)
+        reports = pv.check_theorems(spec, eig, h, mesh, p)
+        assert set(reports) == {"sign", "comparison", "landesman_lazer"}
+        assert mesh.domain_measure == pytest.approx(1.0, rel=1e-14)
+
+    def test_agrees_with_exact_summation(self, monkeypatch):
+        from plapvar import assembly
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 128, 128)
+        x = mesh.free_coordinates()
+        rng = np.random.default_rng(5)
+        u = pv.make_field(mesh, np.sin(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+                          + 1e-3 * rng.standard_normal(mesh.n_free))
+        p = 3.0
+        pairwise = (pv.dirichlet_energy(mesh, u, p), pv.lp_integral(mesh, u, p))
+        monkeypatch.setattr(assembly, "_reduce", lambda v: math.fsum(v.tolist()))
+        exact = (pv.dirichlet_energy(mesh, u, p), pv.lp_integral(mesh, u, p))
+        for got, ref in zip(pairwise, exact):
+            assert math.isclose(got, ref, rel_tol=1e-14)

@@ -113,6 +113,7 @@ class TestInvariants:
             pv.first_eigenpair(mesh, 3.0, max_iter=3)
         result = exc.value.result
         assert result.iterations == 3
+        assert result.stop_reason == "max-iter"
         assert result.residual > 0.0
         assert result.phi1.values.shape == (mesh.n_free,)
 
@@ -156,6 +157,22 @@ class TestInvariants:
         # one quotient at the start, one per accepted step and one final
         trials = calls["rq"] - res.iterations - 2
         assert trials <= 3 * res.iterations
+
+    def test_stop_reason_residual(self):
+        # the p = 2 bubble start is the discrete eigenvector already
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        res = pv.first_eigenpair(mesh, 2.0)
+        assert res.iterations == 0
+        assert res.stop_reason == "residual"
+        assert res.residual < 1e-9
+
+    def test_stop_reason_stagnation(self):
+        # the quotient settles long before the residual reaches 1e-9
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        res = pv.first_eigenpair(mesh, 3.0)
+        assert res.stop_reason == "stagnation"
+        assert res.iterations >= 25
+        assert 1e-9 <= res.residual < 1e-6
 
     def test_rayleigh_quotient_zero_rejected(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 8)
