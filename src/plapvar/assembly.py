@@ -3,8 +3,10 @@
 Discrete fields store coefficients for free (interior) vertices only;
 the homogeneous Dirichlet trace is structural, never enforced by
 penalties.  Gradients of P1 fields are constant per element, so the
-p-Dirichlet energy (1/p) int |grad u|^p is evaluated exactly.  Zeroth
-order integrals (int |u|^p, loads, potential terms) use the mesh's
+p-Dirichlet energy (1/p) int |grad u|^p is evaluated exactly.  With the
+mesh's gradient operator D, element gradients are D u, the residual is
+D^T (|T| |D u|^(p-2) D u) and the p = 2 stiffness matrix D^T diag(|T|) D.
+Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 Gauss rule, which has polynomial exactness degree >= 4 by default.
 
 Every scalar sum goes through `_reduce`, the one summation policy: one
@@ -12,9 +14,9 @@ pairwise `np.sum` over the contiguous contributions, in the mesh's fixed
 element order.  Sums are deterministic per mesh and per numpy build, but
 permuting the element array may change their last bits; the pairwise
 error, O(eps log n) times the sum of |contributions|, is far below
-every tolerance in the package.  Every element-to-free-dof sum goes
-through `_scatter`, the one scatter, which accumulates in a fixed
-element order; `quad_load` builds on it to turn a density at the
+every tolerance in the package.  Every other element-to-free-dof sum
+goes through `_scatter`, the one scatter, which like D^T accumulates in
+a fixed element order; `quad_load` builds on it to turn a density at the
 quadrature nodes into a dual vector.
 """
 
@@ -129,12 +131,6 @@ def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     return out[mesh.free_vertices]
 
 
-def _full_values(mesh: Mesh, u: DiscreteField) -> np.ndarray:
-    full = np.zeros(mesh.n_vertices)
-    full[mesh.free_vertices] = u.values
-    return full
-
-
 def interpolate(mesh: Mesh, fn) -> DiscreteField:
     """Interpolate a callable of the free-vertex coordinates into P1."""
     vals = np.asarray(fn(mesh.free_coordinates()), dtype=float)
@@ -142,17 +138,17 @@ def interpolate(mesh: Mesh, fn) -> DiscreteField:
 
 
 def gradients_on_elements(mesh: Mesh, u: DiscreteField) -> np.ndarray:
-    """Constant gradient of u on each element, shape (ne, ndim)."""
+    """Constant gradient of u on each element, shape (ne, ndim): D u."""
     _check_mesh(mesh, u)
-    nodal = _full_values(mesh, u)[mesh.elements]          # (ne, ndim+1)
-    return np.einsum("ek,ekd->ed", nodal, mesh.basis_gradients)
+    return (mesh.grad_op @ u.values).reshape(mesh.n_elements, mesh.ndim)
 
 
 def values_at_quad(mesh: Mesh, u: DiscreteField) -> np.ndarray:
     """u evaluated at the quadrature points, shape (ne, nq)."""
     _check_mesh(mesh, u)
-    nodal = _full_values(mesh, u)[mesh.elements]
-    return nodal @ mesh.basis_at_quad.T
+    full = np.zeros(mesh.n_vertices)
+    full[mesh.free_vertices] = u.values
+    return full[mesh.elements] @ mesh.basis_at_quad.T
 
 
 def sup_norm(mesh: Mesh, u: DiscreteField) -> float:
@@ -186,8 +182,7 @@ def plap_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(norms >= GRADIENT_FLOOR, norms ** (p - 2.0), 0.0)
     flux = (mesh.measures * factor)[:, None] * g          # (ne, ndim)
-    contrib = np.einsum("ed,ekd->ek", flux, mesh.basis_gradients)
-    return DualVector(mesh, _scatter(mesh, contrib))
+    return DualVector(mesh, mesh.grad_op.T @ flux.ravel())
 
 
 def lp_integral(mesh: Mesh, u: DiscreteField, p: float) -> float:
@@ -250,20 +245,23 @@ def quad_load(mesh: Mesh, density_q) -> DualVector:
 def stiffness_matrix(mesh: Mesh) -> sp.csc_matrix:
     """Sparse p=2 stiffness matrix on free dofs: int grad psi_i . grad psi_j.
 
-    Used as the fixed symmetric positive definite metric for descent
-    directions; it is not a Riesz identification of residuals.
+    D^T diag(|T|) D, used as the fixed symmetric positive definite metric
+    for descent directions; it is not a Riesz identification of residuals.
     """
-    ne, nloc = mesh.elements.shape
-    local = np.einsum("e,ekd,eld->ekl", mesh.measures,
-                      mesh.basis_gradients, mesh.basis_gradients)
-    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nloc)).ravel()
-    K_full = sp.coo_matrix((local.ravel(), (rows, cols)),
-                           shape=(mesh.n_vertices, mesh.n_vertices)).tocsc()
-    free = mesh.free_vertices
-    return K_full[np.ix_(free, free)].tocsc()
+    D = mesh.grad_op
+    weights = sp.diags_array(np.repeat(mesh.measures, mesh.ndim))
+    return sp.csc_matrix(D.T @ (weights @ D))
 
 
 def patch_measures(mesh: Mesh) -> np.ndarray:
     """Measure of the support patch of each free-vertex basis function."""
     return _scatter(mesh, np.repeat(mesh.measures, mesh.elements.shape[1]))
+
+
+def hat_energies(mesh: Mesh, p: float) -> np.ndarray:
+    """int |grad psi_j|^p of each free-vertex basis function psi_j."""
+    rows = mesh.n_elements * mesh.ndim
+    element_sum = sp.csr_array((np.ones(rows), np.arange(rows),
+                                np.arange(rows + 1, step=mesh.ndim)))
+    norms = (element_sum @ mesh.grad_op.power(2)).sqrt()  # (ne, nf): |grad psi_j| on e
+    return norms.power(p).T @ mesh.measures

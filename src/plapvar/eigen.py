@@ -16,10 +16,10 @@ rather than at t = 1, so a descent whose step length has settled well
 below 1 spends about two trials per step instead of halving down from 1
 every time.
 
-By default the descent direction is the gradient taken in the H^1_0 inner
-product, i.e. one sparse solve with the fixed p = 2 stiffness matrix;
-this keeps the step count bounded independently of the mesh size,
-whereas the raw coefficient-space gradient needs O(h^-2) steps.  Set precondition=False for the raw iteration.
+The descent direction is the gradient taken in the H^1_0 inner product,
+i.e. one sparse solve with the fixed p = 2 stiffness matrix; this keeps
+the step count bounded independently of the mesh size, whereas the raw
+coefficient-space gradient needs O(h^-2) steps.
 
 The start iterate is the interpolant of the positive product bubble
 prod_i sin(pi (x_i - a_i) / (b_i - a_i)), which lies in the symmetry
@@ -118,7 +118,6 @@ def first_eigenpair(
     residual_tol: float = 1e-9,
     max_iter: int = 20000,
     seed: int = 0,
-    precondition: bool = True,
 ) -> EigenResult:
     """Minimize the Rayleigh quotient; see the module docstring.
 
@@ -135,11 +134,7 @@ def first_eigenpair(
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got p={p}")
 
-    solve = None
-    if precondition:
-        lu = splu(stiffness_matrix(mesh))
-        solve = lu.solve
-
+    lu = splu(stiffness_matrix(mesh))
     rng = np.random.default_rng(seed)
     u = _normalize(mesh, _bubble_start(mesh), p)
     restarts = 0
@@ -157,7 +152,7 @@ def first_eigenpair(
         if res_norm < 0.99 * best_res:
             best_res = res_norm
             stagnant = 0
-        d = solve(r.copy()) if solve is not None else r
+        d = lu.solve(r)
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
         if slope <= 0.0:
             stop = "non-descent"

@@ -1,9 +1,10 @@
 """Simplicial meshes for intervals and axis-aligned rectangles.
 
 Meshes carry everything the assembly kernels need: vertex coordinates,
-element connectivity, boundary flags, per-element measures, the constant
-P1 basis gradients on each element, and a fixed Gauss quadrature rule.
-All arrays are frozen (non-writeable) once the mesh is built.
+element connectivity, boundary flags, per-element measures, the sparse
+P1 gradient operator D (`Mesh.grad_op`, the only copy of the element
+basis gradients), and a fixed Gauss quadrature rule.  All arrays, the
+three of D included, are frozen (non-writeable) once the mesh is built.
 
 Interval meshes are uniform partitions of (a, b).  Rectangle meshes are
 structured triangulations: each grid cell is split into two triangles
@@ -16,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -122,8 +124,9 @@ class Mesh:
     free_vertices : (nf,) indices of interior vertices, in vertex order.
     dof_index : (nv,) free-dof index per vertex, -1 on the boundary.
     measures : (ne,) element lengths/areas, all positive.
-    basis_gradients : (ne, ndim + 1, ndim) constant gradient of each local
-        P1 basis function on each element.
+    grad_op : (ne * ndim, nf) CSR matrix D in canonical format; row
+        e * ndim + d maps free coefficients to the d-th gradient component
+        on element e, with one entry per free vertex of e.
     quad_points : (ne, nq, ndim) physical quadrature points.
     quad_weights : (ne, nq) physical quadrature weights (include measures).
     basis_at_quad : (nq, ndim + 1) reference P1 basis values at the rule nodes.
@@ -139,7 +142,7 @@ class Mesh:
     free_vertices: np.ndarray
     dof_index: np.ndarray
     measures: np.ndarray
-    basis_gradients: np.ndarray
+    grad_op: sp.csr_array
     quad_points: np.ndarray
     quad_weights: np.ndarray
     basis_at_quad: np.ndarray
@@ -182,6 +185,19 @@ def _finish_mesh(ndim, vertices, elements, is_boundary, measures, grads,
     dof_index = np.full(vertices.shape[0], -1, dtype=int)
     free = np.flatnonzero(~is_boundary)
     dof_index[free] = np.arange(free.size)
+    # grad_op[e * ndim + d, dof_index[v_k]] = grads[e, k, d] for the free v_k of e
+    ne, nloc, _ = grads.shape
+    cols = np.broadcast_to(dof_index[elements][:, None, :], (ne, ndim, nloc))
+    keep = cols >= 0
+    indptr = np.zeros(ne * ndim + 1, dtype=np.int32)
+    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
+    grad_op = sp.csr_array((grads.transpose(0, 2, 1)[keep], cols[keep].astype(np.int32),
+                            indptr), shape=(ne * ndim, free.size))
+    # canonical before freezing: scipy would otherwise sort the frozen arrays
+    # in place (in power, abs, max, ...) and fail
+    grad_op.sort_indices()
+    for a in (grad_op.data, grad_op.indices, grad_op.indptr):
+        a.flags.writeable = False
     return Mesh(
         ndim=ndim,
         vertices=_freeze(vertices),
@@ -190,7 +206,7 @@ def _finish_mesh(ndim, vertices, elements, is_boundary, measures, grads,
         free_vertices=_freeze(free),
         dof_index=_freeze(dof_index),
         measures=_freeze(measures),
-        basis_gradients=_freeze(grads),
+        grad_op=grad_op,
         quad_points=_freeze(qpts),
         quad_weights=_freeze(qw),
         basis_at_quad=_freeze(basis_at_quad),
@@ -214,9 +230,7 @@ def build_interval_mesh(a: float, b: float, n: int, quad_order: int = 4) -> Mesh
     h = (b - a) / n
     measures = np.full(n, h)
 
-    grads = np.empty((n, 2, 1))
-    grads[:, 0, 0] = -1.0 / h
-    grads[:, 1, 0] = 1.0 / h
+    grads = np.broadcast_to([[-1.0 / h], [1.0 / h]], (n, 2, 1))
 
     xi, w = gauss_points_interval(quad_order)
     qpts = (vertices[elements[:, 0]][:, None, :]

@@ -1,10 +1,9 @@
 """Caratheodory nonlinearities f(x, s) and their potentials F(x, s) = int_0^s f.
 
 A NonlinearitySpec bundles the evaluators with the metadata the
-hypothesis checkers need: declared growth class, autonomy, kink
-locations (for finite-difference tests), spatial weights with their
-declared integrability exponents, and for catalog members the closed
-form of the shifted potential
+hypothesis checkers need: declared growth class, autonomy, spatial
+weights with their declared integrability exponents, and for catalog
+members the closed form of the shifted potential
 
     G(x, s) = F(x, s) - lambda1 |s|^p / p.
 
@@ -92,7 +91,6 @@ class NonlinearitySpec:
     lambda1: Optional[float] = None
     autonomous: bool = False
     growth_q: Optional[float] = None
-    kinks: tuple = ()
     params: dict = field(default_factory=dict)
 
 
@@ -174,7 +172,7 @@ def sine_exp(d=1.0, d_exponent: float | None = None) -> NonlinearitySpec:
 
     return NonlinearitySpec(
         name="sine_exp", f=f, F=F, autonomous=not callable(d),
-        growth_q=None, kinks=(-1.0, 1.0),
+        growth_q=None,
         params={"d": w},
     )
 
@@ -201,10 +199,9 @@ def power_perturbation(lambda1: float, beta: float, p: float) -> NonlinearitySpe
         s = np.asarray(s, dtype=float)
         return -np.abs(s) ** beta
 
-    kinks = (0.0,) if min(beta, p) < 2.0 else ()
     return NonlinearitySpec(
         name="power_perturbation", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=True, growth_q=p, kinks=kinks,
+        autonomous=True, growth_q=p,
         params={"beta": beta},
     )
 
@@ -237,7 +234,7 @@ def weighted_comparison(eta, phi, lambda1: float, p: float,
 
     return NonlinearitySpec(
         name="weighted_comparison", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=False, growth_q=max(p, ph.order), kinks=(0.0,),
+        autonomous=False, growth_q=max(p, ph.order),
         params={"eta": w, "phi": ph, "alpha": ph.order},
     )
 
@@ -246,8 +243,8 @@ def weighted_absval(eta, lambda1: float, p: float,
                     eta_exponent: float = math.inf) -> NonlinearitySpec:
     """F(x, s) = lambda1 |s|^p / p + eta(x) |s|, so G = eta(x) |s|.
 
-    f(x, s) = lambda1 |s|^(p-2) s + eta(x) sign(s) (defined a.e.; the
-    jump at s = 0 is recorded as a kink).
+    f(x, s) = lambda1 |s|^(p-2) s + eta(x) sign(s), defined a.e.: it
+    jumps at s = 0.
     """
     w = as_weight(eta, eta_exponent, "eta")
 
@@ -265,7 +262,7 @@ def weighted_absval(eta, lambda1: float, p: float,
 
     return NonlinearitySpec(
         name="weighted_absval", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=False, growth_q=p, kinks=(0.0,),
+        autonomous=False, growth_q=p,
         params={"eta": w},
     )
 
@@ -310,7 +307,7 @@ def modulated_resonance(a, phi, lambda1: float, p: float,
 
     return NonlinearitySpec(
         name="modulated_resonance", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=False, growth_q=p, kinks=(0.0,),
+        autonomous=False, growth_q=p,
         params={"a": w, "phi": ph, "alpha": ph.order},
     )
 
@@ -338,6 +335,6 @@ def power_potential(mu: float, p: float, lambda1: float | None = None) -> Nonlin
 
     return NonlinearitySpec(
         name="power_potential", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=True, growth_q=p, kinks=(0.0,) if p < 2.0 else (),
+        autonomous=True, growth_q=p,
         params={"mu": mu},
     )

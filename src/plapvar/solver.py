@@ -17,10 +17,9 @@ for minimization rather than as evidence of unboundedness.  A genuine
 lack of coercivity shows up as Phi running below -1e12 along the descent,
 which aborts with `UnboundedBelowError`.
 
-Descent steps are preconditioned with the (p = 2) stiffness matrix by
-default, for the same reason as in the eigensolver: raw coefficient
-gradients are mesh-size-stiff.  Pass precondition=False for plain
-gradient descent.  Step lengths come from `armijo`, the one line search,
+Descent steps are preconditioned with the (p = 2) stiffness matrix, for
+the same reason as in the eigensolver: raw coefficient gradients are
+mesh-size-stiff.  Step lengths come from `armijo`, the one line search,
 which the eigensolver shares; each search starts from twice the last
 accepted step (at most 1), not from t = 1.
 """
@@ -39,10 +38,12 @@ from .assembly import (
     _reduce,
     _scatter,
     dirichlet_energy,
+    hat_energies,
     pairing,
     patch_measures,
     plap_residual,
     quad_load,
+    stiffness_matrix,
     sup_norm,
     values_at_quad,
 )
@@ -249,9 +250,8 @@ class SolveResult:
 def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
                  start: DiscreteField | None = None, grad_tol: float = 1e-8,
                  phi_tol: float = 1e-14, max_iter: int = 2000,
-                 precondition: bool = True, multistart: bool = False,
-                 n_starts: int = 5, start_scale: float = 1.0,
-                 seed: int = 0) -> SolveResult:
+                 multistart: bool = False, n_starts: int = 5,
+                 start_scale: float = 1.0, seed: int = 0) -> SolveResult:
     """Minimize Phi by preconditioned gradient descent with Armijo steps.
 
     Starts from u = 0 unless `start` is given.  Stops when the
@@ -264,8 +264,6 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     Raises UnboundedBelowError if Phi falls below -1e12, the numerical
     signature of a non-coercive functional.
     """
-    from .assembly import stiffness_matrix
-
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got p={p}")
     base = np.zeros(mesh.n_free) if start is None else np.asarray(
@@ -276,7 +274,7 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
         for _ in range(n_starts):
             starts.append(base + start_scale * rng.standard_normal(mesh.n_free))
 
-    lu = splu(stiffness_matrix(mesh)) if precondition and mesh.n_free else None
+    lu = splu(stiffness_matrix(mesh))
     patches = patch_measures(mesh)
 
     best: SolveResult | None = None
@@ -319,7 +317,7 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches)
             stop, converged = "stationarity", True
             break
 
-        d = lu.solve(g.values) if lu is not None else g.values
+        d = lu.solve(g.values)
         slope = float(np.dot(g.values, d))
         if not (slope > 0.0):
             # preconditioner lost positivity on this vector; fall back
@@ -409,16 +407,9 @@ def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
         return best
 
     # generic path: nodal hats with discretely assembled norms
-    bq_p = np.abs(mesh.basis_at_quad) ** p                     # (nq, k)
-    lp_contrib = mesh.quad_weights @ bq_p                      # (ne, k)
-    gnorm_p = np.linalg.norm(mesh.basis_gradients, axis=2) ** p
-    en_contrib = mesh.measures[:, None] * gnorm_p              # (ne, k)
-    lp_hat = _scatter(mesh, lp_contrib)
-    en_hat = _scatter(mesh, en_contrib)
-    if L.values.size == 0:
-        return 0.0
-    ratios = np.abs(L.values) / (lp_hat + en_hat) ** (1.0 / p)
-    return float(np.max(ratios))
+    lp_hat = _scatter(mesh, mesh.quad_weights @ np.abs(mesh.basis_at_quad) ** p)
+    ratios = np.abs(L.values) / (lp_hat + hat_energies(mesh, p)) ** (1.0 / p)
+    return float(np.max(ratios)) if ratios.size else 0.0
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import plapvar as pv
 
@@ -100,6 +101,118 @@ class TestStiffnessMatrix:
         r = pv.plap_residual(mesh, u, 2.0)
         K = pv.stiffness_matrix(mesh)
         assert np.allclose(r.values, K @ u.values, atol=1e-12)
+
+
+def reference_basis_gradients(mesh):
+    """(ne, ndim + 1, ndim) P1 basis gradients by the closed-form formulas."""
+    if mesh.ndim == 1:
+        _, a, b, n = mesh.structure
+        h = (b - a) / n
+        return np.broadcast_to([[-1.0 / h], [1.0 / h]], (n, 2, 1))
+    v = mesh.vertices[mesh.elements]                       # (ne, 3, 2)
+    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
+    inv_det = 1.0 / (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    grads = np.empty((mesh.n_elements, 3, 2))
+    grads[:, 1] = np.column_stack([e2[:, 1], -e2[:, 0]]) * inv_det[:, None]
+    grads[:, 2] = np.column_stack([-e1[:, 1], e1[:, 0]]) * inv_det[:, None]
+    grads[:, 0] = -grads[:, 1] - grads[:, 2]
+    return grads
+
+
+def reference_scatter(mesh, contrib):
+    out = np.zeros(mesh.n_vertices)
+    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
+    return out[mesh.free_vertices]
+
+
+OPERATOR_MESHES = {
+    "interval": lambda: pv.build_interval_mesh(0.0, 1.0, 128),
+    "square": lambda: pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32),
+    "rectangle": lambda: pv.build_rectangle_mesh(0.0, 2.0, 0.0, 1.0, 24, 16),
+}
+
+
+@pytest.fixture(params=sorted(OPERATOR_MESHES))
+def mesh_and_field(request):
+    mesh = OPERATOR_MESHES[request.param]()
+    rng = np.random.default_rng(21)
+    return mesh, pv.make_field(mesh, rng.standard_normal(mesh.n_free))
+
+
+class TestGradientOperator:
+    # each kernel built on Mesh.grad_op against the per-element formula
+    # it replaced: gather + einsum, COO assembly, einsum + scatter
+
+    def test_layout(self, mesh_and_field):
+        mesh, _ = mesh_and_field
+        D = mesh.grad_op
+        assert D.format == "csr"
+        assert D.shape == (mesh.n_elements * mesh.ndim, mesh.n_free)
+        assert D.indices.dtype == np.int32 and D.indptr.dtype == np.int32
+        assert D.has_canonical_format
+
+    def test_gradients_match_gather_einsum(self, mesh_and_field):
+        mesh, u = mesh_and_field
+        full = np.zeros(mesh.n_vertices)
+        full[mesh.free_vertices] = u.values
+        expect = np.einsum("ek,ekd->ed", full[mesh.elements],
+                           reference_basis_gradients(mesh))
+        got = pv.assembly.gradients_on_elements(mesh, u)
+        assert np.array_equal(got, expect)
+        assert np.array_equal(mesh.grad_op @ u.values, expect.ravel())
+
+    @pytest.mark.parametrize("name, rel", [("interval", 0.0), ("square", 0.0),
+                                           ("rectangle", 1e-15)])
+    def test_stiffness_matches_coo_assembly(self, name, rel):
+        # D^T diag(|T|) D adds the d-terms of one element one at a time, the
+        # COO build adds them per element first: the same bits on square
+        # cells, a last-bit difference on the 4:3 cells of "rectangle"
+        mesh = OPERATOR_MESHES[name]()
+        grads = reference_basis_gradients(mesh)
+        nloc = mesh.elements.shape[1]
+        local = np.einsum("e,ekd,eld->ekl", mesh.measures, grads, grads)
+        rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
+        cols = np.tile(mesh.elements, (1, nloc)).ravel()
+        K_full = sp.coo_matrix((local.ravel(), (rows, cols)),
+                               shape=(mesh.n_vertices, mesh.n_vertices)).tocsc()
+        free = mesh.free_vertices
+        expect = K_full[np.ix_(free, free)].toarray()
+        K = pv.stiffness_matrix(mesh)
+        assert sp.issparse(K) and K.format == "csc"
+        assert np.max(np.abs(K.toarray() - expect)) <= rel * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_residual_matches_einsum_scatter(self, mesh_and_field, p):
+        mesh, u = mesh_and_field
+        grads = reference_basis_gradients(mesh)
+        full = np.zeros(mesh.n_vertices)
+        full[mesh.free_vertices] = u.values
+        g = np.einsum("ek,ekd->ed", full[mesh.elements], grads)
+        norms = np.sqrt(np.einsum("ed,ed->e", g, g))
+        with np.errstate(divide="ignore"):
+            factor = np.where(norms >= 1e-14, norms ** (p - 2.0), 0.0)
+        flux = (mesh.measures * factor)[:, None] * g
+        expect = reference_scatter(mesh, np.einsum("ed,ekd->ek", flux, grads))
+        got = pv.plap_residual(mesh, u, p).values
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_hat_energies_match_gradient_norms(self, mesh_and_field, p):
+        mesh, _ = mesh_and_field
+        gnorm_p = np.linalg.norm(reference_basis_gradients(mesh), axis=2) ** p
+        expect = reference_scatter(mesh, mesh.measures[:, None] * gnorm_p)
+        got = pv.assembly.hat_energies(mesh, p)
+        assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
+
+    def test_arrays_are_read_only(self, mesh_and_field):
+        mesh, _ = mesh_and_field
+        D = mesh.grad_op
+        for arr in (D.data, D.indices, D.indptr):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        # scipy methods that canonicalize in place still work on it
+        assert abs(D).max() == D.power(2).sqrt().max() > 0.0
 
 
 class TestResidualAndGradient:
