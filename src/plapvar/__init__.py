@@ -76,11 +76,8 @@ from .conditions import (
     LimsupEstimate,
     Verdict,
     check_class_membership,
-    check_comparison_theorem,
     check_f0,
     check_growth,
-    check_landesman_lazer_theorem,
-    check_sign_theorem,
     check_superlinear_negativity,
     check_theorems,
     estimate_limsup,
@@ -124,8 +121,7 @@ __all__ = [
     "LimsupEstimate", "ComparisonFunction", "power_comparison",
     "log_power_comparison", "estimate_limsup", "check_growth", "check_f0",
     "verify_comparison_function", "check_class_membership",
-    "check_theorems", "check_sign_theorem", "check_comparison_theorem",
-    "check_landesman_lazer_theorem", "check_superlinear_negativity",
+    "check_theorems", "check_superlinear_negativity",
     "incomparability_suite", "IncomparabilityTable",
     # solver
     "SolveResult", "ResidualReport", "UnboundedBelowError", "make_truncation",

@@ -253,11 +253,6 @@ def stiffness_matrix(mesh: Mesh) -> sp.csc_matrix:
     return sp.csc_matrix(D.T @ (weights @ D))
 
 
-def patch_measures(mesh: Mesh) -> np.ndarray:
-    """Measure of the support patch of each free-vertex basis function."""
-    return _scatter(mesh, np.repeat(mesh.measures, mesh.elements.shape[1]))
-
-
 def hat_energies(mesh: Mesh, p: float) -> np.ndarray:
     """int |grad psi_j|^p of each free-vertex basis function psi_j."""
     rows = mesh.n_elements * mesh.ndim

@@ -94,6 +94,14 @@ class ExpressionError(ValueError):
     pass
 
 
+def _finite_float(text: str) -> float:
+    """float(text), rejecting inf and nan (top-level keys are finite)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # restricted spatial expressions
 # ---------------------------------------------------------------------------
@@ -271,7 +279,7 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"key {key!r}: could not parse {raw[key]!r} as {describe}")
 
     for key in _FLOAT_KEYS:
-        take(key, float, "a number")
+        take(key, _finite_float, "a finite number")
     for key in _INT_KEYS:
         take(key, int, "an integer")
     for key in _BOOL_KEYS:
@@ -382,9 +390,9 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"h density: {exc}")
     elif kind == "phi1" and arg:
         try:
-            float(arg)
+            _finite_float(arg)
         except ValueError:
-            errors.append(f"h = phi1:<coeff> needs a numeric coefficient "
+            errors.append(f"h = phi1:<coeff> needs a finite numeric coefficient "
                           f"(got {arg!r})")
     else:
         errors.append(f"h must be 'zero', 'density:<expr>' or 'phi1:<coeff>' "

@@ -59,9 +59,6 @@ __all__ = [
     "verify_comparison_function",
     "check_class_membership",
     "check_theorems",
-    "check_sign_theorem",
-    "check_comparison_theorem",
-    "check_landesman_lazer_theorem",
     "check_superlinear_negativity",
     "incomparability_suite",
     "IncomparabilityTable",
@@ -77,6 +74,7 @@ STRICT_MARGIN = 1e-9       # margin for strict inequalities
 ZERO_TOL = 1e-3            # residue allowed in non-strict "<= 0" comparisons
 UNIFORM_MARGIN = 1e-6      # slack in pointwise domination by a declared weight
 CHECKER_LEVELS = 200       # default grid depth for the theorem-level checkers
+F0_SAMPLES = 2001          # values of s on [-R, R] in the envelope sup_{|s| <= R} |f|
 
 
 @dataclass(frozen=True)
@@ -267,17 +265,17 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
     })
 
 
-def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh, s_points: int) -> float:
+def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh) -> float:
     pts = mesh.quad_points_flat()
     w = mesh.quad_weights_flat()
     env = np.zeros(pts.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in np.linspace(-R, R, s_points):
+        for s in np.linspace(-R, R, F0_SAMPLES):
             env = np.maximum(env, np.abs(np.asarray(eval_f(spec, pts, s), dtype=float)))
     return _reduce(w * env)
 
 
-def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh, s_points: int = 2001,
+def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
              refinements: int = 0) -> Verdict:
     """Quadrature value of int_Omega sup_{|s| <= R} |f(x, s)| dx.
 
@@ -288,11 +286,11 @@ def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh, s_points: int = 2001,
     """
     if not (R > 0.0):
         raise ValueError(f"truncation radius R must be positive, got {R}")
-    values = [_f0_value(spec, R, mesh, s_points)]
+    values = [_f0_value(spec, R, mesh)]
     m = mesh
     for _ in range(refinements):
         m = refine_structured(m)
-        values.append(_f0_value(spec, R, m, s_points))
+        values.append(_f0_value(spec, R, m))
     evidence = {"R": R, "values": values}
     if not all(np.isfinite(values)):
         return Verdict(FAILS, evidence)
@@ -632,41 +630,6 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
             "local_envelope_integrable": envelope,
         }),
     }
-
-
-def check_sign_theorem(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector,
-                       mesh: Mesh, p: float | None = None, *, r: float = 1.0,
-                       levels: int = CHECKER_LEVELS, f0_R: float = 10.0) -> HypothesisReport:
-    """Nonpositive top-order drift: limsup G/|s|^p <= 0 a.e. in both
-    directions, strictly negative on sets of positive measure, plus the
-    local integrability of the envelope sup_{|s| <= R} |f|.
-    """
-    return check_theorems(spec, eigenpair, h, mesh, p, r=r, levels=levels,
-                          f0_R=f0_R)["sign"]
-
-
-def check_comparison_theorem(spec: NonlinearitySpec, eigenpair: EigenResult,
-                             h: DualVector, mesh: Mesh, phi=None,
-                             p: float | None = None, *, r: float = 1.0,
-                             levels: int = CHECKER_LEVELS,
-                             f0_R: float = 10.0) -> HypothesisReport:
-    """Domination of limsup G/phi by an X_alpha weight plus strictly
-    negative phi_1^alpha-weighted integrals in both directions.
-    """
-    return check_theorems(spec, eigenpair, h, mesh, p, phi=phi, r=r, levels=levels,
-                          f0_R=f0_R)["comparison"]
-
-
-def check_landesman_lazer_theorem(spec: NonlinearitySpec, eigenpair: EigenResult,
-                                  h: DualVector, mesh: Mesh,
-                                  p: float | None = None, *, r: float = 1.0,
-                                  levels: int = CHECKER_LEVELS,
-                                  f0_R: float = 10.0) -> HypothesisReport:
-    """Domination of limsup G/|s| by a Y_1 weight plus the bracket
-    int G_1^- phi_1 < <h, phi_1> < -int G_1^+ phi_1.
-    """
-    return check_theorems(spec, eigenpair, h, mesh, p, r=r, levels=levels,
-                          f0_R=f0_R)["landesman_lazer"]
 
 
 def check_superlinear_negativity(spec: NonlinearitySpec, r: float = 1.0,

@@ -47,6 +47,9 @@ from .solver import _next_start, armijo
 
 __all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient", "first_eigenpair"]
 
+RESIDUAL_STOP = 1e-9     # eigen-residual max norm that ends the descent
+STAGNATION_RTOL = 1e-12  # relative quotient change counted as a stagnant step
+
 
 @dataclass(frozen=True)
 class EigenResult:
@@ -58,10 +61,10 @@ class EigenResult:
     residual  max_j |int |grad phi1|^(p-2) grad phi1 . grad psi_j
                      - lambda1 int |phi1|^(p-2) phi1 psi_j|
     stop_reason  why the descent stopped.  A returned result carries
-              "residual" (residual below residual_tol) or "stagnation"
+              "residual" (residual below RESIDUAL_STOP) or "stagnation"
               (25 consecutive steps moved the quotient by less than
-              rel_tol while the residual stopped improving).  The result
-              inside EigenConvergenceError carries "max-iter" (max_iter
+              STAGNATION_RTOL while the residual stopped improving).  The
+              result inside EigenConvergenceError carries "max-iter" (max_iter
               steps used up), "line-search" (no acceptable step, even
               after the one perturbed restart) or "non-descent" (the
               preconditioned direction had slope <= 0).
@@ -114,15 +117,13 @@ def first_eigenpair(
     mesh: Mesh,
     p: float,
     *,
-    rel_tol: float = 1e-12,
-    residual_tol: float = 1e-9,
     max_iter: int = 20000,
     seed: int = 0,
 ) -> EigenResult:
     """Minimize the Rayleigh quotient; see the module docstring.
 
-    Converges when the eigen-residual max norm drops below residual_tol.
-    The secondary stop — quotient decreasing by less than rel_tol
+    Converges when the eigen-residual max norm drops below RESIDUAL_STOP.
+    The secondary stop — quotient decreasing by less than STAGNATION_RTOL
     (relative) per step — only fires after 25 consecutive stagnant steps
     during which the residual also stopped improving: near a minimum the
     quotient error is quadratic in the eigenvector error, so quotient
@@ -146,7 +147,7 @@ def first_eigenpair(
     stagnant = 0
     best_res = np.inf
     for _ in range(max_iter):
-        if res_norm < residual_tol:
+        if res_norm < RESIDUAL_STOP:
             stop = "residual"
             break
         if res_norm < 0.99 * best_res:
@@ -181,13 +182,13 @@ def first_eigenpair(
         lam_prev = lam
         _, lam, r, res_norm = _assemble(mesh, u, p)
         iterations += 1
-        if abs(lam_prev - lam) < rel_tol * abs(lam):
+        if abs(lam_prev - lam) < STAGNATION_RTOL * abs(lam):
             stagnant += 1
             if stagnant >= 25:
                 stop = "stagnation"
                 break
 
-    if stop == "max-iter" and res_norm < residual_tol:
+    if stop == "max-iter" and res_norm < RESIDUAL_STOP:
         stop = "residual"  # the last allowed step reached the tolerance
     result = _finalize(mesh, u, p, iterations, stop)
     if stop not in ("residual", "stagnation"):

@@ -10,6 +10,14 @@ by testing the weak form against the truncated nodal basis
 v_j = Theta_R(u_j) e_j, where Theta_R is a C^1 cutoff that keeps test
 functions supported where |u| <= 2R.
 
+One residual norm serves the descent and the certificate.  The weak-form
+terms t1_j = int |grad u|^(p-2) grad u . grad psi_j, t2_j = int f(x, u) psi_j
+and t3_j = h_j give the gradient of Phi, t1 - t2 - t3, and its
+dimensionless size max_j |t1_j - t2_j - t3_j| / max_j (|t1_j| + |t2_j| + |t3_j|).
+The descent stops on that size, `SolveResult.stationarity` reports it, and
+`verify_weak_solution` applies it to the terms scaled by c_j = Theta_R(u_j);
+at the default radius every c_j is 1, so both read the same number.
+
 Phi takes extended-real values.  If the potential integral int F(x, u)
 diverges to +inf and -inf simultaneously (or is not a number), the
 convention here is Phi(u) = +inf: such a point is treated as infeasible
@@ -40,7 +48,6 @@ from .assembly import (
     dirichlet_energy,
     hat_energies,
     pairing,
-    patch_measures,
     plap_residual,
     quad_load,
     stiffness_matrix,
@@ -70,6 +77,9 @@ ARMIJO = 1e-4
 MAX_TRIALS = 60
 STEP_GROWTH = 2.0
 DIVERGENCE_FLOOR = -1e12
+PHI_STALL = 1e-14     # relative energy decrease that ends a descent
+EXTRA_STARTS = 5      # seeded random starts added by multistart
+START_SPREAD = 1.0    # standard deviation of their perturbation
 
 
 class UnboundedBelowError(RuntimeError):
@@ -177,6 +187,31 @@ def assemble_phi(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
     return kin - pot - pairing(h, u)
 
 
+def _weak_terms(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
+                h: DualVector, p: float):
+    """The weak-form terms (t1, t2, t3) at u, tested against the nodal basis.
+
+    t1_j = int |grad u|^(p-2) grad u . grad psi_j, t2_j = int f(x, u) psi_j
+    and t3_j = h_j; the weak residual is t1 - t2 - t3.
+    """
+    return (plap_residual(mesh, u, p).values, nonlinear_load(mesh, u, spec).values,
+            h.values)
+
+
+def _residual_norms(t1, t2, t3):
+    """(r, max_abs, scale, max_relative) of the residual r = t1 - t2 - t3.
+
+    scale is the largest term magnitude max_j (|t1_j| + |t2_j| + |t3_j|);
+    max_relative = max_abs / scale is 0 when every term vanishes.
+    """
+    r = t1 - t2 - t3
+    if not r.size:
+        return r, 0.0, 0.0, 0.0
+    max_abs = float(np.max(np.abs(r)))
+    scale = float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3)))
+    return r, max_abs, scale, max_abs / scale if scale > 0.0 else 0.0
+
+
 def phi_gradient(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
                  h: DualVector, p: float) -> DualVector:
     """Coefficient gradient of Phi at u.
@@ -185,10 +220,8 @@ def phi_gradient(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
     - h_j, the weak residual of the equation tested against the nodal
     basis (no truncation).
     """
-    g = (plap_residual(mesh, u, p).values
-         - nonlinear_load(mesh, u, spec).values
-         - h.values)
-    return DualVector(mesh, g)
+    t1, t2, t3 = _weak_terms(mesh, u, spec, h, p)
+    return DualVector(mesh, t1 - t2 - t3)
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +263,11 @@ def _next_start(t: float, rejected: int) -> float:
 class SolveResult:
     """Outcome of one energy descent.
 
-    stop_reason is "stationarity" (gradient measure below tolerance),
-    "phi-decrease" (energy progress below tolerance), "line-search"
-    (no acceptable step found) or "max-iter".  backtracks sums, over
+    stationarity is the relative weak residual at u, the `max_relative`
+    of `verify_weak_solution` at its default radius.  stop_reason is
+    "stationarity" (stationarity below grad_tol), "phi-decrease"
+    (energy progress below tolerance), "line-search" (no acceptable
+    step found) or "max-iter".  backtracks sums, over
     all line searches, the trials rejected below each step's start t
     (the warm start of `armijo`, not t = 1).
     """
@@ -249,17 +284,17 @@ class SolveResult:
 
 def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
                  start: DiscreteField | None = None, grad_tol: float = 1e-8,
-                 phi_tol: float = 1e-14, max_iter: int = 2000,
-                 multistart: bool = False, n_starts: int = 5,
-                 start_scale: float = 1.0, seed: int = 0) -> SolveResult:
+                 max_iter: int = 2000, multistart: bool = False,
+                 seed: int = 0) -> SolveResult:
     """Minimize Phi by preconditioned gradient descent with Armijo steps.
 
-    Starts from u = 0 unless `start` is given.  Stops when the
-    stationarity measure drops below grad_tol or the energy decrease
-    stalls below phi_tol (relative).  With multistart=True, n_starts
-    random perturbed starts (seeded, scale start_scale) are run in
-    addition and the best final energy wins; use this when f is
-    non-monotone enough for Phi to have several local minima.
+    Starts from u = 0 unless `start` is given.  Stops when the relative
+    weak residual (the certificate's norm, see the module docstring)
+    drops below grad_tol or the energy decrease stalls below PHI_STALL
+    (relative).  With multistart=True, EXTRA_STARTS random perturbed
+    starts (seeded, spread START_SPREAD) are run in addition and the
+    best final energy wins; use this when f is non-monotone enough for
+    Phi to have several local minima.
 
     Raises UnboundedBelowError if Phi falls below -1e12, the numerical
     signature of a non-coercive functional.
@@ -271,16 +306,14 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     starts = [base]
     if multistart:
         rng = np.random.default_rng(seed)
-        for _ in range(n_starts):
-            starts.append(base + start_scale * rng.standard_normal(mesh.n_free))
+        for _ in range(EXTRA_STARTS):
+            starts.append(base + START_SPREAD * rng.standard_normal(mesh.n_free))
 
     lu = splu(stiffness_matrix(mesh))
-    patches = patch_measures(mesh)
 
     best: SolveResult | None = None
     for u0 in starts:
-        res = _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter,
-                           lu, patches)
+        res = _descend_one(mesh, spec, h, p, u0, grad_tol, max_iter, lu)
         if best is None or (res.converged, -res.phi) > (best.converged, -best.phi):
             best = res
     assert best is not None
@@ -291,7 +324,7 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     return best
 
 
-def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches):
+def _descend_one(mesh, spec, h, p, u0, grad_tol, max_iter, lu):
     field = DiscreteField(mesh, u0.copy())
     phi_cur = assemble_phi(mesh, field, spec, h, p)
     backtracks = 0
@@ -300,29 +333,20 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches)
     stop = "max-iter"
     converged = False
 
-    def measure(g):
-        """max_j |g_j| / |patch_j|: a residual-density scale.
-
-        Raw coefficients g_j shrink with the mesh size because psi_j does;
-        dividing by the measure of the support patch gives a quantity
-        comparable across refinement levels.
-        """
-        return float(np.max(np.abs(g.values) / patches)) if g.values.size else 0.0
-
     while steps < max_iter:
         if phi_cur < DIVERGENCE_FLOOR:
             raise UnboundedBelowError(field, phi_cur)
-        g = phi_gradient(mesh, field, spec, h, p)
-        if measure(g) < grad_tol:
+        g, _, _, stat = _residual_norms(*_weak_terms(mesh, field, spec, h, p))
+        if stat < grad_tol:
             stop, converged = "stationarity", True
             break
 
-        d = lu.solve(g.values)
-        slope = float(np.dot(g.values, d))
+        d = lu.solve(g)
+        slope = float(np.dot(g, d))
         if not (slope > 0.0):
             # preconditioner lost positivity on this vector; fall back
-            d = g.values
-            slope = float(np.dot(g.values, g.values))
+            d = g
+            slope = float(np.dot(g, g))
             if slope == 0.0:
                 stop, converged = "stationarity", True
                 break
@@ -342,13 +366,13 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, phi_tol, max_iter, lu, patches)
         field = trial
         decrease = phi_cur - phi_new
         phi_cur = phi_new
-        if decrease <= phi_tol * max(1.0, abs(phi_cur)):
+        if decrease <= PHI_STALL * max(1.0, abs(phi_cur)):
             stop, converged = "phi-decrease", True
             break
 
     if phi_cur < DIVERGENCE_FLOOR:
         raise UnboundedBelowError(field, phi_cur)
-    stat = measure(phi_gradient(mesh, field, spec, h, p))
+    stat = _residual_norms(*_weak_terms(mesh, field, spec, h, p))[3]
     if stop in ("line-search", "phi-decrease", "max-iter") and stat < grad_tol:
         stop, converged = "stationarity", True
     return SolveResult(field, phi_cur, stat, steps, converged, stop, backtracks)
@@ -419,7 +443,9 @@ class ResidualReport:
     residuals[j] = c_j (int |grad u|^(p-2) grad u . grad psi_j
                         - int f(x, u) psi_j - h_j),  c_j = Theta_R(u_j).
     max_relative normalizes by the largest term magnitude
-    max_j (|T1_j| + |T2_j| + |T3_j|); it is 0 when every term vanishes.
+    max_j (|T1_j| + |T2_j| + |T3_j|) of the scaled terms T_j = c_j t_j;
+    it is 0 when every term vanishes.  It is the norm the descent stops
+    on (`SolveResult.stationarity`).
     """
 
     residuals: np.ndarray
@@ -446,13 +472,8 @@ def verify_weak_solution(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
         s = sup_norm(mesh, u)
         R = 2.0 * s if s > 0.0 else 1.0
     c = truncated_test_basis(mesh, u, R)
-    t1 = c * plap_residual(mesh, u, p).values
-    t2 = c * nonlinear_load(mesh, u, spec).values
-    t3 = c * h.values
-    r = t1 - t2 - t3
-    max_abs = float(np.max(np.abs(r))) if r.size else 0.0
-    scale = float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3))) if r.size else 0.0
-    max_rel = max_abs / scale if scale > 0.0 else 0.0
+    r, max_abs, scale, max_rel = _residual_norms(
+        *(c * t for t in _weak_terms(mesh, u, spec, h, p)))
     lam_u = estimate_lambda_u(mesh, u, spec, p)
     return ResidualReport(
         residuals=r, max_abs=max_abs, scale=scale, max_relative=max_rel,

@@ -289,6 +289,32 @@ class TestSharedWork:
         assert sorted(set(abs(s) for s in s_seen)) == tail
 
 
+@pytest.mark.parametrize("key, value", [
+    ("p", "inf"), ("a", "-inf"), ("b", "inf"), ("ax", "-inf"), ("bx", "inf"),
+    ("ay", "-inf"), ("by", "inf"), ("grid_scale", "inf"), ("grad_tol", "inf"),
+    ("f0_radius", "inf"), ("b", "nan"), ("grad_tol", "nan")])
+def test_check_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
+    # inf used to pass check-config and fail later, or not at all
+    domain = "rectangle" if key in ("ax", "bx", "ay", "by") else "interval"
+    cfg = write(tmp_path, "c.cfg", f"domain = {domain}\n{key} = {value}\n")
+    assert main(["check-config", cfg]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors and all(e.startswith("config error") for e in errors)
+    assert any(repr(key) in e and "finite" in e for e in errors)
+
+
+def test_check_config_rejects_non_finite_phi1_coefficient(tmp_path, capsys):
+    cfg = write(tmp_path, "c.cfg", "h = phi1: inf\n")
+    assert main(["check-config", cfg]) == 1
+    assert "config error: h = phi1:<coeff> needs a finite" in capsys.readouterr().err
+
+
+def test_catalog_exponent_accepts_inf():
+    # an exponent of inf declares an L^infinity weight
+    cfg = parse_config("nonlinearity = sine_exp\nnonlinearity.d_exponent = inf\n")
+    assert dict(cfg.nl_params)["d_exponent"] == "inf"
+
+
 @pytest.mark.parametrize("raw, preset", [("2", None), (" 4", None), ("+4", None),
                                          ("2", "8")],
                          ids=["2", " 4", "+4", "2-over-omp-8"])

@@ -255,27 +255,27 @@ class TestClassMembership:
 class TestTheoremCheckers:
     def test_sign_holds_for_negative_potential(self, mesh, eig):
         spec = pv.power_perturbation(eig.lambda1, 1.9, 2.0)
-        rep = pv.check_sign_theorem(spec, eig, pv.zero_dual(mesh), mesh, 2.0)
+        rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)["sign"]
         assert rep.overall == HOLDS
         assert dict(rep.rows())["strictly_negative_set"] == HOLDS
 
     def test_sign_fails_above_resonance(self, mesh, eig):
         spec = pv.power_potential(2.0 * eig.lambda1, 2.0, eig.lambda1)
-        rep = pv.check_sign_theorem(spec, eig, pv.zero_dual(mesh), mesh, 2.0)
+        rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)["sign"]
         assert rep.overall == FAILS
         assert dict(rep.rows())["nonpositive_ae"] == FAILS
 
     def test_shallow_grids_are_inconclusive(self, mesh, eig):
         spec = pv.power_perturbation(eig.lambda1, 1.9, 2.0)
-        rep = pv.check_sign_theorem(spec, eig, pv.zero_dual(mesh), mesh, 2.0,
-                                    levels=8)
+        rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0,
+                                levels=8)["sign"]
         assert rep.overall == INCONCLUSIVE
 
     def test_comparison_with_declared_majorant(self, mesh, eig):
         spec = pv.power_perturbation(eig.lambda1, 1.9, 2.0)
-        rep = pv.check_comparison_theorem(
+        rep = pv.check_theorems(
             spec, eig, pv.zero_dual(mesh), mesh,
-            phi=pv.log_power_comparison(1.0), levels=160)
+            phi=pv.log_power_comparison(1.0), levels=160)["comparison"]
         assert rep.overall == HOLDS
         rows = dict(rep.rows())
         assert rows["comparison_axioms"] == HOLDS
@@ -284,21 +284,21 @@ class TestTheoremCheckers:
     def test_landesman_lazer_bounded_perturbation(self, mesh, eig):
         # G = -|s| gives the classical finite bracket (-I, I), I = int(phi1)
         spec = pv.weighted_absval(lambda x: -np.ones(len(x)), LAM, 2.0)
-        rep = pv.check_landesman_lazer_theorem(spec, eig, pv.zero_dual(mesh),
-                                               mesh, 2.0)
+        rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh,
+                                2.0)["landesman_lazer"]
         assert rep.overall == HOLDS
 
     def test_landesman_lazer_bracket_breaks(self, mesh, eig):
         # same nonlinearity, but a forcing with large phi1-component
         spec = pv.weighted_absval(lambda x: -np.ones(len(x)), LAM, 2.0)
         h = pv.load_vector(mesh, lambda x: 5.0 * np.sin(np.pi * x[:, 0]))
-        rep = pv.check_landesman_lazer_theorem(spec, eig, h, mesh, 2.0)
+        rep = pv.check_theorems(spec, eig, h, mesh, 2.0)["landesman_lazer"]
         assert rep.overall == FAILS
         assert dict(rep.rows())["bracket"] == FAILS
 
     def test_verdict_list_is_stable(self, mesh, eig):
         spec = pv.power_perturbation(eig.lambda1, 1.9, 2.0)
-        rep = pv.check_sign_theorem(spec, eig, pv.zero_dual(mesh), mesh, 2.0)
+        rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)["sign"]
         assert list(rep.conditions) == [
             "nonpositive_ae", "strictly_negative_set",
             "local_envelope_integrable"]

@@ -183,14 +183,26 @@ class TestMinimize:
         ratio = errs[0] / errs[1]
         assert 3.5 < ratio < 4.5
 
-    def test_stationarity_is_patch_scaled_gradient(self, mesh):
-        from plapvar.assembly import patch_measures
+    def test_stationarity_is_the_certificate_norm(self, mesh):
+        # at the default radius every c_j = 1: the descent's residual and
+        # the certificate's are one number
         spec = pv.power_perturbation(LAM, 1.9, 2.0)
         h = pv.load_vector(mesh, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
         res = pv.minimize_phi(mesh, spec, h, 2.0)
-        g = pv.phi_gradient(mesh, res.u, spec, h, 2.0).values
-        expect = float(np.max(np.abs(g) / patch_measures(mesh)))
-        assert math.isclose(res.stationarity, expect, rel_tol=1e-12)
+        check = pv.verify_weak_solution(mesh, res.u, spec, h, 2.0)
+        assert res.stationarity == check.max_relative
+
+    def test_stationarity_is_scale_free(self, mesh):
+        # p = 2 and f linear in s: scaling h by 1e6 scales every iterate by
+        # 1e6, and the relative residual stays put (a density would not)
+        spec = pv.power_potential(3.0, 2.0)
+        h = pv.load_vector(mesh, lambda x: np.sin(3 * np.pi * x[:, 0]))
+        base = pv.minimize_phi(mesh, spec, h, 2.0, max_iter=3)
+        big = pv.minimize_phi(mesh, spec, pv.make_dual(mesh, 1e6 * h.values), 2.0,
+                              max_iter=3)
+        assert base.iterations == big.iterations == 3
+        assert base.stationarity > 1e-6
+        assert math.isclose(big.stationarity, base.stationarity, rel_tol=1e-9)
 
 
 class TestArmijo:
