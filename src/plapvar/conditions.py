@@ -703,7 +703,7 @@ def _tilted_weight(mesh: Mesh) -> SpatialWeight:
     def fn(pts):
         u = _unit_coords(mesh, np.atleast_2d(pts))
         return u[:, 0] - 0.9
-    return SpatialWeight(fn, math.inf, "x_unit - 0.9")
+    return SpatialWeight(fn)
 
 
 def _plateau_bump(mesh: Mesh) -> SpatialWeight:
@@ -723,7 +723,7 @@ def _plateau_bump(mesh: Mesh) -> SpatialWeight:
         for d in range(1, u.shape[1]):
             prof = prof * mollifier(u[:, d])
         return -prof
-    return SpatialWeight(fn, math.inf, "-plateau bump")
+    return SpatialWeight(fn)
 
 
 def incomparability_suite(p: float, mesh: Mesh, *, r: float = 1.0,

@@ -1,9 +1,9 @@
 """Caratheodory nonlinearities f(x, s) and their potentials F(x, s) = int_0^s f.
 
 A NonlinearitySpec bundles the evaluators with the metadata the
-hypothesis checkers need: declared growth class, autonomy, spatial
-weights with their declared integrability exponents, and for catalog
-members the closed form of the shifted potential
+hypothesis checkers need: autonomy, spatial weights with their
+declared integrability exponents, and for catalog members the closed
+form of the shifted potential
 
     G(x, s) = F(x, s) - lambda1 |s|^p / p.
 
@@ -53,19 +53,18 @@ class SpatialWeight:
 
     fn: Callable[[np.ndarray], np.ndarray]
     exponent: float = math.inf
-    label: str = ""
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.atleast_2d(pts)), dtype=float)
 
 
-def as_weight(w, exponent: float = math.inf, label: str = "") -> SpatialWeight:
+def as_weight(w, exponent: float = math.inf) -> SpatialWeight:
     if isinstance(w, SpatialWeight):
         return w
     if callable(w):
-        return SpatialWeight(w, exponent, label)
+        return SpatialWeight(w, exponent)
     c = float(w)
-    return SpatialWeight(lambda pts, c=c: np.full(pts.shape[0], c), math.inf, label)
+    return SpatialWeight(lambda pts, c=c: np.full(pts.shape[0], c))
 
 
 def _odd_power(s, q):
@@ -74,8 +73,9 @@ def _odd_power(s, q):
 
 
 def _as_phi(phi):
-    if not callable(phi) or not hasattr(phi, "order"):
-        raise TypeError("phi must expose __call__ and an `order` attribute")
+    if not callable(phi) or not hasattr(phi, "order") \
+            or not hasattr(phi, "derivative"):
+        raise TypeError("phi must expose __call__, `derivative` and `order`")
     return phi
 
 
@@ -90,13 +90,12 @@ class NonlinearitySpec:
     p: Optional[float] = None
     lambda1: Optional[float] = None
     autonomous: bool = False
-    growth_q: Optional[float] = None
     params: dict = field(default_factory=dict)
 
 
 def eval_f(spec: NonlinearitySpec, x, s):
     """f(x, s); broadcasts the weight values against s."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.asarray(spec.f(np.atleast_2d(x), np.asarray(s, dtype=float)))
 
 
@@ -120,13 +119,11 @@ def eval_G(spec: NonlinearitySpec, x, s, lambda1: float | None = None,
     if lam is None or pp is None:
         raise ValueError(
             "eval_G needs lambda1 and p (as arguments or stored on the entry)")
-    s_arr = np.asarray(s, dtype=float)
-    if spec.G is not None and spec.lambda1 is not None and spec.p is not None \
-            and lam == spec.lambda1 and pp == spec.p:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.asarray(spec.G(np.atleast_2d(x), s_arr))
+    s = np.asarray(s, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        return eval_F(spec, x, s_arr) - lam * np.abs(s_arr) ** pp / pp
+        if spec.G is not None and lam == spec.lambda1 and pp == spec.p:
+            return np.asarray(spec.G(np.atleast_2d(x), s))
+        return eval_F(spec, x, s) - lam * np.abs(s) ** pp / pp
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +131,7 @@ def eval_G(spec: NonlinearitySpec, x, s, lambda1: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def sine_exp(d=1.0, d_exponent: float | None = None) -> NonlinearitySpec:
+def sine_exp(d=1.0) -> NonlinearitySpec:
     """Sine-exponential nonlinearity with nonpositive potential.
 
     For |s| >= 1:
@@ -149,30 +146,25 @@ def sine_exp(d=1.0, d_exponent: float | None = None) -> NonlinearitySpec:
     order holds, yet F <= 0 everywhere for d >= 0.  Both branches agree
     at |s| = 1 (f -> d/2, F -> -d).
     """
-    w = as_weight(d, math.inf if not callable(d) else (d_exponent or 1.0), "d")
+    w = as_weight(d)
 
     def f(x, s):
         dd = w(x)
-        s = np.asarray(s, dtype=float)
         inner = 0.5 * s * (10.0 * s * s - 9.0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            env = np.exp(2.0 * np.cos(np.pi * s / 2.0) / np.pi
-                         + (np.abs(s) - 1.0) / 2.0)
-            outer = (np.sin(np.pi * s / 2.0) - 0.5 * np.sign(s)) * env
+        env = np.exp(2.0 * np.cos(np.pi * s / 2.0) / np.pi
+                     + (np.abs(s) - 1.0) / 2.0)
+        outer = (np.sin(np.pi * s / 2.0) - 0.5 * np.sign(s)) * env
         return dd * np.where(np.abs(s) <= 1.0, inner, outer)
 
     def F(x, s):
         dd = w(x)
-        s = np.asarray(s, dtype=float)
         inner = -(s * s / 4.0) * (9.0 - 5.0 * s * s)
-        with np.errstate(over="ignore", invalid="ignore"):
-            outer = -np.exp(2.0 * np.cos(np.pi * s / 2.0) / np.pi) \
-                * np.exp((np.abs(s) - 1.0) / 2.0)
+        outer = -np.exp(2.0 * np.cos(np.pi * s / 2.0) / np.pi) \
+            * np.exp((np.abs(s) - 1.0) / 2.0)
         return dd * np.where(np.abs(s) <= 1.0, inner, outer)
 
     return NonlinearitySpec(
         name="sine_exp", f=f, F=F, autonomous=not callable(d),
-        growth_q=None,
         params={"d": w},
     )
 
@@ -188,20 +180,17 @@ def power_perturbation(lambda1: float, beta: float, p: float) -> NonlinearitySpe
         raise ValueError(f"power_perturbation needs 1 < beta < p, got beta={beta}, p={p}")
 
     def f(x, s):
-        s = np.asarray(s, dtype=float)
         return lambda1 * _odd_power(s, p) - beta * _odd_power(s, beta)
 
     def F(x, s):
-        s = np.asarray(s, dtype=float)
         return lambda1 * np.abs(s) ** p / p - np.abs(s) ** beta
 
     def G(x, s):
-        s = np.asarray(s, dtype=float)
         return -np.abs(s) ** beta
 
     return NonlinearitySpec(
         name="power_perturbation", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=True, growth_q=p,
+        autonomous=True,
         params={"beta": beta},
     )
 
@@ -215,27 +204,22 @@ def weighted_comparison(eta, phi, lambda1: float, p: float,
     The shifted potential is G = eta(x) phi(s), so G/phi recovers eta
     exactly while G/|s|^p decays to zero.
     """
-    w = as_weight(eta, eta_exponent, "eta")
+    w = as_weight(eta, eta_exponent)
     ph = _as_phi(phi)
-    if not hasattr(ph, "derivative"):
-        raise TypeError("phi must provide a derivative for the f evaluator")
 
     def f(x, s):
-        s = np.asarray(s, dtype=float)
         return lambda1 * _odd_power(s, p) + w(x) * ph.derivative(s)
 
     def F(x, s):
-        s = np.asarray(s, dtype=float)
         return lambda1 * np.abs(s) ** p / p + w(x) * ph(s)
 
     def G(x, s):
-        s = np.asarray(s, dtype=float)
         return w(x) * ph(s)
 
     return NonlinearitySpec(
         name="weighted_comparison", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=False, growth_q=max(p, ph.order),
-        params={"eta": w, "phi": ph, "alpha": ph.order},
+        autonomous=False,
+        params={"eta": w, "phi": ph},
     )
 
 
@@ -246,29 +230,25 @@ def weighted_absval(eta, lambda1: float, p: float,
     f(x, s) = lambda1 |s|^(p-2) s + eta(x) sign(s), defined a.e.: it
     jumps at s = 0.
     """
-    w = as_weight(eta, eta_exponent, "eta")
+    w = as_weight(eta, eta_exponent)
 
     def f(x, s):
-        s = np.asarray(s, dtype=float)
         return lambda1 * _odd_power(s, p) + w(x) * np.sign(s)
 
     def F(x, s):
-        s = np.asarray(s, dtype=float)
         return lambda1 * np.abs(s) ** p / p + w(x) * np.abs(s)
 
     def G(x, s):
-        s = np.asarray(s, dtype=float)
         return w(x) * np.abs(s)
 
     return NonlinearitySpec(
         name="weighted_absval", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=False, growth_q=p,
+        autonomous=False,
         params={"eta": w},
     )
 
 
-def modulated_resonance(a, phi, lambda1: float, p: float,
-                        a_exponent: float = math.inf) -> NonlinearitySpec:
+def modulated_resonance(a, phi, lambda1: float, p: float) -> NonlinearitySpec:
     """F(x, s) = (lambda1/p + a(x)) |s|^p + (phi(s) |s|^p)^(1/2).
 
     a <= 0 is a smooth compactly supported modulation that vanishes on a
@@ -276,39 +256,30 @@ def modulated_resonance(a, phi, lambda1: float, p: float,
     normalizing by |s|^p recovers a(x), while normalizing by phi or |s|
     blows up to +infinity wherever a = 0.
     """
-    w = as_weight(a, a_exponent, "a")
+    w = as_weight(a)
     ph = _as_phi(phi)
-    if not hasattr(ph, "derivative"):
-        raise TypeError("phi must provide a derivative for the f evaluator")
 
     def _root_term(s):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return np.sqrt(ph(s) * np.abs(s) ** p)
+        return np.sqrt(ph(s) * np.abs(s) ** p)
 
     def _root_term_deriv(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t = _root_term(s)
-            num = ph.derivative(s) * np.abs(s) ** p + ph(s) * p * _odd_power(s, p)
-            out = np.where(t > 0.0, num / (2.0 * np.where(t > 0.0, t, 1.0)), 0.0)
-        return out
+        t = _root_term(s)
+        num = ph.derivative(s) * np.abs(s) ** p + ph(s) * p * _odd_power(s, p)
+        return np.where(t > 0.0, num / (2.0 * np.where(t > 0.0, t, 1.0)), 0.0)
 
     def f(x, s):
-        s = np.asarray(s, dtype=float)
         return (lambda1 + p * w(x)) * _odd_power(s, p) + _root_term_deriv(s)
 
     def F(x, s):
-        s = np.asarray(s, dtype=float)
         return (lambda1 / p + w(x)) * np.abs(s) ** p + _root_term(s)
 
     def G(x, s):
-        s = np.asarray(s, dtype=float)
         return w(x) * np.abs(s) ** p + _root_term(s)
 
     return NonlinearitySpec(
         name="modulated_resonance", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=False, growth_q=p,
-        params={"a": w, "phi": ph, "alpha": ph.order},
+        autonomous=False,
+        params={"a": w, "phi": ph},
     )
 
 
@@ -320,21 +291,18 @@ def power_potential(mu: float, p: float, lambda1: float | None = None) -> Nonlin
     """
 
     def f(x, s):
-        s = np.asarray(s, dtype=float)
         return mu * _odd_power(s, p)
 
     def F(x, s):
-        s = np.asarray(s, dtype=float)
         return mu * np.abs(s) ** p / p
 
     G = None
     if lambda1 is not None:
         def G(x, s):
-            s = np.asarray(s, dtype=float)
             return (mu - lambda1) * np.abs(s) ** p / p
 
     return NonlinearitySpec(
         name="power_potential", f=f, F=F, G=G, p=p, lambda1=lambda1,
-        autonomous=True, growth_q=p,
+        autonomous=True,
         params={"mu": mu},
     )

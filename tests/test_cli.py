@@ -19,11 +19,11 @@ class TestParseConfig:
         cfg = parse_config("")
         assert cfg.p == 2.0
         assert cfg.domain == "interval"
-        assert cfg.interval == (0.0, 1.0)
+        assert (cfg.a, cfg.b) == (0.0, 1.0)
         assert cfg.n == 64
         assert cfg.pipeline == "all"
         assert cfg.nonlinearity == "sine_exp"
-        assert cfg.h_spec == "zero"
+        assert cfg.h == "zero"
         assert cfg.levels == 40
         assert cfg.ndim == 1
 
@@ -77,7 +77,7 @@ class TestParseConfig:
         "h = zero", "h = density: sin(pi*x)", "h = phi1: 0.5",
     ])
     def test_valid_h_forms(self, text):
-        assert parse_config(text).h_spec == text.split("=", 1)[1].strip()
+        assert parse_config(text).h == text.split("=", 1)[1].strip()
 
     def test_invalid_h(self):
         with pytest.raises(pv.ConfigError):
@@ -87,7 +87,7 @@ class TestParseConfig:
 
     def test_density_leading_space_accepted(self):
         cfg = parse_config("h = density: 0.1*sin(pi*x)\n")
-        assert cfg.h_spec.startswith("density:")
+        assert cfg.h.startswith("density:")
 
     def test_quad_order_cap_on_rectangles(self):
         with pytest.raises(pv.ConfigError):
@@ -132,6 +132,16 @@ class TestCompileExpression:
     def test_syntax_error(self):
         with pytest.raises(ExpressionError):
             compile_expression("sin(", 1)
+
+    @pytest.mark.parametrize("text", ["10**400", "2**2**20", "1/0", "(-8)**(1/3)"])
+    def test_evaluation_errors_are_expression_errors(self, text):
+        fn = compile_expression(text, 1)
+        with pytest.raises(ExpressionError, match="could not be evaluated"):
+            fn(np.zeros((2, 1)))
+
+    def test_rejects_non_finite_constants(self):
+        with pytest.raises(ExpressionError, match="not finite"):
+            compile_expression("1e400*x", 1)
 
 
 def write(tmp_path, name, text):
@@ -311,8 +321,111 @@ def test_check_config_rejects_non_finite_phi1_coefficient(tmp_path, capsys):
 
 def test_catalog_exponent_accepts_inf():
     # an exponent of inf declares an L^infinity weight
-    cfg = parse_config("nonlinearity = sine_exp\nnonlinearity.d_exponent = inf\n")
-    assert dict(cfg.nl_params)["d_exponent"] == "inf"
+    cfg = parse_config("nonlinearity = weighted_absval\nnonlinearity.eta = 1.0\n"
+                       "nonlinearity.eta_exponent = inf\n")
+    assert dict(cfg.nl_params)["eta_exponent"] == "inf"
+
+
+@pytest.mark.parametrize("text, key", [
+    ("nonlinearity = power_potential\nnonlinearity.mu = inf", "nonlinearity.mu"),
+    ("nonlinearity = power_potential\nnonlinearity.mu = 1e400", "nonlinearity.mu"),
+    ("nonlinearity = weighted_absval\nnonlinearity.eta = 1e400", "nonlinearity.eta"),
+    ("nonlinearity = weighted_absval\nnonlinearity.eta = 1e400*x",
+     "nonlinearity.eta"),
+    ("nonlinearity = weighted_absval\nnonlinearity.eta = 1\n"
+     "nonlinearity.eta_exponent = nan", "nonlinearity.eta_exponent"),
+    ("h = density: 1e400", "h density"),
+], ids=["mu-inf", "mu-1e400", "eta-1e400", "eta-expr-1e400", "eta_exponent-nan",
+        "density-1e400"])
+def test_check_config_rejects_non_finite_catalog_values(tmp_path, capsys, text, key):
+    # these used to pass check-config and fail only in run, at a quadrature point
+    cfg = write(tmp_path, "c.cfg", text + "\n")
+    assert main(["check-config", cfg]) == 1
+    errors = capsys.readouterr().err.splitlines()
+    assert errors and all(e.startswith("config error") for e in errors)
+    assert any(key in e and ("finite" in e or "inf" in e) for e in errors)
+
+
+def test_expression_overflow_is_an_error_not_a_traceback(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pv.__file__)))
+    cfg = write(tmp_path, "c.cfg", "pipeline = solve\nn = 8\nh = density: 10**400\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "plapvar", "run", cfg, "--out", str(tmp_path / "o"),
+         "--quiet"], env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
+    assert done.stderr.startswith("error: expression '10**400'")
+
+
+GOLDEN_ECHOES = {
+    "demo": (None, """\
+p = 2
+domain = interval
+a = 0
+b = 1
+n = 128
+quad_order = 4
+nonlinearity = power_perturbation
+nonlinearity.beta = 1.9
+h = phi1: 0.1
+pipeline = all
+seed = 0
+levels = 200
+grid_scale = 1
+multistart = false
+max_iter = 2000
+grad_tol = 1e-08
+f0_radius = 10
+"""),
+    "rectangle": ("""\
+p = 3.0
+domain = rectangle
+nx = 8
+ny = 8
+levels = 40
+nonlinearity = weighted_comparison
+nonlinearity.eta = x*y - 0.2
+nonlinearity.alpha = 2.0
+nonlinearity.eta_exponent = inf
+multistart = yes
+h = density: 0.2*sin(pi*x)*sin(pi*y)
+""", """\
+p = 3
+domain = rectangle
+ax = 0
+bx = 1
+ay = 0
+by = 1
+nx = 8
+ny = 8
+quad_order = 4
+nonlinearity = weighted_comparison
+nonlinearity.alpha = 2.0
+nonlinearity.eta = x*y - 0.2
+nonlinearity.eta_exponent = inf
+h = density: 0.2*sin(pi*x)*sin(pi*y)
+pipeline = all
+seed = 0
+levels = 40
+grid_scale = 1
+multistart = true
+max_iter = 2000
+grad_tol = 1e-08
+f0_radius = 10
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ECHOES))
+def test_check_config_echo_is_pinned(tmp_path, capsys, name):
+    # the manifest format bench/reference.py parses; None reads the demo config
+    text, expected = GOLDEN_ECHOES[name]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    cfg = (os.path.join(root, "demos", "experiment.cfg") if text is None
+           else write(tmp_path, "c.cfg", text))
+    assert main(["check-config", cfg]) == 0
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("raw, preset", [("2", None), (" 4", None), ("+4", None),

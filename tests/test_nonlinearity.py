@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestSineExp:
         assert np.allclose(f4, 4.0 * f1, rtol=1e-14)
 
     def test_spatial_weight(self):
-        spec = pv.sine_exp(lambda x: x[:, 0], d_exponent=math.inf)
+        spec = pv.sine_exp(lambda x: x[:, 0])
         pts = np.array([[0.25], [0.5], [1.0]])
         vals = pv.eval_f(spec, pts, 0.5)
         base = sc(pv.eval_f(pv.sine_exp(1.0), X, 0.5))
@@ -113,9 +114,6 @@ class TestPowerPotential:
         for s in (-1.5, 0.3, 2.0):
             fd = fd_derivative(lambda t: sc(pv.eval_F(spec, X, t)), s)
             assert math.isclose(fd, sc(pv.eval_f(spec, X, s)), rel_tol=1e-6)
-
-    def test_declared_growth(self):
-        assert pv.power_potential(4.0, 2.5).growth_q == 2.5
 
 
 class TestWeightedFamilies:
@@ -177,6 +175,43 @@ class TestVectorization:
     def test_scalar_in_scalar_out(self):
         spec = pv.sine_exp(1.0)
         assert np.ndim(pv.eval_f(spec, X, 0.5)) <= 1
+
+
+LAM = 9.87
+EXTREME_S = (0.0, 1e-300, -1e-300, 1.0, -1.0, 1e10, -1e10, 1e300, -1e300,
+             math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pv.sine_exp(1.0),
+    lambda: pv.sine_exp(lambda x: 1.0 + x[:, 0]),
+    lambda: pv.power_perturbation(LAM, 1.9, 2.5),
+    lambda: pv.power_potential(4.0, 2.5),
+    lambda: pv.power_potential(4.0, 2.5, LAM),
+    lambda: pv.weighted_comparison(lambda x: x[:, 0] - 0.9,
+                                   pv.power_comparison(1.5), LAM, 2.5),
+    lambda: pv.weighted_comparison(lambda x: x[:, 0] - 0.9,
+                                   pv.log_power_comparison(1.5), LAM, 2.5),
+    lambda: pv.weighted_absval(lambda x: -x[:, 0], LAM, 2.5),
+    lambda: pv.modulated_resonance(lambda x: -x[:, 0], pv.power_comparison(1.5),
+                                   LAM, 2.5),
+    lambda: pv.modulated_resonance(lambda x: -x[:, 0],
+                                   pv.log_power_comparison(1.5), LAM, 2.5),
+], ids=["sine_exp", "sine_exp-spatial", "power_perturbation", "power_potential",
+        "power_potential-lambda1", "weighted_comparison-power",
+        "weighted_comparison-log-power", "weighted_absval",
+        "modulated_resonance-power", "modulated_resonance-log-power"])
+def test_catalog_evaluators_raise_no_warning(make):
+    # eval_f/F/G own the floating-point error state for every entry, from
+    # tiny to infinite arguments
+    spec = make()
+    pts = np.array([[0.25], [0.75]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in EXTREME_S:
+            pv.eval_f(spec, pts, s)
+            pv.eval_F(spec, pts, s)
+            pv.eval_G(spec, pts, s, lambda1=LAM, p=2.5)
 
 
 def test_import_leaves_scipy_integrate_unloaded():
