@@ -75,6 +75,7 @@ ZERO_TOL = 1e-3            # residue allowed in non-strict "<= 0" comparisons
 UNIFORM_MARGIN = 1e-6      # slack in pointwise domination by a declared weight
 CHECKER_LEVELS = 200       # default grid depth for the theorem-level checkers
 F0_SAMPLES = 2001          # values of s on [-R, R] in the envelope sup_{|s| <= R} |f|
+F0_BLOCK_BYTES = 1 << 19   # bytes in one (samples x points) block of f values
 
 
 @dataclass(frozen=True)
@@ -268,16 +269,26 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
 def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh) -> float:
     pts = mesh.quad_points_flat()
     w = mesh.quad_weights_flat()
-    env = np.zeros(pts.shape[0])
+    m = pts.shape[0]
+    env = np.zeros(m)
+    s = np.linspace(-R, R, F0_SAMPLES)[:, None]
+    rows = max(1, F0_BLOCK_BYTES // (8 * m))
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in np.linspace(-R, R, F0_SAMPLES):
-            env = np.maximum(env, np.abs(np.asarray(eval_f(spec, pts, s), dtype=float)))
+        for i in range(0, F0_SAMPLES, rows):
+            block = s[i:i + rows]
+            fv = np.abs(np.asarray(eval_f(spec, pts, block), dtype=float))
+            # an f that ignores s returns (m,): broadcast before the max
+            env = np.maximum(env, np.broadcast_to(fv, (block.shape[0], m)).max(axis=0))
     return _reduce(w * env)
 
 
 def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
              refinements: int = 0) -> Verdict:
     """Quadrature value of int_Omega sup_{|s| <= R} |f(x, s)| dx.
+
+    The sup is a maximum over F0_SAMPLES equispaced s in [-R, R], taken
+    in blocks: each eval_f call gets a column of s values and fills a
+    (samples x points) block of at most F0_BLOCK_BYTES.
 
     Fails on a non-finite value.  With refinements > 0 the integral is
     recomputed on nested bisections; the verdict fails when the
@@ -436,7 +447,8 @@ def check_class_membership(exponent: float | None, alpha: float, p: float,
     For p > N membership needs L^1; for p = N it needs L^q with q > 1;
     for p < N the threshold is the conjugate exponent of p*/alpha, where
     p* = N p / (N - p): class X requires q strictly above it, class Y
-    admits equality.
+    admits equality.  Only q = +inf (an L^inf weight) belongs
+    unconditionally; -inf is compared like any other number and fails.
     """
     if kind not in ("X", "Y"):
         raise ValueError("kind must be 'X' or 'Y'")
@@ -452,7 +464,7 @@ def check_class_membership(exponent: float | None, alpha: float, p: float,
         ratio = pstar / alpha
         threshold = ratio / (ratio - 1.0)
         strict = (kind == "X")
-    if math.isinf(exponent):
+    if exponent == math.inf:
         ok = True
     elif math.isclose(exponent, threshold, rel_tol=1e-12, abs_tol=0.0):
         ok = not strict

@@ -17,7 +17,10 @@ exceptions.
 
 Evaluator conventions: spatial callables take point arrays of shape
 (m, ndim) and return (m,); f/F/G take (points, s) with numpy
-broadcasting between the weight values and s.
+broadcasting between the weight values and s.  s may be a scalar or a
+(k, 1) column of samples (check_f0 passes blocks of s that way), so
+f/F/G must broadcast it against the (m,) weight values into a (k, m)
+result; a result that ignores x or s may keep the shape of the other.
 """
 
 from __future__ import annotations

@@ -200,6 +200,102 @@ class TestCheckF0:
         assert pv.check_f0(spec, 5.0, mesh, refinements=3).status == FAILS
 
 
+def _f0_reference(spec, R, mesh):
+    """The per-sample envelope: one eval_f call for each value of s."""
+    pts = mesh.quad_points_flat()
+    env = np.zeros(pts.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in np.linspace(-R, R, conditions.F0_SAMPLES):
+            env = np.maximum(env, np.abs(np.asarray(pv.eval_f(spec, pts, s), dtype=float)))
+    return conditions._reduce(mesh.quad_weights_flat() * env)
+
+
+def _s_blind(x, s):
+    """An f that ignores s: its values have shape (m,) whatever s is."""
+    return 1.0 + x[:, 0]
+
+
+def _f0_specs(mesh, p=3.0, lam=10.0):
+    """Every catalog entry (spatial sine_exp, both phi forms, the suite's
+    weights) plus an f that ignores s and one that ignores x."""
+    from plapvar.cli import _CATALOG
+
+    phi = pv.power_comparison((1.0 + p) / 2.0)
+    eta, a = conditions._tilted_weight(mesh), conditions._plateau_bump(mesh)
+    specs = [
+        pv.sine_exp(1.0),
+        pv.sine_exp(lambda x: 1.0 + x[:, 0] ** 2),
+        pv.power_perturbation(lam, (1.0 + p) / 2.0, p),
+        pv.power_potential(2.0, p, lam),
+        pv.weighted_comparison(eta, phi, lam, p),
+        pv.weighted_comparison(eta, pv.log_power_comparison(1.0), lam, p),
+        pv.weighted_absval(eta, lam, p),
+        pv.modulated_resonance(a, phi, lam, p),
+        pv.NonlinearitySpec("s_blind", f=_s_blind, F=lambda x, s: _s_blind(x, s) * s),
+    ]
+    assert {spec.name for spec in specs} >= set(_CATALOG)
+    return specs
+
+
+class TestBlockedF0:
+    @pytest.mark.parametrize("domain", ["interval", "rectangle"])
+    def test_matches_per_sample_reference_bit_for_bit(self, domain):
+        if domain == "interval":
+            mesh = pv.build_interval_mesh(0.0, 1.0, 128)
+        else:
+            mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
+        for spec in _f0_specs(mesh):
+            assert conditions._f0_value(spec, 10.0, mesh) \
+                == _f0_reference(spec, 10.0, mesh), spec.name
+
+    def test_refinements_use_smaller_blocks_bit_for_bit(self):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 128)
+        meshes = [mesh]
+        for _ in range(3):
+            meshes.append(pv.refine_structured(meshes[-1]))
+        for spec in _f0_specs(mesh):
+            values = pv.check_f0(spec, 10.0, mesh, refinements=3).evidence["values"]
+            assert values == [_f0_reference(spec, 10.0, m) for m in meshes], spec.name
+
+    def test_one_sample_per_block(self, monkeypatch):
+        monkeypatch.setattr(conditions, "F0_BLOCK_BYTES", 1)
+        mesh = pv.build_interval_mesh(0.0, 1.0, 4)
+        for spec in _f0_specs(mesh):
+            assert conditions._f0_value(spec, 10.0, mesh) \
+                == _f0_reference(spec, 10.0, mesh), spec.name
+
+    def test_s_blind_f_keeps_every_point(self):
+        # a bare max over the (m,) values of an f that ignores s would
+        # collapse the points to one number; the envelope is 1 + x
+        mesh = pv.build_interval_mesh(0.0, 1.0, 128)
+        spec = _f0_specs(mesh)[-1]
+        assert spec.name == "s_blind"
+        assert math.isclose(conditions._f0_value(spec, 10.0, mesh), 1.5, rel_tol=1e-12)
+
+    def test_nan_propagates(self, mesh):
+        spec = pv.NonlinearitySpec(
+            "nan_tail", f=lambda x, s: np.where(s > 9.0, np.nan, 1.0) * x[:, 0],
+            F=lambda x, s: s * x[:, 0])
+        v = pv.check_f0(spec, 10.0, mesh)
+        assert v.status == FAILS and math.isnan(v.evidence["values"][0])
+
+    def test_eval_f_calls_bounded_by_blocks(self, monkeypatch):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
+        m = mesh.quad_points_flat().shape[0]
+        rows = max(1, conditions.F0_BLOCK_BYTES // (8 * m))
+        blocks = []
+
+        def recording_eval_f(spec, x, s):
+            blocks.append(np.size(s) * np.atleast_2d(x).shape[0] * 8)
+            return pv.eval_f(spec, x, s)
+
+        monkeypatch.setattr(conditions, "eval_f", recording_eval_f)
+        spec = pv.weighted_absval(conditions._tilted_weight(mesh), 10.0, 3.0)
+        assert pv.check_f0(spec, 10.0, mesh).status == HOLDS
+        assert len(blocks) <= math.ceil(conditions.F0_SAMPLES / rows)
+        assert max(blocks) <= conditions.F0_BLOCK_BYTES
+
+
 class TestComparisonFunctions:
     def test_power_holds_between_one_and_p(self):
         rep = pv.verify_comparison_function(pv.power_comparison(1.5), 2.0)
@@ -250,6 +346,22 @@ class TestClassMembership:
     def test_unknown_exponent(self):
         out = pv.check_class_membership(None, 1.25, 1.5, 2, "X")
         assert out.status == INCONCLUSIVE
+
+    def test_negative_infinite_exponent_never_holds(self, mesh, eig):
+        # only +inf declares an L^inf weight; -inf through the API is no class
+        spec = pv.weighted_absval(conditions._tilted_weight(mesh).fn, eig.lambda1, 2.0,
+                                  eta_exponent=-math.inf)
+        exponent = conditions._declared_weight(spec).exponent
+        assert exponent == -math.inf
+        for p, ndim in ((1.5, 2), (2.0, 2), (3.0, 2), (2.0, 1)):
+            for kind in ("X", "Y"):
+                for alpha in (1.0, 1.25):
+                    out = pv.check_class_membership(exponent, alpha, p, ndim, kind)
+                    assert out.status != HOLDS, (p, ndim, kind, alpha)
+        rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)
+        dom = rep["landesman_lazer"].conditions["dominated_in_Y"]
+        assert dom.status != HOLDS
+        assert dom.evidence["pos"]["membership"]["declared_exponent"] == -math.inf
 
 
 class TestTheoremCheckers:
