@@ -8,6 +8,10 @@ mesh's gradient operator D, element gradients are D u, the residual is
 D^T (|T| |D u|^(p-2) D u) and the p = 2 stiffness matrix D^T diag(|T|) D.
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 Gauss rule, which has polynomial exactness degree >= 4 by default.
+Each kernel's formula lives in one array-level helper (`_energy`,
+`_flux` of element gradients; `_lp`, `_lp_load` of values at the
+quadrature nodes) that the public field-level function calls, so a
+caller that already holds D u or the quadrature values skips the gather.
 
 Every scalar sum goes through `_reduce`, the one summation policy: one
 pairwise `np.sum` over the contiguous contributions, in the mesh's fixed
@@ -159,13 +163,36 @@ def sup_norm(mesh: Mesh, u: DiscreteField) -> float:
     return float(np.max(np.abs(u.values)))
 
 
+def _energy(mesh: Mesh, g: np.ndarray, p: float) -> float:
+    """(1/p) int |g|^p for element gradients g, shape (ne, ndim)."""
+    norms = np.sqrt(np.einsum("ed,ed->e", g, g))
+    return _reduce(mesh.measures * norms ** p) / p
+
+
+def _flux(mesh: Mesh, g: np.ndarray, p: float) -> np.ndarray:
+    """D^T (|T| |g|^(p-2) g) for element gradients g, with the gradient floor."""
+    norms = np.sqrt(np.einsum("ed,ed->e", g, g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(norms >= GRADIENT_FLOOR, norms ** (p - 2.0), 0.0)
+    flux = (mesh.measures * factor)[:, None] * g          # (ne, ndim)
+    return mesh.grad_op.T @ flux.ravel()
+
+
+def _lp(mesh: Mesh, q: np.ndarray, p: float) -> float:
+    """int |u|^p from u at the quadrature nodes q, shape (ne, nq)."""
+    return _reduce(np.einsum("eq,eq->e", mesh.quad_weights, np.abs(q) ** p))
+
+
+def _lp_load(mesh: Mesh, q: np.ndarray, p: float) -> np.ndarray:
+    """Entries int |u|^(p-2) u psi_j from u at the quadrature nodes q."""
+    return quad_load(mesh, np.sign(q) * np.abs(q) ** (p - 1.0)).values
+
+
 def dirichlet_energy(mesh: Mesh, u: DiscreteField, p: float) -> float:
     """(1/p) int_Omega |grad u|^p, exact for P1 fields."""
     _check_mesh(mesh, u)
     _check_p(p)
-    g = gradients_on_elements(mesh, u)
-    norms = np.sqrt(np.einsum("ed,ed->e", g, g))
-    return _reduce(mesh.measures * norms ** p) / p
+    return _energy(mesh, gradients_on_elements(mesh, u), p)
 
 
 def plap_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
@@ -177,12 +204,7 @@ def plap_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
     """
     _check_mesh(mesh, u)
     _check_p(p)
-    g = gradients_on_elements(mesh, u)
-    norms = np.sqrt(np.einsum("ed,ed->e", g, g))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norms >= GRADIENT_FLOOR, norms ** (p - 2.0), 0.0)
-    flux = (mesh.measures * factor)[:, None] * g          # (ne, ndim)
-    return DualVector(mesh, mesh.grad_op.T @ flux.ravel())
+    return DualVector(mesh, _flux(mesh, gradients_on_elements(mesh, u), p))
 
 
 def lp_integral(mesh: Mesh, u: DiscreteField, p: float) -> float:
@@ -190,8 +212,7 @@ def lp_integral(mesh: Mesh, u: DiscreteField, p: float) -> float:
     _check_mesh(mesh, u)
     if not (p >= 1.0):
         raise ValueError(f"lp_integral needs p >= 1, got p={p}")
-    vals = values_at_quad(mesh, u)
-    return _reduce(np.einsum("eq,eq->e", mesh.quad_weights, np.abs(vals) ** p))
+    return _lp(mesh, values_at_quad(mesh, u), p)
 
 
 def lp_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
@@ -202,8 +223,7 @@ def lp_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
     """
     _check_mesh(mesh, u)
     _check_p(p)
-    vals = values_at_quad(mesh, u)
-    return quad_load(mesh, np.sign(vals) * np.abs(vals) ** (p - 1.0))
+    return DualVector(mesh, _lp_load(mesh, values_at_quad(mesh, u), p))
 
 
 def pairing(h: DualVector, v: DiscreteField) -> float:

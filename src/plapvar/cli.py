@@ -481,7 +481,8 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
         _write(out / "report.txt", report)
         return 1
     report.append(f"lambda1 = {_g17(eig.lambda1)}  "
-                  f"(iterations {eig.iterations}, residual {_g17(eig.residual)}, "
+                  f"(iterations {eig.iterations}, trials {eig.trials}, "
+                  f"residual {_g17(eig.residual)}, "
                   f"stop = {eig.stop_reason})")
 
     want = cfg.pipeline

@@ -10,11 +10,20 @@ first eigenfunction, normalized by int |phi_1|^p = 1.
 The iteration is projected gradient descent on R: renormalize after
 every accepted step (R is scale invariant, so projection is free for
 the line search), with step lengths from the shared Armijo search
-`solver.armijo`; each trial costs one Rayleigh quotient.  The search is
-warm-started: it begins at twice the last accepted step, capped at 1,
-rather than at t = 1, so a descent whose step length has settled well
-below 1 spends about two trials per step instead of halving down from 1
-every time.
+`solver.armijo`.  The search is warm-started: it begins at twice the
+last accepted step, capped at 1, rather than at t = 1, so a descent
+whose step length has settled well below 1 spends about two trials per
+step instead of halving down from 1 every time.
+
+Trials run on a cached line.  The iterate u carries its element
+gradients D u and its values at the quadrature nodes; once per step the
+direction d gets the same two arrays, and a trial at t combines them
+elementwise (u - t d is linear in both), so it costs one quotient with
+no sparse product and no gather.  The accepted trial's arrays are
+rescaled to int |u|^p = 1, and the quotient and the eigen residual are
+then evaluated afresh at the normalized iterate: reusing the accepted
+trial's quotient would bias lambda low, since Armijo accepts the first
+trial that rounds below its threshold.
 
 The descent direction is the gradient taken in the H^1_0 inner product,
 i.e. one sparse solve with the fixed p = 2 stiffness matrix; this keeps
@@ -36,11 +45,15 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (
     DiscreteField,
+    _energy,
+    _flux,
+    _lp,
+    _lp_load,
     dirichlet_energy,
+    gradients_on_elements,
     lp_integral,
-    lp_residual,
-    plap_residual,
     stiffness_matrix,
+    values_at_quad,
 )
 from .meshing import Mesh
 from .solver import _next_start, armijo
@@ -58,6 +71,8 @@ class EigenResult:
     lambda1   discrete first eigenvalue (Rayleigh quotient at phi1)
     phi1      eigenfunction, int |phi1|^p = 1, positive at free vertices
     iterations  accepted descent steps
+    trials    line-search trials (Rayleigh quotients on the cached line),
+              summed over all steps
     residual  max_j |int |grad phi1|^(p-2) grad phi1 . grad psi_j
                      - lambda1 int |phi1|^(p-2) phi1 psi_j|
     stop_reason  why the descent stopped.  A returned result carries
@@ -73,6 +88,7 @@ class EigenResult:
     lambda1: float
     phi1: DiscreteField
     iterations: int
+    trials: int
     residual: float
     stop_reason: str
 
@@ -100,17 +116,44 @@ def _bubble_start(mesh: Mesh) -> np.ndarray:
     return np.maximum(vals, 1e-12)
 
 
-def _assemble(mesh: Mesh, uvals: np.ndarray, p: float):
-    """Field, Rayleigh quotient, eigen-residual vector and its max norm at uvals."""
-    field = DiscreteField(mesh, uvals)
-    lam = rayleigh_quotient(mesh, field, p)
-    r = plap_residual(mesh, field, p).values - lam * lp_residual(mesh, field, p).values
-    return field, lam, r, float(np.max(np.abs(r))) if r.size else 0.0
+def _normalized(mesh: Mesh, values: np.ndarray, p: float):
+    """values scaled to int |u|^p = 1, with its gradients D u and quadrature values."""
+    field = DiscreteField(mesh, values)
+    g, q = gradients_on_elements(mesh, field), values_at_quad(mesh, field)
+    s = _lp(mesh, q, p) ** (1.0 / p)
+    return field.values / s, g / s, q / s
 
 
-def _normalize(mesh: Mesh, values: np.ndarray, p: float) -> np.ndarray:
-    b = lp_integral(mesh, DiscreteField(mesh, values), p)
-    return values / b ** (1.0 / p)
+def _eigen_residual(mesh: Mesh, g: np.ndarray, q: np.ndarray, p: float):
+    """Rayleigh quotient, eigen-residual vector and its max norm of the field
+    with element gradients g and quadrature values q."""
+    lam = p * _energy(mesh, g, p) / _lp(mesh, q, p)
+    r = _flux(mesh, g, p) - lam * _lp_load(mesh, q, p)
+    return lam, r, float(np.max(np.abs(r))) if r.size else 0.0
+
+
+def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
+          g: np.ndarray, q: np.ndarray):
+    """Trial function at(t) on the line u - t d, for `solver.armijo`.
+
+    g_u, q_u are u's gradients and quadrature values; d's are computed
+    here, once.  at(t) writes the trial's arrays into the buffers g and
+    q and returns (quotient, (t, int |u - t d|^p)), or None for the zero
+    field.  The buffers hold the last trial evaluated, which is the
+    accepted one when the search succeeds.
+    """
+    field = DiscreteField(mesh, d)
+    g_d, q_d = gradients_on_elements(mesh, field), values_at_quad(mesh, field)
+
+    def at(t):
+        np.add(np.multiply(q_d, -t, out=q), q_u, out=q)
+        b = _lp(mesh, q, p)
+        if b == 0.0:
+            return None
+        np.add(np.multiply(g_d, -t, out=g), g_u, out=g)
+        return p * _energy(mesh, g, p) / b, (t, b)
+
+    return at
 
 
 def first_eigenpair(
@@ -137,11 +180,13 @@ def first_eigenpair(
 
     lu = splu(stiffness_matrix(mesh))
     rng = np.random.default_rng(seed)
-    u = _normalize(mesh, _bubble_start(mesh), p)
+    u, g, q = _normalized(mesh, _bubble_start(mesh), p)
+    g_buf, q_buf = np.empty_like(g), np.empty_like(q)
     restarts = 0
 
-    _, lam, r, res_norm = _assemble(mesh, u, p)
+    lam, r, res_norm = _eigen_residual(mesh, g, q, p)
     iterations = 0
+    trials = 0
     t0 = 1.0
     stop = "max-iter"
     stagnant = 0
@@ -159,28 +204,29 @@ def first_eigenpair(
             stop = "non-descent"
             break
 
-        def at(t):
-            trial = u - t * d
-            try:
-                return rayleigh_quotient(mesh, DiscreteField(mesh, trial), p), trial
-            except ValueError:  # zero field: infeasible trial
-                return None
-
-        _, trial, rejected = armijo(at, lam, slope, t0)
-        if trial is None:
+        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf),
+                                       lam, slope, t0)
+        trials += rejected + (accepted is not None)
+        if accepted is None:
             if restarts == 0:
                 # stalled line search: jitter once and continue from t = 1
                 restarts = 1
                 t0 = 1.0
-                u = _normalize(mesh, u + 1e-8 * rng.standard_normal(u.size), p)
-                _, lam, r, res_norm = _assemble(mesh, u, p)
+                u, g, q = _normalized(mesh, u + 1e-8 * rng.standard_normal(u.size), p)
+                lam, r, res_norm = _eigen_residual(mesh, g, q, p)
                 continue
             stop = "line-search"
             break
         t0 = _next_start(t0, rejected)
-        u = _normalize(mesh, trial, p)
+        t, b = accepted
+        s = b ** (1.0 / p)
+        u = (u - t * d) / s
+        g, g_buf = g_buf, g
+        q, q_buf = q_buf, q
+        g /= s
+        q /= s
         lam_prev = lam
-        _, lam, r, res_norm = _assemble(mesh, u, p)
+        lam, r, res_norm = _eigen_residual(mesh, g, q, p)
         iterations += 1
         if abs(lam_prev - lam) < STAGNATION_RTOL * abs(lam):
             stagnant += 1
@@ -190,18 +236,12 @@ def first_eigenpair(
 
     if stop == "max-iter" and res_norm < RESIDUAL_STOP:
         stop = "residual"  # the last allowed step reached the tolerance
-    result = _finalize(mesh, u, p, iterations, stop)
+    if u.size and float(np.sum(u)) < 0.0:
+        u = -u  # lambda and the residual norm are even in u
+    result = EigenResult(lambda1=lam, phi1=DiscreteField(mesh, u), iterations=iterations,
+                         trials=trials, residual=res_norm, stop_reason=stop)
     if stop not in ("residual", "stagnation"):
         raise EigenConvergenceError(
             f"eigen descent did not converge in {iterations} accepted steps "
             f"(residual {res_norm:.3e}, stop {stop})", result)
     return result
-
-
-def _finalize(mesh: Mesh, u: np.ndarray, p: float, iterations: int,
-              stop: str) -> EigenResult:
-    if u.size and float(np.sum(u)) < 0.0:
-        u = -u
-    field, lam, _, res = _assemble(mesh, _normalize(mesh, u, p), p)
-    return EigenResult(lambda1=lam, phi1=field, iterations=iterations, residual=res,
-                       stop_reason=stop)

@@ -61,11 +61,20 @@ class SpatialWeight:
         return np.asarray(self.fn(np.atleast_2d(pts)), dtype=float)
 
 
-def as_weight(w, exponent: float = math.inf) -> SpatialWeight:
+def as_weight(w, exponent: Optional[float] = None) -> SpatialWeight:
+    """SpatialWeight from a weight, a callable of points or a constant.
+
+    `exponent` is the declared L^q exponent of a callable (default
+    math.inf).  A SpatialWeight keeps its own; an explicit exponent that
+    disagrees with it is an error rather than silently dropped.
+    """
     if isinstance(w, SpatialWeight):
+        if exponent is not None and exponent != w.exponent:
+            raise ValueError(f"exponent {exponent} disagrees with the weight's "
+                             f"declared exponent {w.exponent}")
         return w
     if callable(w):
-        return SpatialWeight(w, exponent)
+        return SpatialWeight(w, math.inf if exponent is None else exponent)
     c = float(w)
     return SpatialWeight(lambda pts, c=c: np.full(pts.shape[0], c))
 
@@ -199,7 +208,7 @@ def power_perturbation(lambda1: float, beta: float, p: float) -> NonlinearitySpe
 
 
 def weighted_comparison(eta, phi, lambda1: float, p: float,
-                        eta_exponent: float = math.inf) -> NonlinearitySpec:
+                        eta_exponent: Optional[float] = None) -> NonlinearitySpec:
     """F(x, s) = lambda1 |s|^p / p + eta(x) phi(s).
 
     phi is a comparison-type function: any object with __call__,
@@ -227,7 +236,7 @@ def weighted_comparison(eta, phi, lambda1: float, p: float,
 
 
 def weighted_absval(eta, lambda1: float, p: float,
-                    eta_exponent: float = math.inf) -> NonlinearitySpec:
+                    eta_exponent: Optional[float] = None) -> NonlinearitySpec:
     """F(x, s) = lambda1 |s|^p / p + eta(x) |s|, so G = eta(x) |s|.
 
     f(x, s) = lambda1 |s|^(p-2) s + eta(x) sign(s), defined a.e.: it

@@ -215,6 +215,41 @@ class TestGradientOperator:
         assert abs(D).max() == D.power(2).sqrt().max() > 0.0
 
 
+class TestKernelFormulas:
+    # the field-level kernels call the array-level helpers that the eigen
+    # line search shares; each must keep the arithmetic of this reference,
+    # the kernels' formulas written out in full
+
+    @staticmethod
+    def reference(mesh, u, p):
+        full = np.zeros(mesh.n_vertices)
+        full[mesh.free_vertices] = u.values
+        q = full[mesh.elements] @ mesh.basis_at_quad.T
+        g = (mesh.grad_op @ u.values).reshape(mesh.n_elements, mesh.ndim)
+        norms = np.sqrt(np.einsum("ed,ed->e", g, g))
+        energy = float(np.sum(mesh.measures * norms ** p)) / p
+        with np.errstate(divide="ignore", invalid="ignore"):
+            factor = np.where(norms >= 1e-14, norms ** (p - 2.0), 0.0)
+        residual = mesh.grad_op.T @ ((mesh.measures * factor)[:, None] * g).ravel()
+        lp = float(np.sum(np.einsum("eq,eq->e", mesh.quad_weights, np.abs(q) ** p)))
+        density = mesh.quad_weights * (np.sign(q) * np.abs(q) ** (p - 1.0))
+        load = reference_scatter(mesh, density @ mesh.basis_at_quad)
+        return energy, residual, lp, load
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_bit_identical_to_reference(self, mesh_and_field, p):
+        mesh, u = mesh_and_field
+        # zero a block of coefficients so that the gradient floor is hit
+        values = u.values.copy()
+        values[: mesh.n_free // 3] = 0.0
+        for field in (u, pv.make_field(mesh, values)):
+            energy, residual, lp, load = self.reference(mesh, field, p)
+            assert pv.dirichlet_energy(mesh, field, p) == energy
+            assert np.array_equal(pv.plap_residual(mesh, field, p).values, residual)
+            assert pv.lp_integral(mesh, field, p) == lp
+            assert np.array_equal(pv.assembly.lp_residual(mesh, field, p).values, load)
+
+
 class TestResidualAndGradient:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("dim", [1, 2])

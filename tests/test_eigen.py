@@ -118,45 +118,55 @@ class TestInvariants:
         assert result.phi1.values.shape == (mesh.n_free,)
 
     def test_one_lp_integral_per_trial(self, monkeypatch):
-        # each line-search trial evaluates int |u|^p once, inside the
-        # Rayleigh quotient; the only other calls renormalize the start,
-        # each accepted step and the final iterate
+        # each line-search trial evaluates int |u|^p once, on the cached
+        # line; the only other evaluations normalize the start and
+        # re-evaluate the quotient at the start and at each accepted step
         from plapvar import eigen
-        calls = {"lp": 0, "rq": 0}
+        calls = {"lp": 0}
+        lp = eigen._lp
 
-        def counting(name, fn):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def counting(*args, **kwargs):
+            calls["lp"] += 1
+            return lp(*args, **kwargs)
 
-        monkeypatch.setattr(eigen, "lp_integral", counting("lp", eigen.lp_integral))
-        monkeypatch.setattr(eigen, "rayleigh_quotient",
-                            counting("rq", eigen.rayleigh_quotient))
+        monkeypatch.setattr(eigen, "_lp", counting)
         mesh = pv.build_interval_mesh(0.0, 1.0, 64)
         res = eigen.first_eigenpair(mesh, 3.0)
         assert res.iterations > 0
-        assert calls["lp"] <= calls["rq"] + res.iterations + 2
+        assert res.trials >= res.iterations
+        assert calls["lp"] <= res.trials + res.iterations + 2
 
-    def test_warm_started_line_search(self, monkeypatch):
+    def test_warm_started_line_search(self):
         # the Armijo search starts at twice the last accepted step, so once
         # the step length settles a step costs about two trials; restarting
         # every search at t = 1 costs ~12 per step here (648 for 52 steps)
-        from plapvar import eigen
-        calls = {"rq": 0}
-        quotient = eigen.rayleigh_quotient
-
-        def counting(*args, **kwargs):
-            calls["rq"] += 1
-            return quotient(*args, **kwargs)
-
-        monkeypatch.setattr(eigen, "rayleigh_quotient", counting)
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
-        res = eigen.first_eigenpair(mesh, 3.0)
+        res = pv.first_eigenpair(mesh, 3.0)
         assert res.iterations > 0
-        # one quotient at the start, one per accepted step and one final
-        trials = calls["rq"] - res.iterations - 2
-        assert trials <= 3 * res.iterations
+        assert res.trials <= 3 * res.iterations
+
+    def test_stalled_search_restarts_once(self, monkeypatch):
+        # a failed search jitters the iterate once and searches again from
+        # t = 1; a second failure ends on "line-search"
+        from plapvar import eigen, solver
+        starts = []
+
+        def failing(at, f0, slope, t=1.0):
+            starts.append(t)
+            return None, None, solver.MAX_TRIALS
+
+        monkeypatch.setattr(eigen, "armijo", failing)
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        with pytest.raises(pv.EigenConvergenceError) as exc:
+            eigen.first_eigenpair(mesh, 3.0)
+        result = exc.value.result
+        assert result.stop_reason == "line-search"
+        assert starts == [1.0, 1.0]
+        assert result.iterations == 0
+        assert result.trials == 2 * solver.MAX_TRIALS
+        assert math.isclose(pv.lp_integral(mesh, result.phi1, 3.0), 1.0, rel_tol=1e-12)
+        assert math.isclose(pv.rayleigh_quotient(mesh, result.phi1, 3.0),
+                            result.lambda1, rel_tol=1e-12)
 
     def test_stop_reason_residual(self):
         # the p = 2 bubble start is the discrete eigenvector already
@@ -168,8 +178,8 @@ class TestInvariants:
 
     def test_stop_reason_stagnation(self):
         # the quotient settles long before the residual reaches 1e-9
-        mesh = pv.build_interval_mesh(0.0, 1.0, 128)
-        res = pv.first_eigenpair(mesh, 2.5)
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        res = pv.first_eigenpair(mesh, 3.0)
         assert res.stop_reason == "stagnation"
         assert res.iterations >= 25
         assert 1e-9 <= res.residual < 1e-6
@@ -178,3 +188,40 @@ class TestInvariants:
         mesh = pv.build_interval_mesh(0.0, 1.0, 8)
         with pytest.raises(ValueError):
             pv.rayleigh_quotient(mesh, pv.zero_field(mesh), 2.0)
+
+
+class TestCachedLine:
+    """The line search's trial quotient against the public kernels."""
+
+    @staticmethod
+    def _line(mesh, p, u, d):
+        from plapvar import eigen
+        field = pv.make_field(mesh, u)
+        g_u = pv.assembly.gradients_on_elements(mesh, field)
+        q_u = pv.assembly.values_at_quad(mesh, field)
+        return eigen._line(mesh, p, g_u, q_u, d, np.empty_like(g_u), np.empty_like(q_u))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("mesh", [
+        pv.build_interval_mesh(0.0, 1.0, 64),
+        pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8),
+    ], ids=["interval-64", "rectangle-8x8"])
+    def test_trial_quotient_equals_rayleigh_quotient(self, mesh, p):
+        rng = np.random.default_rng(3)
+        u = rng.standard_normal(mesh.n_free)
+        d = rng.standard_normal(mesh.n_free)
+        at = self._line(mesh, p, u, d)
+        for t in (1.0, 0.25, 1e-6):
+            value, (t_acc, b) = at(t)
+            expected = pv.rayleigh_quotient(mesh, pv.make_field(mesh, u - t * d), p)
+            assert t_acc == t
+            assert math.isclose(value, expected, rel_tol=1e-13)
+            assert math.isclose(b, pv.lp_integral(mesh, pv.make_field(mesh, u - t * d), p),
+                                rel_tol=1e-13)
+
+    def test_zero_trial_is_infeasible(self):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8)
+        u = np.random.default_rng(4).standard_normal(mesh.n_free)
+        at = self._line(mesh, 3.0, u, u.copy())
+        assert at(1.0) is None
+        assert at(0.5) is not None

@@ -130,6 +130,21 @@ class TestWeightedFamilies:
         assert math.isclose(g[1] / 0.1, phi(2.0), rel_tol=1e-10)
         assert "eta" in spec.params
 
+    def test_explicit_exponent_must_match_the_weight(self):
+        weight = pv.SpatialWeight(lambda x: np.ones(len(x)), 4.0)
+        for build in (lambda e: pv.weighted_absval(weight, 9.0, 3.0, eta_exponent=e),
+                      lambda e: pv.weighted_comparison(weight, pv.power_comparison(1.5),
+                                                       9.0, 3.0, eta_exponent=e)):
+            with pytest.raises(ValueError, match="exponent"):
+                build(2.0)
+            assert build(4.0).params["eta"] is weight
+            assert build(None).params["eta"].exponent == 4.0
+        bounded = pv.SpatialWeight(lambda x: np.ones(len(x)))
+        with pytest.raises(ValueError, match="exponent"):
+            pv.weighted_absval(bounded, 9.0, 3.0, eta_exponent=2.0)
+        assert pv.weighted_absval(lambda x: np.ones(len(x)), 9.0, 3.0,
+                                  eta_exponent=2.0).params["eta"].exponent == 2.0
+
     def test_weighted_absval(self):
         spec = pv.weighted_absval(lambda x: np.full(len(x), -2.0),
                                   self.LAM, self.P)
