@@ -12,6 +12,8 @@ Each kernel's formula lives in one array-level helper (`_energy`,
 `_flux` of element gradients; `_lp`, `_lp_load` of values at the
 quadrature nodes) that the public field-level function calls, so a
 caller that already holds D u or the quadrature values skips the gather.
+`_flux_weights` holds the derivative of `_flux`, the element weights of
+the p-energy Hessian that the Newton descent applies as an operator.
 
 Every scalar sum goes through `_reduce`, the one summation policy: one
 pairwise `np.sum` over the contiguous contributions, in the mesh's fixed
@@ -176,6 +178,23 @@ def _flux(mesh: Mesh, g: np.ndarray, p: float) -> np.ndarray:
         factor = np.where(norms >= GRADIENT_FLOOR, norms ** (p - 2.0), 0.0)
     flux = (mesh.measures * factor)[:, None] * g          # (ne, ndim)
     return mesh.grad_op.T @ flux.ravel()
+
+
+def _flux_weights(mesh: Mesh, g: np.ndarray, p: float, eps: float = 0.0):
+    """Element weights (|T| w, g_hat) of the derivative of `_flux` at g.
+
+    With r = sqrt(|g|^2 + eps^2), w = r^(p-2) and g_hat = g / r, the
+    derivative maps element gradients G to |T| w (G + (p-2) g_hat (g_hat . G)),
+    so the energy Hessian is D^T of that applied to D v.  eps > 0 relaxes
+    the weight where g -> 0 for 1 < p < 2; below the gradient floor w is
+    1 at p = 2 and 0 otherwise, the limit `_flux` takes.
+    """
+    r = np.sqrt(np.einsum("ed,ed->e", g, g) + eps * eps)
+    live = r >= GRADIENT_FLOOR
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(live, r ** (p - 2.0), 1.0 if p == 2.0 else 0.0)
+        g_hat = np.where(live[:, None], g / r[:, None], 0.0)
+    return mesh.measures * w, g_hat
 
 
 def _lp(mesh: Mesh, q: np.ndarray, p: float) -> float:

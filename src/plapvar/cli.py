@@ -508,6 +508,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
         check = verify_weak_solution(mesh, res.u, spec, h, cfg.p)
         report += [
             f"solve: phi = {_g17(res.phi)}, {res.iterations} steps, "
+            f"{res.trials} trials, {res.cg_iterations} cg iterations, "
             f"stop = {res.stop_reason}, stationarity = {_g17(res.stationarity)}",
             f"solve: weak residual (relative) = {_g17(check.max_relative)}, "
             f"lambda_u = {_g17(check.lambda_u)}, "

@@ -56,12 +56,13 @@ from .assembly import (
     values_at_quad,
 )
 from .meshing import Mesh
-from .solver import _next_start, armijo
+from .solver import armijo
 
 __all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient", "first_eigenpair"]
 
 RESIDUAL_STOP = 1e-9     # eigen-residual max norm that ends the descent
 STAGNATION_RTOL = 1e-12  # relative quotient change counted as a stagnant step
+STEP_GROWTH = 2.0        # next search starts at this times the accepted step
 
 
 @dataclass(frozen=True)
@@ -154,6 +155,15 @@ def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
         return p * _energy(mesh, g, p) / b, (t, b)
 
     return at
+
+
+def _next_start(t: float, rejected: int) -> float:
+    """Start step after a search from t accepted with `rejected` rejections.
+
+    The accepted step is t * 0.5**rejected (exact in binary); the next
+    search starts at STEP_GROWTH times it, capped at 1.
+    """
+    return min(1.0, STEP_GROWTH * t * 0.5 ** rejected)
 
 
 def first_eigenpair(

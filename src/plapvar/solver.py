@@ -25,17 +25,31 @@ for minimization rather than as evidence of unboundedness.  A genuine
 lack of coercivity shows up as Phi running below -1e12 along the descent,
 which aborts with `UnboundedBelowError`.
 
-Descent steps are preconditioned with the (p = 2) stiffness matrix, for
-the same reason as in the eigensolver: raw coefficient gradients are
-mesh-size-stiff.  Step lengths come from `armijo`, the one line search,
-which the eigensolver shares; each search starts from twice the last
-accepted step (at most 1), not from t = 1.
+The descent is a damped, matrix-free inexact Newton method.  Each step
+solves H d = grad Phi by conjugate gradients preconditioned with the
+p = 2 stiffness matrix (factored once per solve), to the relative
+accuracy min(0.1, sqrt(stationarity)) of Eisenstat and Walker.  H is
+applied as an operator, never assembled: the p-energy part
+D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
+`assembly._flux_weights`, minus the mass term int f'(x, u) v psi_j, with
+f' a central difference of `eval_f` at the quadrature nodes.  CG stops
+at negative curvature and returns its current iterate (Steihaug).  For
+1 < p < 2 the weight is relaxed with eps = min(1, stationarity) max |D u|,
+which shrinks as the descent converges.  The step falls back to the
+p = 2 direction, the gradient in the H^1_0 inner product, at u = 0, when
+f' is not finite, when CG meets negative curvature at once, or when the
+Newton direction is not a descent direction.  Step lengths come from
+`armijo` on Phi, starting at t = 1.  Its sufficient-decrease test allows
+for Phi's rounding error, PHI_NOISE sum_j |u_j| (|t1_j| + |t2_j| + |t3_j|):
+near the minimizer a Newton step lowers Phi by less than that, and
+without the band the last steps are rejected until t is about 2^-22
+and the descent stalls.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.sparse.linalg import splu
@@ -43,9 +57,11 @@ from scipy.sparse.linalg import splu
 from .assembly import (
     DiscreteField,
     DualVector,
+    _flux_weights,
     _reduce,
     _scatter,
     dirichlet_energy,
+    gradients_on_elements,
     hat_energies,
     pairing,
     plap_residual,
@@ -75,9 +91,12 @@ __all__ = [
 
 ARMIJO = 1e-4
 MAX_TRIALS = 60
-STEP_GROWTH = 2.0
 DIVERGENCE_FLOOR = -1e12
-PHI_STALL = 1e-14     # relative energy decrease that ends a descent
+CG_MAX = 100          # Hessian products per Newton direction
+FORCING_CAP = 0.1     # CG tolerance min(FORCING_CAP, sqrt(stationarity))
+FD_STEP = 1e-6        # central-difference step of f', times max(1, |s|)
+FD_BLOCK = 8192       # quadrature points per eval_f call in the f' difference
+PHI_NOISE = 1e-14     # rounding error of Phi relative to sum_j |u_j| |terms_j|
 EXTRA_STARTS = 5      # seeded random starts added by multistart
 START_SPREAD = 1.0    # standard deviation of their perturbation
 
@@ -240,11 +259,8 @@ def armijo(at, f0: float, slope: float, t: float = 1.0):
     the start step, or (None, None, MAX_TRIALS) when no trial is
     accepted.
 
-    Both descents warm-start the search: the accepted step is
-    t * 0.5**rejected (exact in binary), and the next search starts at
-    STEP_GROWTH = 2 times that step, capped at 1 (`_next_start`),
-    instead of shrinking from 1 again to the step length the last
-    search already found.
+    The energy descent starts every search at t = 1, the Newton step.
+    The eigensolver warm-starts its searches (`eigen._next_start`).
     """
     for rejected in range(MAX_TRIALS):
         trial = at(t)
@@ -254,22 +270,18 @@ def armijo(at, f0: float, slope: float, t: float = 1.0):
     return None, None, MAX_TRIALS
 
 
-def _next_start(t: float, rejected: int) -> float:
-    """Start step after a search from t accepted with `rejected` rejections."""
-    return min(1.0, STEP_GROWTH * t * 0.5 ** rejected)
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one energy descent.
 
     stationarity is the relative weak residual at u, the `max_relative`
     of `verify_weak_solution` at its default radius.  stop_reason is
-    "stationarity" (stationarity below grad_tol), "phi-decrease"
-    (energy progress below tolerance), "line-search" (no acceptable
-    step found) or "max-iter".  backtracks sums, over
-    all line searches, the trials rejected below each step's start t
-    (the warm start of `armijo`, not t = 1).
+    "stationarity" (stationarity below grad_tol), "line-search" (no
+    acceptable step found) or "max-iter"; converged is true exactly for
+    "stationarity".  trials counts the energies evaluated by the line
+    searches, backtracks the rejected ones among them, and cg_iterations
+    the Hessian products of the Newton directions.  With multistart the
+    counters are those of the winning descent.
     """
 
     u: DiscreteField
@@ -279,6 +291,8 @@ class SolveResult:
     converged: bool
     stop_reason: str
     backtracks: int
+    trials: int
+    cg_iterations: int
     starts: int = 1
 
 
@@ -286,15 +300,15 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
                  start: DiscreteField | None = None, grad_tol: float = 1e-8,
                  max_iter: int = 2000, multistart: bool = False,
                  seed: int = 0) -> SolveResult:
-    """Minimize Phi by preconditioned gradient descent with Armijo steps.
+    """Minimize Phi by damped inexact Newton steps (see the module docstring).
 
     Starts from u = 0 unless `start` is given.  Stops when the relative
     weak residual (the certificate's norm, see the module docstring)
-    drops below grad_tol or the energy decrease stalls below PHI_STALL
-    (relative).  With multistart=True, EXTRA_STARTS random perturbed
-    starts (seeded, spread START_SPREAD) are run in addition and the
-    best final energy wins; use this when f is non-monotone enough for
-    Phi to have several local minima.
+    drops below grad_tol, when a line search finds no acceptable step,
+    or after max_iter steps.  With multistart=True, EXTRA_STARTS random
+    perturbed starts (seeded, spread START_SPREAD) are run in addition
+    and the best final energy wins; use this when f is non-monotone
+    enough for Phi to have several local minima.
 
     Raises UnboundedBelowError if Phi falls below -1e12, the numerical
     signature of a non-coercive functional.
@@ -317,65 +331,134 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
         if best is None or (res.converged, -res.phi) > (best.converged, -best.phi):
             best = res
     assert best is not None
-    if len(starts) > 1:
-        best = SolveResult(best.u, best.phi, best.stationarity, best.iterations,
-                           best.converged, best.stop_reason, best.backtracks,
-                           starts=len(starts))
-    return best
+    return replace(best, starts=len(starts))
+
+
+def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u_q: np.ndarray) -> np.ndarray:
+    """f'(x, u) at the quadrature nodes, shape (ne, nq), by central differences.
+
+    The step at s is FD_STEP max(1, |s|), and the quotient divides by the
+    spacing of the two rounded abscissae.  eval_f sees at most FD_BLOCK
+    points per call, which bounds the temporaries on large meshes.
+    """
+    pts = mesh.quad_points_flat()
+    s = u_q.reshape(-1)
+    out = np.empty_like(s)
+    for i in range(0, s.size, FD_BLOCK):
+        x, si = pts[i:i + FD_BLOCK], s[i:i + FD_BLOCK]
+        step = FD_STEP * np.maximum(1.0, np.abs(si))
+        hi, lo = si + step, si - step
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[i:i + FD_BLOCK] = (eval_f(spec, x, hi) - eval_f(spec, x, lo)) / (hi - lo)
+    return out.reshape(u_q.shape)
+
+
+def _hessian(mesh: Mesh, p: float, c: np.ndarray, g_hat: np.ndarray,
+             df_q: np.ndarray):
+    """v -> H v for the element weights (c, g_hat) and f' at the quadrature nodes."""
+    D = mesh.grad_op
+    shape = (mesh.n_elements, mesh.ndim)
+
+    def apply(v):
+        G = (D @ v).reshape(shape)
+        G += (p - 2.0) * np.einsum("ed,ed->e", g_hat, G)[:, None] * g_hat
+        v_q = values_at_quad(mesh, DiscreteField(mesh, v))
+        return D.T @ (c[:, None] * G).ravel() - quad_load(mesh, df_q * v_q).values
+
+    return apply
+
+
+def _pcg(apply, b: np.ndarray, lu, tol: float):
+    """Truncated PCG for H d = b from d = 0, preconditioned by the LU `lu`.
+
+    Stops when the residual's preconditioned norm sqrt(r . K^-1 r) falls
+    to tol times b's, after CG_MAX iterations, or at non-positive
+    curvature (Steihaug), and returns (d, Hessian products).  d is None
+    when the curvature fails on the first iteration.
+    """
+    d = np.zeros_like(b)
+    r = b.copy()
+    z = lu.solve(r)
+    rz = float(np.dot(r, z))
+    target = tol * tol * rz
+    s = z
+    for k in range(CG_MAX):
+        Hs = apply(s)
+        curvature = float(np.dot(s, Hs))
+        if not curvature > 0.0:
+            return (d if k else None), k + 1
+        alpha = rz / curvature
+        d += alpha * s
+        r -= alpha * Hs
+        z = lu.solve(r)
+        rz_next = float(np.dot(r, z))
+        if rz_next <= target:
+            return d, k + 1
+        s = z + (rz_next / rz) * s
+        rz = rz_next
+    return d, CG_MAX
+
+
+def _newton_direction(mesh, spec, p, u, g, stationarity, lu):
+    """(d, Hessian products): the inexact Newton direction at u, or None.
+
+    None asks for the p = 2 direction: at u = 0, when f' is not finite,
+    or when CG meets non-positive curvature at once.
+    """
+    if not np.any(u.values):
+        return None, 0
+    df_q = _df_at_quad(mesh, spec, values_at_quad(mesh, u))
+    if not np.all(np.isfinite(df_q)):
+        return None, 0
+    grads = gradients_on_elements(mesh, u)
+    eps = 0.0
+    if p < 2.0:
+        eps = min(1.0, stationarity) * float(np.max(np.linalg.norm(grads, axis=1)))
+    c, g_hat = _flux_weights(mesh, grads, p, eps)
+    return _pcg(_hessian(mesh, p, c, g_hat, df_q), g, lu,
+                min(FORCING_CAP, math.sqrt(stationarity)))
 
 
 def _descend_one(mesh, spec, h, p, u0, grad_tol, max_iter, lu):
     field = DiscreteField(mesh, u0.copy())
     phi_cur = assemble_phi(mesh, field, spec, h, p)
-    backtracks = 0
-    steps = 0
-    t0 = 1.0
-    stop = "max-iter"
-    converged = False
+    steps = backtracks = trials = cg_iterations = 0
 
-    while steps < max_iter:
+    while True:
         if phi_cur < DIVERGENCE_FLOOR:
             raise UnboundedBelowError(field, phi_cur)
-        g, _, _, stat = _residual_norms(*_weak_terms(mesh, field, spec, h, p))
+        terms = _weak_terms(mesh, field, spec, h, p)
+        g, _, _, stat = _residual_norms(*terms)
         if stat < grad_tol:
-            stop, converged = "stationarity", True
+            stop = "stationarity"
+            break
+        if steps == max_iter:
+            stop = "max-iter"
             break
 
-        d = lu.solve(g)
+        d, products = _newton_direction(mesh, spec, p, field, g, stat, lu)
+        cg_iterations += products
+        if d is None or not float(np.dot(g, d)) > 0.0:
+            d = lu.solve(g)
         slope = float(np.dot(g, d))
-        if not (slope > 0.0):
-            # preconditioner lost positivity on this vector; fall back
-            d = g
-            slope = float(np.dot(g, g))
-            if slope == 0.0:
-                stop, converged = "stationarity", True
-                break
 
         def at(t):
             trial = DiscreteField(mesh, field.values - t * d)
             return assemble_phi(mesh, trial, spec, h, p), trial
 
-        phi_new, trial, rejected = armijo(at, phi_cur, slope, t0)
+        noise = PHI_NOISE * float(np.abs(field.values) @ sum(np.abs(t) for t in terms))
+        phi_new, trial, rejected = armijo(at, phi_cur + noise, slope)
         backtracks += rejected
+        trials += rejected + (trial is not None)
         if trial is None:
             stop = "line-search"
             break
-        t0 = _next_start(t0, rejected)
-
         steps += 1
         field = trial
-        decrease = phi_cur - phi_new
         phi_cur = phi_new
-        if decrease <= PHI_STALL * max(1.0, abs(phi_cur)):
-            stop, converged = "phi-decrease", True
-            break
 
-    if phi_cur < DIVERGENCE_FLOOR:
-        raise UnboundedBelowError(field, phi_cur)
-    stat = _residual_norms(*_weak_terms(mesh, field, spec, h, p))[3]
-    if stop in ("line-search", "phi-decrease", "max-iter") and stat < grad_tol:
-        stop, converged = "stationarity", True
-    return SolveResult(field, phi_cur, stat, steps, converged, stop, backtracks)
+    return SolveResult(field, phi_cur, stat, steps, stop == "stationarity", stop,
+                       backtracks, trials, cg_iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,7 @@ class TestSummationPolicy:
         res = pv.minimize_phi(mesh, spec, h, p)
         check = pv.verify_weak_solution(mesh, res.u, spec, h, p)
         assert math.isfinite(res.phi) and math.isfinite(check.max_relative)
+        assert check.passed and res.stop_reason == "stationarity"
         reports = pv.check_theorems(spec, eig, h, mesh, p)
         assert set(reports) == {"sign", "comparison", "landesman_lazer"}
         assert mesh.domain_measure == pytest.approx(1.0, rel=1e-14)

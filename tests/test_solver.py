@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import plapvar as pv
+from plapvar import assembly, solver
 
 LAM = math.pi**2
 
@@ -194,13 +195,14 @@ class TestMinimize:
 
     def test_stationarity_is_scale_free(self, mesh):
         # p = 2 and f linear in s: scaling h by 1e6 scales every iterate by
-        # 1e6, and the relative residual stays put (a density would not)
+        # 1e6, and the relative residual stays put (a density would not).
+        # One step: the Newton descent solves this linear problem in two
         spec = pv.power_potential(3.0, 2.0)
         h = pv.load_vector(mesh, lambda x: np.sin(3 * np.pi * x[:, 0]))
-        base = pv.minimize_phi(mesh, spec, h, 2.0, max_iter=3)
+        base = pv.minimize_phi(mesh, spec, h, 2.0, max_iter=1)
         big = pv.minimize_phi(mesh, spec, pv.make_dual(mesh, 1e6 * h.values), 2.0,
-                              max_iter=3)
-        assert base.iterations == big.iterations == 3
+                              max_iter=1)
+        assert base.iterations == big.iterations == 1
         assert base.stationarity > 1e-6
         assert math.isclose(big.stationarity, base.stationarity, rel_tol=1e-9)
 
@@ -311,3 +313,102 @@ class TestVerifyWeakSolution:
         rep = pv.verify_weak_solution(mesh, res.u, spec, h, 2.0)
         assert rep.lambda_u > 0.0
         assert rep.passed
+
+
+def _square(n):
+    return pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, n, n)
+
+
+class TestNewtonDescent:
+    @pytest.mark.parametrize("p", [1.5, 2.5, 4.0, 8.0])
+    @pytest.mark.parametrize("shape", ["interval", "square"])
+    def test_reaches_grad_tol_over_the_p_range(self, shape, p):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64) if shape == "interval" else _square(16)
+        eig = pv.first_eigenpair(mesh, p)
+        spec = pv.power_perturbation(eig.lambda1, (1.0 + p) / 2.0, p)
+        h = pv.load_vector(mesh, 1.0)
+        res = pv.minimize_phi(mesh, spec, h, p, grad_tol=1e-8)
+        assert res.stop_reason == "stationarity"
+        assert res.converged
+        assert res.stationarity < 1e-8
+        assert res.iterations <= 60
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 2000])
+    def test_converged_means_stationarity(self, mesh, max_iter):
+        spec = pv.power_perturbation(LAM, 1.9, 2.0)
+        h = pv.load_vector(mesh, lambda x: 0.3 * np.sin(np.pi * x[:, 0]))
+        res = pv.minimize_phi(mesh, spec, h, 2.0, max_iter=max_iter)
+        assert res.converged == (res.stop_reason == "stationarity")
+        assert res.converged == (res.stationarity < 1e-8)
+        if max_iter < 2:
+            assert res.stop_reason == "max-iter" and res.iterations == max_iter
+
+    def test_counters(self):
+        mesh = _square(16)
+        spec = pv.power_perturbation(30.0, 1.75, 2.5)
+        h = pv.load_vector(mesh, 1.0)
+        a = pv.minimize_phi(mesh, spec, h, 2.5)
+        b = pv.minimize_phi(mesh, spec, h, 2.5)
+        assert a.trials > 0 and a.cg_iterations > 0
+        assert a.trials == a.iterations + a.backtracks
+        assert (a.trials, a.cg_iterations, a.iterations) == (
+            b.trials, b.cg_iterations, b.iterations)
+        assert np.array_equal(a.u.values, b.u.values)
+
+    def test_zero_solve_counts_nothing(self, mesh):
+        spec = pv.power_perturbation(LAM, 1.9, 2.0)
+        res = pv.minimize_phi(mesh, spec, pv.zero_dual(mesh), 2.0)
+        assert (res.iterations, res.trials, res.cg_iterations) == (0, 0, 0)
+
+
+class TestHessian:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("shape", ["interval", "square"])
+    def test_operator_matches_gradient_differences(self, shape, p):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64) if shape == "interval" else _square(8)
+        spec = pv.power_perturbation(LAM, (1.0 + p) / 2.0, p)
+        h = pv.load_vector(mesh, 1.0)
+        rng = np.random.default_rng(int(10 * p))
+        u = pv.make_field(mesh, 1.0 + 0.5 * rng.standard_normal(mesh.n_free))
+        v = rng.standard_normal(mesh.n_free)
+        c, g_hat = assembly._flux_weights(mesh, assembly.gradients_on_elements(mesh, u), p)
+        df_q = solver._df_at_quad(mesh, spec, assembly.values_at_quad(mesh, u))
+        Hv = solver._hessian(mesh, p, c, g_hat, df_q)(v)
+        eps = 1e-6
+        grad = [pv.phi_gradient(mesh, pv.make_field(mesh, u.values + s * eps * v),
+                                spec, h, p).values for s in (1.0, -1.0)]
+        fd = (grad[0] - grad[1]) / (2.0 * eps)
+        assert np.max(np.abs(Hv - fd)) <= 1e-6 * np.max(np.abs(Hv))
+
+    def test_weights_reduce_to_stiffness_at_p2(self):
+        mesh = _square(8)
+        g = np.zeros((mesh.n_elements, mesh.ndim))
+        g[::3] = 1.0
+        c, g_hat = assembly._flux_weights(mesh, g, 2.0)
+        assert np.array_equal(c, mesh.measures)
+        assert np.all(g_hat[1::3] == 0.0)
+
+    def test_blocked_derivative_is_bit_identical(self, monkeypatch):
+        mesh = _square(48)
+        spec = pv.power_perturbation(LAM, 1.75, 2.5)
+        x = mesh.free_coordinates()
+        u_q = assembly.values_at_quad(mesh, pv.make_field(
+            mesh, 3.0 * np.sin(np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1])))
+        assert u_q.size > solver.FD_BLOCK
+        sizes = []
+        real_eval_f = solver.eval_f
+
+        def counting(spec_, pts, s):
+            sizes.append(np.size(s))
+            return real_eval_f(spec_, pts, s)
+
+        monkeypatch.setattr(solver, "eval_f", counting)
+        blocked = solver._df_at_quad(mesh, spec, u_q)
+        assert len(sizes) == 2 * math.ceil(u_q.size / solver.FD_BLOCK)
+        assert max(sizes) <= solver.FD_BLOCK
+        monkeypatch.setattr(solver, "FD_BLOCK", u_q.size)
+        whole = solver._df_at_quad(mesh, spec, u_q)
+        monkeypatch.setattr(solver, "FD_BLOCK", 7)
+        tiny = solver._df_at_quad(mesh, spec, u_q)
+        assert np.array_equal(blocked, whole) and np.array_equal(tiny, whole)
+        assert blocked.shape == u_q.shape
