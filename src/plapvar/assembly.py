@@ -13,7 +13,7 @@ Each kernel's formula lives in one array-level helper (`_energy`,
 quadrature nodes) that the public field-level function calls, so a
 caller that already holds D u or the quadrature values skips the gather.
 `_flux_weights` holds the derivative of `_flux`, the element weights of
-the p-energy Hessian that the Newton descent applies as an operator.
+the p-energy Hessian that both Newton descents apply as an operator.
 
 Every scalar sum goes through `_reduce`, the one summation policy: one
 pairwise `np.sum` over the contiguous contributions, in the mesh's fixed
@@ -284,8 +284,9 @@ def quad_load(mesh: Mesh, density_q) -> DualVector:
 def stiffness_matrix(mesh: Mesh) -> sp.csc_matrix:
     """Sparse p=2 stiffness matrix on free dofs: int grad psi_i . grad psi_j.
 
-    D^T diag(|T|) D, used as the fixed symmetric positive definite metric
-    for descent directions; it is not a Riesz identification of residuals.
+    D^T diag(|T|) D, the fixed symmetric positive definite preconditioner
+    of both Newton descents and the metric of their p = 2 fallback step;
+    it is not a Riesz identification of residuals.
     """
     D = mesh.grad_op
     weights = sp.diags_array(np.repeat(mesh.measures, mesh.ndim))

@@ -474,7 +474,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
 
     say(f"computing first eigenpair (p = {cfg.p}) ...")
     try:
-        eig = first_eigenpair(mesh, cfg.p, seed=cfg.seed)
+        eig = first_eigenpair(mesh, cfg.p)
     except EigenConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.append(f"eigen: FAILED ({exc})")
@@ -482,6 +482,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
         return 1
     report.append(f"lambda1 = {_g17(eig.lambda1)}  "
                   f"(iterations {eig.iterations}, trials {eig.trials}, "
+                  f"{eig.cg_iterations} cg iterations, "
                   f"residual {_g17(eig.residual)}, "
                   f"stop = {eig.stop_reason})")
 

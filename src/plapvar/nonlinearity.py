@@ -271,13 +271,17 @@ def modulated_resonance(a, phi, lambda1: float, p: float) -> NonlinearitySpec:
     w = as_weight(a)
     ph = _as_phi(phi)
 
+    # sqrt(phi(s)) |s|^(p/2) rather than sqrt(phi(s) |s|^p): the product
+    # overflows once |s|^(p + order) does, long before the root term does
     def _root_term(s):
-        return np.sqrt(ph(s) * np.abs(s) ** p)
+        return np.sqrt(ph(s)) * np.abs(s) ** (p / 2.0)
 
     def _root_term_deriv(s):
-        t = _root_term(s)
-        num = ph.derivative(s) * np.abs(s) ** p + ph(s) * p * _odd_power(s, p)
-        return np.where(t > 0.0, num / (2.0 * np.where(t > 0.0, t, 1.0)), 0.0)
+        root, a = np.sqrt(ph(s)), np.abs(s)
+        live = (root > 0.0) & (a > 0.0)
+        root_l, a_l = np.where(live, root, 1.0), np.where(live, a, 1.0)
+        d = ph.derivative(s) / root_l + p * root_l * np.sign(s) / a_l
+        return np.where(live, 0.5 * a_l ** (p / 2.0) * d, 0.0)
 
     def f(x, s):
         return (lambda1 + p * w(x)) * _odd_power(s, p) + _root_term_deriv(s)

@@ -31,8 +31,10 @@ p = 2 stiffness matrix (factored once per solve), to the relative
 accuracy min(0.1, sqrt(stationarity)) of Eisenstat and Walker.  H is
 applied as an operator, never assembled: the p-energy part
 D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
-`assembly._flux_weights`, minus the mass term int f'(x, u) v psi_j, with
-f' a central difference of `eval_f` at the quadrature nodes.  CG stops
+`assembly._flux_weights` (`_energy_hessian`), minus the mass term
+int f'(x, u) v psi_j, with f' a central difference of `eval_f` at the
+quadrature nodes.  The eigensolver takes the same step (`_newton_step`)
+on the same p-energy operator, without a mass term.  CG stops
 at negative curvature and returns its current iterate (Steihaug).  For
 1 < p < 2 the weight is relaxed with eps = min(1, stationarity) max |D u|,
 which shrinks as the descent converges.  The step falls back to the
@@ -217,7 +219,7 @@ def _weak_terms(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
             h.values)
 
 
-def _residual_norms(t1, t2, t3):
+def _residual_norms(t1, t2, t3=0.0):
     """(r, max_abs, scale, max_relative) of the residual r = t1 - t2 - t3.
 
     scale is the largest term magnitude max_j (|t1_j| + |t2_j| + |t3_j|);
@@ -248,20 +250,18 @@ def phi_gradient(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
 # ---------------------------------------------------------------------------
 
 
-def armijo(at, f0: float, slope: float, t: float = 1.0):
+def armijo(at, f0: float, slope: float):
     """Backtracking Armijo line search shared by both descents.
 
-    Tries t, t/2, t/4, ... for at most MAX_TRIALS trials, from the start
-    step t.  at(t) returns (value, state) for the step of length t, or
-    None when that trial is infeasible.  The first trial with
-    value <= f0 - ARMIJO t slope is accepted.  Returns
-    (value, state, rejected) with the number of trials rejected below
-    the start step, or (None, None, MAX_TRIALS) when no trial is
-    accepted.
-
-    The energy descent starts every search at t = 1, the Newton step.
-    The eigensolver warm-starts its searches (`eigen._next_start`).
+    Tries t = 1, 1/2, 1/4, ... for at most MAX_TRIALS trials: both
+    descents take Newton steps, whose natural length is 1.  at(t)
+    returns (value, state) for the step of length t, or None when that
+    trial is infeasible.  The first trial with value <= f0 - ARMIJO t slope
+    is accepted.  Returns (value, state, rejected) with the number of
+    trials rejected before it, or (None, None, MAX_TRIALS) when no trial
+    is accepted.
     """
+    t = 1.0
     for rejected in range(MAX_TRIALS):
         trial = at(t)
         if trial is not None and trial[0] <= f0 - ARMIJO * t * slope:
@@ -353,17 +353,25 @@ def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u_q: np.ndarray) -> np.ndarr
     return out.reshape(u_q.shape)
 
 
-def _hessian(mesh: Mesh, p: float, c: np.ndarray, g_hat: np.ndarray,
-             df_q: np.ndarray):
-    """v -> H v for the element weights (c, g_hat) and f' at the quadrature nodes."""
+def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray, rel: float):
+    """v -> D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))), the p-energy Hessian.
+
+    The weights come from `assembly._flux_weights` at the element
+    gradients grads; for 1 < p < 2 they are relaxed with
+    eps = min(1, rel) max |grads|, where rel is the descent's relative
+    residual, so the relaxation fades as the descent converges.
+    """
+    eps = 0.0
+    if p < 2.0:
+        eps = min(1.0, rel) * float(np.max(np.linalg.norm(grads, axis=1)))
+    c, g_hat = _flux_weights(mesh, grads, p, eps)
     D = mesh.grad_op
     shape = (mesh.n_elements, mesh.ndim)
 
     def apply(v):
         G = (D @ v).reshape(shape)
         G += (p - 2.0) * np.einsum("ed,ed->e", g_hat, G)[:, None] * g_hat
-        v_q = values_at_quad(mesh, DiscreteField(mesh, v))
-        return D.T @ (c[:, None] * G).ravel() - quad_load(mesh, df_q * v_q).values
+        return D.T @ (c[:, None] * G).ravel()
 
     return apply
 
@@ -399,24 +407,35 @@ def _pcg(apply, b: np.ndarray, lu, tol: float):
     return d, CG_MAX
 
 
-def _newton_direction(mesh, spec, p, u, g, stationarity, lu):
-    """(d, Hessian products): the inexact Newton direction at u, or None.
+def _newton_step(apply, r: np.ndarray, lu, rel: float):
+    """(d, Hessian products): the inexact Newton direction for the residual r.
 
-    None asks for the p = 2 direction: at u = 0, when f' is not finite,
-    or when CG meets non-positive curvature at once.
+    PCG solves apply(d) = r to the forcing term min(FORCING_CAP, sqrt(rel)).
+    The p = 2 direction K^-1 r replaces it when apply is None, when CG
+    meets non-positive curvature at once, or when d is not a descent
+    direction.
     """
+    d, products = (None, 0) if apply is None else _pcg(
+        apply, r, lu, min(FORCING_CAP, math.sqrt(rel)))
+    if d is None or not float(np.dot(r, d)) > 0.0:
+        d = lu.solve(r)
+    return d, products
+
+
+def _phi_hessian(mesh, spec, p, u, stationarity):
+    """v -> H v, the Hessian of Phi at u, or None at u = 0 or non-finite f'."""
     if not np.any(u.values):
-        return None, 0
+        return None
     df_q = _df_at_quad(mesh, spec, values_at_quad(mesh, u))
     if not np.all(np.isfinite(df_q)):
-        return None, 0
-    grads = gradients_on_elements(mesh, u)
-    eps = 0.0
-    if p < 2.0:
-        eps = min(1.0, stationarity) * float(np.max(np.linalg.norm(grads, axis=1)))
-    c, g_hat = _flux_weights(mesh, grads, p, eps)
-    return _pcg(_hessian(mesh, p, c, g_hat, df_q), g, lu,
-                min(FORCING_CAP, math.sqrt(stationarity)))
+        return None
+    energy = _energy_hessian(mesh, p, gradients_on_elements(mesh, u), stationarity)
+
+    def apply(v):
+        v_q = values_at_quad(mesh, DiscreteField(mesh, v))
+        return energy(v) - quad_load(mesh, df_q * v_q).values
+
+    return apply
 
 
 def _descend_one(mesh, spec, h, p, u0, grad_tol, max_iter, lu):
@@ -436,10 +455,8 @@ def _descend_one(mesh, spec, h, p, u0, grad_tol, max_iter, lu):
             stop = "max-iter"
             break
 
-        d, products = _newton_direction(mesh, spec, p, field, g, stat, lu)
+        d, products = _newton_step(_phi_hessian(mesh, spec, p, field, stat), g, lu, stat)
         cg_iterations += products
-        if d is None or not float(np.dot(g, d)) > 0.0:
-            d = lu.solve(g)
         slope = float(np.dot(g, d))
 
         def at(t):

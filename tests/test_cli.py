@@ -160,6 +160,20 @@ class TestMainPipelines:
         report = (out / "report.txt").read_text()
         assert "lambda1" in report
 
+    def test_lambda1_line_counts_cg_iterations(self, tmp_path):
+        # token 3 stays lambda1; the Hessian products follow the trials,
+        # as on the solve line
+        cfg = write(tmp_path, "c.cfg", "pipeline = eigen\nn = 32\np = 3\n")
+        out = tmp_path / "out"
+        assert main(["run", cfg, "--out", str(out), "--quiet"]) == 0
+        line = next(l for l in (out / "report.txt").read_text().splitlines()
+                    if l.startswith("lambda1 = "))
+        eig = pv.first_eigenpair(pv.build_interval_mesh(0.0, 1.0, 32), 3.0)
+        assert float(line.split()[2]) == eig.lambda1
+        assert (f"(iterations {eig.iterations}, trials {eig.trials}, "
+                f"{eig.cg_iterations} cg iterations, residual ") in line
+        assert line.endswith("stop = residual)")
+
     def test_solve_pipeline_certifies(self, tmp_path):
         cfg = write(tmp_path, "c.cfg",
                     "pipeline = solve\nn = 32\n"

@@ -462,3 +462,9 @@ class TestIncomparabilitySuite:
             for theorem, status in zip(THEOREMS, row):
                 expect = HOLDS if theorem == own else FAILS
                 assert status == expect, (case, theorem, status)
+
+    def test_exclusive_diagonal_at_p5(self):
+        # the sign case's root term stays finite on the deep tail levels
+        # (s = 2^100 ... 2^200), so its G / |s|^p reads a(x) there
+        table = pv.incomparability_suite(5.0, pv.build_interval_mesh(0.0, 1.0, 64))
+        assert table.is_exclusive_diagonal()

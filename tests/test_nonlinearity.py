@@ -161,6 +161,42 @@ class TestWeightedFamilies:
         assert g < 0.0
         assert "a" in spec.params
 
+    @pytest.mark.parametrize("k", [128, 150])
+    def test_modulated_resonance_finite_deep_in_the_tail(self, k):
+        # sqrt(phi(s) |s|^p) overflows at s = 2^k for p = 5, alpha = 3,
+        # although G / |s|^p -> a = -1 there
+        p = 5.0
+        spec = pv.modulated_resonance(lambda x: -np.ones(len(x)),
+                                      pv.power_comparison((1.0 + p) / 2.0), self.LAM, p)
+        s = 2.0 ** k
+        assert math.isclose(sc(pv.eval_G(spec, X, s)) / s ** p, -1.0, rel_tol=1e-12)
+        assert math.isfinite(sc(pv.eval_F(spec, X, s)))
+        assert math.isfinite(sc(pv.eval_f(spec, X, s)))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 5.0])
+    def test_modulated_resonance_matches_product_form(self, p):
+        # with a = 0, G is the root term sqrt(phi(s) |s|^p) and f is
+        # lambda1 sign(s) |s|^(p-1) plus its derivative
+        alpha = (1.0 + p) / 2.0
+        phi = pv.power_comparison(alpha)
+        spec = pv.modulated_resonance(lambda x: np.zeros(len(x)), phi, self.LAM, p)
+        k = np.linspace(-20.0, 20.0, 161)
+        s = np.concatenate([2.0 ** k, -(2.0 ** k), [0.3, -7.7, 1e5]])
+        x = np.full((s.size, 1), 0.5)
+        a = np.abs(s)
+        root = np.sqrt(phi(s) * a ** p)
+        d_root = (phi.derivative(s) * a ** p + phi(s) * p * np.sign(s) * a ** (p - 1.0)) \
+            / (2.0 * root)
+        np.testing.assert_allclose(pv.eval_G(spec, x, s), root, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(pv.eval_F(spec, x, s), self.LAM / p * a ** p + root,
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(pv.eval_f(spec, x, s),
+                                   self.LAM * np.sign(s) * a ** (p - 1.0) + d_root,
+                                   rtol=1e-14, atol=0.0)
+        zero = np.zeros(1)
+        assert pv.eval_G(spec, x[:1], zero)[0] == 0.0
+        assert pv.eval_f(spec, x[:1], zero)[0] == 0.0
+
     def test_eval_g_needs_lambda(self):
         # a bare spec without stored lambda1 must be given one explicitly
         spec = pv.power_potential(3.0, 2.0)

@@ -221,19 +221,6 @@ class TestArmijo:
         assert tried == [1.0, 0.5, 0.25, 0.125]
         assert (value, state, rejected) == (0.0, 0.125, 3)
 
-    def test_search_starts_from_the_given_step(self):
-        # the same quadratic warm-started at t = 1/4: one rejection, and
-        # `rejected` counts from the start step, not from t = 1
-        tried = []
-
-        def at(t):
-            tried.append(t)
-            return (1.0 - 8.0 * t) ** 2, t
-
-        value, state, rejected = pv.solver.armijo(at, 1.0, 16.0, 0.25)
-        assert tried == [0.25, 0.125]
-        assert (value, state, rejected) == (0.0, 0.125, 1)
-
     def test_infeasible_trials_exhaust_the_search(self):
         tried = []
 
@@ -371,9 +358,7 @@ class TestHessian:
         rng = np.random.default_rng(int(10 * p))
         u = pv.make_field(mesh, 1.0 + 0.5 * rng.standard_normal(mesh.n_free))
         v = rng.standard_normal(mesh.n_free)
-        c, g_hat = assembly._flux_weights(mesh, assembly.gradients_on_elements(mesh, u), p)
-        df_q = solver._df_at_quad(mesh, spec, assembly.values_at_quad(mesh, u))
-        Hv = solver._hessian(mesh, p, c, g_hat, df_q)(v)
+        Hv = solver._phi_hessian(mesh, spec, p, u, 0.0)(v)  # stationarity 0: eps = 0
         eps = 1e-6
         grad = [pv.phi_gradient(mesh, pv.make_field(mesh, u.values + s * eps * v),
                                 spec, h, p).values for s in (1.0, -1.0)]
