@@ -28,10 +28,18 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from . import conditions as cond
 from . import nonlinearity as nl
-from .assembly import DualVector, load_vector, quad_load, values_at_quad, zero_dual
+from .assembly import (
+    DualVector,
+    load_vector,
+    quad_load,
+    stiffness_matrix,
+    values_at_quad,
+    zero_dual,
+)
 from .eigen import EigenConvergenceError, first_eigenpair
 from .meshing import build_interval_mesh, build_rectangle_mesh
 from .solver import UnboundedBelowError, minimize_phi, verify_weak_solution
@@ -473,8 +481,9 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
                   f"{mesh.n_free} free vertices")
 
     say(f"computing first eigenpair (p = {cfg.p}) ...")
+    lu = splu(stiffness_matrix(mesh))  # the p = 2 preconditioner of both descents
     try:
-        eig = first_eigenpair(mesh, cfg.p)
+        eig = first_eigenpair(mesh, cfg.p, lu=lu)
     except EigenConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.append(f"eigen: FAILED ({exc})")
@@ -500,7 +509,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
         try:
             res = minimize_phi(mesh, spec, h, cfg.p, grad_tol=cfg.grad_tol,
                                max_iter=cfg.max_iter, multistart=cfg.multistart,
-                               seed=cfg.seed)
+                               seed=cfg.seed, lu=lu)
         except UnboundedBelowError as exc:
             print(f"error: {exc}", file=sys.stderr)
             report.append(f"solve: FAILED ({exc})")

@@ -16,7 +16,9 @@ Limits in s are estimated on geometric grids s_k = +-r 2^k, k <= K, by
 tail maxima.  Estimates beyond +-1e12 are reported as the +-inf
 sentinels.  check_theorems samples G once per spec and direction, on the
 tail levels K//2..K only, and builds all three reports from those
-samples.
+samples; K is the requested depth, lowered to the deepest level at
+which every normalizer is finite.  Each spatial weight is evaluated
+once per point set, not once per sample of s.
 "a.e." and "positive measure" are read through quadrature weight: a
 set matters when it carries more than 1e-6 of the total weight.
 Strict inequalities require a 1e-9 margin; non-strict comparisons
@@ -41,7 +43,7 @@ import numpy as np
 from .assembly import DualVector, _reduce, pairing, values_at_quad
 from .eigen import EigenResult
 from .meshing import Mesh, refine_structured
-from .nonlinearity import NonlinearitySpec, SpatialWeight, eval_f, eval_G
+from .nonlinearity import NonlinearitySpec, SpatialWeight, _f_at, _G_at, _spatial
 
 __all__ = [
     "HOLDS",
@@ -191,15 +193,32 @@ def estimate_limsup(g, direction: int = 1, r: float = 1.0,
                           direction=direction, s_values=s_values, samples=samples)
 
 
-def _tail_limsups(spec: NonlinearitySpec, pts: np.ndarray, denoms, direction: int,
+def _finite_depth(denoms, r: float, levels: int) -> int:
+    """The deepest grid level K <= levels at which every denom is finite.
+
+    Past it a normalizer such as |s|^p overflows (at p = 8 from s = 2^128
+    on) and G/denom reads 0 or nan whatever G does.  At least 8 levels,
+    the grid's minimum, are kept.
+    """
+    grid = _geometric_grid(r, levels)
+    depth = levels
+    with np.errstate(over="ignore", invalid="ignore"):
+        while depth > 8 and not all(np.isfinite(d(grid[depth])) for d in denoms):
+            depth -= 1
+    return depth
+
+
+def _tail_limsups(spec: NonlinearitySpec, c, denoms, direction: int,
                   lambda1: float, p: float, r: float, levels: int):
     """Per-point limsup of G(x, s)/denom(|s|) for each denom, in one pass.
 
-    Each denom maps |s| to a positive scalar (|s|^p, phi(|s|), or |s|).
-    G is evaluated once per level and only on the tail levels K//2..K
-    that the tail maxima read; running maxima replace the
-    (points x levels) block.  Returns one (values, converged) pair of
-    arrays of length len(pts) per denom.
+    c is _spatial(spec, points), evaluated once by the caller for both
+    directions.  Each denom maps |s| to a positive scalar (|s|^p,
+    phi(|s|), or |s|).  G is evaluated once per level and only on the
+    tail levels K//2..K that the tail maxima read; running maxima replace
+    the (points x levels) block.  Pass K = _finite_depth(denoms, r,
+    levels).  Returns one (values, converged) pair of arrays of length
+    len(c) per denom.
     """
     grid = _geometric_grid(r, levels)
     cur = [None] * len(denoms)
@@ -207,8 +226,8 @@ def _tail_limsups(spec: NonlinearitySpec, pts: np.ndarray, denoms, direction: in
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(levels // 2, levels + 1):
             mag = grid[k]
-            g = np.broadcast_to(np.asarray(eval_G(spec, pts, direction * mag, lambda1, p),
-                                           dtype=float), pts.shape[:1])
+            g = np.broadcast_to(np.asarray(_G_at(spec, c, direction * mag, lambda1, p),
+                                           dtype=float), (len(c),))
             for i, denom in enumerate(denoms):
                 v = g / denom(mag)
                 if k >= (levels + 1) // 2:
@@ -243,14 +262,14 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
     """
     if not (q > 1.0):
         raise ValueError(f"growth exponent q must exceed 1, got {q}")
-    pts = _box_points(box, per_dim)
+    c = _spatial(spec, _box_points(box, per_dim))
     grid = _geometric_grid(r, levels)
     ratios = np.empty(grid.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, mag in enumerate(grid):
             worst = 0.0
             for s in (mag, -mag):
-                fv = np.abs(np.asarray(eval_f(spec, pts, s), dtype=float))
+                fv = np.abs(np.asarray(_f_at(spec, c, s), dtype=float))
                 worst = max(worst, float(np.max(fv)))
             ratios[k] = worst / (mag ** (q - 1.0) + 1.0)
     first = ratios[0]
@@ -267,16 +286,16 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
 
 
 def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh) -> float:
-    pts = mesh.quad_points_flat()
+    c = _spatial(spec, mesh.quad_points_flat())
     w = mesh.quad_weights_flat()
-    m = pts.shape[0]
+    m = w.size
     env = np.zeros(m)
     s = np.linspace(-R, R, F0_SAMPLES)[:, None]
     rows = max(1, F0_BLOCK_BYTES // (8 * m))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, F0_SAMPLES, rows):
             block = s[i:i + rows]
-            fv = np.abs(np.asarray(eval_f(spec, pts, block), dtype=float))
+            fv = np.abs(np.asarray(_f_at(spec, c, block), dtype=float))
             # an f that ignores s returns (m,): broadcast before the max
             env = np.maximum(env, np.broadcast_to(fv, (block.shape[0], m)).max(axis=0))
     return _reduce(w * env)
@@ -287,8 +306,10 @@ def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
     """Quadrature value of int_Omega sup_{|s| <= R} |f(x, s)| dx.
 
     The sup is a maximum over F0_SAMPLES equispaced s in [-R, R], taken
-    in blocks: each eval_f call gets a column of s values and fills a
-    (samples x points) block of at most F0_BLOCK_BYTES.
+    in blocks: each evaluation of f gets a column of s values and fills
+    a (samples x points) block of at most F0_BLOCK_BYTES.  The spec's
+    spatial coefficient is evaluated once per mesh, before the blocks,
+    and f takes its values (see `nonlinearity._spatial`).
 
     Fails on a non-finite value.  With refinements > 0 the integral is
     recomputed on nested bisections; the verdict fails when the
@@ -521,9 +542,10 @@ def _unless_unconverged(ok: bool, converged, weights) -> str:
     return HOLDS
 
 
-def _both_directions(parts) -> Verdict:
+def _both_directions(parts, depth: int) -> Verdict:
     return Verdict(_combine(v.status for v in parts),
-                   {"pos": parts[0].evidence, "neg": parts[1].evidence})
+                   {"pos": parts[0].evidence, "neg": parts[1].evidence,
+                    "levels_used": depth})
 
 
 def _weighted_integral(values, weights, density) -> float:
@@ -547,19 +569,20 @@ def _declared_weight(spec: NonlinearitySpec) -> SpatialWeight | None:
     return w if isinstance(w, SpatialWeight) else None
 
 
-def _best_domination(values, converged, weights, pts, eta, order: float, p: float,
+def _best_domination(values, converged, weights, eta, eta_q, order: float, p: float,
                      ndim: int, kind: str) -> Verdict:
     """Pointwise domination of the limsup by a weight of class `kind`.
 
-    Candidates are the declared eta (if any, with its class membership
-    at `order`) and the zero weight.  The first candidate that holds
-    wins; otherwise an inconclusive verdict outranks a failing one.
+    Candidates are the declared eta (if any, with its values eta_q at the
+    quadrature points and its class membership at `order`) and the zero
+    weight.  The first candidate that holds wins; otherwise an
+    inconclusive verdict outranks a failing one.
     """
     candidates = []
     if eta is not None:
-        candidates.append(("declared eta", eta(pts),
+        candidates.append(("declared eta", eta_q,
                            check_class_membership(eta.exponent, order, p, ndim, kind)))
-    candidates.append(("zero", np.zeros(pts.shape[0]),
+    candidates.append(("zero", np.zeros(weights.size),
                        Verdict(HOLDS, {"kind": kind, "candidate": "zero"})))
     best = None
     for label, bound_vals, membership in candidates:
@@ -581,8 +604,12 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
 
     G is sampled once per direction and tail level and normalized by
     |s|^p, phi(s) and |s|; the envelope check check_f0 runs once and is
-    shared by the three reports.  phi defaults to the entry's declared
-    comparison function, else |s|^((1 + p)/2).  Returns
+    shared by the three reports.  The spec's spatial coefficient is
+    evaluated once at the quadrature points and serves both directions
+    and the domination candidates.  The grid stops at the deepest level
+    at which all three normalizers are finite (`_finite_depth`); the
+    tail verdicts record it as "levels_used".  phi defaults to the
+    entry's declared comparison function, else |s|^((1 + p)/2).  Returns
     {"sign", "comparison", "landesman_lazer": HypothesisReport}.
     """
     lam = spec.lambda1 if spec.lambda1 is not None else eigenpair.lambda1
@@ -597,21 +624,24 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     pts = mesh.quad_points_flat()
     w = mesh.quad_weights_flat()
     phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1).reshape(-1))
+    c = _spatial(spec, pts)
     eta = _declared_weight(spec)
+    eta_q = None if eta is None else c if spec.coefficient == "eta" else eta(pts)
     denoms = (lambda mag: mag ** pp, lambda mag: float(phi(mag)), lambda mag: mag)
+    depth = _finite_depth(denoms, r, levels)
 
     ae, strict, dom_x, dom_y = [], [], [], []
     integrals, integrals_1, convs_phi, convs_1 = {}, {}, [], []
     for direction, tag in ((1, "pos"), (-1, "neg")):
         (vals_p, conv_p), (vals_phi, conv_phi), (vals_1, conv_1) = _tail_limsups(
-            spec, pts, denoms, direction, lam, pp, r, levels)
+            spec, c, denoms, direction, lam, pp, r, depth)
         ae.append(_dominated_by(vals_p, conv_p, w, 0.0, ZERO_TOL))
         strict.append(_strict_negative_set(vals_p, conv_p, w))
-        dom_x.append(_best_domination(vals_phi, conv_phi, w, pts, eta, alpha, pp,
+        dom_x.append(_best_domination(vals_phi, conv_phi, w, eta, eta_q, alpha, pp,
                                       mesh.ndim, "X"))
         integrals[tag] = _weighted_integral(vals_phi, w, phi1q ** alpha)
         convs_phi.append(conv_phi)
-        dom_y.append(_best_domination(vals_1, conv_1, w, pts, eta, 1.0, pp,
+        dom_y.append(_best_domination(vals_1, conv_1, w, eta, eta_q, 1.0, pp,
                                       mesh.ndim, "Y"))
         integrals_1[tag] = _weighted_integral(vals_1, w, phi1q)
         convs_1.append(conv_1)
@@ -624,21 +654,23 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     bracket_ok = (I_minus < h_phi1 - STRICT_MARGIN) and (h_phi1 < -I_plus - STRICT_MARGIN)
     return {
         "sign": make_report("sign theorem", {
-            "nonpositive_ae": _both_directions(ae),
-            "strictly_negative_set": _both_directions(strict),
+            "nonpositive_ae": _both_directions(ae, depth),
+            "strictly_negative_set": _both_directions(strict, depth),
             "local_envelope_integrable": envelope,
         }),
         "comparison": make_report("comparison theorem", {
             "comparison_axioms": Verdict(axioms.overall, dict(axioms.rows())),
-            "dominated_in_X": _both_directions(dom_x),
+            "dominated_in_X": _both_directions(dom_x, depth),
             "negative_weighted_integrals": Verdict(
-                _unless_unconverged(neg_ok, convs_phi, w), integrals),
+                _unless_unconverged(neg_ok, convs_phi, w),
+                {**integrals, "levels_used": depth}),
             "local_envelope_integrable": envelope,
         }),
         "landesman_lazer": make_report("Landesman-Lazer theorem", {
-            "dominated_in_Y": _both_directions(dom_y),
+            "dominated_in_Y": _both_directions(dom_y, depth),
             "bracket": Verdict(_unless_unconverged(bracket_ok, convs_1, w), {
-                "lower": I_minus, "pairing": h_phi1, "upper": -I_plus}),
+                "lower": I_minus, "pairing": h_phi1, "upper": -I_plus,
+                "levels_used": depth}),
             "local_envelope_integrable": envelope,
         }),
     }
@@ -651,7 +683,8 @@ def check_superlinear_negativity(spec: NonlinearitySpec, r: float = 1.0,
     """lim G(s)/|s| = -infinity in both directions (autonomous specs).
 
     Holds when both directional tail estimates reach the -inf sentinel;
-    inconclusive when an estimate has not converged.
+    inconclusive when an estimate has not converged.  The grid stops at
+    the deepest level at which |s| is finite, recorded as "levels_used".
     """
     if not spec.autonomous:
         raise ValueError("superlinear-negativity check needs an autonomous spec")
@@ -659,12 +692,13 @@ def check_superlinear_negativity(spec: NonlinearitySpec, r: float = 1.0,
     pp = p if p is not None else spec.p
     if lam is None or pp is None:
         raise ValueError("lambda1 and p are needed (spec metadata or arguments)")
-    dummy = np.zeros((1, 1))
-    results = {}
+    c = _spatial(spec, np.zeros((1, 1)))
+    denoms = (lambda mag: mag,)
+    depth = _finite_depth(denoms, r, levels)
+    results = {"levels_used": depth}
     statuses = []
     for direction, tag in ((1, "pos"), (-1, "neg")):
-        [(vals, conv)] = _tail_limsups(spec, dummy, (lambda mag: mag,), direction,
-                                       lam, pp, r, levels)
+        [(vals, conv)] = _tail_limsups(spec, c, denoms, direction, lam, pp, r, depth)
         results[tag] = {"value": float(vals[0]), "converged": bool(conv[0])}
         statuses.append(INCONCLUSIVE if not conv[0]
                         else HOLDS if np.isneginf(vals[0]) else FAILS)

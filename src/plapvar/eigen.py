@@ -163,18 +163,22 @@ def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
     return at
 
 
-def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResult:
+def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
+                    lu=None) -> EigenResult:
     """Minimize the Rayleigh quotient; see the module docstring.
 
     Converges when the relative eigen residual drops below RESIDUAL_STOP;
     it is tested at every iterate, the last one included.  Any other stop
     raises EigenConvergenceError carrying the last iterate;
-    EigenResult.stop_reason says which rule fired.
+    EigenResult.stop_reason says which rule fired.  `lu` is
+    splu(stiffness_matrix(mesh)), the p = 2 preconditioner; it is
+    factored here when not given.
     """
     if not (p > 1.0):
         raise ValueError(f"p must exceed 1, got p={p}")
 
-    lu = splu(stiffness_matrix(mesh))
+    if lu is None:
+        lu = splu(stiffness_matrix(mesh))
     u, g, q = _normalized(mesh, _bubble_start(mesh), p)
     g_buf, q_buf = np.empty_like(g), np.empty_like(q)
     iterations = trials = cg_iterations = 0

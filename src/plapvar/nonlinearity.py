@@ -16,11 +16,18 @@ are IEEE extended reals: divergent integrals surface as +-inf, never as
 exceptions.
 
 Evaluator conventions: spatial callables take point arrays of shape
-(m, ndim) and return (m,); f/F/G take (points, s) with numpy
-broadcasting between the weight values and s.  s may be a scalar or a
-(k, 1) column of samples (check_f0 passes blocks of s that way), so
-f/F/G must broadcast it against the (m,) weight values into a (k, m)
-result; a result that ignores x or s may keep the shape of the other.
+(m, ndim) and return (m,).  The first argument of a spec's f/F/G is what
+`_spatial(spec, points)` returns.  A catalog entry with a spatial
+coefficient (d, eta or a) names its params key in `coefficient`, and its
+f/F/G take that coefficient's (m,) values, not the points, so a caller
+that evaluates f at many s on one point set evaluates the weight once
+(the hypothesis checkers do; eval_f/eval_F/eval_G evaluate it once per
+call).  A spec with no declared coefficient, a user's
+NonlinearitySpec(f=lambda x, s: ...) included, receives the (m, ndim)
+points.  s may be a scalar or a (k, 1) column of samples (check_f0
+passes blocks of s that way), so f/F/G must broadcast it against the
+(m,) values into a (k, m) result; a result that ignores x or s may keep
+the shape of the other.
 """
 
 from __future__ import annotations
@@ -103,18 +110,48 @@ class NonlinearitySpec:
     lambda1: Optional[float] = None
     autonomous: bool = False
     params: dict = field(default_factory=dict)
+    coefficient: Optional[str] = None  # params key of the weight f/F/G take
+
+
+def _spatial(spec: NonlinearitySpec, x):
+    """The first argument of spec.f/F/G at the points x: the values of the
+    declared coefficient, or the (m, ndim) points when there is none."""
+    x = np.atleast_2d(x)
+    if spec.coefficient is None:
+        return x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return spec.params[spec.coefficient](x)
+
+
+def _f_at(spec: NonlinearitySpec, c, s):
+    """f with its first argument c = _spatial(spec, x) already evaluated."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.asarray(spec.f(c, np.asarray(s, dtype=float)))
+
+
+def _F_at(spec: NonlinearitySpec, c, s):
+    """F with its first argument c = _spatial(spec, x) already evaluated."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.asarray(spec.F(c, np.asarray(s, dtype=float)))
+
+
+def _G_at(spec: NonlinearitySpec, c, s, lam: float, p: float):
+    """G at lambda1 = lam and p, with c = _spatial(spec, x) already evaluated."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.G is not None and lam == spec.lambda1 and p == spec.p:
+            return np.asarray(spec.G(c, s))
+        return _F_at(spec, c, s) - lam * np.abs(s) ** p / p
 
 
 def eval_f(spec: NonlinearitySpec, x, s):
     """f(x, s); broadcasts the weight values against s."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.asarray(spec.f(np.atleast_2d(x), np.asarray(s, dtype=float)))
+    return _f_at(spec, _spatial(spec, x), s)
 
 
 def eval_F(spec: NonlinearitySpec, x, s):
     """F(x, s) from the spec's closed form; broadcasts like eval_f."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(spec.F(np.atleast_2d(x), np.asarray(s, dtype=float)))
+    return _F_at(spec, _spatial(spec, x), s)
 
 
 def eval_G(spec: NonlinearitySpec, x, s, lambda1: float | None = None,
@@ -131,11 +168,7 @@ def eval_G(spec: NonlinearitySpec, x, s, lambda1: float | None = None,
     if lam is None or pp is None:
         raise ValueError(
             "eval_G needs lambda1 and p (as arguments or stored on the entry)")
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.G is not None and lam == spec.lambda1 and pp == spec.p:
-            return np.asarray(spec.G(np.atleast_2d(x), s))
-        return eval_F(spec, x, s) - lam * np.abs(s) ** pp / pp
+    return _G_at(spec, _spatial(spec, x), s, lam, pp)
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +193,14 @@ def sine_exp(d=1.0) -> NonlinearitySpec:
     """
     w = as_weight(d)
 
-    def f(x, s):
-        dd = w(x)
+    def f(dd, s):
         inner = 0.5 * s * (10.0 * s * s - 9.0)
         env = np.exp(2.0 * np.cos(np.pi * s / 2.0) / np.pi
                      + (np.abs(s) - 1.0) / 2.0)
         outer = (np.sin(np.pi * s / 2.0) - 0.5 * np.sign(s)) * env
         return dd * np.where(np.abs(s) <= 1.0, inner, outer)
 
-    def F(x, s):
-        dd = w(x)
+    def F(dd, s):
         inner = -(s * s / 4.0) * (9.0 - 5.0 * s * s)
         outer = -np.exp(2.0 * np.cos(np.pi * s / 2.0) / np.pi) \
             * np.exp((np.abs(s) - 1.0) / 2.0)
@@ -177,7 +208,7 @@ def sine_exp(d=1.0) -> NonlinearitySpec:
 
     return NonlinearitySpec(
         name="sine_exp", f=f, F=F, autonomous=not callable(d),
-        params={"d": w},
+        params={"d": w}, coefficient="d",
     )
 
 
@@ -219,19 +250,19 @@ def weighted_comparison(eta, phi, lambda1: float, p: float,
     w = as_weight(eta, eta_exponent)
     ph = _as_phi(phi)
 
-    def f(x, s):
-        return lambda1 * _odd_power(s, p) + w(x) * ph.derivative(s)
+    def f(eta, s):
+        return lambda1 * _odd_power(s, p) + eta * ph.derivative(s)
 
-    def F(x, s):
-        return lambda1 * np.abs(s) ** p / p + w(x) * ph(s)
+    def F(eta, s):
+        return lambda1 * np.abs(s) ** p / p + eta * ph(s)
 
-    def G(x, s):
-        return w(x) * ph(s)
+    def G(eta, s):
+        return eta * ph(s)
 
     return NonlinearitySpec(
         name="weighted_comparison", f=f, F=F, G=G, p=p, lambda1=lambda1,
         autonomous=False,
-        params={"eta": w, "phi": ph},
+        params={"eta": w, "phi": ph}, coefficient="eta",
     )
 
 
@@ -244,19 +275,19 @@ def weighted_absval(eta, lambda1: float, p: float,
     """
     w = as_weight(eta, eta_exponent)
 
-    def f(x, s):
-        return lambda1 * _odd_power(s, p) + w(x) * np.sign(s)
+    def f(eta, s):
+        return lambda1 * _odd_power(s, p) + eta * np.sign(s)
 
-    def F(x, s):
-        return lambda1 * np.abs(s) ** p / p + w(x) * np.abs(s)
+    def F(eta, s):
+        return lambda1 * np.abs(s) ** p / p + eta * np.abs(s)
 
-    def G(x, s):
-        return w(x) * np.abs(s)
+    def G(eta, s):
+        return eta * np.abs(s)
 
     return NonlinearitySpec(
         name="weighted_absval", f=f, F=F, G=G, p=p, lambda1=lambda1,
         autonomous=False,
-        params={"eta": w},
+        params={"eta": w}, coefficient="eta",
     )
 
 
@@ -283,19 +314,19 @@ def modulated_resonance(a, phi, lambda1: float, p: float) -> NonlinearitySpec:
         d = ph.derivative(s) / root_l + p * root_l * np.sign(s) / a_l
         return np.where(live, 0.5 * a_l ** (p / 2.0) * d, 0.0)
 
-    def f(x, s):
-        return (lambda1 + p * w(x)) * _odd_power(s, p) + _root_term_deriv(s)
+    def f(a, s):
+        return (lambda1 + p * a) * _odd_power(s, p) + _root_term_deriv(s)
 
-    def F(x, s):
-        return (lambda1 / p + w(x)) * np.abs(s) ** p + _root_term(s)
+    def F(a, s):
+        return (lambda1 / p + a) * np.abs(s) ** p + _root_term(s)
 
-    def G(x, s):
-        return w(x) * np.abs(s) ** p + _root_term(s)
+    def G(a, s):
+        return a * np.abs(s) ** p + _root_term(s)
 
     return NonlinearitySpec(
         name="modulated_resonance", f=f, F=F, G=G, p=p, lambda1=lambda1,
         autonomous=False,
-        params={"a": w, "phi": ph},
+        params={"a": w, "phi": ph}, coefficient="a",
     )
 
 

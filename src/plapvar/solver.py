@@ -27,7 +27,8 @@ which aborts with `UnboundedBelowError`.
 
 The descent is a damped, matrix-free inexact Newton method.  Each step
 solves H d = grad Phi by conjugate gradients preconditioned with the
-p = 2 stiffness matrix (factored once per solve), to the relative
+p = 2 stiffness matrix (factored once per solve, or once per run when
+the caller shares it with the eigensolver), to the relative
 accuracy min(0.1, sqrt(stationarity)) of Eisenstat and Walker.  H is
 applied as an operator, never assembled: the p-energy part
 D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
@@ -299,7 +300,7 @@ class SolveResult:
 def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
                  start: DiscreteField | None = None, grad_tol: float = 1e-8,
                  max_iter: int = 2000, multistart: bool = False,
-                 seed: int = 0) -> SolveResult:
+                 seed: int = 0, lu=None) -> SolveResult:
     """Minimize Phi by damped inexact Newton steps (see the module docstring).
 
     Starts from u = 0 unless `start` is given.  Stops when the relative
@@ -309,6 +310,9 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     perturbed starts (seeded, spread START_SPREAD) are run in addition
     and the best final energy wins; use this when f is non-monotone
     enough for Phi to have several local minima.
+
+    `lu` is splu(stiffness_matrix(mesh)), the p = 2 preconditioner; it
+    is factored here when not given.
 
     Raises UnboundedBelowError if Phi falls below -1e12, the numerical
     signature of a non-coercive functional.
@@ -323,7 +327,8 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
         for _ in range(EXTRA_STARTS):
             starts.append(base + START_SPREAD * rng.standard_normal(mesh.n_free))
 
-    lu = splu(stiffness_matrix(mesh))
+    if lu is None:
+        lu = splu(stiffness_matrix(mesh))
 
     best: SolveResult | None = None
     for u0 in starts:

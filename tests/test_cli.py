@@ -276,8 +276,8 @@ class TestSharedWork:
         # cases: each gets one check_f0 and one tail-only pass over G, and
         # the suite reuses the run's eigenpair
         from plapvar import cli, conditions, eigen
-        check_f0, first_eigenpair, eval_G = (
-            conditions.check_f0, eigen.first_eigenpair, conditions.eval_G)
+        check_f0, first_eigenpair, G_at = (
+            conditions.check_f0, eigen.first_eigenpair, conditions._G_at)
         f0_specs, eig_calls, s_seen = [], [], []
 
         def counting_f0(spec, *args, **kwargs):
@@ -288,12 +288,12 @@ class TestSharedWork:
             eig_calls.append(args)
             return first_eigenpair(*args, **kwargs)
 
-        def recording_G(spec, x, s, *args, **kwargs):
+        def recording_G(spec, c, s, *args, **kwargs):
             s_seen.append(float(s))
-            return eval_G(spec, x, s, *args, **kwargs)
+            return G_at(spec, c, s, *args, **kwargs)
 
         monkeypatch.setattr(conditions, "check_f0", counting_f0)
-        monkeypatch.setattr(conditions, "eval_G", recording_G)
+        monkeypatch.setattr(conditions, "_G_at", recording_G)
         monkeypatch.setattr(eigen, "first_eigenpair", counting_eigen)
         monkeypatch.setattr(cli, "first_eigenpair", counting_eigen)
 
@@ -311,6 +311,26 @@ class TestSharedWork:
         # 4 specs through check_theorems + the autonomous superlinear check
         assert len(s_seen) == 5 * 2 * len(tail)
         assert sorted(set(abs(s) for s in s_seen)) == tail
+
+
+    def test_one_factorization_per_run(self, tmp_path, monkeypatch):
+        # the eigensolver and the energy descent share the p = 2 LU
+        from plapvar import cli, eigen, solver
+        factored = []
+        real = cli.splu
+
+        def counting(A):
+            factored.append(A.shape)
+            return real(A)
+
+        for module in (cli, eigen, solver):
+            monkeypatch.setattr(module, "splu", counting)
+        cfg = write(tmp_path, "c.cfg",
+                    "p = 3.0\ndomain = rectangle\nnx = 6\nny = 6\n"
+                    "pipeline = solve\nnonlinearity = power_perturbation\n"
+                    "nonlinearity.beta = 2.0\nh = phi1: 0.1\n")
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert len(factored) == 1
 
 
 @pytest.mark.parametrize("key, value", [

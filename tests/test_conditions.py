@@ -137,9 +137,10 @@ class TestStreamedTailMaxima:
         pts = mesh.quad_points_flat()
         denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
         for name, spec in specs.items():
+            c = conditions._spatial(spec, pts)
             for direction in (1, -1):
                 for levels in (8, 200):
-                    streamed = conditions._tail_limsups(spec, pts, denoms, direction,
+                    streamed = conditions._tail_limsups(spec, c, denoms, direction,
                                                         lam, p, 1.0, levels)
                     for denom, (vals, conv) in zip(denoms, streamed):
                         ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction,
@@ -280,16 +281,19 @@ class TestBlockedF0:
         assert v.status == FAILS and math.isnan(v.evidence["values"][0])
 
     def test_eval_f_calls_bounded_by_blocks(self, monkeypatch):
+        # the blocks go through _f_at with the weight's (m,) values
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
         m = mesh.quad_points_flat().shape[0]
         rows = max(1, conditions.F0_BLOCK_BYTES // (8 * m))
         blocks = []
+        f_at = conditions._f_at
 
-        def recording_eval_f(spec, x, s):
-            blocks.append(np.size(s) * np.atleast_2d(x).shape[0] * 8)
-            return pv.eval_f(spec, x, s)
+        def recording_f_at(spec, c, s):
+            assert np.shape(c) == (m,)
+            blocks.append(np.size(s) * np.shape(c)[0] * 8)
+            return f_at(spec, c, s)
 
-        monkeypatch.setattr(conditions, "eval_f", recording_eval_f)
+        monkeypatch.setattr(conditions, "_f_at", recording_f_at)
         spec = pv.weighted_absval(conditions._tilted_weight(mesh), 10.0, 3.0)
         assert pv.check_f0(spec, 10.0, mesh).status == HOLDS
         assert len(blocks) <= math.ceil(conditions.F0_SAMPLES / rows)
@@ -463,8 +467,65 @@ class TestIncomparabilitySuite:
                 expect = HOLDS if theorem == own else FAILS
                 assert status == expect, (case, theorem, status)
 
-    def test_exclusive_diagonal_at_p5(self):
-        # the sign case's root term stays finite on the deep tail levels
-        # (s = 2^100 ... 2^200), so its G / |s|^p reads a(x) there
-        table = pv.incomparability_suite(5.0, pv.build_interval_mesh(0.0, 1.0, 64))
-        assert table.is_exclusive_diagonal()
+    def test_p8_grid_stops_before_the_normalizers_overflow(self):
+        # |s|^8 overflows from s = 2^128 on; the grid stops at level 127,
+        # so no tail value reads nan (0 * inf where a = 0)
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        p = 8.0
+        specs, lam, phi = _audited_specs(mesh, p)
+        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+        depth = conditions._finite_depth(denoms, 1.0, conditions.CHECKER_LEVELS)
+        assert depth == 127
+        for name, spec in specs.items():
+            c = conditions._spatial(spec, mesh.quad_points_flat())
+            for direction in (1, -1):
+                for vals, _ in conditions._tail_limsups(spec, c, denoms, direction,
+                                                        lam, p, 1.0, depth):
+                    assert not np.any(np.isnan(vals)), (name, direction)
+        table = pv.incomparability_suite(p, mesh)
+        sign = table.reports["sign_case"]["sign"].conditions["nonpositive_ae"]
+        assert sign.status == HOLDS and sign.evidence["levels_used"] == 127
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("domain", ["interval", "square"])
+    def test_exclusive_diagonal_over_p(self, domain, p):
+        # from p = 5 on the sign case's root term must stay finite on the
+        # deep tail levels (s = 2^100 ... 2^200) for G / |s|^p to read a(x)
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64) if domain == "interval" \
+            else pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        assert pv.incomparability_suite(p, mesh).is_exclusive_diagonal()
+
+
+class TestWeightEvaluations:
+    def test_once_per_point_set(self, monkeypatch):
+        # the suite evaluates each case's weight once for the tail levels,
+        # both directions and the domination candidates, and once for its
+        # envelope; check_f0 evaluates it once per (refined) mesh
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
+        eig = pv.first_eigenpair(mesh, 3.0)
+        calls = []
+        call = pv.SpatialWeight.__call__
+
+        def counting(self, pts):
+            calls.append(np.shape(pts))
+            return call(self, pts)
+
+        monkeypatch.setattr(pv.SpatialWeight, "__call__", counting)
+
+        def counts(levels, block_bytes):
+            monkeypatch.setattr(conditions, "F0_BLOCK_BYTES", block_bytes)
+            calls.clear()
+            pv.incomparability_suite(3.0, mesh, levels=levels, eigenpair=eig)
+            suite = len(calls)
+            calls.clear()
+            spec = pv.sine_exp(conditions._plateau_bump(mesh))
+            pv.check_f0(spec, 10.0, mesh)
+            envelope = len(calls)
+            calls.clear()
+            coarse = pv.build_interval_mesh(0.0, 1.0, 16)
+            pv.check_f0(pv.sine_exp(conditions._plateau_bump(coarse)), 10.0, coarse,
+                        refinements=2)
+            return suite, envelope, len(calls)
+
+        assert counts(40, conditions.F0_BLOCK_BYTES) == (3 * 2, 1, 3)
+        assert counts(200, 1 << 14) == (3 * 2, 1, 3)
