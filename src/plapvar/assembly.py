@@ -62,41 +62,35 @@ GRADIENT_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
-class DiscreteField:
+class _FreeVector:
+    """One float per free vertex of `mesh`, held as a read-only copy.
+
+    The copy keeps the caller's array writeable and keeps later writes
+    to it out of the object.
+    """
+
+    mesh: Mesh
+    values: np.ndarray
+
+    def __post_init__(self):
+        v = np.array(self.values, dtype=float, order="C")
+        if v.shape != (self.mesh.n_free,):
+            raise ValueError(f"{type(self).__name__} needs {self.mesh.n_free} "
+                             f"values, got shape {v.shape}")
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
+
+
+class DiscreteField(_FreeVector):
     """P1 function with zero boundary trace; one coefficient per free vertex."""
 
-    mesh: Mesh
-    values: np.ndarray
 
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if v.shape != (self.mesh.n_free,):
-            raise ValueError(
-                f"field needs {self.mesh.n_free} coefficients, got shape {v.shape}"
-            )
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class DualVector:
+class DualVector(_FreeVector):
     """Linear functional on the discrete space, paired via the Euclidean dot."""
-
-    mesh: Mesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
-        if v.shape != (self.mesh.n_free,):
-            raise ValueError(
-                f"dual vector needs {self.mesh.n_free} entries, got shape {v.shape}"
-            )
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 def make_field(mesh: Mesh, values) -> DiscreteField:
-    return DiscreteField(mesh, np.asarray(values, dtype=float))
+    return DiscreteField(mesh, values)
 
 
 def zero_field(mesh: Mesh) -> DiscreteField:
@@ -104,7 +98,7 @@ def zero_field(mesh: Mesh) -> DiscreteField:
 
 
 def make_dual(mesh: Mesh, values) -> DualVector:
-    return DualVector(mesh, np.asarray(values, dtype=float))
+    return DualVector(mesh, values)
 
 
 def zero_dual(mesh: Mesh) -> DualVector:

@@ -10,8 +10,9 @@ exp, log, abs are admitted, so a config file cannot run code.
 
 `run` executes one of five pipelines on the configured problem and
 writes manifest.txt, report.txt and CSV tables (17 significant digits)
-into the output directory.  Runs are deterministic: the same config,
-seed and package version produce byte-identical outputs.
+into the output directory.  Runs are deterministic: the same config
+and package version produce byte-identical outputs; the `seed` key is
+recorded in the manifest and read by no stage.
 
 Exit codes: 0 on success with decisive results, 2 when a hypothesis
 check came back inconclusive (or a solve could not be certified), 1 on
@@ -63,18 +64,13 @@ _DEFAULTS = {
     "p": 2.0, "domain": "interval", "a": 0.0, "b": 1.0, "n": 64,
     "ax": 0.0, "bx": 1.0, "ay": 0.0, "by": 1.0, "nx": 16, "ny": 16,
     "quad_order": 4, "nonlinearity": "sine_exp", "h": "zero",
-    "pipeline": "all", "seed": 0, "levels": 40, "grid_scale": 1.0,
-    "multistart": False, "max_iter": 2000, "grad_tol": 1e-8, "f0_radius": 10.0,
+    "pipeline": "all", "seed": 0, "levels": 40,
 }
 
 #: the keys only one domain reads; the echo leaves out the other domain's
 _DOMAIN_KEYS = {"interval": ("a", "b", "n"),
                 "rectangle": ("ax", "bx", "ay", "by", "nx", "ny")}
 DOMAINS = tuple(_DOMAIN_KEYS)
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
-
 
 class ConfigError(ValueError):
     """All problems found in a config file, one message per line."""
@@ -100,7 +96,6 @@ def _finite_float(text: str) -> float:
 _KEY_KINDS = {
     float: (_finite_float, "a finite number"),
     int: (int, "an integer"),
-    bool: (lambda v: _BOOL_WORDS[v.lower()], "a boolean (true/false)"),
     str: (str, "a string"),
 }
 
@@ -236,11 +231,7 @@ def _catalog_value(kind: str, text: str, ndim: int):
 
 
 def _echo(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return _g17(v)
-    return str(v)
+    return _g17(v) if isinstance(v, float) else str(v)
 
 
 @dataclass(frozen=True)
@@ -262,13 +253,8 @@ class ExperimentConfig:
     nonlinearity: str
     h: str
     pipeline: str
-    seed: int
+    seed: int                   # recorded in the manifest, read by no stage
     levels: int
-    grid_scale: float
-    multistart: bool
-    max_iter: int
-    grad_tol: float
-    f0_radius: float
     nl_params: tuple            # ((name, raw-string), ...) sorted by name
 
     @property
@@ -353,11 +339,6 @@ def parse_config(text: str) -> ExperimentConfig:
         errors.append(f"quad_order must be at least 1 (got {vals['quad_order']})")
     if not (8 <= vals["levels"] <= 1000):
         errors.append(f"levels must be between 8 and 1000 (got {vals['levels']})")
-    if vals["max_iter"] < 1:
-        errors.append(f"max_iter must be at least 1 (got {vals['max_iter']})")
-    for key in ("grid_scale", "grad_tol", "f0_radius"):
-        if not (vals[key] > 0.0):
-            errors.append(f"{key} must be positive (got {vals[key]})")
 
     # nonlinearity parameters ---------------------------------------------
     name = vals["nonlinearity"]
@@ -507,9 +488,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     if want in ("solve", "all"):
         say("minimizing the energy ...")
         try:
-            res = minimize_phi(mesh, spec, h, cfg.p, grad_tol=cfg.grad_tol,
-                               max_iter=cfg.max_iter, multistart=cfg.multistart,
-                               seed=cfg.seed, lu=lu)
+            res = minimize_phi(mesh, spec, h, cfg.p, lu=lu)
         except UnboundedBelowError as exc:
             print(f"error: {exc}", file=sys.stderr)
             report.append(f"solve: FAILED ({exc})")
@@ -538,8 +517,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
             report.append(line)
             say("  " + line)
 
-        reports = cond.check_theorems(spec, eig, h, mesh, cfg.p, r=cfg.grid_scale,
-                                      levels=cfg.levels, f0_R=cfg.f0_radius)
+        reports = cond.check_theorems(spec, eig, h, mesh, cfg.p, levels=cfg.levels)
         csv = ["checker,condition,status"]
         for cname, rep in reports.items():
             note(f"{cname}: {rep.overall}")
@@ -550,8 +528,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
                 inconclusive = True
         if spec.autonomous:
             g0 = cond.check_superlinear_negativity(
-                spec, r=cfg.grid_scale, levels=cfg.levels,
-                lambda1=eig.lambda1, p=cfg.p)
+                spec, levels=cfg.levels, lambda1=eig.lambda1, p=cfg.p)
             note(f"superlinear_negativity: {g0.status}")
             csv.append(f"superlinear_negativity,overall,{g0.status}")
             if g0.status == cond.INCONCLUSIVE:
@@ -560,8 +537,8 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
 
     if want in ("incomparability", "all"):
         say("running the incomparability suite ...")
-        table = cond.incomparability_suite(
-            cfg.p, mesh, r=cfg.grid_scale, levels=cfg.levels, eigenpair=eig)
+        table = cond.incomparability_suite(cfg.p, mesh, levels=cfg.levels,
+                                           eigenpair=eig)
         csv = ["case," + ",".join(cond.THEOREMS)]
         for case, statuses in table.rows():
             csv.append(case + "," + ",".join(statuses))

@@ -12,7 +12,7 @@ checked here rest on the asymptotic size of G normalized three ways:
                         the bracket int G_1^- phi_1 < <h, phi_1>
                         < -int G_1^+ phi_1.
 
-Limits in s are estimated on geometric grids s_k = +-r 2^k, k <= K, by
+Limits in s are estimated on geometric grids s_k = +-2^k, k <= K, by
 tail maxima.  Estimates beyond +-1e12 are reported as the +-inf
 sentinels.  check_theorems samples G once per spec and direction, on the
 tail levels K//2..K only, and builds all three reports from those
@@ -78,6 +78,7 @@ UNIFORM_MARGIN = 1e-6      # slack in pointwise domination by a declared weight
 CHECKER_LEVELS = 200       # default grid depth for the theorem-level checkers
 F0_SAMPLES = 2001          # values of s on [-R, R] in the envelope sup_{|s| <= R} |f|
 F0_BLOCK_BYTES = 1 << 19   # bytes in one (samples x points) block of f values
+F0_RADIUS = 10.0           # R of the envelope sup_{|s| <= R} |f| in check_theorems
 
 
 @dataclass(frozen=True)
@@ -163,29 +164,29 @@ def _tail_verdict(m_cur, m_prev):
     return v_cur, converged
 
 
-def _geometric_grid(r: float, levels: int) -> np.ndarray:
-    if not (r > 0.0):
-        raise ValueError(f"grid scale r must be positive, got {r}")
+def _geometric_grid(levels: int) -> np.ndarray:
+    """The magnitudes 2^k, k = 0..levels."""
     if levels < 8:
         raise ValueError(f"need at least 8 grid levels, got {levels}")
     if levels > 1000:
         raise ValueError("grid levels capped at 1000")
-    return r * np.exp2(np.arange(levels + 1, dtype=float))
+    return np.exp2(np.arange(levels + 1, dtype=float))
 
 
-def estimate_limsup(g, direction: int = 1, r: float = 1.0,
-                    levels: int = 40) -> LimsupEstimate:
-    """Estimate limsup_{s -> direction * inf} g(s) on the grid +-r 2^k."""
+def estimate_limsup(g, direction: int = 1, levels: int = 40) -> LimsupEstimate:
+    """Estimate limsup_{s -> direction * inf} g(s) on the grid +-2^k.
+
+    g is called once with the whole grid and must return an array of
+    the grid's shape; any other shape raises ValueError.
+    """
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    s_values = direction * _geometric_grid(r, levels)
+    s_values = direction * _geometric_grid(levels)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            samples = np.asarray(g(s_values), dtype=float)
-            if samples.shape != s_values.shape:
-                raise ValueError
-        except Exception:
-            samples = np.array([float(g(float(s))) for s in s_values])
+        samples = np.asarray(g(s_values), dtype=float)
+    if samples.shape != s_values.shape:
+        raise ValueError(f"g returned shape {samples.shape} on a grid of shape "
+                         f"{s_values.shape}")
     with np.errstate(invalid="ignore"):
         value, converged = _tail_verdict(np.max(samples[(levels + 1) // 2:]),
                                          np.max(samples[levels // 2:levels]))
@@ -193,14 +194,14 @@ def estimate_limsup(g, direction: int = 1, r: float = 1.0,
                           direction=direction, s_values=s_values, samples=samples)
 
 
-def _finite_depth(denoms, r: float, levels: int) -> int:
+def _finite_depth(denoms, levels: int) -> int:
     """The deepest grid level K <= levels at which every denom is finite.
 
     Past it a normalizer such as |s|^p overflows (at p = 8 from s = 2^128
     on) and G/denom reads 0 or nan whatever G does.  At least 8 levels,
     the grid's minimum, are kept.
     """
-    grid = _geometric_grid(r, levels)
+    grid = _geometric_grid(levels)
     depth = levels
     with np.errstate(over="ignore", invalid="ignore"):
         while depth > 8 and not all(np.isfinite(d(grid[depth])) for d in denoms):
@@ -209,18 +210,18 @@ def _finite_depth(denoms, r: float, levels: int) -> int:
 
 
 def _tail_limsups(spec: NonlinearitySpec, c, denoms, direction: int,
-                  lambda1: float, p: float, r: float, levels: int):
+                  lambda1: float, p: float, levels: int):
     """Per-point limsup of G(x, s)/denom(|s|) for each denom, in one pass.
 
     c is _spatial(spec, points), evaluated once by the caller for both
     directions.  Each denom maps |s| to a positive scalar (|s|^p,
     phi(|s|), or |s|).  G is evaluated once per level and only on the
     tail levels K//2..K that the tail maxima read; running maxima replace
-    the (points x levels) block.  Pass K = _finite_depth(denoms, r,
-    levels).  Returns one (values, converged) pair of arrays of length
-    len(c) per denom.
+    the (points x levels) block.  Pass K = _finite_depth(denoms, levels).
+    Returns one (values, converged) pair of arrays of length len(c) per
+    denom.
     """
-    grid = _geometric_grid(r, levels)
+    grid = _geometric_grid(levels)
     cur = [None] * len(denoms)
     prev = [None] * len(denoms)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -251,7 +252,7 @@ def _box_points(box, per_dim: int) -> np.ndarray:
 
 
 def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
-                 r: float = 1.0, levels: int = 40) -> Verdict:
+                 levels: int = 40) -> Verdict:
     """Test the polynomial bound |f(x, s)| <= a |s|^(q-1) + b(x).
 
     The normalized ratio max_x |f| / (|s|^(q-1) + 1) is tracked along the
@@ -263,7 +264,7 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
     if not (q > 1.0):
         raise ValueError(f"growth exponent q must exceed 1, got {q}")
     c = _spatial(spec, _box_points(box, per_dim))
-    grid = _geometric_grid(r, levels)
+    grid = _geometric_grid(levels)
     ratios = np.empty(grid.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, mag in enumerate(grid):
@@ -388,13 +389,13 @@ def log_power_comparison(alpha: float) -> ComparisonFunction:
                               label=f"|s|^{alpha:g} log(e+|s|)")
 
 
-def verify_comparison_function(phi, p: float, r: float = 1.0, levels: int = 40,
-                               seed: int = 0) -> HypothesisReport:
+def verify_comparison_function(phi, p: float, levels: int = 40) -> HypothesisReport:
     """Check the four comparison-function axioms for phi against exponent p.
 
     (i)   phi(s)/|s|^p -> 0          (decaying tail on the geometric grid)
     (ii)  phi(s)/|s|   -> infinity   (growing tail)
-    (iii) phi(r t)/phi(t) -> r^alpha for random ratios r in [0.1, 10]
+    (iii) phi(r t)/phi(t) -> r^alpha for five ratios r in [0.1, 10],
+          drawn with seed 0
     (iv)  phi(t s)/phi(t) <= a s^beta + b at beta = alpha + 0.5, fitted
           over t in [10, 1e6]
 
@@ -403,7 +404,7 @@ def verify_comparison_function(phi, p: float, r: float = 1.0, levels: int = 40,
     trend tests even when the axiom holds in the limit.
     """
     alpha = float(phi.order)
-    grid = _geometric_grid(r, levels)
+    grid = _geometric_grid(levels)
     conditions = {}
 
     order_ok = 1.0 <= alpha <= p
@@ -427,7 +428,7 @@ def verify_comparison_function(phi, p: float, r: float = 1.0, levels: int = 40,
             HOLDS if grows else FAILS,
             {"first": float(first1), "mid": float(mid1), "last": float(last1)})
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         rhos = rng.uniform(0.1, 10.0, size=5)
         worst_dev = 0.0
         for rho in rhos:
@@ -598,15 +599,16 @@ def _best_domination(values, converged, weights, eta, eta_q, order: float, p: fl
 
 
 def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector,
-                   mesh: Mesh, p: float | None = None, *, phi=None, r: float = 1.0,
-                   levels: int = CHECKER_LEVELS, f0_R: float = 10.0) -> dict:
+                   mesh: Mesh, p: float | None = None, *, phi=None,
+                   levels: int = CHECKER_LEVELS) -> dict:
     """The sign, comparison and Landesman-Lazer reports from one pass over G.
 
     G is sampled once per direction and tail level and normalized by
-    |s|^p, phi(s) and |s|; the envelope check check_f0 runs once and is
-    shared by the three reports.  The spec's spatial coefficient is
-    evaluated once at the quadrature points and serves both directions
-    and the domination candidates.  The grid stops at the deepest level
+    |s|^p, phi(s) and |s|; the envelope check check_f0 runs once, at
+    R = F0_RADIUS, and is shared by the three reports.  The spec's
+    spatial coefficient is evaluated once at the quadrature points and
+    serves both directions and the domination candidates.  The grid
+    stops at the deepest level
     at which all three normalizers are finite (`_finite_depth`); the
     tail verdicts record it as "levels_used".  phi defaults to the
     entry's declared comparison function, else |s|^((1 + p)/2).  Returns
@@ -628,13 +630,13 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     eta = _declared_weight(spec)
     eta_q = None if eta is None else c if spec.coefficient == "eta" else eta(pts)
     denoms = (lambda mag: mag ** pp, lambda mag: float(phi(mag)), lambda mag: mag)
-    depth = _finite_depth(denoms, r, levels)
+    depth = _finite_depth(denoms, levels)
 
     ae, strict, dom_x, dom_y = [], [], [], []
     integrals, integrals_1, convs_phi, convs_1 = {}, {}, [], []
     for direction, tag in ((1, "pos"), (-1, "neg")):
         (vals_p, conv_p), (vals_phi, conv_phi), (vals_1, conv_1) = _tail_limsups(
-            spec, c, denoms, direction, lam, pp, r, depth)
+            spec, c, denoms, direction, lam, pp, depth)
         ae.append(_dominated_by(vals_p, conv_p, w, 0.0, ZERO_TOL))
         strict.append(_strict_negative_set(vals_p, conv_p, w))
         dom_x.append(_best_domination(vals_phi, conv_phi, w, eta, eta_q, alpha, pp,
@@ -645,7 +647,7 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
                                       mesh.ndim, "Y"))
         integrals_1[tag] = _weighted_integral(vals_1, w, phi1q)
         convs_1.append(conv_1)
-    envelope = check_f0(spec, f0_R, mesh)
+    envelope = check_f0(spec, F0_RADIUS, mesh)
 
     axioms = verify_comparison_function(phi, pp)
     neg_ok = integrals["pos"] < -STRICT_MARGIN and integrals["neg"] < -STRICT_MARGIN
@@ -676,7 +678,7 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     }
 
 
-def check_superlinear_negativity(spec: NonlinearitySpec, r: float = 1.0,
+def check_superlinear_negativity(spec: NonlinearitySpec,
                                  levels: int = CHECKER_LEVELS,
                                  lambda1: float | None = None,
                                  p: float | None = None) -> Verdict:
@@ -694,11 +696,11 @@ def check_superlinear_negativity(spec: NonlinearitySpec, r: float = 1.0,
         raise ValueError("lambda1 and p are needed (spec metadata or arguments)")
     c = _spatial(spec, np.zeros((1, 1)))
     denoms = (lambda mag: mag,)
-    depth = _finite_depth(denoms, r, levels)
+    depth = _finite_depth(denoms, levels)
     results = {"levels_used": depth}
     statuses = []
     for direction, tag in ((1, "pos"), (-1, "neg")):
-        [(vals, conv)] = _tail_limsups(spec, c, denoms, direction, lam, pp, r, depth)
+        [(vals, conv)] = _tail_limsups(spec, c, denoms, direction, lam, pp, depth)
         results[tag] = {"value": float(vals[0]), "converged": bool(conv[0])}
         statuses.append(INCONCLUSIVE if not conv[0]
                         else HOLDS if np.isneginf(vals[0]) else FAILS)
@@ -772,8 +774,7 @@ def _plateau_bump(mesh: Mesh) -> SpatialWeight:
     return SpatialWeight(fn)
 
 
-def incomparability_suite(p: float, mesh: Mesh, *, r: float = 1.0,
-                          levels: int = CHECKER_LEVELS,
+def incomparability_suite(p: float, mesh: Mesh, *, levels: int = CHECKER_LEVELS,
                           eigenpair: EigenResult | None = None) -> IncomparabilityTable:
     """Run the three canonical catalog cases through all three theorem
     checkers with h = 0.
@@ -811,7 +812,7 @@ def incomparability_suite(p: float, mesh: Mesh, *, r: float = 1.0,
         "sign_case": "sign",
     }
 
-    reports = {case: check_theorems(spec, eig, h, mesh, p, r=r, levels=levels)
+    reports = {case: check_theorems(spec, eig, h, mesh, p, levels=levels)
                for case, spec in specs.items()}
     verdicts = {case: {t: rep.overall for t, rep in reps.items()}
                 for case, reps in reports.items()}

@@ -53,6 +53,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (
     DiscreteField,
+    _check_p,
     _energy,
     _flux,
     _lp,
@@ -174,9 +175,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
     splu(stiffness_matrix(mesh)), the p = 2 preconditioner; it is
     factored here when not given.
     """
-    if not (p > 1.0):
-        raise ValueError(f"p must exceed 1, got p={p}")
-
+    _check_p(p)
     if lu is None:
         lu = splu(stiffness_matrix(mesh))
     u, g, q = _normalized(mesh, _bubble_start(mesh), p)

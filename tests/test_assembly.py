@@ -327,6 +327,25 @@ class TestLoadAndPairing:
             pv.pairing(h, u)
 
 
+class TestFieldStorage:
+    @pytest.mark.parametrize("cls", [pv.DiscreteField, pv.DualVector])
+    def test_private_read_only_copy(self, cls):
+        # the caller's array stays writeable, and writing to it later does
+        # not reach the stored values
+        mesh = pv.build_interval_mesh(0.0, 1.0, 8)
+        u = np.zeros(mesh.n_free)
+        v = cls(mesh, u)
+        u[0] = 1.0
+        assert v.values[0] == 0.0
+        assert not v.values.flags.writeable
+
+    @pytest.mark.parametrize("cls", [pv.DiscreteField, pv.DualVector])
+    def test_wrong_length_rejected(self, cls):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match=f"{cls.__name__} needs 7 values"):
+            cls(mesh, np.zeros(3))
+
+
 class TestSupNorm:
     def test_nodal_max(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 6)

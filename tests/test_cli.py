@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import plapvar as pv
+from plapvar import cli
 from plapvar.cli import ExpressionError, compile_expression, main, parse_config
 
 
@@ -258,8 +259,7 @@ class TestDeterminism:
         cfg = write(tmp_path, "c.cfg",
                     "pipeline = all\nn = 24\nlevels = 200\n"
                     "nonlinearity = power_perturbation\n"
-                    "nonlinearity.beta = 1.9\nh = phi1: 0.05\n"
-                    "multistart = true\n")
+                    "nonlinearity.beta = 1.9\nh = phi1: 0.05\n")
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["run", cfg, "--out", str(out1), "--quiet"]) == 0
         assert main(["run", cfg, "--out", str(out2), "--quiet"]) == 0
@@ -335,8 +335,7 @@ class TestSharedWork:
 
 @pytest.mark.parametrize("key, value", [
     ("p", "inf"), ("a", "-inf"), ("b", "inf"), ("ax", "-inf"), ("bx", "inf"),
-    ("ay", "-inf"), ("by", "inf"), ("grid_scale", "inf"), ("grad_tol", "inf"),
-    ("f0_radius", "inf"), ("b", "nan"), ("grad_tol", "nan")])
+    ("ay", "-inf"), ("by", "inf"), ("b", "nan")])
 def test_check_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     # inf used to pass check-config and fail later, or not at all
     domain = "rectangle" if key in ("ax", "bx", "ay", "by") else "interval"
@@ -345,6 +344,30 @@ def test_check_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
     errors = capsys.readouterr().err.splitlines()
     assert errors and all(e.startswith("config error") for e in errors)
     assert any(repr(key) in e and "finite" in e for e in errors)
+
+
+@pytest.mark.parametrize("key", ["multistart", "max_iter", "grad_tol", "grid_scale",
+                                 "f0_radius"])
+def test_check_config_rejects_removed_keys(tmp_path, capsys, key):
+    # these keys once set solver and checker constants; a config naming
+    # one is now an error, not a setting that is silently ignored
+    cfg = write(tmp_path, "c.cfg", f"{key} = 1\n")
+    assert main(["check-config", cfg]) == 1
+    assert f"unknown key {key!r}" in capsys.readouterr().err
+
+
+def test_readme_config_table_lists_every_key():
+    # the key column of README's config table and cli._DEFAULTS cannot drift
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| key | default | meaning |") + 2
+    keys = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        keys += [k.strip().strip("`") for k in line.split("|")[1].split(",")]
+    assert sorted(keys) == sorted([*cli._DEFAULTS, "nonlinearity.<param>"])
 
 
 def test_check_config_rejects_non_finite_phi1_coefficient(tmp_path, capsys):
@@ -406,11 +429,6 @@ h = phi1: 0.1
 pipeline = all
 seed = 0
 levels = 200
-grid_scale = 1
-multistart = false
-max_iter = 2000
-grad_tol = 1e-08
-f0_radius = 10
 """),
     "rectangle": ("""\
 p = 3.0
@@ -422,7 +440,6 @@ nonlinearity = weighted_comparison
 nonlinearity.eta = x*y - 0.2
 nonlinearity.alpha = 2.0
 nonlinearity.eta_exponent = inf
-multistart = yes
 h = density: 0.2*sin(pi*x)*sin(pi*y)
 """, """\
 p = 3
@@ -442,11 +459,6 @@ h = density: 0.2*sin(pi*x)*sin(pi*y)
 pipeline = all
 seed = 0
 levels = 40
-grid_scale = 1
-multistart = true
-max_iter = 2000
-grad_tol = 1e-08
-f0_radius = 10
 """),
 }
 

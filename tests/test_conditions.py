@@ -81,11 +81,15 @@ class TestEstimateLimsup:
     def test_validation(self):
         g = lambda s: np.zeros_like(s)
         with pytest.raises(ValueError):
-            pv.estimate_limsup(g, r=0.0)
-        with pytest.raises(ValueError):
             pv.estimate_limsup(g, levels=4)
         with pytest.raises(ValueError):
             pv.estimate_limsup(g, levels=2000)
+
+    def test_result_of_the_wrong_shape_rejected(self):
+        # g is called once on the whole grid; a scalar result is an error,
+        # not a cue to call g once per sample
+        with pytest.raises(ValueError, match="shape"):
+            pv.estimate_limsup(lambda s: 1.0)
 
     def test_normalized_potential_recovers_eigenvalue(self):
         # p F / |s|^p for the mild power perturbation settles at lambda1
@@ -98,10 +102,10 @@ class TestEstimateLimsup:
         assert abs(est.value - LAM) / LAM < 0.02
 
 
-def _block_limsup(spec, pts, denom, direction, lam, p, r, levels):
+def _block_limsup(spec, pts, denom, direction, lam, p, levels):
     """The (points x levels) reference: G sampled on every level, then the
     tail maxima of the K- and (K-1)-grids."""
-    grid = r * np.exp2(np.arange(levels + 1, dtype=float))
+    grid = np.exp2(np.arange(levels + 1, dtype=float))
     samples = np.empty((pts.shape[0], grid.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k, mag in enumerate(grid):
@@ -141,10 +145,10 @@ class TestStreamedTailMaxima:
             for direction in (1, -1):
                 for levels in (8, 200):
                     streamed = conditions._tail_limsups(spec, c, denoms, direction,
-                                                        lam, p, 1.0, levels)
+                                                        lam, p, levels)
                     for denom, (vals, conv) in zip(denoms, streamed):
                         ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction,
-                                                           lam, p, 1.0, levels)
+                                                           lam, p, levels)
                         key = (name, direction, levels)
                         assert vals.shape == ref_vals.shape == (pts.shape[0],), key
                         assert vals.tobytes() == ref_vals.tobytes(), key
@@ -474,13 +478,13 @@ class TestIncomparabilitySuite:
         p = 8.0
         specs, lam, phi = _audited_specs(mesh, p)
         denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
-        depth = conditions._finite_depth(denoms, 1.0, conditions.CHECKER_LEVELS)
+        depth = conditions._finite_depth(denoms, conditions.CHECKER_LEVELS)
         assert depth == 127
         for name, spec in specs.items():
             c = conditions._spatial(spec, mesh.quad_points_flat())
             for direction in (1, -1):
                 for vals, _ in conditions._tail_limsups(spec, c, denoms, direction,
-                                                        lam, p, 1.0, depth):
+                                                        lam, p, depth):
                     assert not np.any(np.isnan(vals)), (name, direction)
         table = pv.incomparability_suite(p, mesh)
         sign = table.reports["sign_case"]["sign"].conditions["nonpositive_ae"]
