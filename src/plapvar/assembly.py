@@ -61,12 +61,13 @@ __all__ = [
 GRADIENT_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _FreeVector:
     """One float per free vertex of `mesh`, held as a read-only copy.
 
     The copy keeps the caller's array writeable and keeps later writes
-    to it out of the object.
+    to it out of the object.  Equality is identity and the hash is
+    object's: compare values with np.array_equal.
     """
 
     mesh: Mesh

@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import conditions as cond
 from . import nonlinearity as nl
@@ -37,13 +36,13 @@ from .assembly import (
     DualVector,
     load_vector,
     quad_load,
-    stiffness_matrix,
     values_at_quad,
     zero_dual,
 )
 from .eigen import EigenConvergenceError, first_eigenpair
 from .meshing import build_interval_mesh, build_rectangle_mesh
-from .solver import UnboundedBelowError, minimize_phi, verify_weak_solution
+from .solver import (UnboundedBelowError, _stiffness_lu, minimize_phi,
+                     verify_weak_solution)
 
 __all__ = [
     "ConfigError",
@@ -430,12 +429,9 @@ def _write(path: Path, lines) -> None:
 
 def _field_csv(mesh, values, column: str):
     header = ("x," if mesh.ndim == 1 else "x,y,") + column
-    rows = [header]
-    coords = mesh.free_coordinates()
-    for i in range(coords.shape[0]):
-        cs = ",".join(_g17(c) for c in coords[i])
-        rows.append(f"{cs},{_g17(values[i])}")
-    return rows
+    table = np.column_stack([mesh.free_coordinates(), values]).tolist()
+    row = ",".join(["%.17g"] * (mesh.ndim + 1))
+    return [header] + [row % tuple(r) for r in table]
 
 
 def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
@@ -462,7 +458,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
                   f"{mesh.n_free} free vertices")
 
     say(f"computing first eigenpair (p = {cfg.p}) ...")
-    lu = splu(stiffness_matrix(mesh))  # the p = 2 preconditioner of both descents
+    lu = _stiffness_lu(mesh)  # the p = 2 preconditioner of both descents
     try:
         eig = first_eigenpair(mesh, cfg.p, lu=lu)
     except EigenConvergenceError as exc:

@@ -49,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .assembly import (
     DiscreteField,
@@ -61,11 +60,10 @@ from .assembly import (
     dirichlet_energy,
     gradients_on_elements,
     lp_integral,
-    stiffness_matrix,
     values_at_quad,
 )
 from .meshing import Mesh
-from .solver import _energy_hessian, _newton_step, _residual_norms, armijo
+from .solver import _energy_hessian, _newton_step, _residual_norms, _stiffness_lu, armijo
 
 __all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient", "first_eigenpair"]
 
@@ -172,12 +170,12 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
     it is tested at every iterate, the last one included.  Any other stop
     raises EigenConvergenceError carrying the last iterate;
     EigenResult.stop_reason says which rule fired.  `lu` is
-    splu(stiffness_matrix(mesh)), the p = 2 preconditioner; it is
-    factored here when not given.
+    `solver._stiffness_lu(mesh)`, the p = 2 preconditioner (minimum-degree
+    order on K^T + K); it is factored here when not given.
     """
     _check_p(p)
     if lu is None:
-        lu = splu(stiffness_matrix(mesh))
+        lu = _stiffness_lu(mesh)
     u, g, q = _normalized(mesh, _bubble_start(mesh), p)
     g_buf, q_buf = np.empty_like(g), np.empty_like(q)
     iterations = trials = cg_iterations = 0

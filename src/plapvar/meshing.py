@@ -262,18 +262,12 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    tris = []
-    for i in range(nx):
-        for j in range(ny):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            # diagonal v00 -- v11
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    elements = np.asarray(tris, dtype=int)
+    # cell (i, j), i-major, has corner v00 = i (ny + 1) + j; it is split
+    # along the diagonal v00 -- v11 into (v00, v10, v11) and (v00, v11, v01)
+    v00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    v10, v01 = v00 + (ny + 1), v00 + 1
+    v11 = v10 + 1
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
 
     ii, jj = np.divmod(np.arange(vertices.shape[0]), ny + 1)
     is_boundary = (ii == 0) | (ii == nx) | (jj == 0) | (jj == ny)

@@ -311,15 +311,15 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     the existence theorems need, so any critical point the certificate
     accepts is a weak solution; one descent suffices.
 
-    `lu` is splu(stiffness_matrix(mesh)), the p = 2 preconditioner; it
-    is factored here when not given.
+    `lu` is `_stiffness_lu(mesh)`, the p = 2 preconditioner (minimum-degree
+    order on K^T + K); it is factored here when not given.
 
     Raises UnboundedBelowError if Phi falls below -1e12, the numerical
     signature of a non-coercive functional.
     """
     _check_p(p)
     if lu is None:
-        lu = splu(stiffness_matrix(mesh))
+        lu = _stiffness_lu(mesh)
     field = zero_field(mesh) if start is None else DiscreteField(mesh, start.values)
     phi_cur = assemble_phi(mesh, field, spec, h, p)
     steps = backtracks = trials = cg_iterations = 0
@@ -399,6 +399,16 @@ def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray, rel: float):
         return D.T @ (c[:, None] * G).ravel()
 
     return apply
+
+
+def _stiffness_lu(mesh: Mesh):
+    """The sparse LU of the p = 2 stiffness matrix, the descents' preconditioner.
+
+    The columns are ordered by minimum degree on K^T + K, which suits the
+    symmetric K: on the 128 x 128 square it halves the fill of SuperLU's
+    default COLAMD order and with it the factor and solve times.
+    """
+    return splu(stiffness_matrix(mesh), permc_spec="MMD_AT_PLUS_A")
 
 
 def _pcg(apply, b: np.ndarray, lu, tol: float):

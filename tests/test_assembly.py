@@ -345,6 +345,18 @@ class TestFieldStorage:
         with pytest.raises(ValueError, match=f"{cls.__name__} needs 7 values"):
             cls(mesh, np.zeros(3))
 
+    @pytest.mark.parametrize("cls", [pv.DiscreteField, pv.DualVector])
+    def test_identity_equality_and_hash(self, cls):
+        # comparing two fields used to raise on the array's truth value,
+        # and hashing one raised TypeError
+        mesh = pv.build_interval_mesh(0.0, 1.0, 8)
+        a, b = cls(mesh, np.zeros(mesh.n_free)), cls(mesh, np.zeros(mesh.n_free))
+        assert a == a
+        assert not a == b
+        assert a != b
+        assert {a, b, a} == {a, b}
+        assert a in {a} and b not in {a}
+
 
 class TestSupNorm:
     def test_nodal_max(self):

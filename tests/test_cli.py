@@ -315,16 +315,17 @@ class TestSharedWork:
 
     def test_one_factorization_per_run(self, tmp_path, monkeypatch):
         # the eigensolver and the energy descent share the p = 2 LU
-        from plapvar import cli, eigen, solver
+        # (every factorization goes through solver._stiffness_lu, the one
+        # splu call site; see test_one_splu_call_site)
+        from plapvar import solver
         factored = []
-        real = cli.splu
+        real = solver.splu
 
-        def counting(A):
-            factored.append(A.shape)
-            return real(A)
+        def counting(*args, **kwargs):
+            factored.append(args[0].shape)
+            return real(*args, **kwargs)
 
-        for module in (cli, eigen, solver):
-            monkeypatch.setattr(module, "splu", counting)
+        monkeypatch.setattr(solver, "splu", counting)
         cfg = write(tmp_path, "c.cfg",
                     "p = 3.0\ndomain = rectangle\nnx = 6\nny = 6\n"
                     "pipeline = solve\nnonlinearity = power_perturbation\n"
@@ -368,6 +369,36 @@ def test_readme_config_table_lists_every_key():
             break
         keys += [k.strip().strip("`") for k in line.split("|")[1].split(",")]
     assert sorted(keys) == sorted([*cli._DEFAULTS, "nonlinearity.<param>"])
+
+
+@pytest.mark.parametrize("mesh", [
+    pv.build_interval_mesh(-1.0, 2.0, 9),
+    pv.build_rectangle_mesh(0.0, 1.0, -0.5, 0.5, 4, 3),
+], ids=["interval", "rectangle"])
+def test_field_csv_rows_match_per_value_formatting(mesh):
+    values = np.linspace(-3.0, 7.0, mesh.n_free) / 3.0
+    values[:3] = [-0.0, 1e-300, 0.1]
+    coords = mesh.free_coordinates()
+    ref = [("x," if mesh.ndim == 1 else "x,y,") + "u"]
+    ref += [",".join(f"{float(v):.17g}" for v in [*coords[i], values[i]])
+            for i in range(mesh.n_free)]
+    assert cli._field_csv(mesh, values, "u") == ref
+    assert ref[1].endswith(",-0")
+
+
+def test_one_splu_call_site():
+    # the p = 2 LU is factored in one place, solver._stiffness_lu, so its
+    # fill-reducing order cannot be lost in a second copy
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "src", "plapvar")
+    sites = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
+                sites += [(name, line) for line in fh if "splu(" in line]
+    assert len(sites) == 1
+    name, line = sites[0]
+    assert name == "solver.py" and 'permc_spec="MMD_AT_PLUS_A"' in line
 
 
 def test_check_config_rejects_non_finite_phi1_coefficient(tmp_path, capsys):

@@ -87,6 +87,19 @@ class TestRectangleMesh:
         assert math.isclose(float(w @ (pts[:, 0] * pts[:, 1])), 0.25, rel_tol=1e-12)
         assert math.isclose(float(w @ pts[:, 0] ** 2), 1.0 / 3.0, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (5, 3)])
+    def test_element_table_matches_cell_loop(self, nx, ny):
+        # cell (i, j), i-major, split along v00 -- v11, first triangle first
+        ref = []
+        for i in range(nx):
+            for j in range(ny):
+                v00, v10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+                v01, v11 = v00 + 1, v10 + 1
+                ref += [(v00, v10, v11), (v00, v11, v01)]
+        m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 2.0, nx, ny)
+        assert m.elements.dtype == np.asarray(ref).dtype
+        assert np.array_equal(m.elements, np.asarray(ref))
+
 
 class TestFreeDofs:
     @pytest.mark.parametrize("mesh", [

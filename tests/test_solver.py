@@ -332,6 +332,19 @@ class TestNewtonDescent:
         assert (res.iterations, res.trials, res.cg_iterations) == (0, 0, 0)
 
 
+class TestStiffnessLU:
+    def test_solves_with_less_fill_than_the_default_order(self):
+        from scipy.sparse.linalg import splu
+        mesh = _square(64)
+        K = pv.stiffness_matrix(mesh)
+        lu = solver._stiffness_lu(mesh)
+        b = np.random.default_rng(0).standard_normal(mesh.n_free)
+        x = lu.solve(b)
+        assert np.linalg.norm(K @ x - b) <= 1e-12 * np.linalg.norm(b)
+        default = splu(K)
+        assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
+
+
 class TestHessian:
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("shape", ["interval", "square"])
