@@ -27,7 +27,6 @@ from .meshing import (
     Mesh,
     build_interval_mesh,
     build_rectangle_mesh,
-    coarsen_structured,
     refine_structured,
 )
 from .assembly import (
@@ -104,7 +103,7 @@ __all__ = [
     "__version__",
     # meshing
     "Mesh", "build_interval_mesh", "build_rectangle_mesh",
-    "refine_structured", "coarsen_structured",
+    "refine_structured",
     # assembly
     "DiscreteField", "DualVector", "make_field", "zero_field", "make_dual",
     "zero_dual", "interpolate", "dirichlet_energy", "lp_integral",

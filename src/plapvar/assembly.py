@@ -175,16 +175,15 @@ def _flux(mesh: Mesh, g: np.ndarray, p: float) -> np.ndarray:
     return mesh.grad_op.T @ flux.ravel()
 
 
-def _flux_weights(mesh: Mesh, g: np.ndarray, p: float, eps: float = 0.0):
+def _flux_weights(mesh: Mesh, g: np.ndarray, p: float):
     """Element weights (|T| w, g_hat) of the derivative of `_flux` at g.
 
-    With r = sqrt(|g|^2 + eps^2), w = r^(p-2) and g_hat = g / r, the
-    derivative maps element gradients G to |T| w (G + (p-2) g_hat (g_hat . G)),
-    so the energy Hessian is D^T of that applied to D v.  eps > 0 relaxes
-    the weight where g -> 0 for 1 < p < 2; below the gradient floor w is
-    1 at p = 2 and 0 otherwise, the limit `_flux` takes.
+    With r = |g|, w = r^(p-2) and g_hat = g / r, the derivative maps
+    element gradients G to |T| w (G + (p-2) g_hat (g_hat . G)), so the
+    energy Hessian is D^T of that applied to D v.  Below the gradient
+    floor w is 1 at p = 2 and 0 otherwise, the limit `_flux` takes.
     """
-    r = np.sqrt(np.einsum("ed,ed->e", g, g) + eps * eps)
+    r = np.sqrt(np.einsum("ed,ed->e", g, g))
     live = r >= GRADIENT_FLOOR
     with np.errstate(divide="ignore", invalid="ignore"):
         w = np.where(live, r ** (p - 2.0), 1.0 if p == 2.0 else 0.0)

@@ -12,7 +12,7 @@ accepted step (R is scale invariant, so projection is free for the line
 search), with step lengths from the shared Armijo search `solver.armijo`,
 started at t = 1.  The direction is the energy descent's damped inexact
 Newton step (`solver._newton_step`): PCG on the p-energy Hessian
-operator at u (`solver._energy_hessian`, relaxed for 1 < p < 2),
+operator at u (`solver._energy_hessian`),
 preconditioned by the p = 2 stiffness matrix, applied to the eigen
 residual A'(u) - lambda B'(u) with A'(u)_j = int |grad u|^(p-2) grad u .
 grad psi_j and B'(u)_j = int |u|^(p-2) u psi_j.  At p = 2 the Hessian is
@@ -20,7 +20,7 @@ the stiffness matrix and the step is the gradient in the H^1_0 inner
 product.  For p >= 2 the step count hardly grows under refinement (p = 3
 on the unit interval: 10 steps at n = 64, 12 at n = 4096), whereas the
 raw coefficient-space gradient needs O(h^-2) steps.  For 1 < p < 2 it
-does grow (p = 1.5: 27 steps at n = 64, 301 at n = 1024).
+does grow (p = 1.5: 31 steps at n = 64, 198 at n = 1024).
 
 The descent stops when the relative residual
 max_j |A'(u)_j - lambda B'(u)_j| / max_j (|A'(u)_j| + lambda |B'(u)_j|),
@@ -189,7 +189,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
             stop = "max-iter"
             break
 
-        d, products = _newton_step(_energy_hessian(mesh, p, g, res), r, lu, res)
+        d, products = _newton_step(_energy_hessian(mesh, p, g), r, lu, res)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
         _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf), lam, slope)

@@ -14,7 +14,7 @@ of freedom and the piecewise-linear space is nested under bisection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,7 +24,6 @@ __all__ = [
     "build_interval_mesh",
     "build_rectangle_mesh",
     "refine_structured",
-    "coarsen_structured",
     "gauss_points_interval",
     "gauss_points_triangle",
 ]
@@ -132,7 +131,7 @@ class Mesh:
     basis_at_quad : (nq, ndim + 1) reference P1 basis values at the rule nodes.
     quad_order : polynomial exactness degree of the rule.
     bounds : (lo, hi) corners of the bounding box, each of shape (ndim,).
-    structure : construction record, used for dyadic coarsening.
+    structure : element counts per axis, (n,) or (nx, ny).
     """
 
     ndim: int
@@ -148,7 +147,7 @@ class Mesh:
     basis_at_quad: np.ndarray
     quad_order: int
     bounds: tuple
-    structure: tuple = field(default=())
+    structure: tuple
 
     @property
     def n_vertices(self) -> int:
@@ -240,7 +239,7 @@ def build_interval_mesh(a: float, b: float, n: int, quad_order: int = 4) -> Mesh
 
     return _finish_mesh(1, vertices, elements, is_boundary, measures, grads,
                         qpts, qw, basis_at_quad, quad_order,
-                        ("interval", float(a), float(b), int(n)))
+                        (int(n),))
 
 
 def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
@@ -296,39 +295,15 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
 
     return _finish_mesh(2, vertices, elements, is_boundary, measures, grads,
                         qpts, qw, basis_at_quad, quad_order,
-                        ("rectangle", float(ax), float(bx), float(ay), float(by),
-                         int(nx), int(ny)))
+                        (int(nx), int(ny)))
 
 
 def refine_structured(mesh: Mesh) -> Mesh:
     """One dyadic bisection of a structured mesh (nested refinement)."""
-    s = mesh.structure
-    if not s:
-        raise ValueError("mesh has no construction record; cannot refine")
-    if s[0] == "interval":
-        _, a, b, n = s
-        return build_interval_mesh(a, b, 2 * n, quad_order=mesh.quad_order)
-    if s[0] == "rectangle":
-        _, ax, bx, ay, by, nx, ny = s
-        return build_rectangle_mesh(ax, bx, ay, by, 2 * nx, 2 * ny,
-                                    quad_order=mesh.quad_order)
-    raise ValueError(f"unknown mesh structure {s[0]!r}")
-
-
-def coarsen_structured(mesh: Mesh) -> Mesh | None:
-    """One dyadic coarsening of a structured mesh, or None if not possible."""
-    s = mesh.structure
-    if not s:
-        return None
-    if s[0] == "interval":
-        _, a, b, n = s
-        if n % 2 == 0 and n // 2 >= 2:
-            return build_interval_mesh(a, b, n // 2, quad_order=mesh.quad_order)
-        return None
-    if s[0] == "rectangle":
-        _, ax, bx, ay, by, nx, ny = s
-        if nx % 2 == 0 and ny % 2 == 0 and nx // 2 >= 2 and ny // 2 >= 2:
-            return build_rectangle_mesh(ax, bx, ay, by, nx // 2, ny // 2,
-                                        quad_order=mesh.quad_order)
-        return None
-    return None
+    lo, hi = mesh.bounds
+    if mesh.ndim == 1:
+        (n,) = mesh.structure
+        return build_interval_mesh(lo[0], hi[0], 2 * n, quad_order=mesh.quad_order)
+    nx, ny = mesh.structure
+    return build_rectangle_mesh(lo[0], hi[0], lo[1], hi[1], 2 * nx, 2 * ny,
+                                quad_order=mesh.quad_order)

@@ -36,9 +36,8 @@ D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
 int f'(x, u) v psi_j, with f' a central difference of `eval_f` at the
 quadrature nodes.  The eigensolver takes the same step (`_newton_step`)
 on the same p-energy operator, without a mass term.  CG stops
-at negative curvature and returns its current iterate (Steihaug).  For
-1 < p < 2 the weight is relaxed with eps = min(1, stationarity) max |D u|,
-which shrinks as the descent converges.  The step falls back to the
+at negative curvature and returns its current iterate (Steihaug).  The
+weight w = |D u|^(p-2) is exact for every p > 1; the step falls back to the
 p = 2 direction, the gradient in the H^1_0 inner product, at u = 0, when
 f' is not finite, when CG meets negative curvature at once, or when the
 Newton direction is not a descent direction.  Step lengths come from
@@ -336,7 +335,7 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
             stop = "max-iter"
             break
 
-        d, products = _newton_step(_phi_hessian(mesh, spec, p, field, stat), g, lu, stat)
+        d, products = _newton_step(_phi_hessian(mesh, spec, p, field), g, lu, stat)
         cg_iterations += products
         slope = float(np.dot(g, d))
 
@@ -378,18 +377,13 @@ def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u_q: np.ndarray) -> np.ndarr
     return out.reshape(u_q.shape)
 
 
-def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray, rel: float):
+def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray):
     """v -> D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))), the p-energy Hessian.
 
     The weights come from `assembly._flux_weights` at the element
-    gradients grads; for 1 < p < 2 they are relaxed with
-    eps = min(1, rel) max |grads|, where rel is the descent's relative
-    residual, so the relaxation fades as the descent converges.
+    gradients grads.
     """
-    eps = 0.0
-    if p < 2.0:
-        eps = min(1.0, rel) * float(np.max(np.linalg.norm(grads, axis=1)))
-    c, g_hat = _flux_weights(mesh, grads, p, eps)
+    c, g_hat = _flux_weights(mesh, grads, p)
     D = mesh.grad_op
     shape = (mesh.n_elements, mesh.ndim)
 
@@ -457,14 +451,14 @@ def _newton_step(apply, r: np.ndarray, lu, rel: float):
     return d, products
 
 
-def _phi_hessian(mesh, spec, p, u, stationarity):
+def _phi_hessian(mesh, spec, p, u):
     """v -> H v, the Hessian of Phi at u, or None at u = 0 or non-finite f'."""
     if not np.any(u.values):
         return None
     df_q = _df_at_quad(mesh, spec, values_at_quad(mesh, u))
     if not np.all(np.isfinite(df_q)):
         return None
-    energy = _energy_hessian(mesh, p, gradients_on_elements(mesh, u), stationarity)
+    energy = _energy_hessian(mesh, p, gradients_on_elements(mesh, u))
 
     def apply(v):
         v_q = values_at_quad(mesh, DiscreteField(mesh, v))
@@ -480,7 +474,8 @@ def _phi_hessian(mesh, spec, p, u, stationarity):
 
 def _interval_tent_levels(mesh: Mesh):
     """Dyadic tent half-widths k = 1, 2, 4, ... elements, up to n // 2."""
-    _, a, b, n = mesh.structure
+    (n,) = mesh.structure
+    a, b = float(mesh.bounds[0][0]), float(mesh.bounds[1][0])
     h = (b - a) / n
     ks = []
     k = 1
@@ -511,7 +506,7 @@ def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
     L = nonlinear_load(mesh, u, spec)
 
     best = 0.0
-    if mesh.ndim == 1 and mesh.structure and mesh.structure[0] == "interval":
+    if mesh.ndim == 1:
         a, b, h, n, ks = _interval_tent_levels(mesh)
         x_free = mesh.free_coordinates()[:, 0]
         for k in ks:

@@ -106,8 +106,8 @@ class TestStiffnessMatrix:
 def reference_basis_gradients(mesh):
     """(ne, ndim + 1, ndim) P1 basis gradients by the closed-form formulas."""
     if mesh.ndim == 1:
-        _, a, b, n = mesh.structure
-        h = (b - a) / n
+        (n,) = mesh.structure
+        h = (mesh.bounds[1][0] - mesh.bounds[0][0]) / n
         return np.broadcast_to([[-1.0 / h], [1.0 / h]], (n, 2, 1))
     v = mesh.vertices[mesh.elements]                       # (ne, 3, 2)
     e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]

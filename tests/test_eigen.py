@@ -64,6 +64,15 @@ class TestNonlinearCase:
         exact = interval_lambda1(p)
         assert abs(eig.lambda1 - exact) / exact < 5e-3
 
+    @pytest.mark.parametrize("p", [1.2, 1.35, 1.5])
+    def test_p1_error_falls_quadratically_below_p2(self, p):
+        exact = interval_lambda1(p)
+        err = [abs(pv.first_eigenpair(pv.build_interval_mesh(0.0, 1.0, n), p).lambda1
+                   - exact) / exact for n in (64, 128)]
+        # P1 eigenvalues converge at O(h^2): halving h divides the error by 4
+        assert 3.5 < err[0] / err[1] < 4.5
+        assert err[1] < 1e-4
+
     def test_p2_closed_form_is_pi_squared(self):
         assert math.isclose(interval_lambda1(2.0), math.pi**2, rel_tol=1e-15)
 
@@ -248,11 +257,11 @@ class TestScaleCovariance:
 
 class TestRangeOfP:
     @pytest.mark.parametrize("p,must_converge", [
-        (1.05, False), (1.2, False), (8.0, True), (30.0, True)])
+        (1.05, False), (1.2, True), (8.0, True), (30.0, True)])
     def test_converges_or_raises(self, p, must_converge):
         # runs under the suite's error::RuntimeWarning filter, so p = 30
-        # must not overflow; below p = 1.5 the descent may end on max-iter
-        # (p = 8 and 30 converge in 13 and 16 steps)
+        # must not overflow; at p = 1.05 the descent may end on max-iter
+        # (p = 1.2, 8 and 30 converge in 45, 13 and 18 steps)
         from plapvar import eigen
         mesh = pv.build_interval_mesh(0.0, 1.0, 64)
         try:

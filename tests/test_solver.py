@@ -291,7 +291,7 @@ def _square(n):
 
 
 class TestNewtonDescent:
-    @pytest.mark.parametrize("p", [1.5, 2.5, 4.0, 8.0])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.5, 4.0, 8.0])
     @pytest.mark.parametrize("shape", ["interval", "square"])
     def test_reaches_grad_tol_over_the_p_range(self, shape, p):
         mesh = pv.build_interval_mesh(0.0, 1.0, 64) if shape == "interval" else _square(16)
@@ -346,7 +346,7 @@ class TestStiffnessLU:
 
 
 class TestHessian:
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("p", [1.2, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("shape", ["interval", "square"])
     def test_operator_matches_gradient_differences(self, shape, p):
         mesh = pv.build_interval_mesh(0.0, 1.0, 64) if shape == "interval" else _square(8)
@@ -355,7 +355,7 @@ class TestHessian:
         rng = np.random.default_rng(int(10 * p))
         u = pv.make_field(mesh, 1.0 + 0.5 * rng.standard_normal(mesh.n_free))
         v = rng.standard_normal(mesh.n_free)
-        Hv = solver._phi_hessian(mesh, spec, p, u, 0.0)(v)  # stationarity 0: eps = 0
+        Hv = solver._phi_hessian(mesh, spec, p, u)(v)
         eps = 1e-6
         grad = [pv.phi_gradient(mesh, pv.make_field(mesh, u.values + s * eps * v),
                                 spec, h, p).values for s in (1.0, -1.0)]
