@@ -48,6 +48,7 @@ from .assembly import (
 from .eigen import (
     EigenConvergenceError,
     EigenResult,
+    collatz_wielandt_bracket,
     first_eigenpair,
     rayleigh_quotient,
 )
@@ -110,7 +111,7 @@ __all__ = [
     "plap_residual", "pairing", "load_vector", "stiffness_matrix", "sup_norm",
     # eigen
     "EigenResult", "EigenConvergenceError", "first_eigenpair",
-    "rayleigh_quotient",
+    "rayleigh_quotient", "collatz_wielandt_bracket",
     # nonlinearity
     "NonlinearitySpec", "SpatialWeight", "as_weight", "eval_f", "eval_F",
     "eval_G", "sine_exp", "power_perturbation", "power_potential",

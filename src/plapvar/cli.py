@@ -12,7 +12,8 @@ exp, log, abs are admitted, so a config file cannot run code.
 writes manifest.txt, report.txt and CSV tables (17 significant digits)
 into the output directory.  Runs are deterministic: the same config
 and package version produce byte-identical outputs; the `seed` key is
-recorded in the manifest and read by no stage.
+recorded in the manifest and read by no stage.  `run --explain` also
+writes evidence.json, every verdict's evidence (see `plapvar.explain`).
 
 Exit codes: 0 on success with decisive results, 2 when a hypothesis
 check came back inconclusive (or a solve could not be certified), 1 on
@@ -434,8 +435,13 @@ def _field_csv(mesh, values, column: str):
     return [header] + [row % tuple(r) for r in table]
 
 
-def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
-    """Execute the configured pipeline; returns the process exit code."""
+def run(cfg: ExperimentConfig, out_dir, quiet: bool = False,
+        explain: bool = False) -> int:
+    """Execute the configured pipeline; returns the process exit code.
+
+    With `explain` the evidence of every verdict is written to
+    evidence.json (`explain.write_evidence`).
+    """
     from . import __version__
 
     out = Path(out_dir)
@@ -452,6 +458,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
     _write(out / "manifest.txt", manifest)
 
     report = []
+    reports = g0 = table = None
     inconclusive = False
     mesh = _build_mesh(cfg)
     report.append(f"mesh: {cfg.domain}, {mesh.n_elements} elements, "
@@ -550,6 +557,9 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False) -> int:
         say(f"  exclusive diagonal: {'yes' if exclusive else 'no'}")
 
     _write(out / "report.txt", report)
+    if explain:
+        from .explain import write_evidence
+        write_evidence(out, reports, g0, table)
     say(f"wrote {out}/report.txt")
     return 2 if inconclusive else 0
 
@@ -582,6 +592,8 @@ def main(argv=None) -> int:
                        help="override the config seed")
     p_run.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
+    p_run.add_argument("--explain", action="store_true",
+                       help="also write every verdict's evidence to evidence.json")
 
     p_chk = sub.add_parser("check-config",
                            help="validate a config and echo its resolved form")
@@ -610,7 +622,7 @@ def main(argv=None) -> int:
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     try:
-        return run(cfg, args.out, quiet=args.quiet)
+        return run(cfg, args.out, quiet=args.quiet, explain=args.explain)
     except ValueError as exc:  # ExpressionError included
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,9 @@ sentinels.  check_theorems samples G once per spec and direction, on the
 tail levels K//2..K only, and builds all three reports from those
 samples; K is the requested depth, lowered to the deepest level at
 which every normalizer is finite.  Each spatial weight is evaluated
-once per point set, not once per sample of s.
+once per point set, not once per sample of s, and f and G once per
+distinct value of the spec's coefficient (`_distinct`), not once per
+point.
 "a.e." and "positive measure" are read through quadrature weight: a
 set matters when it carries more than 1e-6 of the total weight.
 Strict inequalities require a 1e-9 margin; non-strict comparisons
@@ -77,7 +79,7 @@ ZERO_TOL = 1e-3            # residue allowed in non-strict "<= 0" comparisons
 UNIFORM_MARGIN = 1e-6      # slack in pointwise domination by a declared weight
 CHECKER_LEVELS = 200       # default grid depth for the theorem-level checkers
 F0_SAMPLES = 2001          # values of s on [-R, R] in the envelope sup_{|s| <= R} |f|
-F0_BLOCK_BYTES = 1 << 19   # bytes in one (samples x points) block of f values
+F0_BLOCK_BYTES = 1 << 17   # bytes in one (samples x distinct values) block of f values
 F0_RADIUS = 10.0           # R of the envelope sup_{|s| <= R} |f| in check_theorems
 
 
@@ -209,15 +211,35 @@ def _finite_depth(denoms, levels: int) -> int:
     return depth
 
 
+def _distinct(spec: NonlinearitySpec, c):
+    """The distinct entries of c = _spatial(spec, points) and the inverse map.
+
+    f, F and G see x only through c, so evaluating them on the distinct
+    entries and indexing the results with the inverse gives their values
+    at every point.  An autonomous spec with no declared coefficient
+    ignores c and keeps one entry.  Otherwise entries (rows of the
+    (m, ndim) points) merge only when their float64 bit patterns agree,
+    so 0.0 and -0.0 stay apart, as do NaNs, and every mapped-back value
+    is bit for bit the one the full c gives.
+    """
+    c = np.ascontiguousarray(c, dtype=float)
+    if spec.autonomous and spec.coefficient is None:
+        return c[:1], np.zeros(len(c), dtype=np.intp)
+    _, index, inverse = np.unique(c.view(np.uint64), axis=0, return_index=True,
+                                  return_inverse=True)
+    return c[index], inverse.reshape(-1)
+
+
 def _tail_limsups(spec: NonlinearitySpec, c, denoms, direction: int,
                   lambda1: float, p: float, levels: int):
     """Per-point limsup of G(x, s)/denom(|s|) for each denom, in one pass.
 
-    c is _spatial(spec, points), evaluated once by the caller for both
-    directions.  Each denom maps |s| to a positive scalar (|s|^p,
-    phi(|s|), or |s|).  G is evaluated once per level and only on the
-    tail levels K//2..K that the tail maxima read; running maxima replace
-    the (points x levels) block.  Pass K = _finite_depth(denoms, levels).
+    c is _spatial(spec, points), or its distinct entries (`_distinct`),
+    evaluated once by the caller for both directions.  Each denom maps
+    |s| to a positive scalar (|s|^p, phi(|s|), or |s|).  G is evaluated
+    once per level and only on the tail levels K//2..K that the tail
+    maxima read; running maxima replace the (points x levels) block.
+    Pass K = _finite_depth(denoms, levels).
     Returns one (values, converged) pair of arrays of length len(c) per
     denom.
     """
@@ -287,19 +309,18 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
 
 
 def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh) -> float:
-    c = _spatial(spec, mesh.quad_points_flat())
-    w = mesh.quad_weights_flat()
-    m = w.size
-    env = np.zeros(m)
+    c, inverse = _distinct(spec, _spatial(spec, mesh.quad_points_flat()))
+    n = len(c)
+    env = np.zeros(n)
     s = np.linspace(-R, R, F0_SAMPLES)[:, None]
-    rows = max(1, F0_BLOCK_BYTES // (8 * m))
+    rows = max(1, F0_BLOCK_BYTES // (8 * n))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, F0_SAMPLES, rows):
             block = s[i:i + rows]
             fv = np.abs(np.asarray(_f_at(spec, c, block), dtype=float))
-            # an f that ignores s returns (m,): broadcast before the max
-            env = np.maximum(env, np.broadcast_to(fv, (block.shape[0], m)).max(axis=0))
-    return _reduce(w * env)
+            # an f that ignores s returns (n,): broadcast before the max
+            env = np.maximum(env, np.broadcast_to(fv, (block.shape[0], n)).max(axis=0))
+    return _reduce(mesh.quad_weights_flat() * env[inverse])
 
 
 def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
@@ -307,10 +328,12 @@ def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
     """Quadrature value of int_Omega sup_{|s| <= R} |f(x, s)| dx.
 
     The sup is a maximum over F0_SAMPLES equispaced s in [-R, R], taken
-    in blocks: each evaluation of f gets a column of s values and fills
-    a (samples x points) block of at most F0_BLOCK_BYTES.  The spec's
-    spatial coefficient is evaluated once per mesh, before the blocks,
-    and f takes its values (see `nonlinearity._spatial`).
+    in blocks.  The spec's spatial coefficient is evaluated once per
+    mesh, before the blocks, and f takes its values (see
+    `nonlinearity._spatial`), once per distinct value (`_distinct`): each
+    evaluation of f gets a column of s values and fills a (samples x
+    distinct values) block of at most F0_BLOCK_BYTES.  The envelope is
+    mapped back to the quadrature points before the weighted sum.
 
     Fails on a non-finite value.  With refinements > 0 the integral is
     recomputed on nested bisections; the verdict fails when the
@@ -607,7 +630,8 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     |s|^p, phi(s) and |s|; the envelope check check_f0 runs once, at
     R = F0_RADIUS, and is shared by the three reports.  The spec's
     spatial coefficient is evaluated once at the quadrature points and
-    serves both directions and the domination candidates.  The grid
+    serves both directions and the domination candidates; G is sampled
+    once per distinct coefficient value (`_distinct`).  The grid
     stops at the deepest level
     at which all three normalizers are finite (`_finite_depth`); the
     tail verdicts record it as "levels_used".  phi defaults to the
@@ -631,12 +655,14 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     eta_q = None if eta is None else c if spec.coefficient == "eta" else eta(pts)
     denoms = (lambda mag: mag ** pp, lambda mag: float(phi(mag)), lambda mag: mag)
     depth = _finite_depth(denoms, levels)
+    c_distinct, inverse = _distinct(spec, c)
 
     ae, strict, dom_x, dom_y = [], [], [], []
     integrals, integrals_1, convs_phi, convs_1 = {}, {}, [], []
     for direction, tag in ((1, "pos"), (-1, "neg")):
-        (vals_p, conv_p), (vals_phi, conv_phi), (vals_1, conv_1) = _tail_limsups(
-            spec, c, denoms, direction, lam, pp, depth)
+        (vals_p, conv_p), (vals_phi, conv_phi), (vals_1, conv_1) = (
+            (vals[inverse], conv[inverse]) for vals, conv in _tail_limsups(
+                spec, c_distinct, denoms, direction, lam, pp, depth))
         ae.append(_dominated_by(vals_p, conv_p, w, 0.0, ZERO_TOL))
         strict.append(_strict_negative_set(vals_p, conv_p, w))
         dom_x.append(_best_domination(vals_phi, conv_phi, w, eta, eta_q, alpha, pp,

@@ -60,12 +60,15 @@ from .assembly import (
     dirichlet_energy,
     gradients_on_elements,
     lp_integral,
+    lp_residual,
+    plap_residual,
     values_at_quad,
 )
 from .meshing import Mesh
 from .solver import _energy_hessian, _newton_step, _residual_norms, _stiffness_lu, armijo
 
-__all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient", "first_eigenpair"]
+__all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient",
+           "collatz_wielandt_bracket", "first_eigenpair"]
 
 RESIDUAL_STOP = 1e-9  # relative eigen residual that ends the descent
 
@@ -100,11 +103,14 @@ class EigenResult:
 
 
 class EigenConvergenceError(RuntimeError):
-    """Raised when the descent does not converge; carries the last iterate."""
+    """Raised when the descent does not converge; carries the last iterate
+    and `bracket`, the Collatz-Wielandt estimate (lo, hi) of lambda1 at it
+    (see `collatz_wielandt_bracket`)."""
 
-    def __init__(self, message: str, result: EigenResult):
+    def __init__(self, message: str, result: EigenResult, bracket: tuple):
         super().__init__(message)
         self.result = result
+        self.bracket = bracket
 
 
 def rayleigh_quotient(mesh: Mesh, u: DiscreteField, p: float) -> float:
@@ -113,6 +119,25 @@ def rayleigh_quotient(mesh: Mesh, u: DiscreteField, p: float) -> float:
     if denom == 0.0:
         raise ValueError("Rayleigh quotient undefined for the zero field")
     return p * dirichlet_energy(mesh, u, p) / denom
+
+
+def collatz_wielandt_bracket(mesh: Mesh, u: DiscreteField, p: float) -> tuple:
+    """Estimate (lo, hi) of lambda1: the min and max over free nodes of
+    A'(u)_j / B'(u)_j, with A' = plap_residual and B' = lp_residual.
+
+    The Collatz-Wielandt ratios of nonlinear Perron-Frobenius theory
+    (Lemmens, Nussbaum, CUP 2012).  It is an estimate, not a proven bound
+    on the discrete eigenvalue.  For a positive u the Rayleigh quotient
+    sum_j A'_j u_j / sum_j B'_j u_j is an average of the ratios and lies
+    in the bracket; at an eigenpair both ends equal lambda1.  A free node
+    with B'(u)_j <= 0 leaves nothing to bracket: (-inf, inf).
+    """
+    a = plap_residual(mesh, u, p).values
+    b = lp_residual(mesh, u, p).values
+    if not np.all(b > 0.0):
+        return -np.inf, np.inf
+    ratios = a / b
+    return float(np.min(ratios)), float(np.max(ratios))
 
 
 def _bubble_start(mesh: Mesh) -> np.ndarray:
@@ -212,7 +237,9 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
                          trials=trials, cg_iterations=cg_iterations, residual=res,
                          stop_reason=stop)
     if stop != "residual":
+        lo, hi = collatz_wielandt_bracket(mesh, result.phi1, p)
         raise EigenConvergenceError(
             f"eigen descent did not converge in {iterations} accepted steps "
-            f"(residual {res:.3e}, stop {stop})", result)
+            f"(residual {res:.3e}, stop {stop}; Collatz-Wielandt estimate "
+            f"lambda1 in [{lo:.6g}, {hi:.6g}])", result, (lo, hi))
     return result

@@ -24,10 +24,14 @@ that evaluates f at many s on one point set evaluates the weight once
 (the hypothesis checkers do; eval_f/eval_F/eval_G evaluate it once per
 call).  A spec with no declared coefficient, a user's
 NonlinearitySpec(f=lambda x, s: ...) included, receives the (m, ndim)
-points.  s may be a scalar or a (k, 1) column of samples (check_f0
-passes blocks of s that way), so f/F/G must broadcast it against the
-(m,) values into a (k, m) result; a result that ignores x or s may keep
-the shape of the other.
+points.  The hypothesis checkers pass only the distinct entries of that
+first argument (`conditions._distinct`), a single point for an
+autonomous spec with no declared coefficient, so f/F/G must act on it
+entry by entry (row by row for points).  s may be a scalar or a (k, 1)
+column of samples (check_f0 passes blocks of s against the distinct
+values that way), so f/F/G must broadcast it against the (n,) values
+into a (k, n) result; a result that ignores x or s may keep the shape
+of the other.
 """
 
 from __future__ import annotations

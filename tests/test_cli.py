@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -267,6 +268,29 @@ class TestDeterminism:
         assert names == [p.name for p in sorted(out2.iterdir())]
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+class TestExplain:
+    def test_evidence_json_parses_and_names_levels_used(self, tmp_path):
+        cfg = write(tmp_path, "c.cfg",
+                    "pipeline = all\nn = 24\nlevels = 200\n"
+                    "nonlinearity = power_perturbation\n"
+                    "nonlinearity.beta = 1.9\nh = phi1: 0.05\n")
+        plain, explained = tmp_path / "a", tmp_path / "b"
+        assert main(["run", cfg, "--out", str(plain), "--quiet"]) == 0
+        assert main(["run", cfg, "--out", str(explained), "--quiet", "--explain"]) == 0
+        assert not (plain / "evidence.json").exists()
+        for f in plain.iterdir():
+            assert (explained / f.name).read_bytes() == f.read_bytes(), f.name
+        text = (explained / "evidence.json").read_text()
+        data = json.loads(text, parse_constant=lambda c: pytest.fail(f"bare {c}"))
+        assert set(data) == {"conditions", "superlinear_negativity", "incomparability"}
+        sign = data["conditions"]["sign"]["conditions"]["nonpositive_ae"]
+        assert sign["evidence"]["levels_used"] == 200
+        # lim G/|s| = -inf in both directions, written as a string
+        assert data["superlinear_negativity"]["evidence"]["pos"]["value"] == "-inf"
+        assert set(data["incomparability"]) == {"comparison_case", "landesman_case",
+                                                "sign_case"}
 
 
 class TestSharedWork:

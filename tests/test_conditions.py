@@ -275,6 +275,10 @@ class TestBlockedF0:
         mesh = pv.build_interval_mesh(0.0, 1.0, 128)
         spec = _f0_specs(mesh)[-1]
         assert spec.name == "s_blind"
+        pts = mesh.quad_points_flat()
+        distinct, inverse = conditions._distinct(spec, conditions._spatial(spec, pts))
+        assert distinct.shape == pts.shape
+        assert np.array_equal(distinct[inverse], pts)
         assert math.isclose(conditions._f0_value(spec, 10.0, mesh), 1.5, rel_tol=1e-12)
 
     def test_nan_propagates(self, mesh):
@@ -285,15 +289,17 @@ class TestBlockedF0:
         assert v.status == FAILS and math.isnan(v.evidence["values"][0])
 
     def test_eval_f_calls_bounded_by_blocks(self, monkeypatch):
-        # the blocks go through _f_at with the weight's (m,) values
+        # the blocks go through _f_at with the weight's distinct values:
+        # the tilted eta takes 291 of them at the 12288 quadrature points
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
-        m = mesh.quad_points_flat().shape[0]
-        rows = max(1, conditions.F0_BLOCK_BYTES // (8 * m))
+        assert mesh.quad_points_flat().shape[0] == 12288
+        n = 291
+        rows = max(1, conditions.F0_BLOCK_BYTES // (8 * n))
         blocks = []
         f_at = conditions._f_at
 
         def recording_f_at(spec, c, s):
-            assert np.shape(c) == (m,)
+            assert np.shape(c) == (n,)
             blocks.append(np.size(s) * np.shape(c)[0] * 8)
             return f_at(spec, c, s)
 
@@ -302,6 +308,96 @@ class TestBlockedF0:
         assert pv.check_f0(spec, 10.0, mesh).status == HOLDS
         assert len(blocks) <= math.ceil(conditions.F0_SAMPLES / rows)
         assert max(blocks) <= conditions.F0_BLOCK_BYTES
+
+
+def _mixed_spec(lam=10.0, p=3.0):
+    """A weighted |s| entry whose coefficient mixes 0.0, -0.0, NaN and
+    repeated values; its f tells -0.0 from 0.0 and NaN from numbers while
+    staying finite, and its G = eta |s| keeps the sign of a zero eta."""
+    pattern = np.array([0.0, -0.0, np.nan, 1.5, -0.0, 1.5, -2.0, 0.0, -np.nan, -2.0])
+    eta = pv.SpatialWeight(lambda pts: np.resize(pattern, pts.shape[0]))
+
+    def f(eta, s):
+        tag = np.where(np.isnan(eta), 3.0, np.where(np.signbit(eta), 2.0, 1.0))
+        return tag * np.sign(s) + np.nan_to_num(eta) * s
+
+    def G(eta, s):
+        return eta * np.abs(s)
+
+    return pv.NonlinearitySpec(
+        "mixed", f=f, F=lambda eta, s: lam * np.abs(s) ** p / p + G(eta, s), G=G,
+        p=p, lambda1=lam, params={"eta": eta}, coefficient="eta")
+
+
+class TestDistinctCoefficients:
+    def test_f0_exact_on_signed_zeros_and_nans(self):
+        for mesh in (pv.build_interval_mesh(0.0, 1.0, 16),
+                     pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)):
+            spec = _mixed_spec()
+            c = conditions._spatial(spec, mesh.quad_points_flat())
+            distinct, inverse = conditions._distinct(spec, c)
+            assert len(distinct) == 6  # 0.0, -0.0, 1.5, -2.0 and NaN of either sign
+            assert distinct[inverse].tobytes() == c.tobytes()
+            value = conditions._f0_value(spec, 10.0, mesh)
+            assert np.isfinite(value)
+            assert value == _f0_reference(spec, 10.0, mesh)
+
+    def test_check_theorems_matches_per_point_tail_limsups(self, monkeypatch, mesh, eig):
+        # the per-point arrays check_theorems feeds its verdicts equal a
+        # _tail_limsups pass over the full c, signs of zero included
+        spec = _mixed_spec(eig.lambda1, 2.0)
+        phi = pv.power_comparison(1.5)
+        seen = []
+        strict, integral = conditions._strict_negative_set, conditions._weighted_integral
+
+        def recording_strict(values, converged, weights):
+            seen.append((values, converged))
+            return strict(values, converged, weights)
+
+        def recording_integral(values, weights, density):
+            seen.append((values, None))
+            return integral(values, weights, density)
+
+        monkeypatch.setattr(conditions, "_strict_negative_set", recording_strict)
+        monkeypatch.setattr(conditions, "_weighted_integral", recording_integral)
+        pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0, phi=phi, levels=40)
+
+        c = conditions._spatial(spec, mesh.quad_points_flat())
+        denoms = (lambda mag: mag ** 2.0, lambda mag: float(phi(mag)), lambda mag: mag)
+        depth = conditions._finite_depth(denoms, 40)
+        expected = []
+        for direction in (1, -1):
+            full = conditions._tail_limsups(spec, c, denoms, direction, eig.lambda1,
+                                            2.0, depth)
+            expected += [full[0], (full[1][0], None), (full[2][0], None)]
+        assert len(seen) == len(expected) == 6
+        assert any(np.any(np.signbit(v) & (v == 0.0)) for v, _ in expected)
+        assert any(np.any(~np.signbit(v) & (v == 0.0)) for v, _ in expected)
+        for (vals, conv), (ref_vals, ref_conv) in zip(seen, expected):
+            assert np.array_equal(vals, ref_vals, equal_nan=True)
+            assert np.array_equal(np.signbit(vals), np.signbit(ref_vals))
+            if ref_conv is not None:
+                assert np.array_equal(conv, ref_conv)
+
+    def test_autonomous_spec_needs_one_point(self, monkeypatch, mesh, eig):
+        # power_perturbation declares no coefficient and ignores x
+        shapes = []
+        f_at, G_at = conditions._f_at, conditions._G_at
+
+        def recording_f_at(spec, c, s):
+            shapes.append(("f", np.shape(c)))
+            return f_at(spec, c, s)
+
+        def recording_G_at(spec, c, s, lam, p):
+            shapes.append(("G", np.shape(c)))
+            return G_at(spec, c, s, lam, p)
+
+        monkeypatch.setattr(conditions, "_f_at", recording_f_at)
+        monkeypatch.setattr(conditions, "_G_at", recording_G_at)
+        spec = pv.power_perturbation(eig.lambda1, 1.5, 2.0)
+        pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0, levels=40)
+        assert {kind for kind, _ in shapes} == {"f", "G"}
+        assert {shape for _, shape in shapes} == {(1, 1)}
 
 
 class TestComparisonFunctions:

@@ -129,6 +129,31 @@ class TestInvariants:
         assert result.residual > 0.0
         assert result.phi1.values.shape == (mesh.n_free,)
 
+    def test_failure_carries_collatz_wielandt_bracket(self):
+        # five steps at p = 1.05 are far from converged; the nodal ratios
+        # A'_j / B'_j still bracket the exact lambda1 and the quotient
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        with pytest.raises(pv.EigenConvergenceError) as exc:
+            pv.first_eigenpair(mesh, 1.05, max_iter=5)
+        lo, hi = exc.value.bracket
+        assert lo <= exc.value.result.lambda1 <= hi
+        assert lo <= interval_lambda1(1.05) <= hi
+        assert "Collatz-Wielandt estimate" in str(exc.value)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_collatz_wielandt_bracket_closes_at_eigenpair(self, p):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        eig = pv.first_eigenpair(mesh, p)
+        lo, hi = pv.collatz_wielandt_bracket(mesh, eig.phi1, p)
+        assert lo <= eig.lambda1 <= hi
+        assert hi - lo < 1e-6 * eig.lambda1
+
+    def test_collatz_wielandt_bracket_needs_positive_b(self):
+        # the ratios bracket nothing once some B'(u)_j <= 0
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        u = pv.interpolate(mesh, lambda x: np.sin(2.0 * np.pi * x[:, 0]))
+        assert pv.collatz_wielandt_bracket(mesh, u, 2.0) == (-math.inf, math.inf)
+
     def test_one_lp_integral_per_trial(self, monkeypatch):
         # each line-search trial evaluates int |u|^p once, on the cached
         # line; the only other evaluations normalize the start and
