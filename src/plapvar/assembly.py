@@ -191,14 +191,27 @@ def _flux_weights(mesh: Mesh, g: np.ndarray, p: float):
     return mesh.measures * w, g_hat
 
 
-def _lp(mesh: Mesh, q: np.ndarray, p: float) -> float:
-    """int |u|^p from u at the quadrature nodes q, shape (ne, nq)."""
-    return _reduce(np.einsum("eq,eq->e", mesh.quad_weights, np.abs(q) ** p))
+def _lp(mesh: Mesh, q: np.ndarray, p: float, work=None) -> float:
+    """int |u|^p from u at the quadrature nodes q, shape (ne, nq).
+
+    `work`, an array shaped like q, receives the intermediate |u|^p;
+    without it one is allocated.
+    """
+    a = np.abs(q, out=work)
+    a **= p
+    return _reduce(np.einsum("eq,eq->e", mesh.quad_weights, a))
 
 
-def _lp_load(mesh: Mesh, q: np.ndarray, p: float) -> np.ndarray:
-    """Entries int |u|^(p-2) u psi_j from u at the quadrature nodes q."""
-    return quad_load(mesh, np.sign(q) * np.abs(q) ** (p - 1.0)).values
+def _lp_load(mesh: Mesh, q: np.ndarray, p: float, work=None) -> np.ndarray:
+    """Entries int |u|^(p-2) u psi_j from u at the quadrature nodes q.
+
+    `work` is as for `_lp`; the density is weighted in it, in place.
+    """
+    v = np.abs(q, out=work)
+    v **= p - 1.0
+    np.copysign(v, q, out=v)
+    v *= mesh.quad_weights
+    return _scatter(mesh, v @ mesh.basis_at_quad)
 
 
 def dirichlet_energy(mesh: Mesh, u: DiscreteField, p: float) -> float:
@@ -280,7 +293,9 @@ def stiffness_matrix(mesh: Mesh) -> sp.csc_matrix:
 
     D^T diag(|T|) D, the fixed symmetric positive definite preconditioner
     of both Newton descents and the metric of their p = 2 fallback step;
-    it is not a Riesz identification of residuals.
+    it is not a Riesz identification of residuals.  The descents apply
+    its inverse in closed form (`solver._poisson_solve`) and never
+    assemble it.
     """
     D = mesh.grad_op
     weights = sp.diags_array(np.repeat(mesh.measures, mesh.ndim))

@@ -42,8 +42,7 @@ from .assembly import (
 )
 from .eigen import EigenConvergenceError, first_eigenpair
 from .meshing import build_interval_mesh, build_rectangle_mesh
-from .solver import (UnboundedBelowError, _stiffness_lu, minimize_phi,
-                     verify_weak_solution)
+from .solver import UnboundedBelowError, minimize_phi, verify_weak_solution
 
 __all__ = [
     "ConfigError",
@@ -465,9 +464,8 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False,
                   f"{mesh.n_free} free vertices")
 
     say(f"computing first eigenpair (p = {cfg.p}) ...")
-    lu = _stiffness_lu(mesh)  # the p = 2 preconditioner of both descents
     try:
-        eig = first_eigenpair(mesh, cfg.p, lu=lu)
+        eig = first_eigenpair(mesh, cfg.p)
     except EigenConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         report.append(f"eigen: FAILED ({exc})")
@@ -491,7 +489,7 @@ def run(cfg: ExperimentConfig, out_dir, quiet: bool = False,
     if want in ("solve", "all"):
         say("minimizing the energy ...")
         try:
-            res = minimize_phi(mesh, spec, h, cfg.p, lu=lu)
+            res = minimize_phi(mesh, spec, h, cfg.p)
         except UnboundedBelowError as exc:
             print(f"error: {exc}", file=sys.stderr)
             report.append(f"solve: FAILED ({exc})")

@@ -10,21 +10,27 @@ first eigenfunction, normalized by int |phi_1|^p = 1.
 The iteration is projected descent on R: renormalize after every
 accepted step (R is scale invariant, so projection is free for the line
 search), with step lengths from the shared Armijo search `solver.armijo`,
-started at t = 1.  The direction is the energy descent's damped inexact
-Newton step (`solver._newton_step`): PCG on the p-energy Hessian
-operator at u (`solver._energy_hessian`),
-preconditioned by the p = 2 stiffness matrix, applied to the eigen
-residual A'(u) - lambda B'(u) with A'(u)_j = int |grad u|^(p-2) grad u .
-grad psi_j and B'(u)_j = int |u|^(p-2) u psi_j.  At p = 2 the Hessian is
+started at t = 1.  Its sufficient-decrease test allows for the quotient's
+rounding error, p PHI_NOISE sum_j |u_j| (|A'(u)_j| + lambda |B'(u)_j|), as
+the energy descent's allows for Phi's: without the band, trials whose
+quotient changes at rounding level are rejected near the stop (24 x 24,
+p = 3: 42 trials for 14 steps instead of 12 for 12).  The direction is
+the energy descent's damped inexact Newton step (`solver._newton_step`):
+PCG on the p-energy Hessian operator at u (`solver._energy_hessian`),
+preconditioned by the closed-form inverse of the p = 2 stiffness matrix
+(`solver._poisson_solve`), applied to the eigen residual
+A'(u) - lambda B'(u) with A'(u)_j = int |grad u|^(p-2) grad u . grad psi_j
+and B'(u)_j = int |u|^(p-2) u psi_j.  At p = 2 the Hessian is
 the stiffness matrix and the step is the gradient in the H^1_0 inner
 product.  For p >= 2 the step count hardly grows under refinement (p = 3
-on the unit interval: 10 steps at n = 64, 12 at n = 4096), whereas the
+on the unit interval: 10 steps at n = 64, 11 at n = 4096), whereas the
 raw coefficient-space gradient needs O(h^-2) steps.  For 1 < p < 2 it
-does grow (p = 1.5: 31 steps at n = 64, 198 at n = 1024).
+does grow (p = 1.5: 31 steps at n = 64, 199 at n = 1024).
 
 The descent stops when the relative residual
 max_j |A'(u)_j - lambda B'(u)_j| / max_j (|A'(u)_j| + lambda |B'(u)_j|),
-the norm of `solver._residual_norms`, falls below RESIDUAL_STOP.  Both
+the norm of `solver._residual_norms`, falls below RESIDUAL_STOP
+(`EigenResult.residual_history` keeps it at every iterate).  Both
 terms scale alike under u -> c u and under a dilation of the domain, so
 the stop does not depend on the domain's size.
 
@@ -36,7 +42,12 @@ no sparse product and no gather.  The accepted trial's arrays are
 rescaled to int |u|^p = 1, and the quotient and the eigen residual are
 then evaluated afresh at the normalized iterate: reusing the accepted
 trial's quotient would bias lambda low, since Armijo accepts the first
-trial that rounds below its threshold.
+trial that rounds below its threshold.  Trials and residuals write into
+buffers allocated once per descent, the (ne, nq) intermediates of
+int |u|^p and of B' included: malloc maps a fresh array of that size
+anew on each call, and the page faults add up (a p = 3 eigenpair on the
+128 x 128 square took 38.7k minor faults without the buffers, 7.0k with
+them).
 
 The start iterate is the interpolant of the positive product bubble
 prod_i sin(pi (x_i - a_i) / (b_i - a_i)), which lies in the symmetry
@@ -65,7 +76,8 @@ from .assembly import (
     values_at_quad,
 )
 from .meshing import Mesh
-from .solver import _energy_hessian, _newton_step, _residual_norms, _stiffness_lu, armijo
+from .solver import (_energy_hessian, _newton_step, _poisson_solve, _residual_norms,
+                     _rounding_band, armijo)
 
 __all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient",
            "collatz_wielandt_bracket", "first_eigenpair"]
@@ -91,6 +103,8 @@ class EigenResult:
               "residual" (residual below RESIDUAL_STOP).  The result inside
               EigenConvergenceError carries "max-iter" (max_iter steps used
               up) or "line-search" (no acceptable step).
+    residual_history  the relative residual of every iterate, the start
+              first and phi1 last, so its last entry is residual
     """
 
     lambda1: float
@@ -100,6 +114,7 @@ class EigenResult:
     cg_iterations: int
     residual: float
     stop_reason: str
+    residual_history: tuple
 
 
 class EigenConvergenceError(RuntimeError):
@@ -155,30 +170,35 @@ def _normalized(mesh: Mesh, values: np.ndarray, p: float):
     return field.values / s, g / s, q / s
 
 
-def _eigen_residual(mesh: Mesh, g: np.ndarray, q: np.ndarray, p: float):
-    """Rayleigh quotient, eigen-residual vector and relative residual of the
-    field with element gradients g and quadrature values q."""
-    lam = p * _energy(mesh, g, p) / _lp(mesh, q, p)
-    r, _, _, rel = _residual_norms(_flux(mesh, g, p), lam * _lp_load(mesh, q, p))
-    return lam, r, rel
+def _eigen_residual(mesh: Mesh, u: np.ndarray, g: np.ndarray, q: np.ndarray,
+                    p: float, work: np.ndarray):
+    """Rayleigh quotient, eigen-residual vector, relative residual and the
+    quotient's rounding band p PHI_NOISE sum_j |u_j| (|A'_j| + lambda |B'_j|)
+    (`solver._rounding_band`) of the field u with element gradients g and quadrature values q; work
+    is scratch space shaped like q."""
+    lam = p * _energy(mesh, g, p) / _lp(mesh, q, p, work)
+    a, b = _flux(mesh, g, p), lam * _lp_load(mesh, q, p, work)
+    r, _, _, rel = _residual_norms(a, b)
+    return lam, r, rel, p * _rounding_band(u, (a, b))
 
 
 def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
-          g: np.ndarray, q: np.ndarray):
+          g: np.ndarray, q: np.ndarray, work: np.ndarray):
     """Trial function at(t) on the line u - t d, for `solver.armijo`.
 
     g_u, q_u are u's gradients and quadrature values; d's are computed
     here, once.  at(t) writes the trial's arrays into the buffers g and
-    q and returns (quotient, (t, int |u - t d|^p)), or None for the zero
-    field.  The buffers hold the last trial evaluated, which is the
-    accepted one when the search succeeds.
+    q, with work as scratch space shaped like q, and returns (quotient,
+    (t, int |u - t d|^p)), or None for the zero field.  The buffers hold
+    the last trial evaluated, which is the accepted one when the search
+    succeeds.
     """
     field = DiscreteField(mesh, d)
     g_d, q_d = gradients_on_elements(mesh, field), values_at_quad(mesh, field)
 
     def at(t):
         np.add(np.multiply(q_d, -t, out=q), q_u, out=q)
-        b = _lp(mesh, q, p)
+        b = _lp(mesh, q, p, work)
         if b == 0.0:
             return None
         np.add(np.multiply(g_d, -t, out=g), g_u, out=g)
@@ -187,26 +207,24 @@ def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
     return at
 
 
-def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
-                    lu=None) -> EigenResult:
+def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResult:
     """Minimize the Rayleigh quotient; see the module docstring.
 
     Converges when the relative eigen residual drops below RESIDUAL_STOP;
     it is tested at every iterate, the last one included.  Any other stop
     raises EigenConvergenceError carrying the last iterate;
-    EigenResult.stop_reason says which rule fired.  `lu` is
-    `solver._stiffness_lu(mesh)`, the p = 2 preconditioner (minimum-degree
-    order on K^T + K); it is factored here when not given.
+    EigenResult.stop_reason says which rule fired.
     """
     _check_p(p)
-    if lu is None:
-        lu = _stiffness_lu(mesh)
+    solve = _poisson_solve(mesh)
     u, g, q = _normalized(mesh, _bubble_start(mesh), p)
-    g_buf, q_buf = np.empty_like(g), np.empty_like(q)
+    g_buf, q_buf, work = np.empty_like(g), np.empty_like(q), np.empty_like(q)
     iterations = trials = cg_iterations = 0
+    history = []
 
     while True:
-        lam, r, res = _eigen_residual(mesh, g, q, p)
+        lam, r, res, noise = _eigen_residual(mesh, u, g, q, p, work)
+        history.append(res)
         if res < RESIDUAL_STOP:
             stop = "residual"
             break
@@ -214,10 +232,11 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
             stop = "max-iter"
             break
 
-        d, products = _newton_step(_energy_hessian(mesh, p, g), r, lu, res)
+        d, products = _newton_step(_energy_hessian(mesh, p, g), r, solve, res)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
-        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf), lam, slope)
+        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf, work),
+                                       lam + noise, slope)
         trials += rejected + (accepted is not None)
         if accepted is None:
             stop = "line-search"
@@ -235,7 +254,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000,
         u = -u  # lambda and the residual norm are even in u
     result = EigenResult(lambda1=lam, phi1=DiscreteField(mesh, u), iterations=iterations,
                          trials=trials, cg_iterations=cg_iterations, residual=res,
-                         stop_reason=stop)
+                         stop_reason=stop, residual_history=tuple(history))
     if stop != "residual":
         lo, hi = collatz_wielandt_bracket(mesh, result.phi1, p)
         raise EigenConvergenceError(

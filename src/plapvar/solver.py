@@ -27,9 +27,11 @@ which aborts with `UnboundedBelowError`.
 
 The descent is a damped, matrix-free inexact Newton method.  Each step
 solves H d = grad Phi by conjugate gradients preconditioned with the
-p = 2 stiffness matrix (factored once per solve, or once per run when
-the caller shares it with the eigensolver), to the relative
-accuracy min(0.1, sqrt(stationarity)) of Eisenstat and Walker.  H is
+p = 2 stiffness matrix K, to the relative accuracy
+min(0.1, sqrt(stationarity)) of Eisenstat and Walker.  K^-1 is applied
+in closed form (`_poisson_solve`: the discrete Green's function on an
+interval, the fast diagonalization of the 5-point matrix on a
+rectangle), so nothing is factored; each descent builds its own solve.  H is
 applied as an operator, never assembled: the p-energy part
 D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
 `assembly._flux_weights` (`_energy_hessian`), minus the mass term
@@ -54,7 +56,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .assembly import (
     DiscreteField,
@@ -69,7 +70,6 @@ from .assembly import (
     pairing,
     plap_residual,
     quad_load,
-    stiffness_matrix,
     sup_norm,
     values_at_quad,
     zero_field,
@@ -252,6 +252,15 @@ def phi_gradient(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
 # ---------------------------------------------------------------------------
 
 
+def _rounding_band(u: np.ndarray, terms) -> float:
+    """PHI_NOISE sum_j |u_j| sum_t |t_j|: the rounding error of an energy
+    whose gradient at u is a signed sum of the vectors in terms.
+
+    Both descents add it to the value the Armijo test must beat.
+    """
+    return PHI_NOISE * float(np.abs(u) @ sum(np.abs(t) for t in terms))
+
+
 def armijo(at, f0: float, slope: float):
     """Backtracking Armijo line search shared by both descents.
 
@@ -282,8 +291,10 @@ class SolveResult:
     (no acceptable step found) or "max-iter"; converged is true exactly
     for "stationarity".  trials counts the energies evaluated by the line
     searches, backtracks the rejected ones among them, and cg_iterations
-    the Hessian products of the Newton directions.  starts is always 1,
-    the one descent.
+    the Hessian products of the Newton directions.  residual_history
+    holds the stationarity of every iterate, the start first and u last,
+    so its last entry is stationarity.  starts is always 1, the one
+    descent.
     """
 
     u: DiscreteField
@@ -295,12 +306,13 @@ class SolveResult:
     backtracks: int
     trials: int
     cg_iterations: int
+    residual_history: tuple
     starts: int = 1
 
 
 def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
-                 start: DiscreteField | None = None, max_iter: int = 2000,
-                 lu=None) -> SolveResult:
+                 start: DiscreteField | None = None,
+                 max_iter: int = 2000) -> SolveResult:
     """Minimize Phi by damped inexact Newton steps (see the module docstring).
 
     Starts from u = 0 unless `start` is given.  Stops when the relative
@@ -310,24 +322,22 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     the existence theorems need, so any critical point the certificate
     accepts is a weak solution; one descent suffices.
 
-    `lu` is `_stiffness_lu(mesh)`, the p = 2 preconditioner (minimum-degree
-    order on K^T + K); it is factored here when not given.
-
     Raises UnboundedBelowError if Phi falls below -1e12, the numerical
     signature of a non-coercive functional.
     """
     _check_p(p)
-    if lu is None:
-        lu = _stiffness_lu(mesh)
+    solve = _poisson_solve(mesh)
     field = zero_field(mesh) if start is None else DiscreteField(mesh, start.values)
     phi_cur = assemble_phi(mesh, field, spec, h, p)
     steps = backtracks = trials = cg_iterations = 0
+    history = []
 
     while True:
         if phi_cur < DIVERGENCE_FLOOR:
             raise UnboundedBelowError(field, phi_cur)
         terms = _weak_terms(mesh, field, spec, h, p)
         g, _, _, stat = _residual_norms(*terms)
+        history.append(stat)
         if stat < STATIONARITY_STOP:
             stop = "stationarity"
             break
@@ -335,7 +345,7 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
             stop = "max-iter"
             break
 
-        d, products = _newton_step(_phi_hessian(mesh, spec, p, field), g, lu, stat)
+        d, products = _newton_step(_phi_hessian(mesh, spec, p, field), g, solve, stat)
         cg_iterations += products
         slope = float(np.dot(g, d))
 
@@ -343,7 +353,7 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
             trial = DiscreteField(mesh, field.values - t * d)
             return assemble_phi(mesh, trial, spec, h, p), trial
 
-        noise = PHI_NOISE * float(np.abs(field.values) @ sum(np.abs(t) for t in terms))
+        noise = _rounding_band(field.values, terms)
         phi_new, trial, rejected = armijo(at, phi_cur + noise, slope)
         backtracks += rejected
         trials += rejected + (trial is not None)
@@ -355,7 +365,7 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
         phi_cur = phi_new
 
     return SolveResult(field, phi_cur, stat, steps, stop == "stationarity", stop,
-                       backtracks, trials, cg_iterations)
+                       backtracks, trials, cg_iterations, tuple(history))
 
 
 def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u_q: np.ndarray) -> np.ndarray:
@@ -395,18 +405,77 @@ def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray):
     return apply
 
 
-def _stiffness_lu(mesh: Mesh):
-    """The sparse LU of the p = 2 stiffness matrix, the descents' preconditioner.
+def _sine_basis(n: int):
+    """(Q, mu): eigenvectors and eigenvalues of tridiag(-1, 2, -1), order n - 1.
 
-    The columns are ordered by minimum degree on K^T + K, which suits the
-    symmetric K: on the 128 x 128 square it halves the fill of SuperLU's
-    default COLAMD order and with it the factor and solve times.
+    Q_jk = sqrt(2/n) sin(pi j k / n) is symmetric and orthogonal, and
+    mu_k = 2 - 2 cos(pi k / n), evaluated as 4 sin^2(pi k / 2n), which
+    keeps the small eigenvalues to full relative accuracy.  The products
+    j k are reduced modulo 2n before the sine.
     """
-    return splu(stiffness_matrix(mesh), permc_spec="MMD_AT_PLUS_A")
+    k = np.arange(1, n)
+    Q = math.sqrt(2.0 / n) * np.sin(np.pi / n * (np.outer(k, k) % (2 * n)))
+    return Q, 4.0 * np.sin(np.pi / (2 * n) * k) ** 2
 
 
-def _pcg(apply, b: np.ndarray, lu, tol: float):
-    """Truncated PCG for H d = b from d = 0, preconditioned by the LU `lu`.
+def _poisson_solve(mesh: Mesh):
+    """solve(r) = K^-1 r for the p = 2 stiffness matrix K, in closed form.
+
+    The descents' preconditioner and the metric of their p = 2 fallback
+    step.  Every mesh is a uniform tensor grid with its free dofs in
+    vertex order, so K is known exactly:
+      * on an interval of n elements of width h, K = T_n / h with
+        T_n = tridiag(-1, 2, -1).  K x = r says that the slopes
+        s_k = x_k - x_(k-1) (x_0 = x_n = 0) fall by h r_k at node k, so x
+        is r summed twice: s_k = s_1 - h sum_{j<k} r_j with s_1 =
+        (h/n) sum_{k<n} sum_{j<=k} r_j, and x_i = sum_{k<=i} s_k.  Two
+        cumulative sums, O(n) time and no stored array.  This equals the
+        discrete Green's function (h/n) [(n-i) sum_{j<=i} j r_j +
+        i sum_{j>i} (n-j) r_j], whose two terms cancel to a part in i:
+        for high-frequency r its backward error grows like n (4e-14 at
+        n = 4096), while the slopes' stays at rounding level;
+      * on an nx x ny rectangle the diagonals of the triangulation carry no
+        stiffness, and K is the anisotropic 5-point matrix
+        (hy/hx) T_nx (x) I + (hx/hy) I (x) T_ny.  Its inverse is the fast
+        diagonalization method (Lynch, Rice, Thomas, Numer. Math. 6, 1964):
+        with R = r.reshape(nx-1, ny-1) (free dofs are x-major),
+        K^-1 r = Qx ((Qx R Qy) / Lambda) Qy, Lambda_kl = (hy/hx) mux_k +
+        (hx/hy) muy_l, for (Qx, mux) and (Qy, muy) from `_sine_basis`.
+        It stores (nx-1)^2 + (ny-1)^2 + (nx-1)(ny-1) doubles, Qy being Qx
+        when nx = ny (0.26 MB on 128 x 128), and a solve is four dense
+        products, O(nx ny (nx + ny)).
+    `assembly.stiffness_matrix` assembles K itself; the two agree to
+    rounding.
+    """
+    lo, hi = mesh.bounds
+    if mesh.ndim == 1:
+        (n,) = mesh.structure
+        h = float(hi[0] - lo[0]) / n
+
+        def solve(r):
+            sums = np.cumsum(r)
+            slopes = np.empty_like(sums)
+            slopes[0] = (h / n) * np.sum(sums)
+            slopes[1:] = slopes[0] - h * sums[:-1]
+            return np.cumsum(slopes)
+
+        return solve
+
+    nx, ny = mesh.structure
+    hx, hy = (float(b - a) / m for a, b, m in zip(lo, hi, (nx, ny)))
+    Qx, mux = _sine_basis(nx)
+    Qy, muy = (Qx, mux) if ny == nx else _sine_basis(ny)
+    lam = (hy / hx) * mux[:, None] + (hx / hy) * muy[None, :]
+
+    def solve(r):
+        R = r.reshape(nx - 1, ny - 1)
+        return (Qx @ ((Qx @ R @ Qy) / lam) @ Qy).ravel()
+
+    return solve
+
+
+def _pcg(apply, b: np.ndarray, solve, tol: float):
+    """Truncated PCG for H d = b from d = 0, preconditioned by solve = K^-1.
 
     Stops when the residual's preconditioned norm sqrt(r . K^-1 r) falls
     to tol times b's, after CG_MAX iterations, or at non-positive
@@ -415,7 +484,7 @@ def _pcg(apply, b: np.ndarray, lu, tol: float):
     """
     d = np.zeros_like(b)
     r = b.copy()
-    z = lu.solve(r)
+    z = solve(r)
     rz = float(np.dot(r, z))
     target = tol * tol * rz
     s = z
@@ -427,7 +496,7 @@ def _pcg(apply, b: np.ndarray, lu, tol: float):
         alpha = rz / curvature
         d += alpha * s
         r -= alpha * Hs
-        z = lu.solve(r)
+        z = solve(r)
         rz_next = float(np.dot(r, z))
         if rz_next <= target:
             return d, k + 1
@@ -436,7 +505,7 @@ def _pcg(apply, b: np.ndarray, lu, tol: float):
     return d, CG_MAX
 
 
-def _newton_step(apply, r: np.ndarray, lu, rel: float):
+def _newton_step(apply, r: np.ndarray, solve, rel: float):
     """(d, Hessian products): the inexact Newton direction for the residual r.
 
     PCG solves apply(d) = r to the forcing term min(FORCING_CAP, sqrt(rel)).
@@ -445,9 +514,9 @@ def _newton_step(apply, r: np.ndarray, lu, rel: float):
     direction.
     """
     d, products = (None, 0) if apply is None else _pcg(
-        apply, r, lu, min(FORCING_CAP, math.sqrt(rel)))
+        apply, r, solve, min(FORCING_CAP, math.sqrt(rel)))
     if d is None or not float(np.dot(r, d)) > 0.0:
-        d = lu.solve(r)
+        d = solve(r)
     return d, products
 
 
@@ -462,7 +531,8 @@ def _phi_hessian(mesh, spec, p, u):
 
     def apply(v):
         v_q = values_at_quad(mesh, DiscreteField(mesh, v))
-        return energy(v) - quad_load(mesh, df_q * v_q).values
+        v_q *= df_q
+        return energy(v) - quad_load(mesh, v_q).values
 
     return apply
 

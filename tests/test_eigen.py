@@ -223,6 +223,35 @@ class TestInvariants:
         assert 0 < res.iterations <= 30
         assert res.residual < eigen.RESIDUAL_STOP
 
+    @pytest.mark.parametrize("n, p", [(32, 4.0), (24, 3.0), (16, 2.5)])
+    def test_armijo_allows_for_quotient_rounding(self, n, p):
+        # the search accepts a trial whose quotient rises by no more than
+        # the rounding band p PHI_NOISE sum_j |u_j| (|A'_j| + lambda |B'_j|),
+        # the energy descent's rule; without it near the stop the trials
+        # of the last steps are rejected down to tiny t (42 trials for 14
+        # steps on 24 x 24 at p = 3)
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, n, n)
+        res = pv.first_eigenpair(mesh, p)
+        assert res.stop_reason == "residual"
+        assert res.trials <= res.iterations + 2
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_residual_history_ends_at_residual(self, p):
+        from plapvar import eigen
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 12, 12)
+        res = pv.first_eigenpair(mesh, p)
+        assert len(res.residual_history) == res.iterations + 1
+        assert res.residual_history[-1] == res.residual
+        assert res.residual_history[0] > eigen.RESIDUAL_STOP > res.residual
+
+    def test_failure_carries_residual_history(self):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        with pytest.raises(pv.EigenConvergenceError) as exc:
+            pv.first_eigenpair(mesh, 3.0, max_iter=3)
+        result = exc.value.result
+        assert len(result.residual_history) == 4
+        assert result.residual_history[-1] == result.residual
+
     def test_rayleigh_quotient_zero_rejected(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 8)
         with pytest.raises(ValueError):
@@ -238,7 +267,8 @@ class TestCachedLine:
         field = pv.make_field(mesh, u)
         g_u = pv.assembly.gradients_on_elements(mesh, field)
         q_u = pv.assembly.values_at_quad(mesh, field)
-        return eigen._line(mesh, p, g_u, q_u, d, np.empty_like(g_u), np.empty_like(q_u))
+        return eigen._line(mesh, p, g_u, q_u, d, np.empty_like(g_u), np.empty_like(q_u),
+                           np.empty_like(q_u))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("mesh", [
