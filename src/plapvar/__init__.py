@@ -40,7 +40,6 @@ from .assembly import (
     make_field,
     pairing,
     plap_residual,
-    stiffness_matrix,
     sup_norm,
     zero_dual,
     zero_field,
@@ -108,7 +107,7 @@ __all__ = [
     # assembly
     "DiscreteField", "DualVector", "make_field", "zero_field", "make_dual",
     "zero_dual", "interpolate", "dirichlet_energy", "lp_integral",
-    "plap_residual", "pairing", "load_vector", "stiffness_matrix", "sup_norm",
+    "plap_residual", "pairing", "load_vector", "sup_norm",
     # eigen
     "EigenResult", "EigenConvergenceError", "first_eigenpair",
     "rayleigh_quotient", "collatz_wielandt_bracket",

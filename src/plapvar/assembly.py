@@ -4,8 +4,12 @@ Discrete fields store coefficients for free (interior) vertices only;
 the homogeneous Dirichlet trace is structural, never enforced by
 penalties.  Gradients of P1 fields are constant per element, so the
 p-Dirichlet energy (1/p) int |grad u|^p is evaluated exactly.  With the
-mesh's gradient operator D, element gradients are D u, the residual is
-D^T (|T| |D u|^(p-2) D u) and the p = 2 stiffness matrix D^T diag(|T|) D.
+P1 gradient operator D, element gradients are D u and the residual is
+D^T (|T| |D u|^(p-2) D u).  Every mesh is a uniform tensor grid, so D is
+never stored: `_grad` applies it as difference stencils on the grid and
+`_grad_T` applies D^T as the matching negated differences.  The p = 2
+stiffness matrix D^T diag(|T|) D is never assembled either; the descents
+apply its inverse in closed form (`solver._poisson_solve`).
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 Gauss rule, which has polynomial exactness degree >= 4 by default.
 Each kernel's formula lives in one array-level helper (`_energy`,
@@ -21,17 +25,17 @@ element order.  Sums are deterministic per mesh and per numpy build, but
 permuting the element array may change their last bits; the pairwise
 error, O(eps log n) times the sum of |contributions|, is far below
 every tolerance in the package.  Every other element-to-free-dof sum
-goes through `_scatter`, the one scatter, which like D^T accumulates in
-a fixed element order; `quad_load` builds on it to turn a density at the
+goes through `_scatter`, the one scatter, which accumulates in a fixed
+element order; `quad_load` builds on it to turn a density at the
 quadrature nodes into a dual vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .meshing import Mesh
 
@@ -50,7 +54,6 @@ __all__ = [
     "pairing",
     "load_vector",
     "quad_load",
-    "stiffness_matrix",
     "values_at_quad",
     "gradients_on_elements",
     "sup_norm",
@@ -132,6 +135,73 @@ def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
     return out[mesh.free_vertices]
 
 
+def _spacing(mesh: Mesh) -> list:
+    """Grid step per axis, (h,) or (hx, hy), from the mesh's bounds and structure."""
+    lo, hi = mesh.bounds
+    return [(b - a) / n for a, b, n in zip(lo.tolist(), hi.tolist(), mesh.structure)]
+
+
+def _grad(mesh: Mesh, v: np.ndarray) -> np.ndarray:
+    """D v: the gradient on each element of the field with free values v.
+
+    v is padded with the zero boundary values to the grid U.  On an
+    interval element e has gradient (U[e+1] - U[e]) / h.  On a rectangle,
+    with dx = diff(U, 0) / hx and dy = diff(U, 1) / hy, cell (i, j) gives
+    triangle (v00, v10, v11) the gradient (dx[i, j], dy[i+1, j]) and
+    triangle (v00, v11, v01) the gradient (dx[i, j+1], dy[i, j]).
+    Shape (ne, ndim), in element order.
+    """
+    if mesh.ndim == 1:
+        U = np.zeros(v.size + 2)
+        U[1:-1] = v
+        g = U[1:] - U[:-1]
+        g /= _spacing(mesh)[0]
+        return g.reshape(-1, 1)
+    nx, ny = mesh.structure
+    hx, hy = _spacing(mesh)
+    U = np.zeros((nx + 1, ny + 1))
+    U[1:-1, 1:-1] = v.reshape(nx - 1, ny - 1)
+    dx = U[1:] - U[:-1]
+    dx /= hx
+    dy = U[:, 1:] - U[:, :-1]
+    dy /= hy
+    g = np.empty((nx, ny, 2, 2))  # cell (i, j), triangle, component
+    g[:, :, 0, 0] = dx[:, :-1]
+    g[:, :, 0, 1] = dy[1:]
+    g[:, :, 1, 0] = dx[:, 1:]
+    g[:, :, 1, 1] = dy[:-1]
+    return g.reshape(-1, 2)
+
+
+def _grad_T(mesh: Mesh, G: np.ndarray) -> np.ndarray:
+    """D^T G for element vectors G, shape (ne, ndim): the adjoint of `_grad`.
+
+    Each element's components are summed onto the grid differences they
+    pair with in `_grad` (Wx on dx, Wy on dy), and each free vertex takes
+    the negated differences of those sums.
+    """
+    if mesh.ndim == 1:
+        W = G.reshape(-1)
+        out = W[:-1] - W[1:]
+        out /= _spacing(mesh)[0]
+        return out
+    nx, ny = mesh.structure
+    hx, hy = _spacing(mesh)
+    G = G.reshape(nx, ny, 2, 2)
+    Wx = np.zeros((nx, ny + 1))
+    Wx[:, :-1] = G[:, :, 0, 0]
+    Wx[:, 1:] += G[:, :, 1, 0]
+    Wy = np.zeros((nx + 1, ny))
+    Wy[1:] = G[:, :, 0, 1]
+    Wy[:-1] += G[:, :, 1, 1]
+    out = Wx[:-1, 1:-1] - Wx[1:, 1:-1]
+    out /= hx
+    y = Wy[1:-1, :-1] - Wy[1:-1, 1:]
+    y /= hy
+    out += y
+    return out.ravel()
+
+
 def interpolate(mesh: Mesh, fn) -> DiscreteField:
     """Interpolate a callable of the free-vertex coordinates into P1."""
     vals = np.asarray(fn(mesh.free_coordinates()), dtype=float)
@@ -141,7 +211,7 @@ def interpolate(mesh: Mesh, fn) -> DiscreteField:
 def gradients_on_elements(mesh: Mesh, u: DiscreteField) -> np.ndarray:
     """Constant gradient of u on each element, shape (ne, ndim): D u."""
     _check_mesh(mesh, u)
-    return (mesh.grad_op @ u.values).reshape(mesh.n_elements, mesh.ndim)
+    return _grad(mesh, u.values)
 
 
 def values_at_quad(mesh: Mesh, u: DiscreteField) -> np.ndarray:
@@ -172,7 +242,7 @@ def _flux(mesh: Mesh, g: np.ndarray, p: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(norms >= GRADIENT_FLOOR, norms ** (p - 2.0), 0.0)
     flux = (mesh.measures * factor)[:, None] * g          # (ne, ndim)
-    return mesh.grad_op.T @ flux.ravel()
+    return _grad_T(mesh, flux)
 
 
 def _flux_weights(mesh: Mesh, g: np.ndarray, p: float):
@@ -288,24 +358,19 @@ def quad_load(mesh: Mesh, density_q) -> DualVector:
     return DualVector(mesh, _scatter(mesh, weighted @ mesh.basis_at_quad))
 
 
-def stiffness_matrix(mesh: Mesh) -> sp.csc_matrix:
-    """Sparse p=2 stiffness matrix on free dofs: int grad psi_i . grad psi_j.
-
-    D^T diag(|T|) D, the fixed symmetric positive definite preconditioner
-    of both Newton descents and the metric of their p = 2 fallback step;
-    it is not a Riesz identification of residuals.  The descents apply
-    its inverse in closed form (`solver._poisson_solve`) and never
-    assemble it.
-    """
-    D = mesh.grad_op
-    weights = sp.diags_array(np.repeat(mesh.measures, mesh.ndim))
-    return sp.csc_matrix(D.T @ (weights @ D))
-
-
 def hat_energies(mesh: Mesh, p: float) -> np.ndarray:
-    """int |grad psi_j|^p of each free-vertex basis function psi_j."""
-    rows = mesh.n_elements * mesh.ndim
-    element_sum = sp.csr_array((np.ones(rows), np.arange(rows),
-                                np.arange(rows + 1, step=mesh.ndim)))
-    norms = (element_sum @ mesh.grad_op.power(2)).sqrt()  # (ne, nf): |grad psi_j| on e
-    return norms.power(p).T @ mesh.measures
+    """int |grad psi_j|^p of each free-vertex basis function psi_j.
+
+    On a uniform grid every free hat has the same energy.  On an interval
+    psi_j has slope +-1/h on two elements: 2 h^(1-p).  On a rectangle it
+    spans six triangles of area hx hy / 2, on which its gradient has the
+    lengths 1/hx, 1/hy and r = sqrt(hx^-2 + hy^-2) twice each:
+    hx hy (hx^-p + hy^-p + r^p).
+    """
+    if mesh.ndim == 1:
+        (h,) = _spacing(mesh)
+        energy = 2.0 * h ** (1.0 - p)
+    else:
+        hx, hy = _spacing(mesh)
+        energy = hx * hy * (hx ** -p + hy ** -p + math.hypot(1.0 / hx, 1.0 / hy) ** p)
+    return np.full(mesh.n_free, energy)

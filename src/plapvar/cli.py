@@ -23,6 +23,7 @@ thread pools when set before the process starts.
 
 from __future__ import annotations
 
+import argparse
 import ast
 import math
 import sys
@@ -574,8 +575,6 @@ def thread_cap():
 
 
 def main(argv=None) -> int:
-    import argparse
-
     parser = argparse.ArgumentParser(
         prog="plap-var",
         description="Variational audits for the Dirichlet p-Laplacian "

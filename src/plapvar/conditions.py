@@ -451,8 +451,9 @@ def verify_comparison_function(phi, p: float, levels: int = 40) -> HypothesisRep
             HOLDS if grows else FAILS,
             {"first": float(first1), "mid": float(mid1), "last": float(last1)})
 
-        rng = np.random.default_rng(0)
-        rhos = rng.uniform(0.1, 10.0, size=5)
+        # five draws of default_rng(0).uniform(0.1, 10.0), written out
+        rhos = (6.405920704482398, 2.770888466262316, 0.5056378869683275,
+                0.26362359173243805, 8.151375368082697)
         worst_dev = 0.0
         for rho in rhos:
             ratio = float(phi(rho * grid[-1])) / float(phi(grid[-1]))

@@ -38,7 +38,7 @@ Trials run on a cached line.  The iterate u carries its element
 gradients D u and its values at the quadrature nodes; once per step the
 direction d gets the same two arrays, and a trial at t combines them
 elementwise (u - t d is linear in both), so it costs one quotient with
-no sparse product and no gather.  The accepted trial's arrays are
+no gradient stencil and no gather.  The accepted trial's arrays are
 rescaled to int |u|^p = 1, and the quotient and the eigen residual are
 then evaluated afresh at the normalized iterate: reusing the accepted
 trial's quotient would bias lambda low, since Armijo accepts the first

@@ -1,10 +1,12 @@
 """Simplicial meshes for intervals and axis-aligned rectangles.
 
 Meshes carry everything the assembly kernels need: vertex coordinates,
-element connectivity, boundary flags, per-element measures, the sparse
-P1 gradient operator D (`Mesh.grad_op`, the only copy of the element
-basis gradients), and a fixed Gauss quadrature rule.  All arrays, the
-three of D included, are frozen (non-writeable) once the mesh is built.
+element connectivity, boundary flags, per-element measures, a fixed
+Gauss quadrature rule, and the grid they were cut from (`Mesh.bounds`,
+`Mesh.structure`).  No basis gradient is stored: every mesh is a uniform
+tensor grid, so the P1 gradient operator D is a pair of grid difference
+stencils (`assembly._grad`, `assembly._grad_T`).  All arrays are frozen
+(non-writeable) once the mesh is built.
 
 Interval meshes are uniform partitions of (a, b).  Rectangle meshes are
 structured triangulations: each grid cell is split into two triangles
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -33,13 +34,19 @@ def gauss_points_interval(order: int):
     """Gauss-Legendre nodes/weights on the reference interval [0, 1].
 
     The returned rule integrates polynomials of degree >= `order`
-    exactly (an n-point rule is exact through degree 2n - 1).
+    exactly (an n-point rule is exact through degree 2n - 1).  The rule
+    on [-1, 1] comes from Golub-Welsch: its nodes are the eigenvalues of
+    the Legendre Jacobi matrix, whose off-diagonal is k / sqrt(4k^2 - 1),
+    and its weights twice the squared first components of the
+    eigenvectors.
     """
     if order < 1:
         raise ValueError("quadrature order must be at least 1")
     npts = (order + 2) // 2
-    t, w = np.polynomial.legendre.leggauss(npts)
-    return (t + 1.0) / 2.0, w / 2.0
+    k = np.arange(1.0, npts)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    t, vecs = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
+    return (t + 1.0) / 2.0, vecs[0] ** 2
 
 
 # Symmetric triangle rules on the reference triangle {xi, eta >= 0, xi + eta <= 1}.
@@ -123,9 +130,6 @@ class Mesh:
     free_vertices : (nf,) indices of interior vertices, in vertex order.
     dof_index : (nv,) free-dof index per vertex, -1 on the boundary.
     measures : (ne,) element lengths/areas, all positive.
-    grad_op : (ne * ndim, nf) CSR matrix D in canonical format; row
-        e * ndim + d maps free coefficients to the d-th gradient component
-        on element e, with one entry per free vertex of e.
     quad_points : (ne, nq, ndim) physical quadrature points.
     quad_weights : (ne, nq) physical quadrature weights (include measures).
     basis_at_quad : (nq, ndim + 1) reference P1 basis values at the rule nodes.
@@ -141,7 +145,6 @@ class Mesh:
     free_vertices: np.ndarray
     dof_index: np.ndarray
     measures: np.ndarray
-    grad_op: sp.csr_array
     quad_points: np.ndarray
     quad_weights: np.ndarray
     basis_at_quad: np.ndarray
@@ -177,26 +180,13 @@ class Mesh:
         return self.quad_weights.reshape(-1)
 
 
-def _finish_mesh(ndim, vertices, elements, is_boundary, measures, grads,
+def _finish_mesh(ndim, vertices, elements, is_boundary, measures,
                  qpts, qw, basis_at_quad, quad_order, structure) -> Mesh:
     if np.any(measures <= 0.0):
         raise ValueError("mesh has a non-positive element measure")
     dof_index = np.full(vertices.shape[0], -1, dtype=int)
     free = np.flatnonzero(~is_boundary)
     dof_index[free] = np.arange(free.size)
-    # grad_op[e * ndim + d, dof_index[v_k]] = grads[e, k, d] for the free v_k of e
-    ne, nloc, _ = grads.shape
-    cols = np.broadcast_to(dof_index[elements][:, None, :], (ne, ndim, nloc))
-    keep = cols >= 0
-    indptr = np.zeros(ne * ndim + 1, dtype=np.int32)
-    np.cumsum(keep.sum(axis=2).ravel(), out=indptr[1:])
-    grad_op = sp.csr_array((grads.transpose(0, 2, 1)[keep], cols[keep].astype(np.int32),
-                            indptr), shape=(ne * ndim, free.size))
-    # canonical before freezing: scipy would otherwise sort the frozen arrays
-    # in place (in power, abs, max, ...) and fail
-    grad_op.sort_indices()
-    for a in (grad_op.data, grad_op.indices, grad_op.indptr):
-        a.flags.writeable = False
     return Mesh(
         ndim=ndim,
         vertices=_freeze(vertices),
@@ -205,7 +195,6 @@ def _finish_mesh(ndim, vertices, elements, is_boundary, measures, grads,
         free_vertices=_freeze(free),
         dof_index=_freeze(dof_index),
         measures=_freeze(measures),
-        grad_op=grad_op,
         quad_points=_freeze(qpts),
         quad_weights=_freeze(qw),
         basis_at_quad=_freeze(basis_at_quad),
@@ -229,15 +218,13 @@ def build_interval_mesh(a: float, b: float, n: int, quad_order: int = 4) -> Mesh
     h = (b - a) / n
     measures = np.full(n, h)
 
-    grads = np.broadcast_to([[-1.0 / h], [1.0 / h]], (n, 2, 1))
-
     xi, w = gauss_points_interval(quad_order)
     qpts = (vertices[elements[:, 0]][:, None, :]
             + xi[None, :, None] * (vertices[elements[:, 1]] - vertices[elements[:, 0]])[:, None, :])
     qw = np.broadcast_to(w[None, :] * h, (n, xi.size)).copy()
     basis_at_quad = np.column_stack([1.0 - xi, xi])
 
-    return _finish_mesh(1, vertices, elements, is_boundary, measures, grads,
+    return _finish_mesh(1, vertices, elements, is_boundary, measures,
                         qpts, qw, basis_at_quad, quad_order,
                         (int(n),))
 
@@ -277,23 +264,13 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     measures = np.abs(det) / 2.0
 
-    # gradients of barycentric coordinates: solve J^T grad = ref-grad
-    grads = np.empty((elements.shape[0], 3, 2))
-    inv_det = 1.0 / det
-    # J = [e1; e2] rows; J^{-T} columns
-    grads[:, 1, 0] = e2[:, 1] * inv_det
-    grads[:, 1, 1] = -e2[:, 0] * inv_det
-    grads[:, 2, 0] = -e1[:, 1] * inv_det
-    grads[:, 2, 1] = e1[:, 0] * inv_det
-    grads[:, 0, :] = -grads[:, 1, :] - grads[:, 2, :]
-
     bary, w = gauss_points_triangle(quad_order)
     # physical points: sum_k bary_k * vertex_k
     qpts = np.einsum("qk,ekd->eqd", bary, vertices[elements])
     qw = w[None, :] * measures[:, None]
     basis_at_quad = bary.copy()
 
-    return _finish_mesh(2, vertices, elements, is_boundary, measures, grads,
+    return _finish_mesh(2, vertices, elements, is_boundary, measures,
                         qpts, qw, basis_at_quad, quad_order,
                         (int(nx), int(ny)))
 

@@ -34,7 +34,8 @@ interval, the fast diagonalization of the 5-point matrix on a
 rectangle), so nothing is factored; each descent builds its own solve.  H is
 applied as an operator, never assembled: the p-energy part
 D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
-`assembly._flux_weights` (`_energy_hessian`), minus the mass term
+`assembly._flux_weights` (`_energy_hessian`), with D and D^T applied as
+grid stencils (`assembly._grad`, `assembly._grad_T`), minus the mass term
 int f'(x, u) v psi_j, with f' a central difference of `eval_f` at the
 quadrature nodes.  The eigensolver takes the same step (`_newton_step`)
 on the same p-energy operator, without a mass term.  CG stops
@@ -62,8 +63,11 @@ from .assembly import (
     DualVector,
     _check_p,
     _flux_weights,
+    _grad,
+    _grad_T,
     _reduce,
     _scatter,
+    _spacing,
     dirichlet_energy,
     gradients_on_elements,
     hat_energies,
@@ -394,13 +398,12 @@ def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray):
     gradients grads.
     """
     c, g_hat = _flux_weights(mesh, grads, p)
-    D = mesh.grad_op
-    shape = (mesh.n_elements, mesh.ndim)
 
     def apply(v):
-        G = (D @ v).reshape(shape)
+        G = _grad(mesh, v)
         G += (p - 2.0) * np.einsum("ed,ed->e", g_hat, G)[:, None] * g_hat
-        return D.T @ (c[:, None] * G).ravel()
+        G *= c[:, None]
+        return _grad_T(mesh, G)
 
     return apply
 
@@ -444,13 +447,11 @@ def _poisson_solve(mesh: Mesh):
         It stores (nx-1)^2 + (ny-1)^2 + (nx-1)(ny-1) doubles, Qy being Qx
         when nx = ny (0.26 MB on 128 x 128), and a solve is four dense
         products, O(nx ny (nx + ny)).
-    `assembly.stiffness_matrix` assembles K itself; the two agree to
-    rounding.
+    K itself is never assembled.
     """
-    lo, hi = mesh.bounds
     if mesh.ndim == 1:
         (n,) = mesh.structure
-        h = float(hi[0] - lo[0]) / n
+        (h,) = _spacing(mesh)
 
         def solve(r):
             sums = np.cumsum(r)
@@ -462,7 +463,7 @@ def _poisson_solve(mesh: Mesh):
         return solve
 
     nx, ny = mesh.structure
-    hx, hy = (float(b - a) / m for a, b, m in zip(lo, hi, (nx, ny)))
+    hx, hy = _spacing(mesh)
     Qx, mux = _sine_basis(nx)
     Qy, muy = (Qx, mux) if ny == nx else _sine_basis(ny)
     lam = (hy / hx) * mux[:, None] + (hx / hy) * muy[None, :]
@@ -546,7 +547,7 @@ def _interval_tent_levels(mesh: Mesh):
     """Dyadic tent half-widths k = 1, 2, 4, ... elements, up to n // 2."""
     (n,) = mesh.structure
     a, b = float(mesh.bounds[0][0]), float(mesh.bounds[1][0])
-    h = (b - a) / n
+    (h,) = _spacing(mesh)
     ks = []
     k = 1
     while k <= n // 2:

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
+from fem_reference import (gradient_tolerance, reference_basis_gradients,
+                           reference_scatter, stiffness_matrix)
 
 import plapvar as pv
+from plapvar.assembly import _grad, _grad_T
 
 
 def unit_hat(n=2):
@@ -36,7 +38,7 @@ class TestDirichletEnergy:
         rng = np.random.default_rng(3)
         u = pv.make_field(mesh, rng.standard_normal(mesh.n_free))
         p = 2.0
-        K = pv.stiffness_matrix(mesh)
+        K = stiffness_matrix(mesh)
         quad = float(u.values @ (K @ u.values)) / 2.0
         assert math.isclose(pv.dirichlet_energy(mesh, u, p), quad, rel_tol=1e-12)
 
@@ -87,7 +89,7 @@ class TestStiffnessMatrix:
     def test_interval_tridiagonal(self):
         n = 5
         mesh = pv.build_interval_mesh(0.0, 1.0, n)
-        K = pv.stiffness_matrix(mesh).toarray()
+        K = stiffness_matrix(mesh).toarray()
         h = 1.0 / n
         expect = (np.diag(np.full(n - 1, 2.0 / h))
                   + np.diag(np.full(n - 2, -1.0 / h), 1)
@@ -99,36 +101,18 @@ class TestStiffnessMatrix:
         rng = np.random.default_rng(0)
         u = pv.make_field(mesh, rng.standard_normal(mesh.n_free))
         r = pv.plap_residual(mesh, u, 2.0)
-        K = pv.stiffness_matrix(mesh)
+        K = stiffness_matrix(mesh)
         assert np.allclose(r.values, K @ u.values, atol=1e-12)
-
-
-def reference_basis_gradients(mesh):
-    """(ne, ndim + 1, ndim) P1 basis gradients by the closed-form formulas."""
-    if mesh.ndim == 1:
-        (n,) = mesh.structure
-        h = (mesh.bounds[1][0] - mesh.bounds[0][0]) / n
-        return np.broadcast_to([[-1.0 / h], [1.0 / h]], (n, 2, 1))
-    v = mesh.vertices[mesh.elements]                       # (ne, 3, 2)
-    e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
-    inv_det = 1.0 / (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    grads = np.empty((mesh.n_elements, 3, 2))
-    grads[:, 1] = np.column_stack([e2[:, 1], -e2[:, 0]]) * inv_det[:, None]
-    grads[:, 2] = np.column_stack([-e1[:, 1], e1[:, 0]]) * inv_det[:, None]
-    grads[:, 0] = -grads[:, 1] - grads[:, 2]
-    return grads
-
-
-def reference_scatter(mesh, contrib):
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return out[mesh.free_vertices]
 
 
 OPERATOR_MESHES = {
     "interval": lambda: pv.build_interval_mesh(0.0, 1.0, 128),
     "square": lambda: pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32),
     "rectangle": lambda: pv.build_rectangle_mesh(0.0, 2.0, 0.0, 1.0, 24, 16),
+    "interval-2": lambda: pv.build_interval_mesh(-1.0, 2.5, 2),
+    "interval-128": lambda: pv.build_interval_mesh(-1.0, 2.5, 128),
+    "interval-4096": lambda: pv.build_interval_mesh(-1.0, 2.5, 4096),
+    "rect-12x20": lambda: pv.build_rectangle_mesh(0.5, 2.5, -1.0, -0.3, 12, 20),
 }
 
 
@@ -140,16 +124,22 @@ def mesh_and_field(request):
 
 
 class TestGradientOperator:
-    # each kernel built on Mesh.grad_op against the per-element formula
-    # it replaced: gather + einsum, COO assembly, einsum + scatter
+    # the grid stencils that apply D and D^T, and each kernel built on them,
+    # against the per-element formulas: gather + einsum, COO assembly,
+    # einsum + scatter; the stencils match them to 1e-15 relative, plus on a
+    # rectangle the rounding of the linspace vertices that the reference
+    # gradients read (fem_reference.gradient_tolerance)
 
     def test_layout(self, mesh_and_field):
-        mesh, _ = mesh_and_field
-        D = mesh.grad_op
-        assert D.format == "csr"
-        assert D.shape == (mesh.n_elements * mesh.ndim, mesh.n_free)
-        assert D.indices.dtype == np.int32 and D.indptr.dtype == np.int32
-        assert D.has_canonical_format
+        # D is applied, never stored: (ne, ndim) element gradients out of
+        # (nf,) free values and back
+        mesh, u = mesh_and_field
+        assert not hasattr(mesh, "grad_op")
+        g = _grad(mesh, u.values)
+        assert g.shape == (mesh.n_elements, mesh.ndim)
+        assert g.dtype == np.float64 and g.flags.c_contiguous
+        back = _grad_T(mesh, g)
+        assert back.shape == (mesh.n_free,) and back.dtype == np.float64
 
     def test_gradients_match_gather_einsum(self, mesh_and_field):
         mesh, u = mesh_and_field
@@ -158,28 +148,38 @@ class TestGradientOperator:
         expect = np.einsum("ek,ekd->ed", full[mesh.elements],
                            reference_basis_gradients(mesh))
         got = pv.assembly.gradients_on_elements(mesh, u)
-        assert np.array_equal(got, expect)
-        assert np.array_equal(mesh.grad_op @ u.values, expect.ravel())
+        assert np.array_equal(got, _grad(mesh, u.values))
+        err = np.max(np.abs(got - expect))
+        assert err <= gradient_tolerance(mesh) * np.max(np.abs(expect))
+
+    def test_transpose_matches_einsum_scatter(self, mesh_and_field):
+        mesh, _ = mesh_and_field
+        G = np.random.default_rng(mesh.n_free).standard_normal((mesh.n_elements, mesh.ndim))
+        expect = reference_scatter(
+            mesh, np.einsum("ed,ekd->ek", G, reference_basis_gradients(mesh)))
+        err = np.max(np.abs(_grad_T(mesh, G) - expect))
+        assert err <= gradient_tolerance(mesh) * np.max(np.abs(expect))
+
+    def test_adjoint(self, mesh_and_field):
+        # (D v) . G = v . (D^T G) up to the rounding of the two sums
+        mesh, u = mesh_and_field
+        G = np.random.default_rng(mesh.n_free).standard_normal((mesh.n_elements, mesh.ndim))
+        Dv, DtG = _grad(mesh, u.values), _grad_T(mesh, G)
+        scale = float(np.abs(Dv).ravel() @ np.abs(G).ravel())
+        assert abs(float(Dv.ravel() @ G.ravel()) - float(u.values @ DtG)) <= 1e-15 * scale
 
     @pytest.mark.parametrize("name, rel", [("interval", 0.0), ("square", 0.0),
                                            ("rectangle", 1e-15)])
     def test_stiffness_matches_coo_assembly(self, name, rel):
-        # D^T diag(|T|) D adds the d-terms of one element one at a time, the
-        # COO build adds them per element first: the same bits on square
-        # cells, a last-bit difference on the 4:3 cells of "rectangle"
+        # D^T diag(|T|) D applied by the stencils to each unit vector, against
+        # the COO build, which adds each element's terms first: the same
+        # bits on the interval and on square cells, a last-bit difference
+        # on the 4:3 cells of "rectangle"
         mesh = OPERATOR_MESHES[name]()
-        grads = reference_basis_gradients(mesh)
-        nloc = mesh.elements.shape[1]
-        local = np.einsum("e,ekd,eld->ekl", mesh.measures, grads, grads)
-        rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-        cols = np.tile(mesh.elements, (1, nloc)).ravel()
-        K_full = sp.coo_matrix((local.ravel(), (rows, cols)),
-                               shape=(mesh.n_vertices, mesh.n_vertices)).tocsc()
-        free = mesh.free_vertices
-        expect = K_full[np.ix_(free, free)].toarray()
-        K = pv.stiffness_matrix(mesh)
-        assert sp.issparse(K) and K.format == "csc"
-        assert np.max(np.abs(K.toarray() - expect)) <= rel * np.max(np.abs(expect))
+        expect = stiffness_matrix(mesh).toarray()
+        K = np.column_stack([_grad_T(mesh, mesh.measures[:, None] * _grad(mesh, e))
+                             for e in np.eye(mesh.n_free)])
+        assert np.max(np.abs(K - expect)) <= rel * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_residual_matches_einsum_scatter(self, mesh_and_field, p):
@@ -205,14 +205,22 @@ class TestGradientOperator:
         assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
 
     def test_arrays_are_read_only(self, mesh_and_field):
-        mesh, _ = mesh_and_field
-        D = mesh.grad_op
-        for arr in (D.data, D.indices, D.indptr):
+        # every array of the mesh is frozen, and the stencils read frozen
+        # inputs without writing to them
+        mesh, u = mesh_and_field
+        arrays = [mesh.vertices, mesh.elements, mesh.is_boundary, mesh.free_vertices,
+                  mesh.dof_index, mesh.measures, mesh.quad_points, mesh.quad_weights,
+                  mesh.basis_at_quad, *mesh.bounds]
+        for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0] = arr[0]
-        # scipy methods that canonicalize in place still work on it
-        assert abs(D).max() == D.power(2).sqrt().max() > 0.0
+                arr.flat[0] = arr.flat[0]
+        assert not u.values.flags.writeable
+        g = _grad(mesh, u.values)
+        frozen = g.copy()
+        frozen.flags.writeable = False
+        assert np.array_equal(_grad_T(mesh, frozen), _grad_T(mesh, g))
+        assert np.array_equal(frozen, g)
 
 
 class TestKernelFormulas:
@@ -225,12 +233,12 @@ class TestKernelFormulas:
         full = np.zeros(mesh.n_vertices)
         full[mesh.free_vertices] = u.values
         q = full[mesh.elements] @ mesh.basis_at_quad.T
-        g = (mesh.grad_op @ u.values).reshape(mesh.n_elements, mesh.ndim)
+        g = _grad(mesh, u.values)
         norms = np.sqrt(np.einsum("ed,ed->e", g, g))
         energy = float(np.sum(mesh.measures * norms ** p)) / p
         with np.errstate(divide="ignore", invalid="ignore"):
             factor = np.where(norms >= 1e-14, norms ** (p - 2.0), 0.0)
-        residual = mesh.grad_op.T @ ((mesh.measures * factor)[:, None] * g).ravel()
+        residual = _grad_T(mesh, (mesh.measures * factor)[:, None] * g)
         lp = float(np.sum(np.einsum("eq,eq->e", mesh.quad_weights, np.abs(q) ** p)))
         density = mesh.quad_weights * (np.sign(q) * np.abs(q) ** (p - 1.0))
         load = reference_scatter(mesh, density @ mesh.basis_at_quad)

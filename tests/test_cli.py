@@ -405,22 +405,27 @@ def test_field_csv_rows_match_per_value_formatting(mesh):
     assert ref[1].endswith(",-0")
 
 
-def test_no_splu_and_no_sparse_linalg_import():
-    # K^-1 has a closed form on every mesh, so the package factors nothing
-    # and importing the CLI leaves scipy.sparse.linalg unloaded
-    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "src", "plapvar")
+def test_no_splu_and_no_sparse_linalg_import(tmp_path):
+    # K^-1 has a closed form and D is a pair of grid stencils, so the
+    # package neither factors nor imports scipy, and a full run of the demo
+    # config loads no scipy module, no numpy.random and no numpy.polynomial
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    root = os.path.join(repo, "src", "plapvar")
     sites = []
     for name in sorted(os.listdir(root)):
         if name.endswith(".py"):
             with open(os.path.join(root, name), encoding="utf-8") as fh:
-                sites += [(name, line) for line in fh if "splu(" in line]
+                sites += [(name, line) for line in fh if "splu(" in line or "scipy" in line]
     assert sites == []
-    probe = "import sys, plapvar.cli; print('scipy.sparse.linalg' in sys.modules)"
+    probe = ("import sys, plapvar.cli\n"
+             "code = plapvar.cli.main(['run', sys.argv[1], '--out', sys.argv[2], '--quiet'])\n"
+             "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+             "                   or m.startswith(('numpy.random', 'numpy.polynomial'))))")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(root))
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", probe,
+                           os.path.join(repo, "demos", "experiment.cfg"), str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split(None, 1) == ["0", "[]\n"]
 
 
 def test_check_config_rejects_non_finite_phi1_coefficient(tmp_path, capsys):

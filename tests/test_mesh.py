@@ -43,6 +43,14 @@ class TestIntervalMesh:
         for k in range(6):
             assert math.isclose(float(w @ x**k), 1.0 / (k + 1), rel_tol=1e-13)
 
+    @pytest.mark.parametrize("order", range(1, 12))
+    def test_gauss_rule_matches_leggauss(self, order):
+        # the Golub-Welsch rule against numpy's, both mapped to [0, 1]
+        t, w = np.polynomial.legendre.leggauss((order + 2) // 2)
+        nodes, weights = pv.meshing.gauss_points_interval(order)
+        assert np.max(np.abs(nodes - (t + 1.0) / 2.0)) <= 1e-15
+        assert np.max(np.abs(weights - w / 2.0)) <= 1e-15
+
     def test_quad_order_one_less_exact(self):
         m = pv.build_interval_mesh(0.0, 1.0, 3, quad_order=1)
         x = m.quad_points_flat()[:, 0]
