@@ -11,7 +11,8 @@ never stored: `_grad` applies it as difference stencils on the grid and
 stiffness matrix D^T diag(|T|) D is never assembled either; the descents
 apply its inverse in closed form (`solver._poisson_solve`).
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
-Gauss rule, which has polynomial exactness degree >= 4 by default.
+one fixed rule: 3-point Gauss-Legendre on intervals (exact through degree
+5), a 6-point rule on triangles (exact through degree 4).
 Each kernel's formula lives in one array-level helper (`_energy`,
 `_flux` of element gradients; `_lp`, `_lp_load` of values at the
 quadrature nodes) that the public field-level function calls, so a

@@ -63,8 +63,8 @@ PIPELINES = ("eigen", "solve", "conditions", "incomparability", "all")
 _DEFAULTS = {
     "p": 2.0, "domain": "interval", "a": 0.0, "b": 1.0, "n": 64,
     "ax": 0.0, "bx": 1.0, "ay": 0.0, "by": 1.0, "nx": 16, "ny": 16,
-    "quad_order": 4, "nonlinearity": "sine_exp", "h": "zero",
-    "pipeline": "all", "seed": 0, "levels": 40,
+    "nonlinearity": "sine_exp", "h": "zero", "pipeline": "all", "seed": 0,
+    "levels": 40,
 }
 
 #: the keys only one domain reads; the echo leaves out the other domain's
@@ -249,7 +249,6 @@ class ExperimentConfig:
     by: float
     nx: int
     ny: int
-    quad_order: int
     nonlinearity: str
     h: str
     pipeline: str
@@ -332,11 +331,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if vals["nx"] < 2 or vals["ny"] < 2:
             errors.append(f"nx and ny must be at least 2 (got nx={vals['nx']}, "
                           f"ny={vals['ny']})")
-        if vals["quad_order"] > 5:
-            errors.append(f"quad_order on rectangles is capped at 5 "
-                          f"(got {vals['quad_order']})")
-    if vals["quad_order"] < 1:
-        errors.append(f"quad_order must be at least 1 (got {vals['quad_order']})")
     if not (8 <= vals["levels"] <= 1000):
         errors.append(f"levels must be between 8 and 1000 (got {vals['levels']})")
 
@@ -404,9 +398,8 @@ def _g17(v: float) -> str:
 
 def _build_mesh(cfg: ExperimentConfig):
     if cfg.domain == "interval":
-        return build_interval_mesh(cfg.a, cfg.b, cfg.n, quad_order=cfg.quad_order)
-    return build_rectangle_mesh(cfg.ax, cfg.bx, cfg.ay, cfg.by, cfg.nx, cfg.ny,
-                                quad_order=cfg.quad_order)
+        return build_interval_mesh(cfg.a, cfg.b, cfg.n)
+    return build_rectangle_mesh(cfg.ax, cfg.bx, cfg.ay, cfg.by, cfg.nx, cfg.ny)
 
 
 def _build_spec(cfg: ExperimentConfig, lambda1: float):

@@ -45,6 +45,7 @@ import numpy as np
 __all__ = [
     "SpatialWeight",
     "NonlinearitySpec",
+    "as_weight",
     "eval_f",
     "eval_F",
     "eval_G",

@@ -208,9 +208,9 @@ class TestGradientOperator:
         # every array of the mesh is frozen, and the stencils read frozen
         # inputs without writing to them
         mesh, u = mesh_and_field
-        arrays = [mesh.vertices, mesh.elements, mesh.is_boundary, mesh.free_vertices,
-                  mesh.dof_index, mesh.measures, mesh.quad_points, mesh.quad_weights,
-                  mesh.basis_at_quad, *mesh.bounds]
+        arrays = [mesh.vertices, mesh.elements, mesh.free_vertices, mesh.measures,
+                  mesh.quad_points, mesh.quad_weights, mesh.basis_at_quad,
+                  *mesh.bounds]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -405,7 +405,7 @@ class TestSummationPolicy:
         assert check.passed and res.stop_reason == "stationarity"
         reports = pv.check_theorems(spec, eig, h, mesh, p)
         assert set(reports) == {"sign", "comparison", "landesman_lazer"}
-        assert mesh.domain_measure == pytest.approx(1.0, rel=1e-14)
+        assert np.sum(mesh.measures) == pytest.approx(1.0, rel=1e-14)
 
     def test_agrees_with_exact_summation(self, monkeypatch):
         from plapvar import assembly

@@ -91,11 +91,6 @@ class TestParseConfig:
         cfg = parse_config("h = density: 0.1*sin(pi*x)\n")
         assert cfg.h.startswith("density:")
 
-    def test_quad_order_cap_on_rectangles(self):
-        with pytest.raises(pv.ConfigError):
-            parse_config("domain = rectangle\nquad_order = 7\n")
-        assert parse_config("quad_order = 7\n").quad_order == 7  # interval: fine
-
     def test_config_is_frozen(self):
         cfg = parse_config("")
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -367,10 +362,10 @@ def test_check_config_rejects_non_finite_numbers(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key", ["multistart", "max_iter", "grad_tol", "grid_scale",
-                                 "f0_radius"])
+                                 "f0_radius", "quad_order"])
 def test_check_config_rejects_removed_keys(tmp_path, capsys, key):
-    # these keys once set solver and checker constants; a config naming
-    # one is now an error, not a setting that is silently ignored
+    # these keys once set solver and checker constants or the quadrature
+    # rule; a config naming one is now an error, not a setting that is silently ignored
     cfg = write(tmp_path, "c.cfg", f"{key} = 1\n")
     assert main(["check-config", cfg]) == 1
     assert f"unknown key {key!r}" in capsys.readouterr().err
@@ -480,7 +475,6 @@ domain = interval
 a = 0
 b = 1
 n = 128
-quad_order = 4
 nonlinearity = power_perturbation
 nonlinearity.beta = 1.9
 h = phi1: 0.1
@@ -508,7 +502,6 @@ ay = 0
 by = 1
 nx = 8
 ny = 8
-quad_order = 4
 nonlinearity = weighted_comparison
 nonlinearity.alpha = 2.0
 nonlinearity.eta = x*y - 0.2

@@ -18,16 +18,15 @@ class TestIntervalMesh:
         assert m.n_free == 7
 
     def test_endpoints_are_boundary(self):
+        # the free vertices are the interior ones, in vertex order
         m = pv.build_interval_mesh(-1.0, 3.0, 5)
-        assert m.is_boundary[0] and m.is_boundary[-1]
-        assert not m.is_boundary[1:-1].any()
+        assert np.array_equal(m.free_vertices, [1, 2, 3, 4])
         assert m.vertices[0, 0] == -1.0
         assert m.vertices[-1, 0] == 3.0
 
     def test_element_measures_sum_to_length(self):
         m = pv.build_interval_mesh(0.25, 0.75, 13)
         assert math.isclose(float(np.sum(m.measures)), 0.5, rel_tol=1e-14)
-        assert math.isclose(m.domain_measure, 0.5, rel_tol=1e-14)
 
     def test_needs_two_elements(self):
         with pytest.raises(ValueError):
@@ -36,27 +35,21 @@ class TestIntervalMesh:
             pv.build_interval_mesh(1.0, 0.0, 4)
 
     def test_quadrature_integrates_polynomials(self):
-        # the default order-4 Gauss rule is exact through degree 5 per element
+        # the 3-point Gauss rule is exact through degree 5 per element
         m = pv.build_interval_mesh(0.0, 1.0, 3)
         x = m.quad_points_flat()[:, 0]
         w = m.quad_weights_flat()
         for k in range(6):
             assert math.isclose(float(w @ x**k), 1.0 / (k + 1), rel_tol=1e-13)
 
-    @pytest.mark.parametrize("order", range(1, 12))
-    def test_gauss_rule_matches_leggauss(self, order):
-        # the Golub-Welsch rule against numpy's, both mapped to [0, 1]
-        t, w = np.polynomial.legendre.leggauss((order + 2) // 2)
-        nodes, weights = pv.meshing.gauss_points_interval(order)
+    def test_gauss_rule_matches_leggauss(self):
+        # the mesh's interval rule against numpy's 3-point rule on [0, 1]
+        t, w = np.polynomial.legendre.leggauss(3)
+        m = pv.build_interval_mesh(0.0, 1.0, 2)
+        nodes = m.basis_at_quad[:, 1]
+        weights = m.quad_weights[0] / m.measures[0]
         assert np.max(np.abs(nodes - (t + 1.0) / 2.0)) <= 1e-15
         assert np.max(np.abs(weights - w / 2.0)) <= 1e-15
-
-    def test_quad_order_one_less_exact(self):
-        m = pv.build_interval_mesh(0.0, 1.0, 3, quad_order=1)
-        x = m.quad_points_flat()[:, 0]
-        w = m.quad_weights_flat()
-        assert math.isclose(float(w @ x), 0.5, rel_tol=1e-13)
-        assert abs(float(w @ x**4) - 0.2) > 1e-6
 
 
 class TestRectangleMesh:
@@ -69,7 +62,7 @@ class TestRectangleMesh:
 
     def test_measures(self):
         m = pv.build_rectangle_mesh(0.0, 2.0, -1.0, 1.0, 5, 7)
-        assert math.isclose(m.domain_measure, 4.0, rel_tol=1e-13)
+        assert math.isclose(float(np.sum(m.measures)), 4.0, rel_tol=1e-13)
         # structured split: every triangle has the same area
         assert np.allclose(m.measures, 4.0 / m.n_elements)
 
@@ -85,7 +78,7 @@ class TestRectangleMesh:
         v = m.vertices
         on_ring = (np.isclose(v[:, 0], 0) | np.isclose(v[:, 0], 1)
                    | np.isclose(v[:, 1], 0) | np.isclose(v[:, 1], 1))
-        assert np.array_equal(m.is_boundary, on_ring)
+        assert np.array_equal(m.free_vertices, np.flatnonzero(~on_ring))
 
     def test_quadrature_integrates_bilinears(self):
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 2)
@@ -94,6 +87,17 @@ class TestRectangleMesh:
         assert math.isclose(float(np.sum(w)), 1.0, rel_tol=1e-13)
         assert math.isclose(float(w @ (pts[:, 0] * pts[:, 1])), 0.25, rel_tol=1e-12)
         assert math.isclose(float(w @ pts[:, 0] ** 2), 1.0 / 3.0, rel_tol=1e-12)
+
+    def test_quadrature_is_exact_through_degree_4(self):
+        # int x^a y^b over (0, 2) x (-1, 1) for every a + b <= 4
+        m = pv.build_rectangle_mesh(0.0, 2.0, -1.0, 1.0, 3, 2)
+        x, y = m.quad_points_flat().T
+        w = m.quad_weights_flat()
+        for a in range(5):
+            for b in range(5 - a):
+                exact = 2.0 ** (a + 1) / (a + 1) * (1.0 - (-1.0) ** (b + 1)) / (b + 1)
+                assert math.isclose(float(w @ (x ** a * y ** b)), exact,
+                                    rel_tol=1e-13, abs_tol=1e-13)
 
     @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (5, 3)])
     def test_element_table_matches_cell_loop(self, nx, ny):
@@ -115,15 +119,31 @@ class TestFreeDofs:
         pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 4),
     ])
     def test_dof_index_roundtrip(self, mesh):
-        free = mesh.free_vertices
-        assert len(free) == mesh.n_free
-        for j, v in enumerate(free):
-            assert mesh.dof_index[v] == j
-        assert (mesh.dof_index[mesh.is_boundary] == -1).all()
+        # dof j lives on vertex free_vertices[j]: the interior vertices,
+        # in vertex order
+        lo, hi = mesh.bounds
+        v = mesh.vertices
+        interior = np.all((v > lo) & (v < hi), axis=1)
+        assert np.array_equal(mesh.free_vertices, np.flatnonzero(interior))
+        assert len(mesh.free_vertices) == mesh.n_free
 
     def test_free_coordinates_match(self):
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
         assert np.array_equal(m.free_coordinates(), m.vertices[m.free_vertices])
+
+
+class TestMeshIdentity:
+    @pytest.mark.parametrize("build, args", [
+        (pv.build_interval_mesh, (0.0, 1.0, 6)),
+        (pv.build_rectangle_mesh, (0.0, 1.0, 0.0, 1.0, 3, 4)),
+    ], ids=["interval", "rectangle"])
+    def test_equality_is_identity(self, build, args):
+        # equal arguments build distinct meshes; comparing them never
+        # compares arrays, and a mesh can key a dict
+        m1, m2 = build(*args), build(*args)
+        assert m1 == m1 and m1 != m2
+        cache = {m1: "first", m2: "second"}
+        assert cache[m1] == "first" and cache[m2] == "second"
 
 
 class TestRefineCoarsen:
