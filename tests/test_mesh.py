@@ -42,14 +42,22 @@ class TestIntervalMesh:
         for k in range(6):
             assert math.isclose(float(w @ x**k), 1.0 / (k + 1), rel_tol=1e-13)
 
-    def test_gauss_rule_matches_leggauss(self):
-        # the mesh's interval rule against numpy's 3-point rule on [0, 1]
+    @pytest.mark.parametrize("degree", range(1, 12))
+    def test_gauss_rule_matches_leggauss(self, degree):
+        # the mesh's interval rule against numpy's 3-point rule on [0, 1]:
+        # the same nodes and weights, and the same integral of t**degree,
+        # exact through degree 5 and equally inexact beyond
         t, w = np.polynomial.legendre.leggauss(3)
+        t, w = (t + 1.0) / 2.0, w / 2.0
         m = pv.build_interval_mesh(0.0, 1.0, 2)
         nodes = m.basis_at_quad[:, 1]
         weights = m.quad_weights[0] / m.measures[0]
-        assert np.max(np.abs(nodes - (t + 1.0) / 2.0)) <= 1e-15
-        assert np.max(np.abs(weights - w / 2.0)) <= 1e-15
+        assert np.max(np.abs(nodes - t)) <= 1e-15
+        assert np.max(np.abs(weights - w)) <= 1e-15
+        integral = float(weights @ nodes**degree)
+        assert abs(integral - float(w @ t**degree)) <= 1e-15
+        if degree <= 5:
+            assert abs(integral - 1.0 / (degree + 1)) <= 1e-15
 
 
 class TestRectangleMesh:
