@@ -29,6 +29,14 @@ every tolerance in the package.  Every other element-to-free-dof sum
 goes through `_scatter`, the one scatter, which accumulates in a fixed
 element order; `quad_load` builds on it to turn a density at the
 quadrature nodes into a dual vector.
+
+`_quad_blocks` is the element-blocked form of `values_at_quad`: it
+yields a field's values at the quadrature nodes QUAD_BLOCK elements at a
+time, so a caller that evaluates a user's function there (the energy
+descent's f, F and f') never holds an (ne, nq) temporary.
+`_blocked_load` is the matching form of `quad_load`: it writes each
+block's element contributions into one (ne, ndim+1) array and scatters
+once, so its result is bit-identical to `quad_load` of the whole density.
 """
 
 from __future__ import annotations
@@ -63,6 +71,10 @@ __all__ = [
 # Elements whose P1 gradient is below this threshold contribute nothing to
 # the residual, which keeps |grad u|^(p-2) finite for 1 < p < 2.
 GRADIENT_FLOOR = 1e-14
+
+# Elements per block of `_quad_blocks`: 1024 triangles hold 6144 quadrature
+# nodes, so each block's temporaries are 48 KB.
+QUAD_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +233,35 @@ def values_at_quad(mesh: Mesh, u: DiscreteField) -> np.ndarray:
     full = np.zeros(mesh.n_vertices)
     full[mesh.free_vertices] = u.values
     return full[mesh.elements] @ mesh.basis_at_quad.T
+
+
+def _quad_blocks(mesh: Mesh, v: np.ndarray):
+    """Yield (sl, v_q) for each block of QUAD_BLOCK elements, in element order.
+
+    sl is the block's slice of the elements and v_q, shape (len, nq), the
+    field with free values v at the block's quadrature nodes: the rows sl
+    of `values_at_quad`, bit for bit.  A caller that reduces each block
+    before the next keeps its temporaries at block size.
+    """
+    full = np.zeros(mesh.n_vertices)
+    full[mesh.free_vertices] = v
+    for start in range(0, mesh.n_elements, QUAD_BLOCK):
+        sl = slice(start, start + QUAD_BLOCK)
+        yield sl, full[mesh.elements[sl]] @ mesh.basis_at_quad.T
+
+
+def _blocked_load(mesh: Mesh, v: np.ndarray, density) -> np.ndarray:
+    """Entries int g psi_j, with g = density(sl, v_q) on each `_quad_blocks` block.
+
+    The element contributions are the rows of `quad_load`'s, bit for bit,
+    and go through one `_scatter`, so the result equals `quad_load` of the
+    whole density.
+    """
+    contrib = np.empty((mesh.n_elements, mesh.ndim + 1))
+    for sl, v_q in _quad_blocks(mesh, v):
+        weighted = mesh.quad_weights[sl] * density(sl, v_q)
+        np.matmul(weighted, mesh.basis_at_quad, out=contrib[sl])
+    return _scatter(mesh, contrib)
 
 
 def sup_norm(mesh: Mesh, u: DiscreteField) -> float:

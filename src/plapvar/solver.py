@@ -29,9 +29,11 @@ The descent is a damped, matrix-free inexact Newton method.  Each step
 solves H d = grad Phi by conjugate gradients preconditioned with the
 p = 2 stiffness matrix K, to the relative accuracy
 min(0.1, sqrt(stationarity)) of Eisenstat and Walker.  K^-1 is applied
-in closed form (`_poisson_solve`: the discrete Green's function on an
-interval, the fast diagonalization of the 5-point matrix on a
-rectangle), so nothing is factored; each descent builds its own solve.  H is
+in closed form (`_poisson_solve`: on an interval, the right-hand side
+summed twice by two cumulative sums, not the discrete Green's function,
+whose two terms cancel and lose accuracy on fine grids; on a rectangle,
+the fast diagonalization of the 5-point matrix), so nothing is
+factored; each descent builds its own solve.  H is
 applied as an operator, never assembled: the p-energy part
 D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
 `assembly._flux_weights` (`_energy_hessian`), with D and D^T applied as
@@ -49,6 +51,17 @@ for Phi's rounding error, PHI_NOISE sum_j |u_j| (|t1_j| + |t2_j| + |t3_j|):
 near the minimizer a Newton step lowers Phi by less than that, and
 without the band the last steps are rejected until t is about 2^-22
 and the descent stalls.
+
+The user's f, F and f' carry no growth condition, so the descent
+evaluates them at every quadrature node on every step, trial and
+Hessian product.  `nonlinear_load`, `potential_integral`, `_df_at_quad`
+and the Hessian's mass term therefore walk the elements in blocks of
+`assembly.QUAD_BLOCK` (`assembly._quad_blocks`), calling `eval_f` or
+`eval_F` once per block, so no (ne, nq) temporary is made per call.  The
+loads collect each block's element contributions and scatter once
+(`assembly._blocked_load`), which leaves them bit-identical to the
+unblocked `quad_load`; `potential_integral` sums per-element integrals,
+so Phi may differ from a flat sum over the nodes in its last bits.
 """
 
 from __future__ import annotations
@@ -61,10 +74,13 @@ import numpy as np
 from .assembly import (
     DiscreteField,
     DualVector,
+    _blocked_load,
+    _check_mesh,
     _check_p,
     _flux_weights,
     _grad,
     _grad_T,
+    _quad_blocks,
     _reduce,
     _scatter,
     _spacing,
@@ -73,9 +89,7 @@ from .assembly import (
     hat_energies,
     pairing,
     plap_residual,
-    quad_load,
     sup_norm,
-    values_at_quad,
     zero_field,
 )
 from .meshing import Mesh
@@ -103,7 +117,6 @@ DIVERGENCE_FLOOR = -1e12
 CG_MAX = 100          # Hessian products per Newton direction
 FORCING_CAP = 0.1     # CG tolerance min(FORCING_CAP, sqrt(stationarity))
 FD_STEP = 1e-6        # central-difference step of f', times max(1, |s|)
-FD_BLOCK = 8192       # quadrature points per eval_f call in the f' difference
 PHI_NOISE = 1e-14     # rounding error of Phi relative to sum_j |u_j| |terms_j|
 STATIONARITY_STOP = 1e-8  # relative weak residual that ends the energy descent
 CERTIFICATE_TOL = 1e-6    # relative weak residual a certified solution may keep
@@ -166,17 +179,22 @@ def truncated_test_basis(mesh: Mesh, u: DiscreteField, R: float) -> np.ndarray:
 def nonlinear_load(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> DualVector:
     """Dual vector with entries int f(x, u(x)) psi_j dx.
 
-    Uses the mesh quadrature rule with u evaluated at the rule nodes;
-    non-finite values of f along u are rejected.
+    Uses the mesh quadrature rule with u evaluated at the rule nodes, one
+    element block at a time (`assembly._blocked_load`); non-finite values
+    of f along u are rejected, naming the first such node.
     """
-    u_q = values_at_quad(mesh, u)                       # (ne, nq)
-    pts = mesh.quad_points_flat()
-    f_q = np.asarray(eval_f(spec, pts, u_q.reshape(-1)), dtype=float)
-    bad = ~np.isfinite(f_q)
-    if np.any(bad):
-        where = pts[np.argmax(bad)]
-        raise ValueError(f"f(x, u) is not finite at quadrature point {where}")
-    return quad_load(mesh, f_q)
+    _check_mesh(mesh, u)
+
+    def density(sl, u_q):
+        pts = mesh.quad_points[sl].reshape(-1, mesh.ndim)
+        f_q = np.asarray(eval_f(spec, pts, u_q.reshape(-1)), dtype=float)
+        bad = ~np.isfinite(f_q)
+        if np.any(bad):
+            where = pts[np.argmax(bad)]
+            raise ValueError(f"f(x, u) is not finite at quadrature point {where}")
+        return f_q.reshape(u_q.shape)
+
+    return DualVector(mesh, _blocked_load(mesh, u.values, density))
 
 
 def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> float:
@@ -186,22 +204,28 @@ def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> 
     If both signs occur (or a density is NaN), the integral is reported
     as -inf, which makes Phi = ... - int F equal +inf: points where the
     potential is genuinely undefined are infeasible for minimization.
+    F is evaluated one element block at a time (`assembly._quad_blocks`),
+    and the finite case sums the per-element integrals with `_reduce`.
     """
-    u_q = values_at_quad(mesh, u).reshape(-1)
-    pts = mesh.quad_points_flat()
-    w = mesh.quad_weights_flat()
-    F_q = np.asarray(eval_F(spec, pts, u_q), dtype=float)
-    active = w > 0.0
-    has_pos = bool(np.any(np.isposinf(F_q) & active))
-    has_neg = bool(np.any(np.isneginf(F_q) & active))
-    has_nan = bool(np.any(np.isnan(F_q) & active))
-    if (has_pos and has_neg) or has_nan:
-        return -math.inf
+    _check_mesh(mesh, u)
+    sums = np.empty(mesh.n_elements)
+    has_pos = has_neg = False
+    for sl, u_q in _quad_blocks(mesh, u.values):
+        w = mesh.quad_weights[sl]
+        pts = mesh.quad_points[sl].reshape(-1, mesh.ndim)
+        F_q = np.asarray(eval_F(spec, pts, u_q.reshape(-1)), dtype=float).reshape(w.shape)
+        active = w > 0.0
+        has_pos |= bool(np.any(np.isposinf(F_q) & active))
+        has_neg |= bool(np.any(np.isneginf(F_q) & active))
+        if (has_pos and has_neg) or np.any(np.isnan(F_q) & active):
+            return -math.inf
+        if not (has_pos or has_neg):
+            np.einsum("eq,eq->e", w, F_q, out=sums[sl])
     if has_pos:
         return math.inf
     if has_neg:
         return -math.inf
-    return _reduce(w * F_q)
+    return _reduce(sums)
 
 
 def assemble_phi(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
@@ -372,23 +396,24 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
                        backtracks, trials, cg_iterations, tuple(history))
 
 
-def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u_q: np.ndarray) -> np.ndarray:
+def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
     """f'(x, u) at the quadrature nodes, shape (ne, nq), by central differences.
 
-    The step at s is FD_STEP max(1, |s|), and the quotient divides by the
-    spacing of the two rounded abscissae.  eval_f sees at most FD_BLOCK
-    points per call, which bounds the temporaries on large meshes.
+    u holds the free values.  The step at s is FD_STEP max(1, |s|), and
+    the quotient divides by the spacing of the two rounded abscissae.
+    eval_f is called on one `assembly._quad_blocks` block at a time, which
+    bounds the temporaries on large meshes.
     """
-    pts = mesh.quad_points_flat()
-    s = u_q.reshape(-1)
-    out = np.empty_like(s)
-    for i in range(0, s.size, FD_BLOCK):
-        x, si = pts[i:i + FD_BLOCK], s[i:i + FD_BLOCK]
-        step = FD_STEP * np.maximum(1.0, np.abs(si))
-        hi, lo = si + step, si - step
+    out = np.empty(mesh.quad_weights.shape)
+    for sl, u_q in _quad_blocks(mesh, u):
+        x = mesh.quad_points[sl].reshape(-1, mesh.ndim)
+        s = u_q.reshape(-1)
+        step = FD_STEP * np.maximum(1.0, np.abs(s))
+        hi, lo = s + step, s - step
         with np.errstate(over="ignore", invalid="ignore"):
-            out[i:i + FD_BLOCK] = (eval_f(spec, x, hi) - eval_f(spec, x, lo)) / (hi - lo)
-    return out.reshape(u_q.shape)
+            df = (eval_f(spec, x, hi) - eval_f(spec, x, lo)) / (hi - lo)
+        out[sl] = df.reshape(u_q.shape)
+    return out
 
 
 def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray):
@@ -525,15 +550,17 @@ def _phi_hessian(mesh, spec, p, u):
     """v -> H v, the Hessian of Phi at u, or None at u = 0 or non-finite f'."""
     if not np.any(u.values):
         return None
-    df_q = _df_at_quad(mesh, spec, values_at_quad(mesh, u))
+    df_q = _df_at_quad(mesh, spec, u.values)
     if not np.all(np.isfinite(df_q)):
         return None
     energy = _energy_hessian(mesh, p, gradients_on_elements(mesh, u))
 
+    def mass(sl, v_q):
+        v_q *= df_q[sl]
+        return v_q
+
     def apply(v):
-        v_q = values_at_quad(mesh, DiscreteField(mesh, v))
-        v_q *= df_q
-        return energy(v) - quad_load(mesh, v_q).values
+        return energy(v) - _blocked_load(mesh, v, mass)
 
     return apply
 
@@ -574,8 +601,11 @@ def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
     the estimate is monotone under refinement when f does not depend on u.
     """
     _check_p(p)
-    L = nonlinear_load(mesh, u, spec)
+    return _lambda_u(mesh, nonlinear_load(mesh, u, spec).values, p)
 
+
+def _lambda_u(mesh: Mesh, load: np.ndarray, p: float) -> float:
+    """`estimate_lambda_u` from the load entries int f(x, u) psi_j."""
     best = 0.0
     if mesh.ndim == 1:
         a, b, h, n, ks = _interval_tent_levels(mesh)
@@ -584,7 +614,7 @@ def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
             hc = k * h
             centers = a + h * np.arange(k, n - k + 1, k, dtype=float)
             vals = np.maximum(0.0, 1.0 - np.abs(x_free[None, :] - centers[:, None]) / hc)
-            numer = np.abs(vals @ L.values)
+            numer = np.abs(vals @ load)
             denom = (2.0 * hc / (p + 1.0) + 2.0 * hc ** (1.0 - p)) ** (1.0 / p)
             if numer.size:
                 best = max(best, float(np.max(numer)) / denom)
@@ -592,7 +622,7 @@ def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
 
     # generic path: nodal hats with discretely assembled norms
     lp_hat = _scatter(mesh, mesh.quad_weights @ np.abs(mesh.basis_at_quad) ** p)
-    ratios = np.abs(L.values) / (lp_hat + hat_energies(mesh, p)) ** (1.0 / p)
+    ratios = np.abs(load) / (lp_hat + hat_energies(mesh, p)) ** (1.0 / p)
     return float(np.max(ratios)) if ratios.size else 0.0
 
 
@@ -633,9 +663,9 @@ def verify_weak_solution(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
         s = sup_norm(mesh, u)
         R = 2.0 * s if s > 0.0 else 1.0
     c = truncated_test_basis(mesh, u, R)
-    r, max_abs, scale, max_rel = _residual_norms(
-        *(c * t for t in _weak_terms(mesh, u, spec, h, p)))
-    lam_u = estimate_lambda_u(mesh, u, spec, p)
+    terms = _weak_terms(mesh, u, spec, h, p)
+    r, max_abs, scale, max_rel = _residual_norms(*(c * t for t in terms))
+    lam_u = _lambda_u(mesh, terms[1], p)
     return ResidualReport(
         residuals=r, max_abs=max_abs, scale=scale, max_relative=max_rel,
         truncation_radius=float(R), lambda_u=lam_u, tol=CERTIFICATE_TOL,

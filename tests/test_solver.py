@@ -286,6 +286,27 @@ class TestVerifyWeakSolution:
         assert rep.lambda_u > 0.0
         assert rep.passed
 
+    @pytest.mark.parametrize("shape", ["interval", "square"])
+    def test_one_load_per_verify(self, shape, monkeypatch):
+        # the weak terms' load also feeds the dual-norm estimate
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64) if shape == "interval" \
+            else pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8)
+        spec = pv.power_perturbation(LAM, 1.9, 2.0)
+        h = pv.load_vector(mesh, 1.0)
+        u = pv.interpolate(mesh, lambda x: np.prod(np.sin(np.pi * x), axis=1))
+        expect = pv.estimate_lambda_u(mesh, u, spec, 2.0)
+        calls = []
+        real = solver.nonlinear_load
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "nonlinear_load", counting)
+        rep = pv.verify_weak_solution(mesh, u, spec, h, 2.0)
+        assert len(calls) == 1
+        assert rep.lambda_u == expect > 0.0
+
 
 def _square(n):
     return pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, n, n)
@@ -393,26 +414,158 @@ class TestHessian:
         assert np.all(g_hat[1::3] == 0.0)
 
     def test_blocked_derivative_is_bit_identical(self, monkeypatch):
+        # f' is evaluated on the `assembly._quad_blocks` blocks; 48 x 48 has
+        # 4608 elements, four full blocks and a partial one
         mesh = _square(48)
+        assert mesh.n_elements % assembly.QUAD_BLOCK
+        nq = mesh.quad_weights.shape[1]
         spec = pv.power_perturbation(LAM, 1.75, 2.5)
         x = mesh.free_coordinates()
-        u_q = assembly.values_at_quad(mesh, pv.make_field(
-            mesh, 3.0 * np.sin(np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1])))
-        assert u_q.size > solver.FD_BLOCK
+        u = 3.0 * np.sin(np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1])
         sizes = []
         real_eval_f = solver.eval_f
 
         def counting(spec_, pts, s):
+            assert np.shape(pts)[0] == np.size(s)
             sizes.append(np.size(s))
             return real_eval_f(spec_, pts, s)
 
         monkeypatch.setattr(solver, "eval_f", counting)
-        blocked = solver._df_at_quad(mesh, spec, u_q)
-        assert len(sizes) == 2 * math.ceil(u_q.size / solver.FD_BLOCK)
-        assert max(sizes) <= solver.FD_BLOCK
-        monkeypatch.setattr(solver, "FD_BLOCK", u_q.size)
-        whole = solver._df_at_quad(mesh, spec, u_q)
-        monkeypatch.setattr(solver, "FD_BLOCK", 7)
-        tiny = solver._df_at_quad(mesh, spec, u_q)
+        blocked = solver._df_at_quad(mesh, spec, u)
+        assert len(sizes) == 2 * math.ceil(mesh.n_elements / assembly.QUAD_BLOCK)
+        assert max(sizes) == assembly.QUAD_BLOCK * nq
+        monkeypatch.setattr(assembly, "QUAD_BLOCK", mesh.n_elements)
+        whole = solver._df_at_quad(mesh, spec, u)
+        monkeypatch.setattr(assembly, "QUAD_BLOCK", 7)
+        tiny = solver._df_at_quad(mesh, spec, u)
         assert np.array_equal(blocked, whole) and np.array_equal(tiny, whole)
-        assert blocked.shape == u_q.shape
+        assert blocked.shape == mesh.quad_weights.shape
+
+
+# meshes whose element counts (480, 4096, 32768) leave a partial last block
+# at the block size 37, and fill whole blocks or less than one at the default
+_BLOCK_MESHES = {
+    "rect-12x20": lambda: pv.build_rectangle_mesh(0.5, 2.5, -1.0, -0.3, 12, 20),
+    "interval-4096": lambda: pv.build_interval_mesh(-1.0, 2.5, 4096),
+    "square-128": lambda: _square(128),
+}
+
+
+@pytest.fixture(scope="module", params=list(_BLOCK_MESHES))
+def block_mesh(request):
+    return _BLOCK_MESHES[request.param]()
+
+
+def _smooth(mesh, scale=2.0):
+    x = mesh.free_coordinates()
+    return scale * np.prod(np.sin(3.0 * x + 0.4), axis=1)
+
+
+_BLOCK_SPECS = {
+    "power": lambda: pv.power_perturbation(LAM, 1.75, 2.5),
+    "sine-weighted": lambda: pv.sine_exp(lambda x: 1.0 + x[:, 0] ** 2),
+    "points": lambda: pv.NonlinearitySpec(
+        "points", f=lambda x, s: (1.0 + x[:, -1]) * np.sin(s) + s ** 3,
+        F=lambda x, s: (1.0 + x[:, -1]) * (1.0 - np.cos(s)) + s ** 4 / 4.0),
+}
+
+
+class TestBlockPass:
+    """The descent's f, F and f' on element blocks against the unblocked formulas."""
+
+    @pytest.fixture(params=[None, 37], ids=["default-block", "block-37"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(assembly, "QUAD_BLOCK", request.param)
+
+    @pytest.mark.parametrize("name", list(_BLOCK_SPECS))
+    def test_load_and_potential_match_unblocked(self, block_mesh, name, block):
+        mesh, spec = block_mesh, _BLOCK_SPECS[name]()
+        u = pv.make_field(mesh, _smooth(mesh))
+        u_q = assembly.values_at_quad(mesh, u).reshape(-1)
+        pts = mesh.quad_points_flat()
+        load = assembly.quad_load(mesh, pv.eval_f(spec, pts, u_q)).values
+        assert np.array_equal(solver.nonlinear_load(mesh, u, spec).values, load)
+        pot = assembly._reduce(mesh.quad_weights_flat() * pv.eval_F(spec, pts, u_q))
+        assert math.isclose(solver.potential_integral(mesh, u, spec), pot,
+                            rel_tol=1e-14, abs_tol=0.0)
+
+    @pytest.mark.parametrize("name", ["power", "points"])
+    def test_hessian_product_matches_unblocked(self, block_mesh, name, block):
+        mesh, spec, p = block_mesh, _BLOCK_SPECS[name](), 2.5
+        u = pv.make_field(mesh, _smooth(mesh))
+        v = _smooth(mesh, -0.7)[::-1].copy()
+        pts = mesh.quad_points_flat()
+        s = assembly.values_at_quad(mesh, u).reshape(-1)
+        step = solver.FD_STEP * np.maximum(1.0, np.abs(s))
+        df = (pv.eval_f(spec, pts, s + step) - pv.eval_f(spec, pts, s - step)) / (
+            (s + step) - (s - step))
+        v_q = assembly.values_at_quad(mesh, pv.make_field(mesh, v))
+        v_q *= df.reshape(v_q.shape)
+        energy = solver._energy_hessian(mesh, p, assembly.gradients_on_elements(mesh, u))
+        expect = energy(v) - assembly.quad_load(mesh, v_q).values
+        assert np.array_equal(solver._phi_hessian(mesh, spec, p, u)(v), expect)
+
+    def test_signed_infinities_in_different_blocks(self):
+        # interval n = 4096: the default block is a quarter of the interval,
+        # so x < 0.1 and x > 0.9 lie in the first and the last block
+        mesh = pv.build_interval_mesh(0.0, 1.0, 4096)
+        assert mesh.n_elements // assembly.QUAD_BLOCK == 4
+        u = pv.make_field(mesh, _smooth(mesh))
+
+        def potential(left, right):
+            spec = pv.NonlinearitySpec("tails", f=lambda x, s: s, F=lambda x, s: np.where(
+                x[:, 0] < 0.1, left, np.where(x[:, 0] > 0.9, right, s * s / 2.0)))
+            return solver.potential_integral(mesh, u, spec)
+
+        assert potential(np.inf, -np.inf) == -math.inf
+        assert potential(-np.inf, np.inf) == -math.inf
+        assert potential(np.inf, 0.0) == math.inf
+        assert potential(0.0, np.inf) == math.inf
+        assert potential(0.0, -np.inf) == -math.inf
+        assert potential(0.0, np.nan) == -math.inf
+        assert potential(np.inf, np.nan) == -math.inf
+        assert math.isfinite(potential(0.0, 0.0))
+
+    def test_non_finite_f_names_its_point(self, monkeypatch):
+        # two bad nodes in the third and the sixth block: the first is named
+        monkeypatch.setattr(assembly, "QUAD_BLOCK", 37)
+        mesh = pv.build_rectangle_mesh(0.5, 2.5, -1.0, -0.3, 12, 20)
+        nq = mesh.quad_weights.shape[1]
+        pts = mesh.quad_points_flat()
+        first, second = (2 * 37 + 5) * nq + 3, (5 * 37 + 1) * nq
+        bad = pts[[first, second]]
+
+        def f(x, s):
+            hit = np.any(np.all(x[:, None, :] == bad[None], axis=2), axis=1)
+            return np.where(hit, np.inf, s)
+
+        spec = pv.NonlinearitySpec("spike", f=f, F=lambda x, s: s * s / 2.0)
+        u = pv.make_field(mesh, _smooth(mesh))
+        with pytest.raises(ValueError, match="not finite") as exc:
+            solver.nonlinear_load(mesh, u, spec)
+        assert str(pts[first]) in str(exc.value)
+        assert str(pts[second]) not in str(exc.value)
+
+    def test_peak_memory_below_one_quadrature_array(self):
+        # nonlinear_load, potential_integral and a Hessian product on 128 x 128
+        # hold block-sized temporaries; one (ne, nq) float64 array is 1.5 MB
+        import tracemalloc
+
+        mesh = _square(128)
+        limit = mesh.quad_weights.size * 8
+        assert limit == 1_572_864
+        spec, p = pv.power_perturbation(LAM, 2.0, 2.5), 2.5
+        u = pv.make_field(mesh, _smooth(mesh))
+        v = _smooth(mesh, -0.7)
+        hessian = solver._phi_hessian(mesh, spec, p, u)
+        for call in (lambda: solver.nonlinear_load(mesh, u, spec),
+                     lambda: solver.potential_integral(mesh, u, spec),
+                     lambda: hessian(v)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit
