@@ -9,7 +9,10 @@ D^T (|T| |D u|^(p-2) D u).  Every mesh is a uniform tensor grid, so D is
 never stored: `_grad` applies it as difference stencils on the grid and
 `_grad_T` applies D^T as the matching negated differences.  The p = 2
 stiffness matrix D^T diag(|T|) D is never assembled either; the descents
-apply its inverse in closed form (`solver._poisson_solve`).
+apply its inverse in closed form (`solver._poisson_solve`).  The one
+matrix assembled is the Newton matrix, once per descent step, as a grid
+stencil (`_hessian_stencil`): the p-energy Hessian, minus a mass matrix
+in the energy descent.
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 one fixed rule: 3-point Gauss-Legendre on intervals (exact through degree
 5), a 6-point rule on triangles (exact through degree 4).
@@ -18,7 +21,7 @@ Each kernel's formula lives in one array-level helper (`_energy`,
 quadrature nodes) that the public field-level function calls, so a
 caller that already holds D u or the quadrature values skips the gather.
 `_flux_weights` holds the derivative of `_flux`, the element weights of
-the p-energy Hessian that both Newton descents apply as an operator.
+the p-energy Hessian that `_hessian_stencil` assembles.
 
 Every scalar sum goes through `_reduce`, the one summation policy: one
 pairwise `np.sum` over the contiguous contributions, in the mesh's fixed
@@ -33,7 +36,8 @@ quadrature nodes into a dual vector.
 `_quad_blocks` is the element-blocked form of `values_at_quad`: it
 yields a field's values at the quadrature nodes QUAD_BLOCK elements at a
 time, so a caller that evaluates a user's function there (the energy
-descent's f, F and f') never holds an (ne, nq) temporary.
+descent's f, F and f') never holds an (ne, nq) temporary, and the eigen
+line search gathers its direction's values without an (ne, ndim+1) one.
 `_blocked_load` is the matching form of `quad_load`: it writes each
 block's element contributions into one (ne, ndim+1) array and scatters
 once, so its result is bit-identical to `quad_load` of the whole density.
@@ -215,6 +219,92 @@ def _grad_T(mesh: Mesh, G: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
+def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
+    """apply(v) = H v for H the P1 matrix of the p-energy Hessian at the
+    element gradients g, minus, when mass_q holds m at the quadrature nodes,
+    the mass matrix int m psi_a psi_b.  H is assembled once, as a grid stencil.
+
+    On an element with basis gradients L_a, H has the entries
+    L_a . M L_b - sum_q w_q m_q psi_a psi_b, with M = |T| w (I + (p-2) g_hat g_hat^T)
+    from `_flux_weights`' output, computed in place over its arrays (plus
+    one array for M's off-diagonal on a rectangle).  The elements of one
+    type (an interval's cells; a rectangle cell's (v00, v10, v11) and
+    (v00, v11, v01)) share their vertex offsets in the cell and their L_a,
+    so each entry is one array over the cells, added at its offset on the
+    vertex grid: to the diagonal, or to the coupling along its edge, +x on
+    an interval, +x, +y and the v00-v11 diagonal on a rectangle.  H v is the
+    diagonal times v plus two shifted products per coupling: 3 slice
+    products on an interval, 7 on a rectangle.  The mass entries, a <= b,
+    overwrite mass_q one QUAD_BLOCK of elements at a time; there are nq of
+    them (3 on intervals, 6 on triangles).
+    """
+    # per element type, in the layout of `_grad`: its vertices' offsets in the
+    # cell and their basis gradients in units of 1/h; then the edge directions
+    if mesh.ndim == 1:
+        types = [(((0,), (1,)), ((-1,), (1,)))]
+        steps = [(1,)]
+    else:
+        types = [(((0, 0), (1, 0), (1, 1)), ((-1, 0), (1, -1), (0, 1))),
+                 (((0, 0), (1, 1), (0, 1)), ((0, -1), (1, 0), (-1, 1)))]
+        steps = [(1, 0), (0, 1), (1, 1)]
+    cells = mesh.structure
+    pairs = [(a, b) for a in range(mesh.ndim + 1) for b in range(a, mesh.ndim + 1)]
+    if mass_q is not None:
+        psi_pairs = np.stack([mesh.basis_at_quad[:, a] * mesh.basis_at_quad[:, b]
+                              for a, b in pairs], axis=1)
+        for start in range(0, mesh.n_elements, QUAD_BLOCK):
+            sl = slice(start, start + QUAD_BLOCK)
+            np.matmul(mesh.quad_weights[sl] * mass_q[sl], psi_pairs, out=mass_q[sl])
+        mass_q = mass_q.reshape(*cells, len(types), len(pairs))
+    c, g_hat = _flux_weights(mesh, g, p)
+    # M's off-diagonal first: its diagonal then overwrites g_hat's columns
+    M = {}
+    for i in range(mesh.ndim):
+        for j in range(i + 1, mesh.ndim):
+            M[i, j] = g_hat[:, i] * g_hat[:, j]
+            M[i, j] *= c
+            M[i, j] *= p - 2.0
+    for i in range(mesh.ndim):
+        M[i, i] = g_hat[:, i]
+        M[i, i] *= M[i, i]
+        M[i, i] *= c
+        M[i, i] *= p - 2.0
+        M[i, i] += c
+    M = {ij: m.reshape(*cells, len(types)) for ij, m in M.items()}
+    arrays = np.zeros((1 + len(steps), *(n + 1 for n in cells)))
+    diag, couplings = arrays[0], dict(zip(steps, arrays[1:]))
+    h = _spacing(mesh)
+    for t, (off, grads) in enumerate(types):
+        L = [[k / h_k for k, h_k in zip(row, h)] for row in grads]
+        for k, (a, b) in enumerate(pairs):
+            # every edge runs along a step from its lower vertex
+            step = tuple(abs(y - x) for x, y in zip(off[a], off[b]))
+            target = (diag if a == b else couplings[step])[
+                tuple(slice(min(x, y), min(x, y) + n) for x, y, n in zip(off[a], off[b], cells))]
+            for (i, j), m in M.items():
+                coef = L[a][i] * L[b][j] + (L[a][j] * L[b][i] if i != j else 0.0)
+                if coef:
+                    target += coef * m[..., t]
+            if mass_q is not None:
+                target -= mass_q[..., t, k]
+    diag = diag[(slice(1, -1),) * mesh.ndim]
+    # a coupling joins free vertices when its lower vertex is one step inside
+    stencil = [(couplings[step][tuple(slice(1, -1 - d) for d in step)],
+                tuple(slice(None, -d or None) for d in step),
+                tuple(slice(d, None) for d in step)) for step in steps]
+    shape = diag.shape
+
+    def apply(v):
+        V = v.reshape(shape)
+        out = diag * V
+        for C, lo, hi in stencil:
+            out[lo] += C * V[hi]
+            out[hi] += C * V[lo]
+        return out.ravel()
+
+    return apply
+
+
 def interpolate(mesh: Mesh, fn) -> DiscreteField:
     """Interpolate a callable of the free-vertex coordinates into P1."""
     vals = np.asarray(fn(mesh.free_coordinates()), dtype=float)
@@ -296,11 +386,14 @@ def _flux_weights(mesh: Mesh, g: np.ndarray, p: float):
     floor w is 1 at p = 2 and 0 otherwise, the limit `_flux` takes.
     """
     r = np.sqrt(np.einsum("ed,ed->e", g, g))
-    live = r >= GRADIENT_FLOOR
+    dead = ~(r >= GRADIENT_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(live, r ** (p - 2.0), 1.0 if p == 2.0 else 0.0)
-        g_hat = np.where(live[:, None], g / r[:, None], 0.0)
-    return mesh.measures * w, g_hat
+        w = r ** (p - 2.0)
+        g_hat = g / r[:, None]
+    w[dead] = 1.0 if p == 2.0 else 0.0
+    g_hat[dead] = 0.0
+    w *= mesh.measures
+    return w, g_hat
 
 
 def _lp(mesh: Mesh, q: np.ndarray, p: float, work=None) -> float:

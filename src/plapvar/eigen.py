@@ -16,11 +16,12 @@ the energy descent's allows for Phi's: without the band, trials whose
 quotient changes at rounding level are rejected near the stop (24 x 24,
 p = 3: 42 trials for 14 steps instead of 12 for 12).  The direction is
 the energy descent's damped inexact Newton step (`solver._newton_step`):
-PCG on the p-energy Hessian operator at u (`solver._energy_hessian`),
-preconditioned by the closed-form inverse of the p = 2 stiffness matrix
-(`solver._poisson_solve`), applied to the eigen residual
-A'(u) - lambda B'(u) with A'(u)_j = int |grad u|^(p-2) grad u . grad psi_j
-and B'(u)_j = int |u|^(p-2) u psi_j.  At p = 2 the Hessian is
+PCG on the p-energy Hessian at u, assembled once per step as a grid
+stencil (`assembly._hessian_stencil`), preconditioned by the closed-form
+inverse of the p = 2 stiffness matrix (`solver._poisson_solve`), applied
+to the eigen residual A'(u) - lambda B'(u) with
+A'(u)_j = int |grad u|^(p-2) grad u . grad psi_j and
+B'(u)_j = int |u|^(p-2) u psi_j.  At p = 2 the Hessian is
 the stiffness matrix and the step is the gradient in the H^1_0 inner
 product.  For p >= 2 the step count hardly grows under refinement (p = 3
 on the unit interval: 10 steps at n = 64, 11 at n = 4096), whereas the
@@ -36,7 +37,9 @@ the stop does not depend on the domain's size.
 
 Trials run on a cached line.  The iterate u carries its element
 gradients D u and its values at the quadrature nodes; once per step the
-direction d gets the same two arrays, and a trial at t combines them
+direction d gets the same two arrays (its quadrature values gathered
+block by block, `assembly._quad_blocks`, so no (ne, ndim + 1) gather sits
+beside them), and a trial at t combines them
 elementwise (u - t d is linear in both), so it costs one quotient with
 no gradient stencil and no gather.  The accepted trial's arrays are
 rescaled to int |u|^p = 1, and the quotient and the eigen residual are
@@ -66,8 +69,11 @@ from .assembly import (
     _check_p,
     _energy,
     _flux,
+    _grad,
+    _hessian_stencil,
     _lp,
     _lp_load,
+    _quad_blocks,
     dirichlet_energy,
     gradients_on_elements,
     lp_integral,
@@ -76,8 +82,7 @@ from .assembly import (
     values_at_quad,
 )
 from .meshing import Mesh
-from .solver import (_energy_hessian, _newton_step, _poisson_solve, _residual_norms,
-                     _rounding_band, armijo)
+from .solver import _newton_step, _poisson_solve, _residual_norms, _rounding_band, armijo
 
 __all__ = ["EigenResult", "EigenConvergenceError", "rayleigh_quotient",
            "collatz_wielandt_bracket", "first_eigenpair"]
@@ -193,8 +198,9 @@ def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
     the last trial evaluated, which is the accepted one when the search
     succeeds.
     """
-    field = DiscreteField(mesh, d)
-    g_d, q_d = gradients_on_elements(mesh, field), values_at_quad(mesh, field)
+    g_d, q_d = _grad(mesh, d), np.empty_like(q)
+    for sl, d_q in _quad_blocks(mesh, d):
+        q_d[sl] = d_q
 
     def at(t):
         np.add(np.multiply(q_d, -t, out=q), q_u, out=q)
@@ -232,7 +238,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
             stop = "max-iter"
             break
 
-        d, products = _newton_step(_energy_hessian(mesh, p, g), r, solve, res)
+        d, products = _newton_step(_hessian_stencil(mesh, p, g), r, solve, res)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
         _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf, work),

@@ -25,7 +25,7 @@ for minimization rather than as evidence of unboundedness.  A genuine
 lack of coercivity shows up as Phi running below -1e12 along the descent,
 which aborts with `UnboundedBelowError`.
 
-The descent is a damped, matrix-free inexact Newton method.  Each step
+The descent is a damped inexact Newton method.  Each step
 solves H d = grad Phi by conjugate gradients preconditioned with the
 p = 2 stiffness matrix K, to the relative accuracy
 min(0.1, sqrt(stationarity)) of Eisenstat and Walker.  K^-1 is applied
@@ -33,14 +33,14 @@ in closed form (`_poisson_solve`: on an interval, the right-hand side
 summed twice by two cumulative sums, not the discrete Green's function,
 whose two terms cancel and lose accuracy on fine grids; on a rectangle,
 the fast diagonalization of the 5-point matrix), so nothing is
-factored; each descent builds its own solve.  H is
-applied as an operator, never assembled: the p-energy part
-D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) from
-`assembly._flux_weights` (`_energy_hessian`), with D and D^T applied as
-grid stencils (`assembly._grad`, `assembly._grad_T`), minus the mass term
-int f'(x, u) v psi_j, with f' a central difference of `eval_f` at the
-quadrature nodes.  The eigensolver takes the same step (`_newton_step`)
-on the same p-energy operator, without a mass term.  CG stops
+factored; each descent builds its own solve.  H is assembled once per
+step as a grid stencil (`assembly._hessian_stencil`), 3 points on an
+interval and 7 on a rectangle, so a CG product is a few shifted
+multiply-adds: the p-energy Hessian from the element weights of
+`assembly._flux_weights`, minus the mass matrix int f'(x, u) psi_i psi_j,
+with f' a central difference of `eval_f` at the quadrature nodes
+(`_df_at_quad`).  The eigensolver takes the same step (`_newton_step`)
+on the same stencil, without a mass term.  CG stops
 at negative curvature and returns its current iterate (Steihaug).  The
 weight w = |D u|^(p-2) is exact for every p > 1; the step falls back to the
 p = 2 direction, the gradient in the H^1_0 inner product, at u = 0, when
@@ -53,13 +53,13 @@ without the band the last steps are rejected until t is about 2^-22
 and the descent stalls.
 
 The user's f, F and f' carry no growth condition, so the descent
-evaluates them at every quadrature node on every step, trial and
-Hessian product.  `nonlinear_load`, `potential_integral`, `_df_at_quad`
-and the Hessian's mass term therefore walk the elements in blocks of
+evaluates them at every quadrature node on every step and trial, and
+f' once per step.  `nonlinear_load`, `potential_integral`, `_df_at_quad`
+and the stencil's mass entries therefore walk the elements in blocks of
 `assembly.QUAD_BLOCK` (`assembly._quad_blocks`), calling `eval_f` or
 `eval_F` once per block, so no (ne, nq) temporary is made per call.  The
-loads collect each block's element contributions and scatter once
-(`assembly._blocked_load`), which leaves them bit-identical to the
+load collects each block's element contributions and scatters once
+(`assembly._blocked_load`), which leaves it bit-identical to the
 unblocked `quad_load`; `potential_integral` sums per-element integrals,
 so Phi may differ from a flat sum over the nodes in its last bits.
 """
@@ -77,9 +77,7 @@ from .assembly import (
     _blocked_load,
     _check_mesh,
     _check_p,
-    _flux_weights,
-    _grad,
-    _grad_T,
+    _hessian_stencil,
     _quad_blocks,
     _reduce,
     _scatter,
@@ -416,23 +414,6 @@ def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray
     return out
 
 
-def _energy_hessian(mesh: Mesh, p: float, grads: np.ndarray):
-    """v -> D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))), the p-energy Hessian.
-
-    The weights come from `assembly._flux_weights` at the element
-    gradients grads.
-    """
-    c, g_hat = _flux_weights(mesh, grads, p)
-
-    def apply(v):
-        G = _grad(mesh, v)
-        G += (p - 2.0) * np.einsum("ed,ed->e", g_hat, G)[:, None] * g_hat
-        G *= c[:, None]
-        return _grad_T(mesh, G)
-
-    return apply
-
-
 def _sine_basis(n: int):
     """(Q, mu): eigenvectors and eigenvalues of tridiag(-1, 2, -1), order n - 1.
 
@@ -547,22 +528,17 @@ def _newton_step(apply, r: np.ndarray, solve, rel: float):
 
 
 def _phi_hessian(mesh, spec, p, u):
-    """v -> H v, the Hessian of Phi at u, or None at u = 0 or non-finite f'."""
+    """v -> H v, the Hessian of Phi at u, or None at u = 0 or non-finite f'.
+
+    The p-energy Hessian minus the mass matrix of f', one grid stencil
+    (`assembly._hessian_stencil`).
+    """
     if not np.any(u.values):
         return None
     df_q = _df_at_quad(mesh, spec, u.values)
     if not np.all(np.isfinite(df_q)):
         return None
-    energy = _energy_hessian(mesh, p, gradients_on_elements(mesh, u))
-
-    def mass(sl, v_q):
-        v_q *= df_q[sl]
-        return v_q
-
-    def apply(v):
-        return energy(v) - _blocked_load(mesh, v, mass)
-
-    return apply
+    return _hessian_stencil(mesh, p, gradients_on_elements(mesh, u), df_q)
 
 
 # ---------------------------------------------------------------------------

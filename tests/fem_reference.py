@@ -1,10 +1,13 @@
 """Element-by-element oracles for the grid kernels: closed-form P1 basis
-gradients, a scatter by `np.add.at`, and the p = 2 stiffness matrix by COO
-assembly."""
+gradients, a scatter by `np.add.at`, the p = 2 stiffness matrix and the
+Newton matrix by COO assembly, and the Newton matrix applied matrix-free."""
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+
+from plapvar.assembly import (GRADIENT_FLOOR, _flux_weights, _grad, _grad_T, make_field,
+                              quad_load, values_at_quad)
 
 
 def reference_basis_gradients(mesh):
@@ -67,3 +70,59 @@ def gradient_tolerance(mesh):
         h = (b - a) / n
         gaps.append(float(np.max(np.abs(steps - h))) / h)
     return 1e-15 + 2.0 * max(gaps)
+
+
+def _weights(mesh, p, grads):
+    """|T| w and g_hat per element, with w = 1 at p = 2 and 0 otherwise
+    below the gradient floor, element by element."""
+    c, g_hat = np.zeros(mesh.n_elements), np.zeros_like(grads)
+    for e, g in enumerate(grads):
+        r = float(np.linalg.norm(g))
+        if r >= GRADIENT_FLOOR:
+            c[e], g_hat[e] = mesh.measures[e] * r ** (p - 2.0), g / r
+        elif p == 2.0:
+            c[e] = mesh.measures[e]
+    return c, g_hat
+
+
+def reference_hessian(mesh, p, grads, mass_q=None):
+    """The Newton matrix on free dofs (CSC) by COO assembly: the p-energy
+    Hessian at element gradients grads, with local matrices
+    |T| w (L_k . L_l + (p-2) (g_hat . L_k) (g_hat . L_l)) from
+    `reference_basis_gradients`, minus int m psi_k psi_l for m = mass_q at
+    the quadrature nodes."""
+    L = reference_basis_gradients(mesh)
+    c, g_hat = _weights(mesh, p, grads)
+    s = np.einsum("ed,ekd->ek", g_hat, L)
+    local = c[:, None, None] * (np.einsum("ekd,eld->ekl", L, L)
+                                + (p - 2.0) * s[:, :, None] * s[:, None, :])
+    if mass_q is not None:
+        phi = mesh.basis_at_quad
+        local -= np.einsum("eq,qk,ql->ekl", mesh.quad_weights * mass_q, phi, phi)
+    nloc = mesh.elements.shape[1]
+    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
+    cols = np.tile(mesh.elements, (1, nloc)).ravel()
+    H = sp.coo_matrix((local.ravel(), (rows, cols)),
+                      shape=(mesh.n_vertices, mesh.n_vertices)).tocsc()
+    free = mesh.free_vertices
+    return H[np.ix_(free, free)]
+
+
+def matrix_free_hessian(mesh, p, grads, mass_q=None):
+    """v -> the Newton matrix times v, applied matrix-free, with the same
+    signature as `assembly._hessian_stencil`: the p-energy part
+    D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) by the gradient stencils,
+    minus `quad_load` of mass_q times v at the quadrature nodes."""
+    c, g_hat = _flux_weights(mesh, grads, p)
+
+    def apply(v):
+        G = _grad(mesh, v)
+        G += (p - 2.0) * np.einsum("ed,ed->e", g_hat, G)[:, None] * g_hat
+        G *= c[:, None]
+        out = _grad_T(mesh, G)
+        if mass_q is not None:
+            v_q = values_at_quad(mesh, make_field(mesh, v))
+            out -= quad_load(mesh, mass_q * v_q).values
+        return out
+
+    return apply

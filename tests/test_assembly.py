@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from fem_reference import (gradient_tolerance, reference_basis_gradients,
-                           reference_scatter, stiffness_matrix)
+from fem_reference import (gradient_tolerance, matrix_free_hessian, reference_basis_gradients,
+                           reference_hessian, reference_scatter, stiffness_matrix)
 
 import plapvar as pv
-from plapvar.assembly import _grad, _grad_T
+from plapvar.assembly import GRADIENT_FLOOR, _grad, _grad_T, _hessian_stencil
 
 
 def unit_hat(n=2):
@@ -221,6 +221,63 @@ class TestGradientOperator:
         frozen.flags.writeable = False
         assert np.array_equal(_grad_T(mesh, frozen), _grad_T(mesh, g))
         assert np.array_equal(frozen, g)
+
+
+def _floored_field(mesh):
+    """Values whose gradient is exactly 0 on some elements: zero beside the
+    x = a side (and beside y = a on a rectangle), and equal on two neighbours."""
+    values = np.random.default_rng(mesh.n_free).uniform(0.5, 2.0, mesh.n_free)
+    if mesh.ndim == 1:
+        values[:2] = 0.0
+        values[4] = values[3]
+    else:
+        grid = values.reshape(mesh.structure[0] - 1, mesh.structure[1] - 1)
+        grid[0] = 0.0
+        grid[:, 0] = 0.0
+        grid[2, 2] = grid[2, 3] = grid[3, 3]
+    return values
+
+
+HESSIAN_MESHES = {
+    "interval-9": lambda: pv.build_interval_mesh(-1.0, 2.5, 9),
+    "rect-5x7": lambda: pv.build_rectangle_mesh(0.5, 2.5, -1.0, -0.3, 5, 7),
+}
+
+
+class TestHessianStencil:
+    # the assembled Newton matrix against COO assembly of the element matrices
+    # (fem_reference.reference_hessian), on u with elements below the floor
+
+    @pytest.mark.parametrize("mass", [False, True], ids=["energy", "with-mass"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(HESSIAN_MESHES))
+    def test_matches_coo_assembly(self, name, p, mass):
+        mesh = HESSIAN_MESHES[name]()
+        g = _grad(mesh, _floored_field(mesh))
+        norms = np.linalg.norm(g, axis=1)
+        assert np.any(norms < GRADIENT_FLOOR) and np.any(norms >= GRADIENT_FLOOR)
+        mass_q = (np.random.default_rng(7).standard_normal(mesh.quad_weights.shape)
+                  if mass else None)
+        expect = reference_hessian(mesh, p, g, mass_q).toarray()
+        apply = _hessian_stencil(mesh, p, g, None if mass_q is None else mass_q.copy())
+        H = np.column_stack([apply(e) for e in np.eye(mesh.n_free)])
+        assert np.max(np.abs(H - expect)) <= 1e-13 * np.max(np.abs(expect))
+        assert np.array_equal(H, H.T)
+        if p == 2.0 and not mass:
+            K = stiffness_matrix(mesh).toarray()
+            assert np.max(np.abs(H - K)) <= 1e-13 * np.max(np.abs(K))
+
+    @pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
+    def test_product_matches_matrix_free(self, name):
+        # on the larger meshes, against the gradient stencils and quad_load
+        mesh = OPERATOR_MESHES[name]()
+        rng = np.random.default_rng(mesh.n_free)
+        g = _grad(mesh, rng.standard_normal(mesh.n_free))
+        mass_q = rng.standard_normal(mesh.quad_weights.shape)
+        v = rng.standard_normal(mesh.n_free)
+        expect = matrix_free_hessian(mesh, 2.5, g, mass_q)(v)
+        got = _hessian_stencil(mesh, 2.5, g, mass_q.copy())(v)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
 class TestKernelFormulas:

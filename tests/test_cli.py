@@ -388,15 +388,20 @@ def test_readme_config_table_lists_every_key():
 @pytest.mark.parametrize("mesh", [
     pv.build_interval_mesh(-1.0, 2.0, 9),
     pv.build_rectangle_mesh(0.0, 1.0, -0.5, 0.5, 4, 3),
-], ids=["interval", "rectangle"])
+    pv.build_interval_mesh(-1.0, 2.0, 2050),
+], ids=["interval", "rectangle", "interval-2050"])
 def test_field_csv_rows_match_per_value_formatting(mesh):
+    # _field_csv yields the header, then the rows joined 1024 at a time;
+    # 2049 free values fill two chunks and leave one row over
     values = np.linspace(-3.0, 7.0, mesh.n_free) / 3.0
     values[:3] = [-0.0, 1e-300, 0.1]
     coords = mesh.free_coordinates()
     ref = [("x," if mesh.ndim == 1 else "x,y,") + "u"]
     ref += [",".join(f"{float(v):.17g}" for v in [*coords[i], values[i]])
             for i in range(mesh.n_free)]
-    assert cli._field_csv(mesh, values, "u") == ref
+    chunks = list(cli._field_csv(mesh, values, "u"))
+    assert len(chunks) == 1 + math.ceil(mesh.n_free / 1024)
+    assert "\n".join(chunks).split("\n") == ref
     assert ref[1].endswith(",-0")
 
 

@@ -5,10 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from fem_reference import stiffness_matrix
+from fem_reference import matrix_free_hessian, stiffness_matrix
 
 import plapvar as pv
-from plapvar import assembly, solver
+from plapvar import assembly, eigen, solver
 
 LAM = math.pi**2
 
@@ -413,6 +413,28 @@ class TestHessian:
         assert np.array_equal(c, mesh.measures)
         assert np.all(g_hat[1::3] == 0.0)
 
+    def test_newton_counts_match_matrix_free(self, monkeypatch):
+        # the audit_rect problem: both descents take the same steps, trials and
+        # CG products with the stencil as with the matrix-free oracle
+        mesh, p = _square(32), 3.0
+
+        def pipeline():
+            eig = pv.first_eigenpair(mesh, p)
+            spec = pv.power_perturbation(eig.lambda1, 2.0, p)
+            h = assembly.quad_load(mesh, 0.1 * assembly.values_at_quad(mesh, eig.phi1))
+            return eig, pv.minimize_phi(mesh, spec, h, p)
+
+        eig, res = pipeline()
+        monkeypatch.setattr(eigen, "_hessian_stencil", matrix_free_hessian)
+        monkeypatch.setattr(solver, "_hessian_stencil", matrix_free_hessian)
+        eig_mf, res_mf = pipeline()
+        for a, b in ((eig, eig_mf), (res, res_mf)):
+            assert (a.iterations, a.trials, a.cg_iterations) == (
+                b.iterations, b.trials, b.cg_iterations)
+        assert (eig.iterations, res.iterations) == (11, 8)
+        assert math.isclose(eig.lambda1, eig_mf.lambda1, rel_tol=1e-12, abs_tol=0.0)
+        assert math.isclose(res.phi, res_mf.phi, rel_tol=1e-12, abs_tol=0.0)
+
     def test_blocked_derivative_is_bit_identical(self, monkeypatch):
         # f' is evaluated on the `assembly._quad_blocks` blocks; 48 x 48 has
         # 4608 elements, four full blocks and a partial one
@@ -492,6 +514,8 @@ class TestBlockPass:
 
     @pytest.mark.parametrize("name", ["power", "points"])
     def test_hessian_product_matches_unblocked(self, block_mesh, name, block):
+        # the assembled stencil against the matrix-free energy(v) - quad_load(f' v)
+        # of the unblocked central difference f'
         mesh, spec, p = block_mesh, _BLOCK_SPECS[name](), 2.5
         u = pv.make_field(mesh, _smooth(mesh))
         v = _smooth(mesh, -0.7)[::-1].copy()
@@ -500,11 +524,10 @@ class TestBlockPass:
         step = solver.FD_STEP * np.maximum(1.0, np.abs(s))
         df = (pv.eval_f(spec, pts, s + step) - pv.eval_f(spec, pts, s - step)) / (
             (s + step) - (s - step))
-        v_q = assembly.values_at_quad(mesh, pv.make_field(mesh, v))
-        v_q *= df.reshape(v_q.shape)
-        energy = solver._energy_hessian(mesh, p, assembly.gradients_on_elements(mesh, u))
-        expect = energy(v) - assembly.quad_load(mesh, v_q).values
-        assert np.array_equal(solver._phi_hessian(mesh, spec, p, u)(v), expect)
+        g = assembly.gradients_on_elements(mesh, u)
+        expect = matrix_free_hessian(mesh, p, g, df.reshape(mesh.quad_weights.shape))(v)
+        got = solver._phi_hessian(mesh, spec, p, u)(v)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_signed_infinities_in_different_blocks(self):
         # interval n = 4096: the default block is a quarter of the interval,
