@@ -30,17 +30,18 @@ permuting the element array may change their last bits; the pairwise
 error, O(eps log n) times the sum of |contributions|, is far below
 every tolerance in the package.  Every other element-to-free-dof sum
 goes through `_scatter`, the one scatter, which accumulates in a fixed
-element order; `quad_load` builds on it to turn a density at the
-quadrature nodes into a dual vector.
+element order.
 
-`_quad_blocks` is the element-blocked form of `values_at_quad`: it
-yields a field's values at the quadrature nodes QUAD_BLOCK elements at a
-time, so a caller that evaluates a user's function there (the energy
-descent's f, F and f') never holds an (ne, nq) temporary, and the eigen
-line search gathers its direction's values without an (ne, ndim+1) one.
-`_blocked_load` is the matching form of `quad_load`: it writes each
-block's element contributions into one (ne, ndim+1) array and scatters
-once, so its result is bit-identical to `quad_load` of the whole density.
+All work at the quadrature nodes walks the elements in the blocks of
+QUAD_BLOCK elements that `_blocks` yields, so its temporaries are block
+sized.  `_quad_blocks` is the one gather: it yields a field's values at
+the quadrature nodes block by block, and `values_at_quad` collects them,
+so a caller that evaluates a user's function there (the energy descent's
+f, F and f') or reduces each block (the eigen line search) never holds
+an (ne, nq) temporary.  `_load` is the one load: it turns a density
+given block by block into a dual vector, writing each block's element
+contributions into one (ne, ndim+1) array that is scattered once;
+`quad_load`, `_lp_load` and the energy descent's f load call it.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ __all__ = [
 # the residual, which keeps |grad u|^(p-2) finite for 1 < p < 2.
 GRADIENT_FLOOR = 1e-14
 
-# Elements per block of `_quad_blocks`: 1024 triangles hold 6144 quadrature
+# Elements per block of `_blocks`: 1024 triangles hold 6144 quadrature
 # nodes, so each block's temporaries are 48 KB.
 QUAD_BLOCK = 1024
 
@@ -252,8 +253,7 @@ def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
     if mass_q is not None:
         psi_pairs = np.stack([mesh.basis_at_quad[:, a] * mesh.basis_at_quad[:, b]
                               for a, b in pairs], axis=1)
-        for start in range(0, mesh.n_elements, QUAD_BLOCK):
-            sl = slice(start, start + QUAD_BLOCK)
+        for sl in _blocks(mesh):
             np.matmul(mesh.quad_weights[sl] * mass_q[sl], psi_pairs, out=mass_q[sl])
         mass_q = mass_q.reshape(*cells, len(types), len(pairs))
     c, g_hat = _flux_weights(mesh, g, p)
@@ -320,37 +320,41 @@ def gradients_on_elements(mesh: Mesh, u: DiscreteField) -> np.ndarray:
 def values_at_quad(mesh: Mesh, u: DiscreteField) -> np.ndarray:
     """u evaluated at the quadrature points, shape (ne, nq)."""
     _check_mesh(mesh, u)
-    full = np.zeros(mesh.n_vertices)
-    full[mesh.free_vertices] = u.values
-    return full[mesh.elements] @ mesh.basis_at_quad.T
+    out = np.empty(mesh.quad_weights.shape)
+    for sl, u_q in _quad_blocks(mesh, u.values):
+        out[sl] = u_q
+    return out
+
+
+def _blocks(mesh: Mesh):
+    """Yield the slices of QUAD_BLOCK elements that cover the mesh, in element order."""
+    for start in range(0, mesh.n_elements, QUAD_BLOCK):
+        yield slice(start, start + QUAD_BLOCK)
 
 
 def _quad_blocks(mesh: Mesh, v: np.ndarray):
-    """Yield (sl, v_q) for each block of QUAD_BLOCK elements, in element order.
+    """Yield (sl, v_q) for each `_blocks` slice sl: v_q, shape (len, nq), is
+    the field with free values v at the block's quadrature nodes.
 
-    sl is the block's slice of the elements and v_q, shape (len, nq), the
-    field with free values v at the block's quadrature nodes: the rows sl
-    of `values_at_quad`, bit for bit.  A caller that reduces each block
-    before the next keeps its temporaries at block size.
+    A caller that reduces each block before the next keeps its
+    temporaries at block size.
     """
     full = np.zeros(mesh.n_vertices)
     full[mesh.free_vertices] = v
-    for start in range(0, mesh.n_elements, QUAD_BLOCK):
-        sl = slice(start, start + QUAD_BLOCK)
+    for sl in _blocks(mesh):
         yield sl, full[mesh.elements[sl]] @ mesh.basis_at_quad.T
 
 
-def _blocked_load(mesh: Mesh, v: np.ndarray, density) -> np.ndarray:
-    """Entries int g psi_j, with g = density(sl, v_q) on each `_quad_blocks` block.
+def _load(mesh: Mesh, densities) -> np.ndarray:
+    """Entries int g psi_j from (sl, g at the quadrature nodes of block sl)
+    pairs, one for each `_blocks` slice.
 
-    The element contributions are the rows of `quad_load`'s, bit for bit,
-    and go through one `_scatter`, so the result equals `quad_load` of the
-    whole density.
+    Each block's element contributions (w g) @ basis go into one
+    (ne, ndim+1) array, which is scattered once.
     """
     contrib = np.empty((mesh.n_elements, mesh.ndim + 1))
-    for sl, v_q in _quad_blocks(mesh, v):
-        weighted = mesh.quad_weights[sl] * density(sl, v_q)
-        np.matmul(weighted, mesh.basis_at_quad, out=contrib[sl])
+    for sl, g in densities:
+        np.matmul(mesh.quad_weights[sl] * g, mesh.basis_at_quad, out=contrib[sl])
     return _scatter(mesh, contrib)
 
 
@@ -396,27 +400,25 @@ def _flux_weights(mesh: Mesh, g: np.ndarray, p: float):
     return w, g_hat
 
 
-def _lp(mesh: Mesh, q: np.ndarray, p: float, work=None) -> float:
-    """int |u|^p from u at the quadrature nodes q, shape (ne, nq).
+def _lp(mesh: Mesh, q: np.ndarray, p: float) -> float:
+    """int |u|^p from u at the quadrature nodes q, shape (ne, nq)."""
+    sums = np.empty(mesh.n_elements)
+    for sl in _blocks(mesh):
+        a = np.abs(q[sl])
+        a **= p
+        np.einsum("eq,eq->e", mesh.quad_weights[sl], a, out=sums[sl])
+    return _reduce(sums)
 
-    `work`, an array shaped like q, receives the intermediate |u|^p;
-    without it one is allocated.
-    """
-    a = np.abs(q, out=work)
-    a **= p
-    return _reduce(np.einsum("eq,eq->e", mesh.quad_weights, a))
 
+def _lp_load(mesh: Mesh, q: np.ndarray, p: float) -> np.ndarray:
+    """Entries int |u|^(p-2) u psi_j from u at the quadrature nodes q."""
+    def densities():
+        for sl in _blocks(mesh):
+            v = np.abs(q[sl])
+            v **= p - 1.0
+            yield sl, np.copysign(v, q[sl], out=v)
 
-def _lp_load(mesh: Mesh, q: np.ndarray, p: float, work=None) -> np.ndarray:
-    """Entries int |u|^(p-2) u psi_j from u at the quadrature nodes q.
-
-    `work` is as for `_lp`; the density is weighted in it, in place.
-    """
-    v = np.abs(q, out=work)
-    v **= p - 1.0
-    np.copysign(v, q, out=v)
-    v *= mesh.quad_weights
-    return _scatter(mesh, v @ mesh.basis_at_quad)
+    return _load(mesh, densities())
 
 
 def dirichlet_energy(mesh: Mesh, u: DiscreteField, p: float) -> float:
@@ -489,8 +491,8 @@ def quad_load(mesh: Mesh, density_q) -> DualVector:
 
     density_q holds g at `mesh.quad_points`, shape (ne, nq) or flat.
     """
-    weighted = mesh.quad_weights * np.reshape(density_q, mesh.quad_weights.shape)
-    return DualVector(mesh, _scatter(mesh, weighted @ mesh.basis_at_quad))
+    g = np.reshape(density_q, mesh.quad_weights.shape)
+    return DualVector(mesh, _load(mesh, ((sl, g[sl]) for sl in _blocks(mesh))))
 
 
 def hat_energies(mesh: Mesh, p: float) -> np.ndarray:

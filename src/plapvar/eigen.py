@@ -26,7 +26,7 @@ the stiffness matrix and the step is the gradient in the H^1_0 inner
 product.  For p >= 2 the step count hardly grows under refinement (p = 3
 on the unit interval: 10 steps at n = 64, 11 at n = 4096), whereas the
 raw coefficient-space gradient needs O(h^-2) steps.  For 1 < p < 2 it
-does grow (p = 1.5: 31 steps at n = 64, 199 at n = 1024).
+does grow (p = 1.5: 31 steps at n = 64, 191 at n = 1024).
 
 The descent stops when the relative residual
 max_j |A'(u)_j - lambda B'(u)_j| / max_j (|A'(u)_j| + lambda |B'(u)_j|),
@@ -36,21 +36,20 @@ terms scale alike under u -> c u and under a dilation of the domain, so
 the stop does not depend on the domain's size.
 
 Trials run on a cached line.  The iterate u carries its element
-gradients D u and its values at the quadrature nodes; once per step the
-direction d gets the same two arrays (its quadrature values gathered
-block by block, `assembly._quad_blocks`, so no (ne, ndim + 1) gather sits
-beside them), and a trial at t combines them
-elementwise (u - t d is linear in both), so it costs one quotient with
-no gradient stencil and no gather.  The accepted trial's arrays are
-rescaled to int |u|^p = 1, and the quotient and the eigen residual are
-then evaluated afresh at the normalized iterate: reusing the accepted
-trial's quotient would bias lambda low, since Armijo accepts the first
-trial that rounds below its threshold.  Trials and residuals write into
-buffers allocated once per descent, the (ne, nq) intermediates of
-int |u|^p and of B' included: malloc maps a fresh array of that size
-anew on each call, and the page faults add up (a p = 3 eigenpair on the
-128 x 128 square took 38.7k minor faults without the buffers, 7.0k with
-them).
+gradients D u and its values at the quadrature nodes, and once per step
+the direction d gets its gradients D d.  A trial at t combines them
+linearly: D u - t D d, and the values of u minus t times those of d,
+which it gathers block by block (`assembly._quad_blocks`) straight into
+a trial buffer allocated once per descent.  So a trial costs one
+quotient and one gather, with no gradient stencil.  A gather of u - t d
+would round differently, and at small p the step counts follow the
+rounding (p = 1.2, interval n = 128: 121 steps here, 86 with it).
+Besides the iterate's and the trial buffer, the descent keeps no
+(ne, nq) array: int |u|^p and B' work block by block.  The accepted
+trial's arrays are rescaled to int |u|^p = 1, and the quotient and the
+eigen residual are then evaluated afresh at the normalized iterate:
+reusing the accepted trial's quotient would bias lambda low, since
+Armijo accepts the first trial that rounds below its threshold.
 
 The start iterate is the interpolant of the positive product bubble
 prod_i sin(pi (x_i - a_i) / (b_i - a_i)), which lies in the symmetry
@@ -175,36 +174,34 @@ def _normalized(mesh: Mesh, values: np.ndarray, p: float):
     return field.values / s, g / s, q / s
 
 
-def _eigen_residual(mesh: Mesh, u: np.ndarray, g: np.ndarray, q: np.ndarray,
-                    p: float, work: np.ndarray):
+def _eigen_residual(mesh: Mesh, u: np.ndarray, g: np.ndarray, q: np.ndarray, p: float):
     """Rayleigh quotient, eigen-residual vector, relative residual and the
     quotient's rounding band p PHI_NOISE sum_j |u_j| (|A'_j| + lambda |B'_j|)
-    (`solver._rounding_band`) of the field u with element gradients g and quadrature values q; work
-    is scratch space shaped like q."""
-    lam = p * _energy(mesh, g, p) / _lp(mesh, q, p, work)
-    a, b = _flux(mesh, g, p), lam * _lp_load(mesh, q, p, work)
+    (`solver._rounding_band`) of the field u with element gradients g and
+    quadrature values q."""
+    lam = p * _energy(mesh, g, p) / _lp(mesh, q, p)
+    a, b = _flux(mesh, g, p), lam * _lp_load(mesh, q, p)
     r, _, _, rel = _residual_norms(a, b)
     return lam, r, rel, p * _rounding_band(u, (a, b))
 
 
 def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
-          g: np.ndarray, q: np.ndarray, work: np.ndarray):
+          g: np.ndarray, q: np.ndarray):
     """Trial function at(t) on the line u - t d, for `solver.armijo`.
 
-    g_u, q_u are u's gradients and quadrature values; d's are computed
-    here, once.  at(t) writes the trial's arrays into the buffers g and
-    q, with work as scratch space shaped like q, and returns (quotient,
-    (t, int |u - t d|^p)), or None for the zero field.  The buffers hold
-    the last trial evaluated, which is the accepted one when the search
-    succeeds.
+    g_u, q_u are u's gradients and quadrature values; d's gradients are
+    computed here, once, and its quadrature values block by block in
+    each trial.  at(t) writes the trial's arrays into the buffers g and
+    q and returns (quotient, (t, int |u - t d|^p)), or None for the zero
+    field.  The buffers hold the last trial evaluated, which is the
+    accepted one when the search succeeds.
     """
-    g_d, q_d = _grad(mesh, d), np.empty_like(q)
-    for sl, d_q in _quad_blocks(mesh, d):
-        q_d[sl] = d_q
+    g_d = _grad(mesh, d)
 
     def at(t):
-        np.add(np.multiply(q_d, -t, out=q), q_u, out=q)
-        b = _lp(mesh, q, p, work)
+        for sl, d_q in _quad_blocks(mesh, d):
+            np.add(np.multiply(d_q, -t, out=d_q), q_u[sl], out=q[sl])
+        b = _lp(mesh, q, p)
         if b == 0.0:
             return None
         np.add(np.multiply(g_d, -t, out=g), g_u, out=g)
@@ -224,12 +221,12 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
     _check_p(p)
     solve = _poisson_solve(mesh)
     u, g, q = _normalized(mesh, _bubble_start(mesh), p)
-    g_buf, q_buf, work = np.empty_like(g), np.empty_like(q), np.empty_like(q)
+    g_buf, q_buf = np.empty_like(g), np.empty_like(q)
     iterations = trials = cg_iterations = 0
     history = []
 
     while True:
-        lam, r, res, noise = _eigen_residual(mesh, u, g, q, p, work)
+        lam, r, res, noise = _eigen_residual(mesh, u, g, q, p)
         history.append(res)
         if res < RESIDUAL_STOP:
             stop = "residual"
@@ -241,7 +238,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
         d, products = _newton_step(_hessian_stencil(mesh, p, g), r, solve, res)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
-        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf, work),
+        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf),
                                        lam + noise, slope)
         trials += rejected + (accepted is not None)
         if accepted is None:

@@ -58,9 +58,8 @@ f' once per step.  `nonlinear_load`, `potential_integral`, `_df_at_quad`
 and the stencil's mass entries therefore walk the elements in blocks of
 `assembly.QUAD_BLOCK` (`assembly._quad_blocks`), calling `eval_f` or
 `eval_F` once per block, so no (ne, nq) temporary is made per call.  The
-load collects each block's element contributions and scatters once
-(`assembly._blocked_load`), which leaves it bit-identical to the
-unblocked `quad_load`; `potential_integral` sums per-element integrals,
+load goes through the one blocked load (`assembly._load`), as
+`quad_load` does; `potential_integral` sums per-element integrals,
 so Phi may differ from a flat sum over the nodes in its last bits.
 """
 
@@ -74,10 +73,10 @@ import numpy as np
 from .assembly import (
     DiscreteField,
     DualVector,
-    _blocked_load,
     _check_mesh,
     _check_p,
     _hessian_stencil,
+    _load,
     _quad_blocks,
     _reduce,
     _scatter,
@@ -178,7 +177,7 @@ def nonlinear_load(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> Dual
     """Dual vector with entries int f(x, u(x)) psi_j dx.
 
     Uses the mesh quadrature rule with u evaluated at the rule nodes, one
-    element block at a time (`assembly._blocked_load`); non-finite values
+    element block at a time (`assembly._load`); non-finite values
     of f along u are rejected, naming the first such node.
     """
     _check_mesh(mesh, u)
@@ -192,7 +191,8 @@ def nonlinear_load(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> Dual
             raise ValueError(f"f(x, u) is not finite at quadrature point {where}")
         return f_q.reshape(u_q.shape)
 
-    return DualVector(mesh, _blocked_load(mesh, u.values, density))
+    return DualVector(mesh, _load(mesh, ((sl, density(sl, u_q))
+                                         for sl, u_q in _quad_blocks(mesh, u.values))))
 
 
 def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> float:

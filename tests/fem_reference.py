@@ -1,13 +1,13 @@
 """Element-by-element oracles for the grid kernels: closed-form P1 basis
-gradients, a scatter by `np.add.at`, the p = 2 stiffness matrix and the
-Newton matrix by COO assembly, and the Newton matrix applied matrix-free."""
+gradients, the values at the quadrature nodes by one unblocked gather, a
+scatter by `np.add.at`, the p = 2 stiffness matrix and the Newton matrix
+by COO assembly, and the Newton matrix applied matrix-free."""
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
 
-from plapvar.assembly import (GRADIENT_FLOOR, _flux_weights, _grad, _grad_T, make_field,
-                              quad_load, values_at_quad)
+from plapvar.assembly import GRADIENT_FLOOR, _flux_weights, _grad, _grad_T
 
 
 def reference_basis_gradients(mesh):
@@ -24,6 +24,14 @@ def reference_basis_gradients(mesh):
     grads[:, 2] = np.column_stack([-e1[:, 1], e1[:, 0]]) * inv_det[:, None]
     grads[:, 0] = -grads[:, 1] - grads[:, 2]
     return grads
+
+
+def reference_values_at_quad(mesh, v):
+    """(ne, nq) values at the quadrature nodes of the field with free values
+    v, gathered for all elements at once."""
+    full = np.zeros(mesh.n_vertices)
+    full[mesh.free_vertices] = v
+    return full[mesh.elements] @ mesh.basis_at_quad.T
 
 
 def reference_scatter(mesh, contrib):
@@ -112,7 +120,8 @@ def matrix_free_hessian(mesh, p, grads, mass_q=None):
     """v -> the Newton matrix times v, applied matrix-free, with the same
     signature as `assembly._hessian_stencil`: the p-energy part
     D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) by the gradient stencils,
-    minus `quad_load` of mass_q times v at the quadrature nodes."""
+    minus the load of mass_q times v at the quadrature nodes, by
+    `reference_values_at_quad` and `reference_scatter`."""
     c, g_hat = _flux_weights(mesh, grads, p)
 
     def apply(v):
@@ -121,8 +130,9 @@ def matrix_free_hessian(mesh, p, grads, mass_q=None):
         G *= c[:, None]
         out = _grad_T(mesh, G)
         if mass_q is not None:
-            v_q = values_at_quad(mesh, make_field(mesh, v))
-            out -= quad_load(mesh, mass_q * v_q).values
+            v_q = reference_values_at_quad(mesh, v)
+            out -= reference_scatter(mesh, (mesh.quad_weights * (mass_q * v_q))
+                                     @ mesh.basis_at_quad)
         return out
 
     return apply

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 from fem_reference import (gradient_tolerance, matrix_free_hessian, reference_basis_gradients,
-                           reference_hessian, reference_scatter, stiffness_matrix)
+                           reference_hessian, reference_scatter, reference_values_at_quad,
+                           stiffness_matrix)
 
 import plapvar as pv
-from plapvar.assembly import GRADIENT_FLOOR, _grad, _grad_T, _hessian_stencil
+from plapvar.assembly import GRADIENT_FLOOR, _grad, _grad_T, _hessian_stencil, _lp, _lp_load
 
 
 def unit_hat(n=2):
@@ -287,9 +288,7 @@ class TestKernelFormulas:
 
     @staticmethod
     def reference(mesh, u, p):
-        full = np.zeros(mesh.n_vertices)
-        full[mesh.free_vertices] = u.values
-        q = full[mesh.elements] @ mesh.basis_at_quad.T
+        q = reference_values_at_quad(mesh, u.values)
         g = _grad(mesh, u.values)
         norms = np.sqrt(np.einsum("ed,ed->e", g, g))
         energy = float(np.sum(mesh.measures * norms ** p)) / p
@@ -313,6 +312,32 @@ class TestKernelFormulas:
             assert np.array_equal(pv.plap_residual(mesh, field, p).values, residual)
             assert pv.lp_integral(mesh, field, p) == lp
             assert np.array_equal(pv.assembly.lp_residual(mesh, field, p).values, load)
+
+
+class TestQuadratureBlocks:
+    """The kernels at the quadrature nodes walk the elements in blocks of
+    QUAD_BLOCK; each equals its unblocked formula bit for bit, also where
+    the last block is partial (4096 = 110 * 37 + 26, 2400 = 2 * 1024 + 352)."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("block", [1024, 37])
+    @pytest.mark.parametrize("mesh", [
+        pv.build_interval_mesh(-1.0, 2.5, 4096),
+        pv.build_rectangle_mesh(0.0, 2.0, 0.0, 1.0, 40, 30),
+    ], ids=["interval-4096", "rect-40x30"])
+    def test_bit_identical_to_unblocked(self, mesh, block, p, monkeypatch):
+        monkeypatch.setattr(pv.assembly, "QUAD_BLOCK", block)
+        rng = np.random.default_rng(block)
+        v = rng.standard_normal(mesh.n_free)
+        w, basis = mesh.quad_weights, mesh.basis_at_quad
+        q = reference_values_at_quad(mesh, v)
+        assert np.array_equal(pv.assembly.values_at_quad(mesh, pv.make_field(mesh, v)), q)
+        g = rng.standard_normal(w.shape)
+        assert np.array_equal(pv.assembly.quad_load(mesh, g).values,
+                              reference_scatter(mesh, (w * g) @ basis))
+        assert _lp(mesh, q, p) == float(np.sum(np.einsum("eq,eq->e", w, np.abs(q) ** p)))
+        density = np.copysign(np.abs(q) ** (p - 1.0), q)
+        assert np.array_equal(_lp_load(mesh, q, p), reference_scatter(mesh, (w * density) @ basis))
 
 
 class TestResidualAndGradient:

@@ -258,6 +258,11 @@ class TestInvariants:
             pv.rayleigh_quotient(mesh, pv.zero_field(mesh), 2.0)
 
 
+_LINE_MESHES = [pv.build_interval_mesh(0.0, 1.0, 64),
+                pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8)]
+_LINE_IDS = ["interval-64", "rectangle-8x8"]
+
+
 class TestCachedLine:
     """The line search's trial quotient against the public kernels."""
 
@@ -267,19 +272,27 @@ class TestCachedLine:
         field = pv.make_field(mesh, u)
         g_u = pv.assembly.gradients_on_elements(mesh, field)
         q_u = pv.assembly.values_at_quad(mesh, field)
-        return eigen._line(mesh, p, g_u, q_u, d, np.empty_like(g_u), np.empty_like(q_u),
-                           np.empty_like(q_u))
+        return eigen._line(mesh, p, g_u, q_u, d, np.empty_like(g_u), np.empty_like(q_u))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    @pytest.mark.parametrize("mesh", [
-        pv.build_interval_mesh(0.0, 1.0, 64),
-        pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8),
-    ], ids=["interval-64", "rectangle-8x8"])
+    @pytest.mark.parametrize("mesh", _LINE_MESHES, ids=_LINE_IDS)
     def test_trial_quotient_equals_rayleigh_quotient(self, mesh, p):
+        self._check_trials(mesh, p)
+
+    @pytest.mark.parametrize("mesh", _LINE_MESHES, ids=_LINE_IDS)
+    def test_trials_on_blocks_of_37(self, mesh, monkeypatch):
+        # d is gathered per block in each trial; 64 and 128 elements end on
+        # a partial block of 37
+        monkeypatch.setattr(pv.assembly, "QUAD_BLOCK", 37)
+        self._check_trials(mesh, 3.0)
+        self.test_zero_trial_is_infeasible()
+
+    @classmethod
+    def _check_trials(cls, mesh, p):
         rng = np.random.default_rng(3)
         u = rng.standard_normal(mesh.n_free)
         d = rng.standard_normal(mesh.n_free)
-        at = self._line(mesh, p, u, d)
+        at = cls._line(mesh, p, u, d)
         for t in (1.0, 0.25, 1e-6):
             value, (t_acc, b) = at(t)
             expected = pv.rayleigh_quotient(mesh, pv.make_field(mesh, u - t * d), p)
@@ -294,6 +307,21 @@ class TestCachedLine:
         at = self._line(mesh, 3.0, u, u.copy())
         assert at(1.0) is None
         assert at(0.5) is not None
+
+    def test_peak_memory_holds_two_quadrature_arrays(self):
+        # the descent keeps two (ne, nq) arrays, the iterate's values at the
+        # quadrature nodes and the trial buffer, and peaks at 4.4 of them;
+        # a scratch buffer and the direction's values kept as well read 5.97
+        import tracemalloc
+
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 64, 64)
+        tracemalloc.start()
+        try:
+            pv.first_eigenpair(mesh, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * mesh.quad_weights.nbytes
 
 
 class TestScaleCovariance:

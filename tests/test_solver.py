@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from fem_reference import matrix_free_hessian, stiffness_matrix
+from fem_reference import (matrix_free_hessian, reference_scatter, reference_values_at_quad,
+                           stiffness_matrix)
 
 import plapvar as pv
 from plapvar import assembly, eigen, solver
@@ -504,9 +505,10 @@ class TestBlockPass:
     def test_load_and_potential_match_unblocked(self, block_mesh, name, block):
         mesh, spec = block_mesh, _BLOCK_SPECS[name]()
         u = pv.make_field(mesh, _smooth(mesh))
-        u_q = assembly.values_at_quad(mesh, u).reshape(-1)
+        u_q = reference_values_at_quad(mesh, u.values).reshape(-1)
         pts = mesh.quad_points_flat()
-        load = assembly.quad_load(mesh, pv.eval_f(spec, pts, u_q)).values
+        f_q = pv.eval_f(spec, pts, u_q).reshape(mesh.quad_weights.shape)
+        load = reference_scatter(mesh, (mesh.quad_weights * f_q) @ mesh.basis_at_quad)
         assert np.array_equal(solver.nonlinear_load(mesh, u, spec).values, load)
         pot = assembly._reduce(mesh.quad_weights_flat() * pv.eval_F(spec, pts, u_q))
         assert math.isclose(solver.potential_integral(mesh, u, spec), pot,
@@ -520,7 +522,7 @@ class TestBlockPass:
         u = pv.make_field(mesh, _smooth(mesh))
         v = _smooth(mesh, -0.7)[::-1].copy()
         pts = mesh.quad_points_flat()
-        s = assembly.values_at_quad(mesh, u).reshape(-1)
+        s = reference_values_at_quad(mesh, u.values).reshape(-1)
         step = solver.FD_STEP * np.maximum(1.0, np.abs(s))
         df = (pv.eval_f(spec, pts, s + step) - pv.eval_f(spec, pts, s - step)) / (
             (s + step) - (s - step))
