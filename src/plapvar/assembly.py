@@ -7,12 +7,14 @@ p-Dirichlet energy (1/p) int |grad u|^p is evaluated exactly.  With the
 P1 gradient operator D, element gradients are D u and the residual is
 D^T (|T| |D u|^(p-2) D u).  Every mesh is a uniform tensor grid, so D is
 never stored: `_grad` applies it as difference stencils on the grid and
-`_grad_T` applies D^T as the matching negated differences.  The p = 2
-stiffness matrix D^T diag(|T|) D is never assembled either; the descents
-apply its inverse in closed form (`solver._poisson_solve`).  The one
-matrix assembled is the Newton matrix, once per descent step, as a grid
-stencil (`_hessian_stencil`): the p-energy Hessian, minus a mass matrix
-in the energy descent.
+`_grad_T` applies D^T as the matching negated differences; `_restrict`
+takes hat loads to the grid of twice the step, for the coarse hats of
+the dual-norm estimate (norms by `_hat_norm`).  The p = 2 stiffness
+matrix D^T diag(|T|) D is never assembled either; the descents apply
+its inverse in closed form (`solver._poisson_solve`).  The one matrix
+assembled is the Newton matrix, once per descent step, as a grid stencil
+(`_hessian_stencil`): the p-energy Hessian, minus a mass matrix in the
+energy descent.
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 one fixed rule: 3-point Gauss-Legendre on intervals (exact through degree
 5), a 6-point rule on triangles (exact through degree 4).
@@ -159,6 +161,18 @@ def _spacing(mesh: Mesh) -> list:
     return [(b - a) / n for a, b, n in zip(lo.tolist(), hi.tolist(), mesh.structure)]
 
 
+def _pad(mesh: Mesh, v: np.ndarray) -> np.ndarray:
+    """The vertex grid of the field with free values v: zero on the boundary."""
+    U = np.zeros([n + 1 for n in mesh.structure])
+    U[(slice(1, -1),) * mesh.ndim] = v.reshape([n - 1 for n in mesh.structure])
+    return U
+
+
+def _edges(ndim: int) -> list:
+    """Edge steps: +x on an interval; +x, +y and the v00-v11 diagonal on a rectangle."""
+    return [(1,)] if ndim == 1 else [(1, 0), (0, 1), (1, 1)]
+
+
 def _grad(mesh: Mesh, v: np.ndarray) -> np.ndarray:
     """D v: the gradient on each element of the field with free values v.
 
@@ -169,16 +183,13 @@ def _grad(mesh: Mesh, v: np.ndarray) -> np.ndarray:
     triangle (v00, v11, v01) the gradient (dx[i, j+1], dy[i, j]).
     Shape (ne, ndim), in element order.
     """
+    U = _pad(mesh, v)
     if mesh.ndim == 1:
-        U = np.zeros(v.size + 2)
-        U[1:-1] = v
         g = U[1:] - U[:-1]
         g /= _spacing(mesh)[0]
         return g.reshape(-1, 1)
     nx, ny = mesh.structure
     hx, hy = _spacing(mesh)
-    U = np.zeros((nx + 1, ny + 1))
-    U[1:-1, 1:-1] = v.reshape(nx - 1, ny - 1)
     dx = U[1:] - U[:-1]
     dx /= hx
     dy = U[:, 1:] - U[:, :-1]
@@ -220,6 +231,23 @@ def _grad_T(mesh: Mesh, G: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
+def _restrict(F: np.ndarray) -> np.ndarray:
+    """Full weighting, the transpose of P1 prolongation: hat loads int g psi
+    on a vertex grid of even cell counts (zero on the boundary) to those of
+    the grid of twice the step, whose hat is the fine hat at its vertex plus
+    half those at its `_edges` neighbours: C[I] = F[2I] + (1/2) sum_s
+    (F[2I + s] + F[2I - s]) at interior I, and 0 on the boundary."""
+    def at(s):  # F[2I + s] over the interior coarse vertices I
+        return F[tuple(slice(2 + d, d - 1 or None, 2) for d in s)]
+
+    C = np.zeros([n // 2 + 1 for n in F.shape])
+    inner = C[(slice(1, -1),) * F.ndim]
+    inner += at((0,) * F.ndim)
+    for s in _edges(F.ndim):
+        inner += 0.5 * (at(s) + at(tuple(-d for d in s)))
+    return C
+
+
 def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
     """apply(v) = H v for H the P1 matrix of the p-energy Hessian at the
     element gradients g, minus, when mass_q holds m at the quadrature nodes,
@@ -243,11 +271,10 @@ def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
     # cell and their basis gradients in units of 1/h; then the edge directions
     if mesh.ndim == 1:
         types = [(((0,), (1,)), ((-1,), (1,)))]
-        steps = [(1,)]
     else:
         types = [(((0, 0), (1, 0), (1, 1)), ((-1, 0), (1, -1), (0, 1))),
                  (((0, 0), (1, 1), (0, 1)), ((0, -1), (1, 0), (-1, 1)))]
-        steps = [(1, 0), (0, 1), (1, 1)]
+    steps = _edges(mesh.ndim)
     cells = mesh.structure
     pairs = [(a, b) for a in range(mesh.ndim + 1) for b in range(a, mesh.ndim + 1)]
     if mass_q is not None:
@@ -495,19 +522,16 @@ def quad_load(mesh: Mesh, density_q) -> DualVector:
     return DualVector(mesh, _load(mesh, ((sl, g[sl]) for sl in _blocks(mesh))))
 
 
-def hat_energies(mesh: Mesh, p: float) -> np.ndarray:
-    """int |grad psi_j|^p of each free-vertex basis function psi_j.
+def _hat_norm(h: list, p: float) -> float:
+    """(int |v|^p + int |grad v|^p)^(1/p) for a nodal hat v of the grid of steps h.
 
-    On a uniform grid every free hat has the same energy.  On an interval
-    psi_j has slope +-1/h on two elements: 2 h^(1-p).  On a rectangle it
-    spans six triangles of area hx hy / 2, on which its gradient has the
-    lengths 1/hx, 1/hy and r = sqrt(hx^-2 + hy^-2) twice each:
-    hx hy (hx^-p + hy^-p + r^p).
-    """
-    if mesh.ndim == 1:
-        (h,) = _spacing(mesh)
-        energy = 2.0 * h ** (1.0 - p)
-    else:
-        hx, hy = _spacing(mesh)
-        energy = hx * hy * (hx ** -p + hy ** -p + math.hypot(1.0 / hx, 1.0 / hy) ** p)
-    return np.full(mesh.n_free, energy)
+    On an interval v has slope +-1/h on two elements: 2h/(p+1) + 2 h^(1-p).
+    On a rectangle it is a barycentric coordinate on six triangles of area
+    hx hy / 2: int |v|^p = 6 hx hy / ((p+1)(p+2)); its gradient lengths 1/hx,
+    1/hy, r = hypot(1/hx, 1/hy), twice each, give hx hy (hx^-p + hy^-p + r^p)."""
+    if len(h) == 1:
+        return (2.0 * h[0] / (p + 1.0) + 2.0 * h[0] ** (1.0 - p)) ** (1.0 / p)
+    hx, hy = h
+    lp = 6.0 * hx * hy / ((p + 1.0) * (p + 2.0))
+    energy = hx * hy * (hx ** -p + hy ** -p + math.hypot(1.0 / hx, 1.0 / hy) ** p)
+    return (lp + energy) ** (1.0 / p)

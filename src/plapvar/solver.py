@@ -75,15 +75,16 @@ from .assembly import (
     DualVector,
     _check_mesh,
     _check_p,
+    _hat_norm,
     _hessian_stencil,
     _load,
+    _pad,
     _quad_blocks,
     _reduce,
-    _scatter,
+    _restrict,
     _spacing,
     dirichlet_energy,
     gradients_on_elements,
-    hat_energies,
     pairing,
     plap_residual,
     sup_norm,
@@ -162,8 +163,7 @@ def truncated_test_basis(mesh: Mesh, u: DiscreteField, R: float) -> np.ndarray:
     scaling keeps the family finite-energy uniformly in j even when u is
     unbounded in the continuum limit.
     """
-    if u.mesh is not mesh:
-        raise ValueError("field belongs to a different mesh")
+    _check_mesh(mesh, u)
     theta = make_truncation(R)
     return theta(u.values)
 
@@ -243,6 +243,7 @@ def _weak_terms(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
     t1_j = int |grad u|^(p-2) grad u . grad psi_j, t2_j = int f(x, u) psi_j
     and t3_j = h_j; the weak residual is t1 - t2 - t3.
     """
+    _check_mesh(mesh, h)
     return (plap_residual(mesh, u, p).values, nonlinear_load(mesh, u, spec).values,
             h.values)
 
@@ -352,8 +353,9 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     signature of a non-coercive functional.
     """
     _check_p(p)
+    field = zero_field(mesh) if start is None else start
+    _check_mesh(mesh, field)
     solve = _poisson_solve(mesh)
-    field = zero_field(mesh) if start is None else DiscreteField(mesh, start.values)
     phi_cur = assemble_phi(mesh, field, spec, h, p)
     steps = backtracks = trials = cg_iterations = 0
     history = []
@@ -546,35 +548,18 @@ def _phi_hessian(mesh, spec, p, u):
 # ---------------------------------------------------------------------------
 
 
-def _interval_tent_levels(mesh: Mesh):
-    """Dyadic tent half-widths k = 1, 2, 4, ... elements, up to n // 2."""
-    (n,) = mesh.structure
-    a, b = float(mesh.bounds[0][0]), float(mesh.bounds[1][0])
-    (h,) = _spacing(mesh)
-    ks = []
-    k = 1
-    while k <= n // 2:
-        ks.append(k)
-        if n % (2 * k) != 0:
-            break
-        k *= 2
-    return a, b, h, n, ks
-
-
 def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
                       p: float) -> float:
     """Lower estimate of the dual norm of f(., u): sup |int f(x,u) v| / ||v||.
 
     ||v|| is the W^{1,p} norm (int |v|^p + int |grad v|^p)^(1/p).  The
-    supremum is taken over a finite candidate family:
-
-      * every nodal hat of the mesh (any dimension), and
-      * for interval meshes, tents of dyadic widths h_c = 2^l h centered
-        at the interior multiples of h_c (their norms are evaluated in
-        closed form: int |grad v|^p = 2 h_c^(1-p), int |v|^p = 2 h_c/(p+1)).
-
-    On nested interval refinements the candidate family only grows, so
-    the estimate is monotone under refinement when f does not depend on u.
+    supremum is taken over the nodal hats of the grid and of its dyadic
+    coarsenings on intervals and rectangles alike, doubling every step
+    while each cell count is even and at least 4; their loads come by
+    full weighting (`assembly._restrict`), their norms in closed form.
+    The coarse hats are P1 fields of every finer grid, so the family
+    grows under `refine_structured`, and the estimate is monotone under
+    refinement when f does not depend on u.
     """
     _check_p(p)
     return _lambda_u(mesh, nonlinear_load(mesh, u, spec).values, p)
@@ -582,24 +567,12 @@ def estimate_lambda_u(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
 
 def _lambda_u(mesh: Mesh, load: np.ndarray, p: float) -> float:
     """`estimate_lambda_u` from the load entries int f(x, u) psi_j."""
-    best = 0.0
-    if mesh.ndim == 1:
-        a, b, h, n, ks = _interval_tent_levels(mesh)
-        x_free = mesh.free_coordinates()[:, 0]
-        for k in ks:
-            hc = k * h
-            centers = a + h * np.arange(k, n - k + 1, k, dtype=float)
-            vals = np.maximum(0.0, 1.0 - np.abs(x_free[None, :] - centers[:, None]) / hc)
-            numer = np.abs(vals @ load)
-            denom = (2.0 * hc / (p + 1.0) + 2.0 * hc ** (1.0 - p)) ** (1.0 / p)
-            if numer.size:
-                best = max(best, float(np.max(numer)) / denom)
-        return best
-
-    # generic path: nodal hats with discretely assembled norms
-    lp_hat = _scatter(mesh, mesh.quad_weights @ np.abs(mesh.basis_at_quad) ** p)
-    ratios = np.abs(load) / (lp_hat + hat_energies(mesh, p)) ** (1.0 / p)
-    return float(np.max(ratios)) if ratios.size else 0.0
+    F, h, cells, best = _pad(mesh, load), _spacing(mesh), mesh.structure, 0.0
+    while True:
+        best = max(best, float(np.max(np.abs(F))) / _hat_norm(h, p))
+        if any(n % 2 or n < 4 for n in cells):
+            return best
+        F, h, cells = _restrict(F), [2.0 * x for x in h], [n // 2 for n in cells]
 
 
 @dataclass(frozen=True)
@@ -611,7 +584,8 @@ class ResidualReport:
     max_relative normalizes by the largest term magnitude
     max_j (|T1_j| + |T2_j| + |T3_j|) of the scaled terms T_j = c_j t_j;
     it is 0 when every term vanishes.  It is the norm the descent stops
-    on (`SolveResult.stationarity`).
+    on (`SolveResult.stationarity`).  lambda_u is `estimate_lambda_u`
+    of the same load: max |int f(x, u) v| / ||v|| over the coarse hats.
     """
 
     residuals: np.ndarray

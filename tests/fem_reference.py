@@ -1,8 +1,13 @@
 """Element-by-element oracles for the grid kernels: closed-form P1 basis
 gradients, the values at the quadrature nodes by one unblocked gather, a
 scatter by `np.add.at`, the p = 2 stiffness matrix and the Newton matrix
-by COO assembly, and the Newton matrix applied matrix-free."""
+by COO assembly, and the Newton matrix applied matrix-free; and for the
+dual-norm estimate, the hats' L^p integrals element by element, the
+loads of coarse hats paired explicitly, and the dense matrix of dyadic
+tents on an interval."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,3 +141,59 @@ def matrix_free_hessian(mesh, p, grads, mass_q=None):
         return out
 
     return apply
+
+
+def reference_hat_lp(mesh, p):
+    """int |psi_j|^p of each free hat, summed element by element.
+
+    On a d-simplex T a hat is a barycentric coordinate, whose p-th power
+    integrates to |T| d! Gamma(p + 1) / Gamma(p + d + 1) (the Dirichlet
+    integral)."""
+    d = mesh.ndim
+    per_vertex = math.factorial(d) * math.gamma(p + 1.0) / math.gamma(p + d + 1.0)
+    return reference_scatter(mesh, np.outer(mesh.measures, np.full(d + 1, per_vertex)))
+
+
+def coarse_hat_loads(mesh, load, levels):
+    """<load, v_I> for the hats v_I of the grid with every step 2^levels
+    times the mesh's, one per interior coarse vertex I (shape of the coarse
+    interior grid).  Each v_I is written out by its values at the mesh's
+    free vertices: 1 - |dx| on an interval, 1 - max(|dx|, |dy|, |dx - dy|)
+    on a rectangle, clipped at 0, with (dx, dy) the offset from I in
+    coarse steps."""
+    k = 2 ** levels
+    cells = [n // k for n in mesh.structure]
+    fine = np.stack(np.meshgrid(*[np.arange(1, n) for n in mesh.structure],
+                                indexing="ij"), axis=-1).reshape(-1, mesh.ndim)
+    out = np.empty([n - 1 for n in cells])
+    for I in np.ndindex(*out.shape):
+        off = (fine - k * (np.array(I) + 1)) / k
+        if mesh.ndim == 1:
+            dist = np.abs(off[:, 0])
+        else:
+            dist = np.max(np.abs(np.column_stack([off, off[:, 0] - off[:, 1]])), axis=1)
+        out[I] = np.maximum(0.0, 1.0 - dist) @ load
+    return out
+
+
+def tent_lambda_u(mesh, load, p):
+    """The dual-norm estimate on an interval from the dense (tents x free
+    vertices) matrix of dyadic tents: half-widths h_c = k h for
+    k = 1, 2, 4, ... while k <= n // 2 and 2k divides n at the step
+    before, centred at the interior multiples of h_c, with
+    ||v|| = (2 h_c / (p + 1) + 2 h_c^(1 - p))^(1/p)."""
+    (n,) = mesh.structure
+    a, b = float(mesh.bounds[0][0]), float(mesh.bounds[1][0])
+    h = (b - a) / n
+    x_free = mesh.free_coordinates()[:, 0]
+    best, k = 0.0, 1
+    while k <= n // 2:
+        hc = k * h
+        centers = a + h * np.arange(k, n - k + 1, k, dtype=float)
+        vals = np.maximum(0.0, 1.0 - np.abs(x_free[None, :] - centers[:, None]) / hc)
+        denom = (2.0 * hc / (p + 1.0) + 2.0 * hc ** (1.0 - p)) ** (1.0 / p)
+        best = max(best, float(np.max(np.abs(vals @ load))) / denom)
+        if n % (2 * k) != 0:
+            break
+        k *= 2
+    return best

@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
-from fem_reference import (gradient_tolerance, matrix_free_hessian, reference_basis_gradients,
-                           reference_hessian, reference_scatter, reference_values_at_quad,
-                           stiffness_matrix)
+from fem_reference import (coarse_hat_loads, gradient_tolerance, matrix_free_hessian,
+                           reference_basis_gradients, reference_hat_lp, reference_hessian,
+                           reference_scatter, reference_values_at_quad, stiffness_matrix)
 
 import plapvar as pv
-from plapvar.assembly import GRADIENT_FLOOR, _grad, _grad_T, _hessian_stencil, _lp, _lp_load
+from plapvar.assembly import (GRADIENT_FLOOR, _grad, _grad_T, _hat_norm, _hessian_stencil, _lp,
+                              _lp_load, _pad, _restrict, _spacing)
 
 
 def unit_hat(n=2):
@@ -199,10 +200,14 @@ class TestGradientOperator:
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_hat_energies_match_gradient_norms(self, mesh_and_field, p):
+        # the closed-form W^{1,p} norm of a hat against every free hat's
+        # integrals summed element by element: int |grad psi_j|^p from the
+        # basis gradients, int |psi_j|^p from the Dirichlet integral
         mesh, _ = mesh_and_field
         gnorm_p = np.linalg.norm(reference_basis_gradients(mesh), axis=2) ** p
-        expect = reference_scatter(mesh, mesh.measures[:, None] * gnorm_p)
-        got = pv.assembly.hat_energies(mesh, p)
+        energies = reference_scatter(mesh, mesh.measures[:, None] * gnorm_p)
+        expect = (reference_hat_lp(mesh, p) + energies) ** (1.0 / p)
+        got = _hat_norm(_spacing(mesh), p)
         assert np.allclose(got, expect, rtol=1e-14, atol=0.0)
 
     def test_arrays_are_read_only(self, mesh_and_field):
@@ -222,6 +227,25 @@ class TestGradientOperator:
         frozen.flags.writeable = False
         assert np.array_equal(_grad_T(mesh, frozen), _grad_T(mesh, g))
         assert np.array_equal(frozen, g)
+
+
+class TestRestrict:
+    # full weighting against the coarse hats written out vertex by vertex
+    @pytest.mark.parametrize("levels", [1, 2])
+    @pytest.mark.parametrize("shape", ["interval", "rectangle"])
+    def test_matches_coarse_hat_pairing(self, shape, levels):
+        mesh = pv.build_interval_mesh(-1.0, 2.5, 32) if shape == "interval" \
+            else pv.build_rectangle_mesh(0.0, 2.0, 0.0, 1.0, 16, 8)
+        load = np.random.default_rng(7).standard_normal(mesh.n_free)
+        F = _pad(mesh, load)
+        for _ in range(levels):
+            F = _restrict(F)
+        assert F.shape == tuple(n // 2 ** levels + 1 for n in mesh.structure)
+        inner = (slice(1, -1),) * mesh.ndim
+        expect = coarse_hat_loads(mesh, load, levels)
+        assert np.max(np.abs(F[inner] - expect)) <= 1e-14 * np.max(np.abs(expect))
+        F[inner] = 0.0
+        assert not np.any(F)
 
 
 def _floored_field(mesh):

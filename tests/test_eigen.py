@@ -344,7 +344,7 @@ class TestRangeOfP:
     def test_converges_or_raises(self, p, must_converge):
         # runs under the suite's error::RuntimeWarning filter, so p = 30
         # must not overflow; at p = 1.05 the descent may end on max-iter
-        # (p = 1.2, 8 and 30 converge in 45, 13 and 18 steps)
+        # (p = 1.2, 8 and 30 converge in 51, 13 and 16 steps)
         from plapvar import eigen
         mesh = pv.build_interval_mesh(0.0, 1.0, 64)
         try:

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from fem_reference import (matrix_free_hessian, reference_scatter, reference_values_at_quad,
-                           stiffness_matrix)
+                           stiffness_matrix, tent_lambda_u)
 
 import plapvar as pv
 from plapvar import assembly, eigen, solver
@@ -72,6 +73,30 @@ class TestTruncatedBasis:
         other = pv.build_interval_mesh(0.0, 1.0, 8)
         with pytest.raises(ValueError):
             pv.truncated_test_basis(mesh, pv.zero_field(other), 1.0)
+
+
+class TestMeshChecks:
+    # inputs from another mesh with as many free vertices are refused, not
+    # read by position
+    @pytest.fixture
+    def twin(self):
+        return pv.build_interval_mesh(0.0, 2.0, 64)
+
+    def test_verify_refuses_foreign_load(self, mesh, twin):
+        u = pv.interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        with pytest.raises(ValueError, match="different mesh"):
+            pv.verify_weak_solution(mesh, u, pv.sine_exp(0.0), pv.load_vector(twin, 1.0), 2.0)
+
+    def test_phi_gradient_refuses_foreign_load(self, mesh, twin):
+        u = pv.interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        with pytest.raises(ValueError, match="different mesh"):
+            pv.phi_gradient(mesh, u, pv.sine_exp(0.0), pv.load_vector(twin, 1.0), 2.0)
+
+    def test_minimize_refuses_foreign_start(self, mesh, twin):
+        start = pv.interpolate(twin, lambda x: np.sin(np.pi * x[:, 0] / 2.0))
+        with pytest.raises(ValueError, match="different mesh"):
+            pv.minimize_phi(mesh, pv.sine_exp(0.0), pv.load_vector(mesh, 1.0), 2.0,
+                            start=start)
 
 
 class TestPhiAssembly:
@@ -243,6 +268,40 @@ class TestLambdaU:
         # f(x, 0) = 0 for the pure power: nothing to push against
         spec = pv.power_potential(1.0, 2.0, LAM)
         assert pv.estimate_lambda_u(mesh, pv.zero_field(mesh), spec, 2.0) == 0.0
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [2, 3, 4, 96, 100, 128, 1000])
+    def test_interval_matches_dense_tents(self, n, p):
+        # the coarse hats by restriction are the dyadic tents, levels included
+        mesh = pv.build_interval_mesh(-1.0, 2.5, n)
+        u = pv.make_field(mesh, np.random.default_rng(n).standard_normal(mesh.n_free))
+        spec = pv.power_potential(1.0, p, LAM)
+        got = pv.estimate_lambda_u(mesh, u, spec, p)
+        expect = tent_lambda_u(mesh, solver.nonlinear_load(mesh, u, spec).values, p)
+        assert abs(got - expect) <= 1e-14 * expect
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_rectangle_monotone_under_refinement(self, p):
+        spec = pv.power_potential(1.0, p, LAM)
+        ones = lambda x: np.ones(len(x))
+        values = []
+        for n in (8, 16, 32, 64):
+            m = _square(n)
+            values.append(pv.estimate_lambda_u(m, pv.interpolate(m, ones), spec, p))
+        assert values == sorted(values) and values[0] > 0.0
+
+    def test_interval_memory_is_linear(self):
+        # 268 MB for the dense (tents x free vertices) matrix at n = 4096
+        mesh = pv.build_interval_mesh(0.0, 1.0, 4096)
+        u = pv.interpolate(mesh, lambda x: np.sin(np.pi * x[:, 0]))
+        spec = pv.power_potential(1.0, 2.0, LAM)
+        tracemalloc.start()
+        try:
+            pv.estimate_lambda_u(mesh, u, spec, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestVerifyWeakSolution:
