@@ -13,8 +13,8 @@ the dual-norm estimate (norms by `_hat_norm`).  The p = 2 stiffness
 matrix D^T diag(|T|) D is never assembled either; the descents apply
 its inverse in closed form (`solver._poisson_solve`).  The one matrix
 assembled is the Newton matrix, once per descent step, as a grid stencil
-(`_hessian_stencil`): the p-energy Hessian, minus a mass matrix in the
-energy descent.
+(`_hessian_stencil`): the p-energy Hessian minus a mass matrix, of f' in
+the energy descent and of lambda (p-1) |u|^(p-2) in the eigen descent.
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 one fixed rule: 3-point Gauss-Legendre on intervals (exact through degree
 5), a 6-point rule on triangles (exact through degree 4).

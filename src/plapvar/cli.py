@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -424,12 +425,18 @@ def _write(path: Path, lines) -> None:
 
 def _field_csv(mesh, values, column: str):
     """The field's CSV: the header, then one string of lines per 1024 rows
-    (all rows at once held 4 MB of Python objects on a 128 x 128 grid)."""
+    (all rows at once held 4 MB of Python objects on a 128 x 128 grid).
+    The free vertices run over the grid x-major, so the rows' coordinates
+    are the product of each axis' grid lines, in the order they first
+    appear, and each line is formatted once: a 128 x 128 grid has 16129
+    rows but 127 distinct x and 127 distinct y."""
     yield ("x," if mesh.ndim == 1 else "x,y,") + column
-    table = np.column_stack([mesh.free_coordinates(), values])
-    row = ",".join(["%.17g"] * (mesh.ndim + 1))
-    for start in range(0, len(table), 1024):
-        yield "\n".join([row % tuple(r) for r in table[start:start + 1024].tolist()])
+    labels = itertools.product(*[["%.17g," % x for x in dict.fromkeys(xs)]
+                                 for xs in mesh.free_coordinates().T])
+    for start in range(0, values.size, 1024):
+        # the values first: zip stops on them before it takes a label
+        yield "\n".join(["".join(r) + "%.17g" % v for v, r in
+                         zip(values[start:start + 1024].tolist(), labels)])
 
 
 def run(cfg: ExperimentConfig, out_dir, quiet: bool = False,

@@ -13,20 +13,36 @@ search), with step lengths from the shared Armijo search `solver.armijo`,
 started at t = 1.  Its sufficient-decrease test allows for the quotient's
 rounding error, p PHI_NOISE sum_j |u_j| (|A'(u)_j| + lambda |B'(u)_j|), as
 the energy descent's allows for Phi's: without the band, trials whose
-quotient changes at rounding level are rejected near the stop (24 x 24,
-p = 3: 42 trials for 14 steps instead of 12 for 12).  The direction is
-the energy descent's damped inexact Newton step (`solver._newton_step`):
-PCG on the p-energy Hessian at u, assembled once per step as a grid
-stencil (`assembly._hessian_stencil`), preconditioned by the closed-form
-inverse of the p = 2 stiffness matrix (`solver._poisson_solve`), applied
-to the eigen residual A'(u) - lambda B'(u) with
+quotient changes at rounding level are rejected near the stop (128 x 128,
+p = 3: 14 trials for 10 steps instead of 7 for 7).  The direction is
+the energy descent's damped inexact Newton step (`solver._newton_step`)
+for the eigen residual r = A'(u) - lambda B'(u), with
 A'(u)_j = int |grad u|^(p-2) grad u . grad psi_j and
-B'(u)_j = int |u|^(p-2) u psi_j.  At p = 2 the Hessian is
-the stiffness matrix and the step is the gradient in the H^1_0 inner
-product.  For p >= 2 the step count hardly grows under refinement (p = 3
-on the unit interval: 10 steps at n = 64, 11 at n = 4096), whereas the
-raw coefficient-space gradient needs O(h^-2) steps.  For 1 < p < 2 it
-does grow (p = 1.5: 31 steps at n = 64, 191 at n = 1024).
+B'(u)_j = int |u|^(p-2) u psi_j: PCG, preconditioned by the closed-form
+inverse of the p = 2 stiffness matrix K (`solver._poisson_solve`), on a
+matrix assembled once per step as a grid stencil
+(`assembly._hessian_stencil`).  That matrix is the Hessian of the
+Lagrangian (1/p) int |grad u|^p - lambda (1/p) int |u|^p, A''(u) -
+lambda B''(u), whose mass weight lambda (p-1) |u|^(p-2) is written at
+the quadrature nodes into the trial buffer, free until the line search;
+where u = 0 (the corner triangles of a rectangle) the weight is 0, and 1
+at p = 2, the floor rule of `assembly._flux_weights`.  Since
+(A'' - lambda B'') u = (p-1) r, the system has the useless solution
+u / (p-1), so PCG runs on the K-orthogonal complement of u
+(`solver._pcg`, with uKu = int |grad u|^2): the Jacobi-Davidson
+correction equation (Sleijpen, van der Vorst, SIAM J. Matrix Anal. Appl.
+17, 1996), which converges superlinearly.  The mass term enters only
+after a step accepted at t = 1, so never on the first step: far from the
+eigenpair the Lagrangian's Hessian is a poor model (with it on every
+step, 32 x 32 at p = 4 took 20 trials for 9 steps).  The other steps
+solve with A''(u) alone and no projection, a preconditioned inverse
+iteration, which converges linearly.  At p = 2, A'' is K and the first
+step is the gradient in the H^1_0 inner product.  For p >= 2 the step
+count hardly grows under refinement (p = 3 on the unit interval: 7 steps
+at n = 64, 9 at n = 4096; A'' alone took 10 and 11; the 128 x 128 square
+takes 7 against 10), whereas the raw coefficient-space gradient needs
+O(h^-2) steps.  For 1 < p < 2 it does grow (p = 1.5: 27 steps at n = 64,
+176 at n = 1024; A'' alone took 31 and 191).
 
 The descent stops when the relative residual
 max_j |A'(u)_j - lambda B'(u)_j| / max_j (|A'(u)_j| + lambda |B'(u)_j|),
@@ -43,13 +59,14 @@ which it gathers block by block (`assembly._quad_blocks`) straight into
 a trial buffer allocated once per descent.  So a trial costs one
 quotient and one gather, with no gradient stencil.  A gather of u - t d
 would round differently, and at small p the step counts follow the
-rounding (p = 1.2, interval n = 128: 121 steps here, 86 with it).
+rounding (p = 1.2, interval n = 128: 142 steps here, 112 with it).
 Besides the iterate's and the trial buffer, the descent keeps no
-(ne, nq) array: int |u|^p and B' work block by block.  The accepted
-trial's arrays are rescaled to int |u|^p = 1, and the quotient and the
-eigen residual are then evaluated afresh at the normalized iterate:
-reusing the accepted trial's quotient would bias lambda low, since
-Armijo accepts the first trial that rounds below its threshold.
+(ne, nq) array: int |u|^p, B' and the mass weights work block by block.
+The accepted trial's arrays are rescaled to int |u|^p = 1, and the
+quotient and the eigen residual are then evaluated afresh at the
+normalized iterate: reusing the accepted trial's quotient would bias
+lambda low, since Armijo accepts the first trial that rounds below its
+threshold.
 
 The start iterate is the interpolant of the positive product bubble
 prod_i sin(pi (x_i - a_i) / (b_i - a_i)), which lies in the symmetry
@@ -65,6 +82,7 @@ import numpy as np
 
 from .assembly import (
     DiscreteField,
+    _blocks,
     _check_p,
     _energy,
     _flux,
@@ -224,6 +242,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
     g_buf, q_buf = np.empty_like(g), np.empty_like(q)
     iterations = trials = cg_iterations = 0
     history = []
+    newton = False
 
     while True:
         lam, r, res, noise = _eigen_residual(mesh, u, g, q, p)
@@ -235,7 +254,17 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
             stop = "max-iter"
             break
 
-        d, products = _newton_step(_hessian_stencil(mesh, p, g), r, solve, res)
+        mass_q = None
+        if newton:
+            for sl in _blocks(mesh):
+                m = np.abs(q[sl], out=q_buf[sl])
+                np.power(m, p - 2.0, out=m, where=(m > 0.0) | (p == 2.0))
+                m *= lam * (p - 1.0)
+            mass_q = q_buf
+        # u . K u = int |grad u|^2; the pair is built in the call, so no name
+        # keeps this u alive after the step
+        d, products = _newton_step(_hessian_stencil(mesh, p, g, mass_q), r, solve, res,
+                                   (u, 2.0 * _energy(mesh, g, 2.0)) if newton else None)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
         _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf),
@@ -245,6 +274,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
             stop = "line-search"
             break
         t, b = accepted
+        newton = t == 1.0  # the mass term enters after a full step (module docstring)
         s = b ** (1.0 / p)
         u = (u - t * d) / s
         g, g_buf = g_buf, g

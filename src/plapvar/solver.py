@@ -40,7 +40,9 @@ multiply-adds: the p-energy Hessian from the element weights of
 `assembly._flux_weights`, minus the mass matrix int f'(x, u) psi_i psi_j,
 with f' a central difference of `eval_f` at the quadrature nodes
 (`_df_at_quad`).  The eigensolver takes the same step (`_newton_step`)
-on the same stencil, without a mass term.  CG stops
+on the same stencil, with the mass weight lambda (p-1) |u|^(p-2) of its
+Lagrangian, and runs CG on the K-orthogonal complement of its iterate
+(`_pcg`).  CG stops
 at negative curvature and returns its current iterate (Steihaug).  The
 weight w = |D u|^(p-2) is exact for every p > 1; the step falls back to the
 p = 2 direction, the gradient in the H^1_0 inner product, at u = 0, when
@@ -483,17 +485,34 @@ def _poisson_solve(mesh: Mesh):
     return solve
 
 
-def _pcg(apply, b: np.ndarray, solve, tol: float):
+def _pcg(apply, b: np.ndarray, solve, tol: float, complement_of=None):
     """Truncated PCG for H d = b from d = 0, preconditioned by solve = K^-1.
 
-    Stops when the residual's preconditioned norm sqrt(r . K^-1 r) falls
-    to tol times b's, after CG_MAX iterations, or at non-positive
-    curvature (Steihaug), and returns (d, Hessian products).  d is None
-    when the curvature fails on the first iteration.
+    With complement_of = (u, u . K u), CG runs on the K-orthogonal
+    complement of u (projected PCG; Gould, Hribar, Nocedal, SIAM J. Sci.
+    Comput. 23, 2001): the preconditioned residual is
+    z = K^-1 r - u (u . r) / (u . K u), the K-projection of K^-1 r, since
+    u . K (K^-1 r) = u . r.  So every search direction, and d, is
+    K-orthogonal to u, with no extra solve and no stored vector.
+    There r tends to a multiple of K u, where z cancels to rounding, so
+    sqrt(r . z) levels off near 4e-8 times b's (16 x 16, p = 3) and tol
+    must stay above that; the eigen descent's forcing term is at least
+    sqrt(`eigen.RESIDUAL_STOP`) = 3e-5.
+    Stops when the residual's preconditioned norm sqrt(r . z) falls to tol
+    times b's, after CG_MAX iterations, or at non-positive curvature
+    (Steihaug), and returns (d, Hessian products).  d is None when the
+    curvature fails on the first iteration.
     """
+    def precondition(r):
+        z = solve(r)
+        if complement_of is not None:
+            u, uKu = complement_of
+            z -= (float(np.dot(u, r)) / uKu) * u
+        return z
+
     d = np.zeros_like(b)
     r = b.copy()
-    z = solve(r)
+    z = precondition(r)
     rz = float(np.dot(r, z))
     target = tol * tol * rz
     s = z
@@ -505,7 +524,7 @@ def _pcg(apply, b: np.ndarray, solve, tol: float):
         alpha = rz / curvature
         d += alpha * s
         r -= alpha * Hs
-        z = solve(r)
+        z = precondition(r)
         rz_next = float(np.dot(r, z))
         if rz_next <= target:
             return d, k + 1
@@ -514,16 +533,18 @@ def _pcg(apply, b: np.ndarray, solve, tol: float):
     return d, CG_MAX
 
 
-def _newton_step(apply, r: np.ndarray, solve, rel: float):
+def _newton_step(apply, r: np.ndarray, solve, rel: float, complement_of=None):
     """(d, Hessian products): the inexact Newton direction for the residual r.
 
-    PCG solves apply(d) = r to the forcing term min(FORCING_CAP, sqrt(rel)).
+    PCG solves apply(d) = r to the forcing term min(FORCING_CAP, sqrt(rel)),
+    on the K-orthogonal complement of u for complement_of = (u, u . K u)
+    (see `_pcg`).
     The p = 2 direction K^-1 r replaces it when apply is None, when CG
     meets non-positive curvature at once, or when d is not a descent
     direction.
     """
     d, products = (None, 0) if apply is None else _pcg(
-        apply, r, solve, min(FORCING_CAP, math.sqrt(rel)))
+        apply, r, solve, min(FORCING_CAP, math.sqrt(rel)), complement_of)
     if d is None or not float(np.dot(r, d)) > 0.0:
         d = solve(r)
     return d, products

@@ -389,7 +389,8 @@ def test_readme_config_table_lists_every_key():
     pv.build_interval_mesh(-1.0, 2.0, 9),
     pv.build_rectangle_mesh(0.0, 1.0, -0.5, 0.5, 4, 3),
     pv.build_interval_mesh(-1.0, 2.0, 2050),
-], ids=["interval", "rectangle", "interval-2050"])
+    pv.build_rectangle_mesh(-1.0, 1.0, -0.5, 0.5, 6, 4),
+], ids=["interval", "rectangle", "interval-2050", "rectangle-centred"])
 def test_field_csv_rows_match_per_value_formatting(mesh):
     # _field_csv yields the header, then the rows joined 1024 at a time;
     # 2049 free values fill two chunks and leave one row over

@@ -175,7 +175,7 @@ class TestInvariants:
 
     def test_line_search_starts_at_unit_step(self):
         # every search starts at t = 1, the Newton step, which is accepted
-        # at once on almost every step (12 trials for 12 steps here)
+        # at once on almost every step (5 trials for 5 steps here)
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
         res = pv.first_eigenpair(mesh, 3.0)
         assert res.iterations > 0
@@ -215,7 +215,7 @@ class TestInvariants:
     def test_stop_reason_residual_on_square(self):
         # the quotient settles long before the residual (its error is
         # quadratic in the eigenvector's); the Newton descent still reaches
-        # the relative stop, in 12 steps here
+        # the relative stop, in 5 steps here
         from plapvar import eigen
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
         res = pv.first_eigenpair(mesh, 3.0)
@@ -228,8 +228,10 @@ class TestInvariants:
         # the search accepts a trial whose quotient rises by no more than
         # the rounding band p PHI_NOISE sum_j |u_j| (|A'_j| + lambda |B'_j|),
         # the energy descent's rule; without it near the stop the trials
-        # of the last steps are rejected down to tiny t (42 trials for 14
-        # steps on 24 x 24 at p = 3)
+        # of the last steps are rejected down to tiny t (with A'' alone as
+        # the direction, 42 trials for 14 steps on 24 x 24 at p = 3; with
+        # the Lagrangian's, 14 for 10 on 128 x 128, which
+        # TestLagrangianNewton checks)
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, n, n)
         res = pv.first_eigenpair(mesh, p)
         assert res.stop_reason == "residual"
@@ -324,6 +326,106 @@ class TestCachedLine:
         assert peak <= 5 * mesh.quad_weights.nbytes
 
 
+class TestLagrangianNewton:
+    """The eigen direction solves with A'' - lambda B'' on the K-orthogonal
+    complement of u once a step is accepted at t = 1."""
+
+    @pytest.mark.parametrize("n, p, lambda1, max_steps", [
+        (128, 3.0, 62.77660308151151, 8),     # eigen_rect: 10 steps without B''
+        (128, 2.5, 35.956343316154594, 8),    # solve_rect: 12
+        (32, 3.0, 63.060087353425772, 7),     # audit_rect: 11
+    ], ids=["eigen_rect", "solve_rect", "audit_rect"])
+    def test_bench_problems_take_fewer_steps_to_the_same_lambda1(self, n, p, lambda1,
+                                                                  max_steps):
+        # lambda1 is the value the descent without the mass term reached;
+        # without the Armijo rounding band eigen_rect takes 14 trials for
+        # 10 steps (see test_armijo_allows_for_quotient_rounding)
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, n, n)
+        res = pv.first_eigenpair(mesh, p)
+        assert res.stop_reason == "residual"
+        assert res.iterations <= max_steps
+        assert res.trials <= res.iterations + 2
+        assert math.isclose(res.lambda1, lambda1, rel_tol=1e-12, abs_tol=0.0)
+
+    @pytest.mark.parametrize("n, p, max_steps", [
+        (48, 2.5, 8),    # 12 steps without B''
+        (32, 2.0, 3),    # 10 steps without B''
+        (16, 1.2, 32),   # the corner triangles have u = 0 at every node
+        (16, 1.5, 12),
+    ])
+    def test_converges_in_fewer_steps(self, n, p, max_steps):
+        # runs under the suite's error::RuntimeWarning filter: |u|^(p-2) is
+        # not evaluated where u = 0
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, n, n)
+        res = pv.first_eigenpair(mesh, p)
+        assert res.stop_reason == "residual"
+        assert res.iterations <= max_steps
+
+    def test_mass_term_enters_after_a_unit_step(self, monkeypatch):
+        from plapvar import eigen
+        masses, steps = [], []
+        stencil, search = eigen._hessian_stencil, eigen.armijo
+
+        def recording_stencil(mesh, p, g, mass_q=None):
+            masses.append(mass_q is not None)
+            return stencil(mesh, p, g, mass_q)
+
+        def recording_search(at, f0, slope):
+            value, state, rejected = search(at, f0, slope)
+            steps.append(state[0])
+            return value, state, rejected
+
+        monkeypatch.setattr(eigen, "_hessian_stencil", recording_stencil)
+        monkeypatch.setattr(eigen, "armijo", recording_search)
+        res = eigen.first_eigenpair(pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16), 6.0)
+        assert len(masses) == len(steps) == res.iterations
+        assert masses == [False] + [t == 1.0 for t in steps[:-1]]
+        assert min(steps[:-1]) < 1.0 and any(masses)  # both rules are exercised
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_lagrangian_hessian_maps_u_to_p_minus_1_times_residual(self, p, monkeypatch):
+        # (A'' - lambda B'') u = (p - 1) (A' - lambda B') by homogeneity, so
+        # the mass weight is lambda (p - 1) |u|^(p-2) wherever u is not 0
+        from plapvar import eigen
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        step = eigen._newton_step
+        checked = []
+
+        def checking(apply, r, solve, rel, complement_of=None):
+            if complement_of is not None:
+                u, uKu = complement_of
+                g = pv.assembly._grad(mesh, u)
+                assert math.isclose(uKu, float(mesh.measures @ np.sum(g * g, axis=1)),
+                                    rel_tol=1e-13)
+                a = pv.assembly._flux(mesh, g, p)
+                assert np.max(np.abs(apply(u) - (p - 1.0) * r)) <= (
+                    1e-12 * (p - 1.0) * np.max(np.abs(a)))
+                checked.append(rel)
+            return step(apply, r, solve, rel, complement_of)
+
+        monkeypatch.setattr(eigen, "_newton_step", checking)
+        eigen.first_eigenpair(mesh, p)
+        assert checked
+
+    def test_projected_direction_is_k_orthogonal_to_u(self):
+        from plapvar import eigen, solver
+        p = 3.0
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        u, g, q = eigen._normalized(mesh, eigen._bubble_start(mesh), p)
+        lam, r, _, _ = eigen._eigen_residual(mesh, u, g, q, p)
+        mass_q = lam * (p - 1.0) * np.abs(q) ** (p - 2.0)
+        apply = pv.assembly._hessian_stencil(mesh, p, g, mass_q)
+        uKu = float(mesh.measures @ np.sum(g * g, axis=1))
+        # the tightest forcing term of the descent, sqrt(RESIDUAL_STOP)
+        tol = math.sqrt(eigen.RESIDUAL_STOP)
+        d, products = solver._pcg(apply, r, solver._poisson_solve(mesh), tol, (u, uKu))
+        assert products > 1
+        g_d = pv.assembly._grad(mesh, d)
+        dKd = float(mesh.measures @ np.sum(g_d * g_d, axis=1))
+        uKd = float(mesh.measures @ np.sum(g * g_d, axis=1))
+        assert abs(uKd) <= 1e-12 * math.sqrt(uKu * dKd)
+
+
 class TestScaleCovariance:
     """The stop rule is relative, so the answer does not depend on the domain's size."""
 
@@ -344,7 +446,7 @@ class TestRangeOfP:
     def test_converges_or_raises(self, p, must_converge):
         # runs under the suite's error::RuntimeWarning filter, so p = 30
         # must not overflow; at p = 1.05 the descent may end on max-iter
-        # (p = 1.2, 8 and 30 converge in 51, 13 and 16 steps)
+        # (p = 1.2, 8 and 30 converge in 60, 12 and 16 steps)
         from plapvar import eigen
         mesh = pv.build_interval_mesh(0.0, 1.0, 64)
         try:

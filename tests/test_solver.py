@@ -491,7 +491,7 @@ class TestHessian:
         for a, b in ((eig, eig_mf), (res, res_mf)):
             assert (a.iterations, a.trials, a.cg_iterations) == (
                 b.iterations, b.trials, b.cg_iterations)
-        assert (eig.iterations, res.iterations) == (11, 8)
+        assert (eig.iterations, res.iterations) == (6, 8)
         assert math.isclose(eig.lambda1, eig_mf.lambda1, rel_tol=1e-12, abs_tol=0.0)
         assert math.isclose(res.phi, res_mf.phi, rel_tol=1e-12, abs_tol=0.0)
 
