@@ -43,7 +43,10 @@ f, F and f') or reduces each block (the eigen line search) never holds
 an (ne, nq) temporary.  `_load` is the one load: it turns a density
 given block by block into a dual vector, writing each block's element
 contributions into one (ne, ndim+1) array that is scattered once;
-`quad_load`, `_lp_load` and the energy descent's f load call it.
+`load_vector`, `quad_load`, `_lp_load` and the energy descent's f load
+call it.  `load_vector` evaluates a user's density on one block of
+`Mesh.quad_points` at a time, so that the eigen pipeline, which reads no
+point, never makes them.
 """
 
 from __future__ import annotations
@@ -374,7 +377,7 @@ def _quad_blocks(mesh: Mesh, v: np.ndarray):
 
 def _load(mesh: Mesh, densities) -> np.ndarray:
     """Entries int g psi_j from (sl, g at the quadrature nodes of block sl)
-    pairs, one for each `_blocks` slice.
+    pairs, one for each `_blocks` slice; a scalar g is a constant density.
 
     Each block's element contributions (w g) @ basis go into one
     (ne, ndim+1) array, which is scattered once.
@@ -496,21 +499,29 @@ def pairing(h: DualVector, v: DiscreteField) -> float:
 def load_vector(mesh: Mesh, g) -> DualVector:
     """Dual vector with entries int g psi_j dx.
 
-    `g` is a callable of point arrays of shape (m, ndim) returning (m,),
-    or a constant.  Non-finite values of g at quadrature points are
-    rejected with the offending point named.
+    `g` is a callable of point arrays of shape (m, ndim) returning (m,)
+    or a scalar, or a constant.  A callable is evaluated on one `_blocks`
+    slice of `mesh.quad_points` at a time, so its temporaries are block
+    sized; a constant never reads the points.  Non-finite values of g at
+    quadrature points are rejected with the first offending point named.
     """
-    pts = mesh.quad_points_flat()
-    if callable(g):
-        gv = np.asarray(g(pts), dtype=float)
-        gv = np.broadcast_to(gv, (pts.shape[0],)).astype(float)
-    else:
-        gv = np.full(pts.shape[0], float(g))
-    bad = ~np.isfinite(gv)
-    if np.any(bad):
-        where = pts[np.argmax(bad)]
-        raise ValueError(f"load density is not finite at quadrature point {where}")
-    return quad_load(mesh, gv)
+    if not callable(g):
+        c = float(g)
+        if not math.isfinite(c):
+            raise ValueError(f"load density is not finite at quadrature point "
+                             f"{mesh.quad_points[0, 0]}")
+        return DualVector(mesh, _load(mesh, ((sl, c) for sl in _blocks(mesh))))
+
+    def density(sl):
+        pts = mesh.quad_points[sl].reshape(-1, mesh.ndim)
+        gv = np.broadcast_to(np.asarray(g(pts), dtype=float), (pts.shape[0],))
+        bad = ~np.isfinite(gv)
+        if np.any(bad):
+            where = pts[np.argmax(bad)]
+            raise ValueError(f"load density is not finite at quadrature point {where}")
+        return gv.reshape(-1, mesh.quad_weights.shape[1])
+
+    return DualVector(mesh, _load(mesh, ((sl, density(sl)) for sl in _blocks(mesh))))
 
 
 def quad_load(mesh: Mesh, density_q) -> DualVector:

@@ -427,12 +427,12 @@ def _field_csv(mesh, values, column: str):
     """The field's CSV: the header, then one string of lines per 1024 rows
     (all rows at once held 4 MB of Python objects on a 128 x 128 grid).
     The free vertices run over the grid x-major, so the rows' coordinates
-    are the product of each axis' grid lines, in the order they first
-    appear, and each line is formatted once: a 128 x 128 grid has 16129
-    rows but 127 distinct x and 127 distinct y."""
+    are the product of each axis' interior grid lines (`Mesh.grid_lines`,
+    the vertex coordinates bit for bit), and each line is formatted once:
+    a 128 x 128 grid has 16129 rows but 127 distinct x and 127 distinct y."""
     yield ("x," if mesh.ndim == 1 else "x,y,") + column
-    labels = itertools.product(*[["%.17g," % x for x in dict.fromkeys(xs)]
-                                 for xs in mesh.free_coordinates().T])
+    labels = itertools.product(*[["%.17g," % x for x in xs[1:-1].tolist()]
+                                 for xs in mesh.grid_lines()])
     for start in range(0, values.size, 1024):
         # the values first: zip stops on them before it takes a label
         yield "\n".join(["".join(r) + "%.17g" % v for v, r in

@@ -2,13 +2,19 @@
 
 Meshes carry everything the assembly kernels need: vertex coordinates,
 element connectivity, the free (interior) vertices, per-element measures,
-the quadrature points and weights of one fixed rule per element type, and
-the grid they were cut from (`Mesh.bounds`, `Mesh.structure`).  Intervals
-use the 3-point Gauss-Legendre rule (exact through degree 5), triangles a
-6-point rule exact through degree 4.  No basis gradient is stored: every
-mesh is a uniform tensor grid, so the P1 gradient operator D is a pair of
-grid difference stencils (`assembly._grad`, `assembly._grad_T`).  All
-arrays are frozen (non-writeable) once the mesh is built.
+the quadrature weights of one fixed rule per element type, and the grid
+they were cut from (`Mesh.bounds`, `Mesh.structure`).  Intervals use the
+3-point Gauss-Legendre rule (exact through degree 5), triangles a 6-point
+rule exact through degree 4.  Every mesh is a uniform tensor grid, so
+the mesh holds only what the grid cannot give cheaply:
+- the measures are the products of the grid steps, |dx_i dy_j| / 2 for
+  both triangles of cell (i, j);
+- the quadrature points are made on first read of `Mesh.quad_points`,
+  from the grid lines (`Mesh.grid_lines`), and kept; a pipeline that
+  never evaluates a function of x (the eigen problem) never makes them;
+- no basis gradient is stored: the P1 gradient operator D is a pair of
+  grid difference stencils (`assembly._grad`, `assembly._grad_T`).
+All arrays are frozen (non-writeable) once made.
 
 Interval meshes are uniform partitions of (a, b).  Rectangle meshes are
 structured triangulations: each grid cell is split into two triangles
@@ -19,6 +25,7 @@ of freedom and the piecewise-linear space is nested under bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,11 +81,13 @@ class Mesh:
     elements : (ne, ndim + 1) vertex indices per simplex.
     free_vertices : (nf,) indices of interior vertices, in vertex order.
     measures : (ne,) element lengths/areas, all positive.
-    quad_points : (ne, nq, ndim) physical quadrature points.
     quad_weights : (ne, nq) physical quadrature weights (include measures).
     basis_at_quad : (nq, ndim + 1) reference P1 basis values at the rule nodes.
     bounds : (lo, hi) corners of the bounding box, each of shape (ndim,).
     structure : element counts per axis, (n,) or (nx, ny).
+
+    `quad_points`, (ne, nq, ndim), is made from the grid lines on first
+    read and kept.
     """
 
     ndim: int
@@ -86,7 +95,6 @@ class Mesh:
     elements: np.ndarray
     free_vertices: np.ndarray
     measures: np.ndarray
-    quad_points: np.ndarray
     quad_weights: np.ndarray
     basis_at_quad: np.ndarray
     bounds: tuple
@@ -108,6 +116,39 @@ class Mesh:
         """Coordinates of the free vertices, shape (nf, ndim)."""
         return self.vertices[self.free_vertices]
 
+    def grid_lines(self) -> list:
+        """Each axis' grid lines, np.linspace(lo, hi, n + 1): the vertex
+        coordinates bit for bit, since the builders cut the grid so."""
+        lo, hi = self.bounds
+        return [np.linspace(a, b, n + 1) for a, b, n in zip(lo, hi, self.structure)]
+
+    @cached_property
+    def quad_points(self) -> np.ndarray:
+        """(ne, nq, ndim) physical quadrature points, made on first read.
+
+        Interval element i: x_i + xi (x_{i+1} - x_i).  Rectangle cell
+        (i, j): sum_k b_k v_k over the corners of each triangle, i.e.
+        x = b0 x_i + b1 x_{i+1} + b2 x_{i+1}, y = b0 y_j + b1 y_j + b2 y_{j+1}
+        on (v00, v10, v11) and x = b0 x_i + b1 x_{i+1} + b2 x_i,
+        y = b0 y_j + b1 y_{j+1} + b2 y_{j+1} on (v00, v11, v01).
+        """
+        lines = self.grid_lines()
+        b = self.basis_at_quad
+        if self.ndim == 1:
+            (xs,) = lines
+            pts = xs[:-1, None] + b[:, 1] * (xs[1:] - xs[:-1])[:, None]
+            return _freeze(pts[:, :, None])
+        xs, ys = lines
+        x0, x1 = xs[:-1, None, None], xs[1:, None, None]      # (nx, 1, 1)
+        y0, y1 = ys[:-1, None], ys[1:, None]                  # (ny, 1)
+        b0, b1, b2 = b.T
+        pts = np.empty((*self.structure, 2, b.shape[0], 2))  # cell, triangle, node, axis
+        pts[:, :, 0, :, 0] = b0 * x0 + b1 * x1 + b2 * x1
+        pts[:, :, 0, :, 1] = b0 * y0 + b1 * y0 + b2 * y1
+        pts[:, :, 1, :, 0] = b0 * x0 + b1 * x1 + b2 * x0
+        pts[:, :, 1, :, 1] = b0 * y0 + b1 * y1 + b2 * y1
+        return _freeze(pts.reshape(-1, b.shape[0], 2))
+
     def quad_points_flat(self) -> np.ndarray:
         """All quadrature points as one (ne * nq, ndim) array."""
         return self.quad_points.reshape(-1, self.ndim)
@@ -117,7 +158,7 @@ class Mesh:
 
 
 def _finish_mesh(ndim, vertices, elements, free, measures,
-                 qpts, qw, basis_at_quad, structure) -> Mesh:
+                 qw, basis_at_quad, structure) -> Mesh:
     if np.any(measures <= 0.0):
         raise ValueError("mesh has a non-positive element measure")
     return Mesh(
@@ -126,7 +167,6 @@ def _finish_mesh(ndim, vertices, elements, free, measures,
         elements=_freeze(elements),
         free_vertices=_freeze(free),
         measures=_freeze(measures),
-        quad_points=_freeze(qpts),
         quad_weights=_freeze(qw),
         basis_at_quad=_freeze(basis_at_quad),
         bounds=(_freeze(vertices.min(axis=0)), _freeze(vertices.max(axis=0))),
@@ -147,13 +187,11 @@ def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
     measures = np.full(n, h)
 
     xi, w = np.array(_INTERVAL_NODES), np.array(_INTERVAL_WEIGHTS)
-    qpts = (vertices[elements[:, 0]][:, None, :]
-            + xi[None, :, None] * (vertices[elements[:, 1]] - vertices[elements[:, 0]])[:, None, :])
     qw = np.broadcast_to(w[None, :] * h, (n, xi.size)).copy()
     basis_at_quad = np.column_stack([1.0 - xi, xi])
 
     return _finish_mesh(1, vertices, elements, np.arange(1, n), measures,
-                        qpts, qw, basis_at_quad, (int(n),))
+                        qw, basis_at_quad, (int(n),))
 
 
 def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
@@ -185,19 +223,15 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
     ii, jj = np.divmod(np.arange(vertices.shape[0]), ny + 1)
     free = np.flatnonzero((0 < ii) & (ii < nx) & (0 < jj) & (jj < ny))
 
-    v0 = vertices[elements[:, 0]]
-    e1 = vertices[elements[:, 1]] - v0
-    e2 = vertices[elements[:, 2]] - v0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    measures = np.abs(det) / 2.0
+    # both triangles' edge determinants reduce to dx_i dy_j exactly
+    cells = np.abs((xs[1:] - xs[:-1])[:, None] * (ys[1:] - ys[:-1])) / 2.0
+    measures = np.repeat(cells.ravel(), 2)
 
     bary, w = np.array(_TRI_POINTS), np.array(_TRI_WEIGHTS)
-    # physical points: sum_k bary_k * vertex_k
-    qpts = np.einsum("qk,ekd->eqd", bary, vertices[elements])
     qw = w[None, :] * measures[:, None]
 
     return _finish_mesh(2, vertices, elements, free, measures,
-                        qpts, qw, bary, (int(nx), int(ny)))
+                        qw, bary, (int(nx), int(ny)))
 
 
 def refine_structured(mesh: Mesh) -> Mesh:

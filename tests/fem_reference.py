@@ -1,5 +1,6 @@
-"""Element-by-element oracles for the grid kernels: closed-form P1 basis
-gradients, the values at the quadrature nodes by one unblocked gather, a
+"""Element-by-element oracles for the grid kernels: the quadrature points
+and element measures by gathers of the element vertices, closed-form P1
+basis gradients, the values at the quadrature nodes by one unblocked gather, a
 scatter by `np.add.at`, the p = 2 stiffness matrix and the Newton matrix
 by COO assembly, and the Newton matrix applied matrix-free; and for the
 dual-norm estimate, the hats' L^p integrals element by element, the
@@ -13,6 +14,29 @@ import numpy as np
 import scipy.sparse as sp
 
 from plapvar.assembly import GRADIENT_FLOOR, _flux_weights, _grad, _grad_T
+
+
+def reference_quad_points(mesh):
+    """(ne, nq, ndim) quadrature points from gathers of each element's
+    vertices: x_0 + xi (x_1 - x_0) on an interval, sum_k b_k v_k by
+    einsum on a triangle."""
+    v = mesh.vertices[mesh.elements]                       # (ne, ndim + 1, ndim)
+    if mesh.ndim == 1:
+        xi = mesh.basis_at_quad[:, 1]
+        return v[:, 0][:, None, :] + xi[None, :, None] * (v[:, 1] - v[:, 0])[:, None, :]
+    return np.einsum("qk,ekd->eqd", mesh.basis_at_quad, v)
+
+
+def reference_measures(mesh):
+    """(ne,) element lengths/areas: the uniform step on an interval, half
+    the edge determinant of each gathered triangle."""
+    if mesh.ndim == 1:
+        (n,) = mesh.structure
+        return np.full(n, (mesh.bounds[1][0] - mesh.bounds[0][0]) / n)
+    v0 = mesh.vertices[mesh.elements[:, 0]]
+    e1 = mesh.vertices[mesh.elements[:, 1]] - v0
+    e2 = mesh.vertices[mesh.elements[:, 2]] - v0
+    return np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2.0
 
 
 def reference_basis_gradients(mesh):

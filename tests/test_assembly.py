@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -420,6 +421,36 @@ class TestLoadAndPairing:
         # the same density sampled at the quadrature nodes gives the same bits
         q = pv.assembly.quad_load(mesh, mesh.quad_points[:, :, 0])
         assert np.array_equal(q.values, h.values)
+
+    def test_blocked_density_matches_whole_mesh_evaluation(self):
+        # 24 x 24 has 1152 triangles: two `_blocks` slices, one call each
+        mesh = pv.build_rectangle_mesh(0.1, 1.3, -0.7, 0.4, 24, 24)
+        calls = []
+
+        def g(x):
+            calls.append(x.shape[0])
+            return np.sin(3.0 * x[:, 0]) * np.exp(x[:, 1])
+
+        h = pv.load_vector(mesh, g)
+        assert calls == [1024 * 6, 128 * 6]
+        whole = pv.assembly.quad_load(mesh, g(mesh.quad_points_flat()))
+        assert np.array_equal(h.values, whole.values)
+
+    def test_scalar_returning_callable_broadcasts(self):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 24, 24)
+        h = pv.load_vector(mesh, lambda x: 2.5)
+        assert np.array_equal(h.values, pv.load_vector(mesh, 2.5).values)
+
+    def test_non_finite_in_last_block_names_the_point(self):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 24, 24)
+        target = mesh.quad_points[-1, 3]
+        assert mesh.n_elements - 1 >= pv.assembly.QUAD_BLOCK
+
+        def g(x):
+            return np.where(np.all(x == target, axis=1), np.inf, 1.0)
+
+        with pytest.raises(ValueError, match=re.escape(str(target))):
+            pv.load_vector(mesh, g)
 
     def test_pairing_is_bilinear(self):
         mesh = pv.build_interval_mesh(0.0, 1.0, 8)

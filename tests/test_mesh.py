@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from fem_reference import reference_measures, reference_quad_points
 
 import plapvar as pv
+from plapvar import cli
+from plapvar.meshing import _INTERVAL_WEIGHTS, _TRI_WEIGHTS
 
 
 class TestIntervalMesh:
@@ -192,3 +195,80 @@ class TestFieldsAndInterpolation:
         u = pv.interpolate(m, lambda x: x[:, 0] * (1 - x[:, 1]))
         c = m.free_coordinates()
         assert np.allclose(u.values, c[:, 0] * (1 - c[:, 1]))
+
+
+REFERENCE_MESHES = {
+    "rectangle-pi": lambda: pv.build_rectangle_mesh(0.0, math.pi, -1.3, 2.7, 37, 53),
+    "rectangle-offset": lambda: pv.build_rectangle_mesh(1e5, 1e5 + 1, 0.0, 3.0, 17, 9),
+    "interval-4096": lambda: pv.build_interval_mesh(-2.5, 7.1, 4096),
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAgainstGatherReference:
+    # the grid formulas against gathers of each element's vertices, on
+    # non-dyadic bounds and steps
+    @pytest.fixture(params=sorted(REFERENCE_MESHES))
+    def mesh(self, request):
+        return REFERENCE_MESHES[request.param]()
+
+    def test_points_and_measures_bit_for_bit(self, mesh):
+        rule = _INTERVAL_WEIGHTS if mesh.ndim == 1 else _TRI_WEIGHTS
+        measures = reference_measures(mesh)
+        assert same_bits(mesh.measures, measures)
+        assert same_bits(mesh.quad_weights, np.array(rule)[None, :] * measures[:, None])
+        assert same_bits(mesh.quad_points, reference_quad_points(mesh))
+
+    def test_grid_lines_are_the_vertex_coordinates(self, mesh):
+        lines = mesh.grid_lines()
+        grid = np.stack(np.meshgrid(*lines, indexing="ij"), axis=-1)
+        assert same_bits(mesh.vertices, grid.reshape(-1, mesh.ndim))
+        assert same_bits(mesh.bounds[0], [xs[0] for xs in lines])
+        assert same_bits(mesh.bounds[1], [xs[-1] for xs in lines])
+
+    def test_arrays_frozen_and_contiguous(self, mesh):
+        arrays = [mesh.vertices, mesh.elements, mesh.free_vertices, mesh.measures,
+                  mesh.quad_points, mesh.quad_weights, mesh.basis_at_quad, *mesh.bounds]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+
+
+class TestQuadPointsOnFirstRead:
+    def test_made_once_and_kept(self):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 2.0, 5, 3)
+        assert "quad_points" not in vars(mesh)
+        pts = mesh.quad_points
+        assert pts.shape == (mesh.n_elements, 6, 2)
+        assert mesh.quad_points is pts and not pts.flags.writeable
+
+    def test_constant_load_reads_no_point(self):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 24, 24)
+        pv.load_vector(mesh, 1.0)
+        assert "quad_points" not in vars(mesh)
+
+    @pytest.mark.parametrize("mesh", [
+        pv.build_interval_mesh(0.0, 1.0, 64),
+        pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16),
+    ], ids=["interval", "rectangle"])
+    def test_eigenpair_makes_no_points(self, mesh):
+        pv.first_eigenpair(mesh, 3.0)
+        assert "quad_points" not in vars(mesh)
+
+    def test_eigen_pipeline_makes_no_points(self, tmp_path, monkeypatch):
+        built = []
+
+        def build(cfg):
+            built.append(build_mesh(cfg))
+            return built[-1]
+
+        build_mesh = cli._build_mesh
+        monkeypatch.setattr(cli, "_build_mesh", build)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("pipeline = eigen\ndomain = rectangle\nnx = 12\nny = 10\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert len(built) == 1 and "quad_points" not in vars(built[0])
