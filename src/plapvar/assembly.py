@@ -44,9 +44,10 @@ an (ne, nq) temporary.  `_load` is the one load: it turns a density
 given block by block into a dual vector, writing each block's element
 contributions into one (ne, ndim+1) array that is scattered once;
 `load_vector`, `quad_load`, `_lp_load` and the energy descent's f load
-call it.  `load_vector` evaluates a user's density on one block of
-`Mesh.quad_points` at a time, so that the eigen pipeline, which reads no
-point, never makes them.
+call it.  `load_vector` evaluates a user's density on the quadrature
+points of one block at a time, made by `Mesh.quad_points_of` and not
+kept, so no pipeline makes the whole-mesh `Mesh.quad_points` for its
+load.
 """
 
 from __future__ import annotations
@@ -500,20 +501,22 @@ def load_vector(mesh: Mesh, g) -> DualVector:
     """Dual vector with entries int g psi_j dx.
 
     `g` is a callable of point arrays of shape (m, ndim) returning (m,)
-    or a scalar, or a constant.  A callable is evaluated on one `_blocks`
-    slice of `mesh.quad_points` at a time, so its temporaries are block
-    sized; a constant never reads the points.  Non-finite values of g at
-    quadrature points are rejected with the first offending point named.
+    or a scalar, or a constant.  A callable is evaluated on the points of
+    one `_blocks` slice at a time, made by `Mesh.quad_points_of` and
+    dropped after the block, so its temporaries are block sized and
+    `Mesh.quad_points` is never made; a constant never reads a point.
+    Non-finite values of g at quadrature points are rejected with the
+    first offending point named.
     """
     if not callable(g):
         c = float(g)
         if not math.isfinite(c):
             raise ValueError(f"load density is not finite at quadrature point "
-                             f"{mesh.quad_points[0, 0]}")
+                             f"{mesh.quad_points_of(slice(1))[0, 0]}")
         return DualVector(mesh, _load(mesh, ((sl, c) for sl in _blocks(mesh))))
 
     def density(sl):
-        pts = mesh.quad_points[sl].reshape(-1, mesh.ndim)
+        pts = mesh.quad_points_of(sl).reshape(-1, mesh.ndim)
         gv = np.broadcast_to(np.asarray(g(pts), dtype=float), (pts.shape[0],))
         bad = ~np.isfinite(gv)
         if np.any(bad):

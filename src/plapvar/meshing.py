@@ -9,12 +9,16 @@ rule exact through degree 4.  Every mesh is a uniform tensor grid, so
 the mesh holds only what the grid cannot give cheaply:
 - the measures are the products of the grid steps, |dx_i dy_j| / 2 for
   both triangles of cell (i, j);
-- the quadrature points are made on first read of `Mesh.quad_points`,
-  from the grid lines (`Mesh.grid_lines`), and kept; a pipeline that
-  never evaluates a function of x (the eigen problem) never makes them;
+- the quadrature points are made from the grid lines (`Mesh.grid_lines`)
+  by `Mesh.quad_points_of`, for any slice of elements; a block of
+  elements costs only its own cell rows.  `Mesh.quad_points` keeps all
+  of them once read, for the hypothesis checkers and for an f that reads
+  x.  The eigen problem reads no point, a density load makes one block at
+  a time, and an f that ignores x gets one point, so neither the eigen
+  nor an autonomous solve pipeline ever holds the whole array;
 - no basis gradient is stored: the P1 gradient operator D is a pair of
   grid difference stencils (`assembly._grad`, `assembly._grad_T`).
-All arrays are frozen (non-writeable) once made.
+All arrays the mesh keeps are frozen (non-writeable) once made.
 
 Interval meshes are uniform partitions of (a, b).  Rectangle meshes are
 structured triangulations: each grid cell is split into two triangles
@@ -86,8 +90,9 @@ class Mesh:
     bounds : (lo, hi) corners of the bounding box, each of shape (ndim,).
     structure : element counts per axis, (n,) or (nx, ny).
 
-    `quad_points`, (ne, nq, ndim), is made from the grid lines on first
-    read and kept.
+    `quad_points_of(sl)` makes the (k, nq, ndim) quadrature points of a
+    slice of elements from the grid lines; `quad_points`, those of every
+    element, is made by it on first read and kept.
     """
 
     ndim: int
@@ -122,32 +127,52 @@ class Mesh:
         lo, hi = self.bounds
         return [np.linspace(a, b, n + 1) for a, b, n in zip(lo, hi, self.structure)]
 
-    @cached_property
-    def quad_points(self) -> np.ndarray:
-        """(ne, nq, ndim) physical quadrature points, made on first read.
+    def quad_points_of(self, sl: slice) -> np.ndarray:
+        """(k, nq, ndim) physical quadrature points of the elements in sl.
 
-        Interval element i: x_i + xi (x_{i+1} - x_i).  Rectangle cell
-        (i, j): sum_k b_k v_k over the corners of each triangle, i.e.
+        sl is a slice of element indices with step 1, such as an
+        `assembly._blocks` slice; a stop past the last element is clipped.
+        The points come from the grid lines of the cells sl meets, so a
+        block of elements costs only its own cell rows.  Interval element
+        i: x_i + xi (x_{i+1} - x_i).  Rectangle cell (i, j): sum_k b_k v_k
+        over the corners of each triangle, i.e.
         x = b0 x_i + b1 x_{i+1} + b2 x_{i+1}, y = b0 y_j + b1 y_j + b2 y_{j+1}
         on (v00, v10, v11) and x = b0 x_i + b1 x_{i+1} + b2 x_i,
         y = b0 y_j + b1 y_{j+1} + b2 y_{j+1} on (v00, v11, v01).
         """
+        start, stop, _ = sl.indices(self.n_elements)
+        stop = max(start, stop)
         lines = self.grid_lines()
         b = self.basis_at_quad
         if self.ndim == 1:
             (xs,) = lines
-            pts = xs[:-1, None] + b[:, 1] * (xs[1:] - xs[:-1])[:, None]
-            return _freeze(pts[:, :, None])
+            x0, x1 = xs[start:stop, None], xs[start + 1:stop + 1, None]
+            return (x0 + b[:, 1] * (x1 - x0))[:, :, None]
+        # cell (i, j) holds elements 2 (i ny + j) and 2 (i ny + j) + 1, so
+        # the slice meets the cell rows i0 <= i < i1; x varies with the row
+        # and y with the column, so each is made once and broadcast
+        nq, ny = b.shape[0], self.structure[1]
+        i0, i1 = start // (2 * ny), -(-stop // (2 * ny))
         xs, ys = lines
-        x0, x1 = xs[:-1, None, None], xs[1:, None, None]      # (nx, 1, 1)
-        y0, y1 = ys[:-1, None], ys[1:, None]                  # (ny, 1)
+        x0, x1 = xs[i0:i1, None], xs[i0 + 1:i1 + 1, None]
+        y0, y1 = ys[:-1, None], ys[1:, None]
         b0, b1, b2 = b.T
-        pts = np.empty((*self.structure, 2, b.shape[0], 2))  # cell, triangle, node, axis
-        pts[:, :, 0, :, 0] = b0 * x0 + b1 * x1 + b2 * x1
-        pts[:, :, 0, :, 1] = b0 * y0 + b1 * y0 + b2 * y1
-        pts[:, :, 1, :, 0] = b0 * x0 + b1 * x1 + b2 * x0
-        pts[:, :, 1, :, 1] = b0 * y0 + b1 * y1 + b2 * y1
-        return _freeze(pts.reshape(-1, b.shape[0], 2))
+        x, y = np.empty((i1 - i0, 1, 2, nq)), np.empty((ny, 2, nq))  # row/column, triangle, node
+        x[:, 0, 0] = b0 * x0 + b1 * x1 + b2 * x1
+        x[:, 0, 1] = b0 * x0 + b1 * x1 + b2 * x0
+        y[:, 0] = b0 * y0 + b1 * y0 + b2 * y1
+        y[:, 1] = b0 * y0 + b1 * y1 + b2 * y1
+        pts = np.empty((i1 - i0, ny, 2, nq, 2))
+        pts[..., 0] = x
+        pts[..., 1] = y
+        first = 2 * ny * i0
+        return pts.reshape(-1, nq, 2)[start - first:stop - first]
+
+    @cached_property
+    def quad_points(self) -> np.ndarray:
+        """(ne, nq, ndim) physical quadrature points of every element, made
+        by `quad_points_of` on first read and kept."""
+        return _freeze(self.quad_points_of(slice(None)))
 
     def quad_points_flat(self) -> np.ndarray:
         """All quadrature points as one (ne * nq, ndim) array."""

@@ -25,13 +25,15 @@ that evaluates f at many s on one point set evaluates the weight once
 call).  A spec with no declared coefficient, a user's
 NonlinearitySpec(f=lambda x, s: ...) included, receives the (m, ndim)
 points.  The hypothesis checkers pass only the distinct entries of that
-first argument (`conditions._distinct`), a single point for an
-autonomous spec with no declared coefficient, so f/F/G must act on it
-entry by entry (row by row for points).  s may be a scalar or a (k, 1)
-column of samples (check_f0 passes blocks of s against the distinct
-values that way), so f/F/G must broadcast it against the (n,) values
-into a (k, n) result; a result that ignores x or s may keep the shape
-of the other.
+first argument (`conditions._distinct`), so f/F/G must act on it entry
+by entry (row by row for points).  An autonomous spec with no declared
+coefficient ignores x (`_ignores_x`): every caller, the checkers and the
+energy descent alike, passes it the mesh's first quadrature point alone,
+shape (1, ndim), against all its s, and broadcasts a result of shape
+(1,) to the shape of s.  s may be a scalar or a (k, 1) column of samples
+(check_f0 passes blocks of s against the distinct values that way), so
+f/F/G must broadcast it against the (n,) values into a (k, n) result; a
+result that ignores x or s may keep the shape of the other.
 """
 
 from __future__ import annotations
@@ -126,6 +128,13 @@ def _spatial(spec: NonlinearitySpec, x):
         return x
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return spec.params[spec.coefficient](x)
+
+
+def _ignores_x(spec: NonlinearitySpec) -> bool:
+    """Whether f/F/G ignore x: the spec is autonomous and declares no
+    coefficient.  Callers then evaluate them at one point, the mesh's first
+    quadrature point, and make no other."""
+    return spec.autonomous and spec.coefficient is None
 
 
 def _f_at(spec: NonlinearitySpec, c, s):

@@ -60,9 +60,14 @@ f' once per step.  `nonlinear_load`, `potential_integral`, `_df_at_quad`
 and the stencil's mass entries therefore walk the elements in blocks of
 `assembly.QUAD_BLOCK` (`assembly._quad_blocks`), calling `eval_f` or
 `eval_F` once per block, so no (ne, nq) temporary is made per call.  The
-load goes through the one blocked load (`assembly._load`), as
-`quad_load` does; `potential_integral` sums per-element integrals,
-so Phi may differ from a flat sum over the nodes in its last bits.
+x they pass (`_block_x`) is the block's rows of `Mesh.quad_points`, or,
+for a spec that ignores x (`nonlinearity._ignores_x`: autonomous, with
+no declared coefficient, as every bench solve's `power_perturbation`),
+the mesh's first quadrature point, against which s broadcasts; such a
+descent never makes the whole point array.  The load goes through the
+one blocked load (`assembly._load`), as `quad_load` does;
+`potential_integral` sums per-element integrals, so Phi may differ from
+a flat sum over the nodes in its last bits.
 """
 
 from __future__ import annotations
@@ -93,7 +98,7 @@ from .assembly import (
     zero_field,
 )
 from .meshing import Mesh
-from .nonlinearity import NonlinearitySpec, eval_F, eval_f
+from .nonlinearity import NonlinearitySpec, _ignores_x, eval_F, eval_f
 
 __all__ = [
     "SolveResult",
@@ -115,6 +120,7 @@ ARMIJO = 1e-4
 MAX_TRIALS = 60
 DIVERGENCE_FLOOR = -1e12
 CG_MAX = 100          # Hessian products per Newton direction
+CG_ROUNDING = 1e-14   # projected PCG: r . z below this times r . K^-1 r is rounding
 FORCING_CAP = 0.1     # CG tolerance min(FORCING_CAP, sqrt(stationarity))
 FD_STEP = 1e-6        # central-difference step of f', times max(1, |s|)
 PHI_NOISE = 1e-14     # rounding error of Phi relative to sum_j |u_j| |terms_j|
@@ -175,6 +181,24 @@ def truncated_test_basis(mesh: Mesh, u: DiscreteField, R: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _block_x(mesh: Mesh, spec: NonlinearitySpec):
+    """sl -> the x at which the block evaluators call eval_f/eval_F on the
+    `assembly._blocks` slice sl: its rows of `Mesh.quad_points`, or, when
+    the spec ignores x (`nonlinearity._ignores_x`), the mesh's first
+    quadrature point for every block, so no other point is made."""
+    if _ignores_x(spec):
+        first = mesh.quad_points_of(slice(1))[0, :1]
+        return lambda sl: first
+    return lambda sl: mesh.quad_points[sl].reshape(-1, mesh.ndim)
+
+
+def _at_nodes(value, s: np.ndarray) -> np.ndarray:
+    """An eval_f/eval_F result as floats of the shape of s: a result of
+    shape (1,), from one point against all of s, is broadcast."""
+    value = np.asarray(value, dtype=float)
+    return value if value.shape == s.shape else np.broadcast_to(value, s.shape)
+
+
 def nonlinear_load(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> DualVector:
     """Dual vector with entries int f(x, u(x)) psi_j dx.
 
@@ -183,13 +207,14 @@ def nonlinear_load(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> Dual
     of f along u are rejected, naming the first such node.
     """
     _check_mesh(mesh, u)
+    x_of = _block_x(mesh, spec)
 
     def density(sl, u_q):
-        pts = mesh.quad_points[sl].reshape(-1, mesh.ndim)
-        f_q = np.asarray(eval_f(spec, pts, u_q.reshape(-1)), dtype=float)
+        s = u_q.reshape(-1)
+        f_q = _at_nodes(eval_f(spec, x_of(sl), s), s)
         bad = ~np.isfinite(f_q)
         if np.any(bad):
-            where = pts[np.argmax(bad)]
+            where = mesh.quad_points_of(sl).reshape(-1, mesh.ndim)[np.argmax(bad)]
             raise ValueError(f"f(x, u) is not finite at quadrature point {where}")
         return f_q.reshape(u_q.shape)
 
@@ -208,19 +233,19 @@ def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> 
     and the finite case sums the per-element integrals with `_reduce`.
     """
     _check_mesh(mesh, u)
+    x_of = _block_x(mesh, spec)
     sums = np.empty(mesh.n_elements)
     has_pos = has_neg = False
     for sl, u_q in _quad_blocks(mesh, u.values):
-        w = mesh.quad_weights[sl]
-        pts = mesh.quad_points[sl].reshape(-1, mesh.ndim)
-        F_q = np.asarray(eval_F(spec, pts, u_q.reshape(-1)), dtype=float).reshape(w.shape)
-        active = w > 0.0
-        has_pos |= bool(np.any(np.isposinf(F_q) & active))
-        has_neg |= bool(np.any(np.isneginf(F_q) & active))
-        if (has_pos and has_neg) or np.any(np.isnan(F_q) & active):
+        s = u_q.reshape(-1)
+        F_q = _at_nodes(eval_F(spec, x_of(sl), s), s).reshape(u_q.shape)
+        # every weight is positive (`meshing._finish_mesh`), so every node counts
+        has_pos |= bool(np.any(np.isposinf(F_q)))
+        has_neg |= bool(np.any(np.isneginf(F_q)))
+        if (has_pos and has_neg) or np.any(np.isnan(F_q)):
             return -math.inf
         if not (has_pos or has_neg):
-            np.einsum("eq,eq->e", w, F_q, out=sums[sl])
+            np.einsum("eq,eq->e", mesh.quad_weights[sl], F_q, out=sums[sl])
     if has_pos:
         return math.inf
     if has_neg:
@@ -403,13 +428,13 @@ def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray
 
     u holds the free values.  The step at s is FD_STEP max(1, |s|), and
     the quotient divides by the spacing of the two rounded abscissae.
-    eval_f is called on one `assembly._quad_blocks` block at a time, which
-    bounds the temporaries on large meshes.
+    eval_f is called on one `assembly._quad_blocks` block at a time, at
+    the x of `_block_x`, which bounds the temporaries on large meshes.
     """
+    x_of = _block_x(mesh, spec)
     out = np.empty(mesh.quad_weights.shape)
     for sl, u_q in _quad_blocks(mesh, u):
-        x = mesh.quad_points[sl].reshape(-1, mesh.ndim)
-        s = u_q.reshape(-1)
+        x, s = x_of(sl), u_q.reshape(-1)
         step = FD_STEP * np.maximum(1.0, np.abs(s))
         hi, lo = s + step, s - step
         with np.errstate(over="ignore", invalid="ignore"):
@@ -494,25 +519,30 @@ def _pcg(apply, b: np.ndarray, solve, tol: float, complement_of=None):
     z = K^-1 r - u (u . r) / (u . K u), the K-projection of K^-1 r, since
     u . K (K^-1 r) = u . r.  So every search direction, and d, is
     K-orthogonal to u, with no extra solve and no stored vector.
-    There r tends to a multiple of K u, where z cancels to rounding, so
-    sqrt(r . z) levels off near 4e-8 times b's (16 x 16, p = 3) and tol
-    must stay above that; the eigen descent's forcing term is at least
-    sqrt(`eigen.RESIDUAL_STOP`) = 3e-5.
+    There r tends to a multiple of K u, where z cancels to rounding:
+    r . z = r . K^-1 r - (u . r)^2 / (u . K u) is a difference of two
+    nearly equal terms.  Once r . z falls to CG_ROUNDING r . K^-1 r, near
+    1e-16 times b's on 16 x 16 at p = 3, it is rounding, and iterating on
+    lets the directions leave the complement (from 1e-15 to K-cosine 0.8
+    with u in 20 iterations), so CG stops there as if it had converged.
     Stops when the residual's preconditioned norm sqrt(r . z) falls to tol
-    times b's, after CG_MAX iterations, or at non-positive curvature
-    (Steihaug), and returns (d, Hessian products).  d is None when the
-    curvature fails on the first iteration.
+    times b's or to that floor, after CG_MAX iterations, or at
+    non-positive curvature (Steihaug), and returns (d, Hessian products).
+    d is None when the curvature fails on the first iteration.
     """
     def precondition(r):
+        """z and the rounding floor of r . z (0 without complement_of)."""
         z = solve(r)
-        if complement_of is not None:
-            u, uKu = complement_of
-            z -= (float(np.dot(u, r)) / uKu) * u
-        return z
+        if complement_of is None:
+            return z, 0.0
+        u, uKu = complement_of
+        floor = CG_ROUNDING * float(np.dot(r, z))
+        z -= (float(np.dot(u, r)) / uKu) * u
+        return z, floor
 
     d = np.zeros_like(b)
     r = b.copy()
-    z = precondition(r)
+    z, _ = precondition(r)
     rz = float(np.dot(r, z))
     target = tol * tol * rz
     s = z
@@ -524,9 +554,9 @@ def _pcg(apply, b: np.ndarray, solve, tol: float, complement_of=None):
         alpha = rz / curvature
         d += alpha * s
         r -= alpha * Hs
-        z = precondition(r)
+        z, floor = precondition(r)
         rz_next = float(np.dot(r, z))
-        if rz_next <= target:
+        if rz_next <= max(target, floor):
             return d, k + 1
         s = z + (rz_next / rz) * s
         rz = rz_next

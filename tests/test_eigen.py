@@ -425,6 +425,26 @@ class TestLagrangianNewton:
         uKd = float(mesh.measures @ np.sum(g * g_d, axis=1))
         assert abs(uKd) <= 1e-12 * math.sqrt(uKu * dKd)
 
+    def test_tolerance_below_the_rounding_floor_keeps_the_complement(self):
+        # r . z levels off near 1e-16 times b's here; a tolerance of 1e-8
+        # asks for r . z = 1e-16 b's, below that floor, and without the
+        # CG_ROUNDING stop the iterates left the complement (44 products,
+        # K-cosine -0.79 with u)
+        from plapvar import eigen, solver
+        p = 3.0
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 16, 16)
+        u, g, q = eigen._normalized(mesh, eigen._bubble_start(mesh), p)
+        lam, r, _, _ = eigen._eigen_residual(mesh, u, g, q, p)
+        mass_q = lam * (p - 1.0) * np.abs(q) ** (p - 2.0)
+        apply = pv.assembly._hessian_stencil(mesh, p, g, mass_q)
+        uKu = float(mesh.measures @ np.sum(g * g, axis=1))
+        d, products = solver._pcg(apply, r, solver._poisson_solve(mesh), 1e-8, (u, uKu))
+        assert 1 < products < solver.CG_MAX
+        g_d = pv.assembly._grad(mesh, d)
+        dKd = float(mesh.measures @ np.sum(g_d * g_d, axis=1))
+        uKd = float(mesh.measures @ np.sum(g * g_d, axis=1))
+        assert abs(uKd) <= 1e-8 * math.sqrt(uKu * dKd)
+
 
 class TestScaleCovariance:
     """The stop rule is relative, so the answer does not depend on the domain's size."""

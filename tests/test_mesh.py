@@ -8,7 +8,7 @@ import pytest
 from fem_reference import reference_measures, reference_quad_points
 
 import plapvar as pv
-from plapvar import cli
+from plapvar import assembly, cli
 from plapvar.meshing import _INTERVAL_WEIGHTS, _TRI_WEIGHTS
 
 
@@ -223,6 +223,25 @@ class TestAgainstGatherReference:
         assert same_bits(mesh.quad_weights, np.array(rule)[None, :] * measures[:, None])
         assert same_bits(mesh.quad_points, reference_quad_points(mesh))
 
+    def test_points_of_each_block_bit_for_bit(self, mesh):
+        # every `assembly._blocks` slice: the rectangles' 3922 and 306
+        # elements leave a partial last block; the interval's 4096 fill four
+        # blocks, so a shifted slice past the last element checks the clip
+        reference = reference_quad_points(mesh)
+        for sl in [*assembly._blocks(mesh), slice(5, mesh.n_elements + 9)]:
+            assert same_bits(mesh.quad_points_of(sl), reference[sl])
+        assert "quad_points" not in vars(mesh)
+
+    def test_blocks_inside_a_cell_row_longer_than_a_block(self):
+        # 3 x 700: one cell row holds 1400 elements, more than QUAD_BLOCK, so
+        # blocks start and end inside a row; 4200 elements leave a partial block
+        mesh = pv.build_rectangle_mesh(-0.3, 1.7, 0.25, 9.5, 3, 700)
+        assert 2 * 700 > assembly.QUAD_BLOCK and mesh.n_elements % assembly.QUAD_BLOCK
+        reference = reference_quad_points(mesh)
+        slices = [slice(0, 1), slice(1399, 1401), slice(4199, 5000), slice(7, 7)]
+        for sl in [*assembly._blocks(mesh), *slices]:
+            assert same_bits(mesh.quad_points_of(sl), reference[sl])
+
     def test_grid_lines_are_the_vertex_coordinates(self, mesh):
         lines = mesh.grid_lines()
         grid = np.stack(np.meshgrid(*lines, indexing="ij"), axis=-1)
@@ -270,5 +289,22 @@ class TestQuadPointsOnFirstRead:
         monkeypatch.setattr(cli, "_build_mesh", build)
         cfg = tmp_path / "c.cfg"
         cfg.write_text("pipeline = eigen\ndomain = rectangle\nnx = 12\nny = 10\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
+        assert len(built) == 1 and "quad_points" not in vars(built[0])
+
+    def test_autonomous_solve_pipeline_makes_no_points(self, tmp_path, monkeypatch):
+        # power_perturbation ignores x, and the density h is loaded block by block
+        built = []
+
+        def build(cfg):
+            built.append(build_mesh(cfg))
+            return built[-1]
+
+        build_mesh = cli._build_mesh
+        monkeypatch.setattr(cli, "_build_mesh", build)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("pipeline = solve\ndomain = rectangle\nnx = 12\nny = 10\np = 2.5\n"
+                       "nonlinearity = power_perturbation\nnonlinearity.beta = 2.0\n"
+                       "h = density: 0.2*sin(pi*x)*sin(pi*y)\n")
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert len(built) == 1 and "quad_points" not in vars(built[0])

@@ -1,6 +1,7 @@
 """Energy minimization, truncation machinery, and solution certification."""
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 
@@ -497,31 +498,43 @@ class TestHessian:
 
     def test_blocked_derivative_is_bit_identical(self, monkeypatch):
         # f' is evaluated on the `assembly._quad_blocks` blocks; 48 x 48 has
-        # 4608 elements, four full blocks and a partial one
+        # 4608 elements, four full blocks and a partial one.  A spec that
+        # reads x gets each block's points; the autonomous power_perturbation
+        # ignores x and gets the mesh's first quadrature point for every block
         mesh = _square(48)
         assert mesh.n_elements % assembly.QUAD_BLOCK
         nq = mesh.quad_weights.shape[1]
-        spec = pv.power_perturbation(LAM, 1.75, 2.5)
         x = mesh.free_coordinates()
         u = 3.0 * np.sin(np.pi * x[:, 0]) * np.sin(2 * np.pi * x[:, 1])
-        sizes = []
+        calls = []
         real_eval_f = solver.eval_f
 
         def counting(spec_, pts, s):
-            assert np.shape(pts)[0] == np.size(s)
-            sizes.append(np.size(s))
+            calls.append((np.array(pts), np.size(s)))
             return real_eval_f(spec_, pts, s)
 
         monkeypatch.setattr(solver, "eval_f", counting)
-        blocked = solver._df_at_quad(mesh, spec, u)
-        assert len(sizes) == 2 * math.ceil(mesh.n_elements / assembly.QUAD_BLOCK)
-        assert max(sizes) == assembly.QUAD_BLOCK * nq
-        monkeypatch.setattr(assembly, "QUAD_BLOCK", mesh.n_elements)
-        whole = solver._df_at_quad(mesh, spec, u)
-        monkeypatch.setattr(assembly, "QUAD_BLOCK", 7)
-        tiny = solver._df_at_quad(mesh, spec, u)
-        assert np.array_equal(blocked, whole) and np.array_equal(tiny, whole)
-        assert blocked.shape == mesh.quad_weights.shape
+        block = assembly.QUAD_BLOCK
+        for name in ("points", "power"):
+            monkeypatch.setattr(assembly, "QUAD_BLOCK", block)
+            spec = _BLOCK_SPECS[name]()
+            calls.clear()
+            blocked = solver._df_at_quad(mesh, spec, u)
+            assert len(calls) == 2 * math.ceil(mesh.n_elements / assembly.QUAD_BLOCK)
+            sizes = [size for _, size in calls]
+            assert max(sizes) == assembly.QUAD_BLOCK * nq
+            assert sum(sizes) == 2 * mesh.quad_weights.size
+            if name == "points":
+                assert all(len(pts) == size for pts, size in calls)
+            else:
+                first = mesh.quad_points_of(slice(1))[0, :1]
+                assert all(np.array_equal(pts, first) for pts, _ in calls)
+            monkeypatch.setattr(assembly, "QUAD_BLOCK", mesh.n_elements)
+            whole = solver._df_at_quad(mesh, spec, u)
+            monkeypatch.setattr(assembly, "QUAD_BLOCK", 7)
+            tiny = solver._df_at_quad(mesh, spec, u)
+            assert np.array_equal(blocked, whole) and np.array_equal(tiny, whole)
+            assert blocked.shape == mesh.quad_weights.shape
 
 
 # meshes whose element counts (480, 4096, 32768) leave a partial last block
@@ -653,3 +666,57 @@ class TestBlockPass:
             finally:
                 tracemalloc.stop()
             assert peak < limit
+
+
+class TestOnePointForAutonomousSpecs:
+    """A spec that ignores x is evaluated at the mesh's first quadrature point."""
+
+    @staticmethod
+    def _spec(autonomous, F=lambda x, s: 2.0 * s):
+        # f returns one value per row of x: (1,) at one point
+        return pv.NonlinearitySpec("row_constant", f=lambda x, s: np.full(len(x), 2.0),
+                                   F=F, autonomous=autonomous)
+
+    def test_one_value_is_broadcast(self):
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 2.0, 40, 30)
+        u = pv.make_field(mesh, _smooth(mesh))
+
+        def flat_F(x, s):
+            return np.full(len(x), 0.5)
+
+        one = self._spec(True, flat_F)
+        assert np.shape(one.f(mesh.quad_points_of(slice(1))[0, :1], 0.0)) == (1,)
+        load = solver.nonlinear_load(mesh, u, one).values
+        potential = solver.potential_integral(mesh, u, one)
+        df = solver._df_at_quad(mesh, one, u.values)
+        assert "quad_points" not in vars(mesh)
+        every = self._spec(False, flat_F)
+        assert np.array_equal(load, solver.nonlinear_load(mesh, u, every).values)
+        assert np.array_equal(load, pv.load_vector(mesh, 2.0).values)
+        assert potential == solver.potential_integral(mesh, u, every)
+        assert np.array_equal(df, np.zeros(mesh.quad_weights.shape))
+
+    def test_solve_matches_the_spec_that_reads_x(self):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64)
+        h = pv.zero_dual(mesh)
+        one = pv.minimize_phi(mesh, self._spec(True), h, 2.5)
+        every = pv.minimize_phi(mesh, self._spec(False), h, 2.5)
+        assert one.converged and one.phi == every.phi
+        assert np.array_equal(one.u.values, every.u.values)
+
+
+def test_spatial_sine_exp_solve_keeps_its_bits():
+    # a weight that reads x: every block's points enter f, F and f', and
+    # any change in how they are made shows in these bits
+    mesh = pv.build_rectangle_mesh(0.0, 1.0, -0.5, 0.5, 24, 20)
+    spec = pv.sine_exp(lambda x: 1.0 + x[:, 0] ** 2)
+    h = pv.load_vector(mesh, lambda x: 3.0 * np.cos(np.pi * x[:, 1]))
+    res = pv.minimize_phi(mesh, spec, h, 2.5)
+    assert (res.stop_reason, res.iterations, res.trials, res.cg_iterations) == (
+        "stationarity", 6, 6, 17)
+    assert res.phi.hex() == "-0x1.c099aa091bff3p-4"
+    assert hashlib.sha256(res.u.values.tobytes()).hexdigest() == (
+        "7d43fd23bd9d1ed019c97cb4dcf03d1dadad0401cbc3774041e1b2e95cd392e7")
+    rep = pv.verify_weak_solution(mesh, res.u, spec, h, 2.5)
+    assert rep.max_relative.hex() == "0x1.ccfa85684b1d1p-30"
+    assert rep.lambda_u.hex() == "0x1.97029c3e3653fp-7"
