@@ -43,11 +43,12 @@ f, F and f') or reduces each block (the eigen line search) never holds
 an (ne, nq) temporary.  `_load` is the one load: it turns a density
 given block by block into a dual vector, writing each block's element
 contributions into one (ne, ndim+1) array that is scattered once;
-`load_vector`, `quad_load`, `_lp_load` and the energy descent's f load
-call it.  `load_vector` evaluates a user's density on the quadrature
-points of one block at a time, made by `Mesh.quad_points_of` and not
-kept, so no pipeline makes the whole-mesh `Mesh.quad_points` for its
-load.
+`quad_load` and `_lp_load` call it, and `load_vector` and the energy
+descent's f load call it through `_finite_load`, which names the first
+node of a non-finite density.  `load_vector` evaluates a density on the
+quadrature points of one block at a time, made by `Mesh.quad_points_of`
+and not kept, so no pipeline makes the whole-mesh `Mesh.quad_points` for
+its load; the x of f, F and G is `nonlinearity._quad_x`.
 """
 
 from __future__ import annotations
@@ -389,6 +390,19 @@ def _load(mesh: Mesh, densities) -> np.ndarray:
     return _scatter(mesh, contrib)
 
 
+def _finite_load(mesh: Mesh, densities, what: str) -> np.ndarray:
+    """`_load` of (sl, g) pairs after checking that each g is finite; the
+    first node where it is not is named in a ValueError about `what`."""
+    def checked(sl, g):
+        bad = ~np.isfinite(g)
+        if np.any(bad):
+            where = mesh.quad_points_of(sl).reshape(-1, mesh.ndim)[np.argmax(bad)]
+            raise ValueError(f"{what} is not finite at quadrature point {where}")
+        return sl, g
+
+    return _load(mesh, (checked(sl, g) for sl, g in densities))
+
+
 def sup_norm(mesh: Mesh, u: DiscreteField) -> float:
     """max |u| over the mesh; for P1 fields this is the nodal max."""
     _check_mesh(mesh, u)
@@ -506,25 +520,18 @@ def load_vector(mesh: Mesh, g) -> DualVector:
     dropped after the block, so its temporaries are block sized and
     `Mesh.quad_points` is never made; a constant never reads a point.
     Non-finite values of g at quadrature points are rejected with the
-    first offending point named.
+    first offending point named (`_finite_load`).
     """
     if not callable(g):
         c = float(g)
-        if not math.isfinite(c):
-            raise ValueError(f"load density is not finite at quadrature point "
-                             f"{mesh.quad_points_of(slice(1))[0, 0]}")
-        return DualVector(mesh, _load(mesh, ((sl, c) for sl in _blocks(mesh))))
-
-    def density(sl):
-        pts = mesh.quad_points_of(sl).reshape(-1, mesh.ndim)
-        gv = np.broadcast_to(np.asarray(g(pts), dtype=float), (pts.shape[0],))
-        bad = ~np.isfinite(gv)
-        if np.any(bad):
-            where = pts[np.argmax(bad)]
-            raise ValueError(f"load density is not finite at quadrature point {where}")
-        return gv.reshape(-1, mesh.quad_weights.shape[1])
-
-    return DualVector(mesh, _load(mesh, ((sl, density(sl)) for sl in _blocks(mesh))))
+        densities = ((sl, c) for sl in _blocks(mesh))
+    else:
+        def density(sl):
+            pts = mesh.quad_points_of(sl).reshape(-1, mesh.ndim)
+            gv = np.broadcast_to(np.asarray(g(pts), dtype=float), (pts.shape[0],))
+            return gv.reshape(-1, mesh.quad_weights.shape[1])
+        densities = ((sl, density(sl)) for sl in _blocks(mesh))
+    return DualVector(mesh, _finite_load(mesh, densities, "load density"))
 
 
 def quad_load(mesh: Mesh, density_q) -> DualVector:

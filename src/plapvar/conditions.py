@@ -19,8 +19,8 @@ tail levels K//2..K only, and builds all three reports from those
 samples; K is the requested depth, lowered to the deepest level at
 which every normalizer is finite.  Each spatial weight is evaluated
 once per point set, not once per sample of s, and f and G once per
-distinct value of the spec's coefficient (`_distinct`), not once per
-point.
+distinct value of the spec's coefficient (`_quad_coefficient`), not
+once per point.
 "a.e." and "positive measure" are read through quadrature weight: a
 set matters when it carries more than 1e-6 of the total weight.
 Strict inequalities require a 1e-9 margin; non-strict comparisons
@@ -50,7 +50,7 @@ from .nonlinearity import (
     SpatialWeight,
     _f_at,
     _G_at,
-    _ignores_x,
+    _quad_x,
     _spatial,
 )
 
@@ -218,40 +218,32 @@ def _finite_depth(denoms, levels: int) -> int:
     return depth
 
 
-def _distinct(spec: NonlinearitySpec, c):
-    """The distinct entries of c = _spatial(spec, points) and the inverse map.
+def _quad_coefficient(spec: NonlinearitySpec, mesh: Mesh):
+    """The distinct entries of c = _spatial(spec, x) at the x of
+    `nonlinearity._quad_x` on the mesh, and the inverse map from the
+    quadrature nodes to them.
 
     f, F and G see x only through c, so evaluating them on the distinct
     entries and indexing the results with the inverse gives their values
-    at every point.  A spec that ignores x (`nonlinearity._ignores_x`: an
-    autonomous spec with no declared coefficient) keeps the first entry.
-    Otherwise entries (rows of the (m, ndim) points) merge only when their
-    float64 bit patterns agree, so 0.0 and -0.0 stay apart, as do NaNs,
-    and every mapped-back value is bit for bit the one the full c gives.
+    at every node.  An autonomous spec has one entry, at the first
+    quadrature point, and sorts nothing.  Otherwise entries (rows of the
+    (m, ndim) points) merge only when their float64 bit patterns agree,
+    so 0.0 and -0.0 stay apart, as do NaNs, and every mapped-back value
+    is bit for bit the one the full c gives.
     """
-    c = np.ascontiguousarray(c, dtype=float)
-    if _ignores_x(spec):
-        return c[:1], np.zeros(len(c), dtype=np.intp)
+    c = np.ascontiguousarray(_spatial(spec, _quad_x(spec, mesh)), dtype=float)
+    if spec.autonomous:
+        return c, np.zeros(mesh.quad_weights.size, dtype=np.intp)
     _, index, inverse = np.unique(c.view(np.uint64), axis=0, return_index=True,
                                   return_inverse=True)
     return c[index], inverse.reshape(-1)
-
-
-def _quad_coefficient(spec: NonlinearitySpec, mesh: Mesh):
-    """`_distinct` of c = _spatial(spec, points) at the mesh's quadrature
-    points.  A spec that ignores x gets the first point alone, the entry
-    `_distinct` keeps, without `Mesh.quad_points` being made."""
-    if _ignores_x(spec):
-        return mesh.quad_points_of(slice(1))[0, :1], np.zeros(mesh.quad_weights.size,
-                                                               dtype=np.intp)
-    return _distinct(spec, _spatial(spec, mesh.quad_points_flat()))
 
 
 def _tail_limsups(spec: NonlinearitySpec, c, denoms, direction: int,
                   lambda1: float, p: float, levels: int):
     """Per-point limsup of G(x, s)/denom(|s|) for each denom, in one pass.
 
-    c is _spatial(spec, points), or its distinct entries (`_distinct`),
+    c is _spatial(spec, points), or its distinct entries (`_quad_coefficient`),
     evaluated once by the caller for both directions.  Each denom maps
     |s| to a positive scalar (|s|^p, phi(|s|), or |s|).  G is evaluated
     once per level and only on the tail levels K//2..K that the tail
@@ -347,7 +339,7 @@ def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
     The sup is a maximum over F0_SAMPLES equispaced s in [-R, R], taken
     in blocks.  The spec's spatial coefficient is evaluated once per
     mesh, before the blocks, and f takes its values (see
-    `nonlinearity._spatial`), once per distinct value (`_distinct`): each
+    `nonlinearity._spatial`), once per distinct value (`_quad_coefficient`): each
     evaluation of f gets a column of s values and fills a (samples x
     distinct values) block of at most F0_BLOCK_BYTES.  The envelope is
     mapped back to the quadrature points before the weighted sum.
@@ -649,8 +641,8 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     R = F0_RADIUS, and is shared by the three reports.  The spec's
     spatial coefficient is evaluated once at the quadrature points and
     serves both directions and the domination candidates; G is sampled
-    once per distinct coefficient value (`_distinct`), at one point for a
-    spec that ignores x (`_quad_coefficient`).  The grid stops at the
+    once per distinct coefficient value, at one point for an autonomous
+    spec (`_quad_coefficient`).  The grid stops at the
     deepest level at which all three normalizers are finite
     (`_finite_depth`); the tail verdicts record it as "levels_used".  phi defaults to the
     entry's declared comparison function, else |s|^((1 + p)/2).  Returns

@@ -12,10 +12,10 @@ the mesh holds only what the grid cannot give cheaply:
 - the quadrature points are made from the grid lines (`Mesh.grid_lines`)
   by `Mesh.quad_points_of`, for any slice of elements; a block of
   elements costs only its own cell rows.  `Mesh.quad_points` keeps all
-  of them once read, for the hypothesis checkers and for an f that reads
-  x.  The eigen problem reads no point, a density load makes one block at
-  a time, and an f that ignores x gets one point, so neither the eigen
-  nor an autonomous solve pipeline ever holds the whole array;
+  of them once read, for the hypothesis checkers and for a spec that is
+  not autonomous.  The eigen problem reads no point, a density load makes
+  one block at a time, and an autonomous spec gets one point, so neither
+  the eigen nor an autonomous solve pipeline ever holds the whole array;
 - no basis gradient is stored: the P1 gradient operator D is a pair of
   grid difference stencils (`assembly._grad`, `assembly._grad_T`).
 All arrays the mesh keeps are frozen (non-writeable) once made.
@@ -28,6 +28,7 @@ of freedom and the piecewise-linear space is nested under bisection.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -184,8 +185,8 @@ class Mesh:
 
 def _finish_mesh(ndim, vertices, elements, free, measures,
                  qw, basis_at_quad, structure) -> Mesh:
-    if np.any(measures <= 0.0):
-        raise ValueError("mesh has a non-positive element measure")
+    if np.any(measures <= 0.0) or np.any(np.isnan(measures)):
+        raise ValueError("mesh has an element measure that is not positive")
     return Mesh(
         ndim=ndim,
         vertices=_freeze(vertices),
@@ -201,8 +202,9 @@ def _finish_mesh(ndim, vertices, elements, free, measures,
 
 def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
     """Uniform mesh of (a, b) with n elements and n - 1 free vertices."""
-    if not (a < b):
-        raise ValueError(f"interval requires a < b, got a={a}, b={b}")
+    # an infinite bound, or a length b - a that overflows, has no finite steps
+    if not (a < b and math.isfinite(float(b) - float(a))):
+        raise ValueError(f"interval requires a < b, finite bounds and steps, got a={a}, b={b}")
     if n < 2:
         raise ValueError(f"interval mesh needs at least 2 elements, got n={n}")
     xs = np.linspace(a, b, n + 1)
@@ -228,9 +230,11 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
     vertices.  All diagonals are parallel, so bisecting nx and ny yields
     a nested refinement.
     """
-    if not (ax < bx and ay < by):
-        raise ValueError(f"rectangle requires ax < bx and ay < by, got "
-                         f"({ax}, {bx}) x ({ay}, {by})")
+    # a finite area bounds both lengths, every step and every cell's area
+    if not (ax < bx and ay < by and math.isfinite((float(bx) - float(ax))
+                                                  * (float(by) - float(ay)))):
+        raise ValueError(f"rectangle requires ax < bx and ay < by, finite bounds, steps "
+                         f"and area, got ({ax}, {bx}) x ({ay}, {by})")
     if nx < 2 or ny < 2:
         raise ValueError(f"rectangle mesh needs nx, ny >= 2, got nx={nx}, ny={ny}")
     xs = np.linspace(ax, bx, nx + 1)

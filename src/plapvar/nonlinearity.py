@@ -25,15 +25,20 @@ that evaluates f at many s on one point set evaluates the weight once
 call).  A spec with no declared coefficient, a user's
 NonlinearitySpec(f=lambda x, s: ...) included, receives the (m, ndim)
 points.  The hypothesis checkers pass only the distinct entries of that
-first argument (`conditions._distinct`), so f/F/G must act on it entry
-by entry (row by row for points).  An autonomous spec with no declared
-coefficient ignores x (`_ignores_x`): every caller, the checkers and the
-energy descent alike, passes it the mesh's first quadrature point alone,
-shape (1, ndim), against all its s, and broadcasts a result of shape
-(1,) to the shape of s.  s may be a scalar or a (k, 1) column of samples
-(check_f0 passes blocks of s against the distinct values that way), so
-f/F/G must broadcast it against the (n,) values into a (k, n) result; a
-result that ignores x or s may keep the shape of the other.
+first argument (`conditions._quad_coefficient`), so f/F/G must act on it
+entry by entry (row by row for points).
+
+One rule chooses the x that f/F/G see on a mesh (`_quad_x`): an
+autonomous spec, one whose f/F/G ignore x, gets the mesh's first
+quadrature point alone, shape (1, ndim), against all its s, and every
+caller broadcasts a result of shape (1,) to the shape of s; any other
+spec gets every quadrature point.  s may be a scalar or a (k, 1) column
+of samples (check_f0 passes blocks of s against the distinct values that
+way), so f/F/G must broadcast it against the (n,) values into a (k, n)
+result; a result that ignores x or s may keep the shape of the other.
+f/F/G are called with IEEE overflow, division by zero and invalid
+operations silenced (`_call`), so a divergent value is +-inf or nan,
+never a warning.
 """
 
 from __future__ import annotations
@@ -100,8 +105,8 @@ def _odd_power(s, q):
 
 def _as_phi(phi):
     if not callable(phi) or not hasattr(phi, "order") \
-            or not hasattr(phi, "derivative"):
-        raise TypeError("phi must expose __call__, `derivative` and `order`")
+            or not callable(getattr(phi, "derivative", None)):
+        raise TypeError("phi must expose __call__, a callable `derivative` and `order`")
     return phi
 
 
@@ -115,7 +120,7 @@ class NonlinearitySpec:
     G: Optional[Callable] = None
     p: Optional[float] = None
     lambda1: Optional[float] = None
-    autonomous: bool = False
+    autonomous: bool = False  # f/F/G ignore x (`_quad_x`)
     params: dict = field(default_factory=dict)
     coefficient: Optional[str] = None  # params key of the weight f/F/G take
 
@@ -130,32 +135,32 @@ def _spatial(spec: NonlinearitySpec, x):
         return spec.params[spec.coefficient](x)
 
 
-def _ignores_x(spec: NonlinearitySpec) -> bool:
-    """Whether f/F/G ignore x: the spec is autonomous and declares no
-    coefficient.  Callers then evaluate them at one point, the mesh's first
-    quadrature point, and make no other."""
-    return spec.autonomous and spec.coefficient is None
+def _quad_x(spec: NonlinearitySpec, mesh) -> np.ndarray:
+    """The x at which f/F/G are evaluated on the mesh's quadrature nodes:
+    the first quadrature point, shape (1, ndim), for an autonomous spec,
+    so that no other point is made, and `Mesh.quad_points` flattened to
+    (ne * nq, ndim) otherwise."""
+    if spec.autonomous:
+        return mesh.quad_points_of(slice(1))[0, :1]
+    return mesh.quad_points_flat()
+
+
+def _call(fn, c, s):
+    """fn(c, s) as an array, for f/F/G with first argument c = _spatial(spec, x)."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.asarray(fn(c, np.asarray(s, dtype=float)))
 
 
 def _f_at(spec: NonlinearitySpec, c, s):
     """f with its first argument c = _spatial(spec, x) already evaluated."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.asarray(spec.f(c, np.asarray(s, dtype=float)))
-
-
-def _F_at(spec: NonlinearitySpec, c, s):
-    """F with its first argument c = _spatial(spec, x) already evaluated."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.asarray(spec.F(c, np.asarray(s, dtype=float)))
+    return _call(spec.f, c, s)
 
 
 def _G_at(spec: NonlinearitySpec, c, s, lam: float, p: float):
     """G at lambda1 = lam and p, with c = _spatial(spec, x) already evaluated."""
-    s = np.asarray(s, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if spec.G is not None and lam == spec.lambda1 and p == spec.p:
-            return np.asarray(spec.G(c, s))
-        return _F_at(spec, c, s) - lam * np.abs(s) ** p / p
+    if spec.G is not None and lam == spec.lambda1 and p == spec.p:
+        return _call(spec.G, c, s)
+    return _call(lambda c, s: spec.F(c, s) - lam * np.abs(s) ** p / p, c, s)
 
 
 def eval_f(spec: NonlinearitySpec, x, s):
@@ -165,7 +170,7 @@ def eval_f(spec: NonlinearitySpec, x, s):
 
 def eval_F(spec: NonlinearitySpec, x, s):
     """F(x, s) from the spec's closed form; broadcasts like eval_f."""
-    return _F_at(spec, _spatial(spec, x), s)
+    return _call(spec.F, _spatial(spec, x), s)
 
 
 def eval_G(spec: NonlinearitySpec, x, s, lambda1: float | None = None,

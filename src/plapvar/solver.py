@@ -56,18 +56,18 @@ and the descent stalls.
 
 The user's f, F and f' carry no growth condition, so the descent
 evaluates them at every quadrature node on every step and trial, and
-f' once per step.  `nonlinear_load`, `potential_integral`, `_df_at_quad`
-and the stencil's mass entries therefore walk the elements in blocks of
-`assembly.QUAD_BLOCK` (`assembly._quad_blocks`), calling `eval_f` or
-`eval_F` once per block, so no (ne, nq) temporary is made per call.  The
-x they pass (`_block_x`) is the block's rows of `Mesh.quad_points`, or,
-for a spec that ignores x (`nonlinearity._ignores_x`: autonomous, with
-no declared coefficient, as every bench solve's `power_perturbation`),
-the mesh's first quadrature point, against which s broadcasts; such a
-descent never makes the whole point array.  The load goes through the
-one blocked load (`assembly._load`), as `quad_load` does;
-`potential_integral` sums per-element integrals, so Phi may differ from
-a flat sum over the nodes in its last bits.
+f' once per step.  `nonlinear_load`, `potential_integral` and
+`_df_at_quad` (and so the stencil's mass entries) read them from one
+generator, `_at_quad`, which walks the elements in blocks of
+`assembly.QUAD_BLOCK` (`assembly._quad_blocks`) and calls `eval_f`,
+`eval_F` or `_central_difference` once per block, so no (ne, nq)
+temporary is made per call.  The x it passes is the block's rows of
+`nonlinearity._quad_x`: for an autonomous spec, as every bench solve's
+`power_perturbation`, the mesh's first quadrature point, against which
+s broadcasts, so such a descent never makes the whole point array.  The
+f load goes through the one finite-checked load (`assembly._finite_load`),
+as `load_vector` does; `potential_integral` sums per-element integrals,
+so Phi may differ from a flat sum over the nodes in its last bits.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ from .assembly import (
     DualVector,
     _check_mesh,
     _check_p,
+    _finite_load,
     _hat_norm,
     _hessian_stencil,
-    _load,
     _pad,
     _quad_blocks,
     _reduce,
@@ -98,7 +98,7 @@ from .assembly import (
     zero_field,
 )
 from .meshing import Mesh
-from .nonlinearity import NonlinearitySpec, _ignores_x, eval_F, eval_f
+from .nonlinearity import NonlinearitySpec, _quad_x, eval_F, eval_f
 
 __all__ = [
     "SolveResult",
@@ -181,45 +181,31 @@ def truncated_test_basis(mesh: Mesh, u: DiscreteField, R: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _block_x(mesh: Mesh, spec: NonlinearitySpec):
-    """sl -> the x at which the block evaluators call eval_f/eval_F on the
-    `assembly._blocks` slice sl: its rows of `Mesh.quad_points`, or, when
-    the spec ignores x (`nonlinearity._ignores_x`), the mesh's first
-    quadrature point for every block, so no other point is made."""
-    if _ignores_x(spec):
-        first = mesh.quad_points_of(slice(1))[0, :1]
-        return lambda sl: first
-    return lambda sl: mesh.quad_points[sl].reshape(-1, mesh.ndim)
-
-
-def _at_nodes(value, s: np.ndarray) -> np.ndarray:
-    """An eval_f/eval_F result as floats of the shape of s: a result of
-    shape (1,), from one point against all of s, is broadcast."""
-    value = np.asarray(value, dtype=float)
-    return value if value.shape == s.shape else np.broadcast_to(value, s.shape)
+def _at_quad(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray, evaluate):
+    """Yield (sl, v) for each `assembly._quad_blocks` block sl of the field
+    with free values u: v = evaluate(spec, x, s) as floats of shape
+    (len, nq), for s the field at the block's nodes and x their rows of
+    `nonlinearity._quad_x`.  An autonomous spec's one row is passed for
+    every block; s broadcasts against it, and a result of shape (1,) is
+    broadcast to the block."""
+    x, nq = _quad_x(spec, mesh), mesh.quad_weights.shape[1]
+    for sl, u_q in _quad_blocks(mesh, u):
+        s = u_q.reshape(-1)
+        xb = x if len(x) == 1 else x[sl.start * nq:sl.stop * nq]
+        v = np.asarray(evaluate(spec, xb, s), dtype=float)
+        yield sl, (v if v.shape == s.shape else np.broadcast_to(v, s.shape)).reshape(u_q.shape)
 
 
 def nonlinear_load(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> DualVector:
     """Dual vector with entries int f(x, u(x)) psi_j dx.
 
     Uses the mesh quadrature rule with u evaluated at the rule nodes, one
-    element block at a time (`assembly._load`); non-finite values
+    element block at a time (`assembly._finite_load`); non-finite values
     of f along u are rejected, naming the first such node.
     """
     _check_mesh(mesh, u)
-    x_of = _block_x(mesh, spec)
-
-    def density(sl, u_q):
-        s = u_q.reshape(-1)
-        f_q = _at_nodes(eval_f(spec, x_of(sl), s), s)
-        bad = ~np.isfinite(f_q)
-        if np.any(bad):
-            where = mesh.quad_points_of(sl).reshape(-1, mesh.ndim)[np.argmax(bad)]
-            raise ValueError(f"f(x, u) is not finite at quadrature point {where}")
-        return f_q.reshape(u_q.shape)
-
-    return DualVector(mesh, _load(mesh, ((sl, density(sl, u_q))
-                                         for sl, u_q in _quad_blocks(mesh, u.values))))
+    return DualVector(mesh, _finite_load(mesh, _at_quad(mesh, spec, u.values, eval_f),
+                                         "f(x, u)"))
 
 
 def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> float:
@@ -229,16 +215,13 @@ def potential_integral(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec) -> 
     If both signs occur (or a density is NaN), the integral is reported
     as -inf, which makes Phi = ... - int F equal +inf: points where the
     potential is genuinely undefined are infeasible for minimization.
-    F is evaluated one element block at a time (`assembly._quad_blocks`),
-    and the finite case sums the per-element integrals with `_reduce`.
+    F is evaluated one element block at a time (`_at_quad`), and the
+    finite case sums the per-element integrals with `_reduce`.
     """
     _check_mesh(mesh, u)
-    x_of = _block_x(mesh, spec)
     sums = np.empty(mesh.n_elements)
     has_pos = has_neg = False
-    for sl, u_q in _quad_blocks(mesh, u.values):
-        s = u_q.reshape(-1)
-        F_q = _at_nodes(eval_F(spec, x_of(sl), s), s).reshape(u_q.shape)
+    for sl, F_q in _at_quad(mesh, spec, u.values, eval_F):
         # every weight is positive (`meshing._finish_mesh`), so every node counts
         has_pos |= bool(np.any(np.isposinf(F_q)))
         has_neg |= bool(np.any(np.isneginf(F_q)))
@@ -279,14 +262,15 @@ def _residual_norms(t1, t2, t3=0.0):
     """(r, max_abs, scale, max_relative) of the residual r = t1 - t2 - t3.
 
     scale is the largest term magnitude max_j (|t1_j| + |t2_j| + |t3_j|);
-    max_relative = max_abs / scale is 0 when every term vanishes.
+    max_relative = max_abs / scale is 0 when every term vanishes and NaN
+    when a term is NaN, so no stop test below a tolerance passes on it.
     """
     r = t1 - t2 - t3
     if not r.size:
         return r, 0.0, 0.0, 0.0
     max_abs = float(np.max(np.abs(r)))
     scale = float(np.max(np.abs(t1) + np.abs(t2) + np.abs(t3)))
-    return r, max_abs, scale, max_abs / scale if scale > 0.0 else 0.0
+    return r, max_abs, scale, 0.0 if scale == 0.0 else max_abs / scale
 
 
 def phi_gradient(mesh: Mesh, u: DiscreteField, spec: NonlinearitySpec,
@@ -423,23 +407,21 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
                        backtracks, trials, cg_iterations, tuple(history))
 
 
-def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
-    """f'(x, u) at the quadrature nodes, shape (ne, nq), by central differences.
+def _central_difference(spec: NonlinearitySpec, x, s):
+    """f'(x, s) by central differences: the step at s is FD_STEP max(1, |s|),
+    and the quotient divides by the spacing of the two rounded abscissae."""
+    step = FD_STEP * np.maximum(1.0, np.abs(s))
+    hi, lo = s + step, s - step
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (eval_f(spec, x, hi) - eval_f(spec, x, lo)) / (hi - lo)
 
-    u holds the free values.  The step at s is FD_STEP max(1, |s|), and
-    the quotient divides by the spacing of the two rounded abscissae.
-    eval_f is called on one `assembly._quad_blocks` block at a time, at
-    the x of `_block_x`, which bounds the temporaries on large meshes.
-    """
-    x_of = _block_x(mesh, spec)
+
+def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
+    """f'(x, u) at the quadrature nodes, shape (ne, nq), from the free
+    values u, by `_central_difference` on the `_at_quad` blocks."""
     out = np.empty(mesh.quad_weights.shape)
-    for sl, u_q in _quad_blocks(mesh, u):
-        x, s = x_of(sl), u_q.reshape(-1)
-        step = FD_STEP * np.maximum(1.0, np.abs(s))
-        hi, lo = s + step, s - step
-        with np.errstate(over="ignore", invalid="ignore"):
-            df = (eval_f(spec, x, hi) - eval_f(spec, x, lo)) / (hi - lo)
-        out[sl] = df.reshape(u_q.shape)
+    for sl, df in _at_quad(mesh, spec, u, _central_difference):
+        out[sl] = df
     return out
 
 

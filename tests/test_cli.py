@@ -226,6 +226,14 @@ class TestMainPipelines:
         assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
         assert "unbounded" in capsys.readouterr().err
 
+    def test_overflowing_interval_is_exit_one(self, tmp_path, capsys):
+        # both bounds are finite, so the config is valid, but b - a overflows
+        cfg = write(tmp_path, "c.cfg", "pipeline = eigen\na = -1e308\nb = 1e308\nn = 16\n")
+        assert main(["check-config", cfg]) == 0
+        capsys.readouterr()
+        assert main(["run", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 1
+        assert "finite bounds and steps" in capsys.readouterr().err
+
     def test_check_config_echoes_resolved_form(self, tmp_path, capsys):
         cfg = write(tmp_path, "c.cfg", "p = 2.5\nn = 100\n")
         assert main(["check-config", cfg]) == 0

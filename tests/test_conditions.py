@@ -1,13 +1,15 @@
 """Hypothesis checkers: limsup estimation, growth, envelopes, theorems."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
 import plapvar as pv
-from plapvar import HOLDS, FAILS, INCONCLUSIVE, conditions
+from plapvar import HOLDS, FAILS, INCONCLUSIVE, conditions, explain
 
 LAM = math.pi**2
 
@@ -276,7 +278,7 @@ class TestBlockedF0:
         spec = _f0_specs(mesh)[-1]
         assert spec.name == "s_blind"
         pts = mesh.quad_points_flat()
-        distinct, inverse = conditions._distinct(spec, conditions._spatial(spec, pts))
+        distinct, inverse = conditions._quad_coefficient(spec, mesh)
         assert distinct.shape == pts.shape
         assert np.array_equal(distinct[inverse], pts)
         assert math.isclose(conditions._f0_value(spec, 10.0, mesh), 1.5, rel_tol=1e-12)
@@ -335,7 +337,7 @@ class TestDistinctCoefficients:
                      pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)):
             spec = _mixed_spec()
             c = conditions._spatial(spec, mesh.quad_points_flat())
-            distinct, inverse = conditions._distinct(spec, c)
+            distinct, inverse = conditions._quad_coefficient(spec, mesh)
             assert len(distinct) == 6  # 0.0, -0.0, 1.5, -2.0 and NaN of either sign
             assert distinct[inverse].tobytes() == c.tobytes()
             value = conditions._f0_value(spec, 10.0, mesh)
@@ -398,6 +400,38 @@ class TestDistinctCoefficients:
         pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0, levels=40)
         assert {kind for kind, _ in shapes} == {"f", "G"}
         assert {shape for _, shape in shapes} == {(1, 1)}
+
+
+    def test_autonomous_weighted_spec_needs_one_point(self, monkeypatch):
+        # sine_exp(1.0) declares the constant weight d and is autonomous: its
+        # f and G take d at the first quadrature point, and the reports keep
+        # the bits of the weight read at every point
+        shapes = []
+        f_at, G_at = conditions._f_at, conditions._G_at
+
+        def recording_f_at(spec, c, s):
+            shapes.append(("f", np.shape(c)))
+            return f_at(spec, c, s)
+
+        def recording_G_at(spec, c, s, lam, p):
+            shapes.append(("G", np.shape(c)))
+            return G_at(spec, c, s, lam, p)
+
+        monkeypatch.setattr(conditions, "_f_at", recording_f_at)
+        monkeypatch.setattr(conditions, "_G_at", recording_G_at)
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, -0.5, 0.5, 24, 20)
+        eig = pv.first_eigenpair(mesh, 2.5)
+        assert eig.lambda1.hex() == "0x1.21b6ebd0984b6p+5"
+        reports = pv.check_theorems(pv.sine_exp(1.0), eig, pv.zero_dual(mesh), mesh, 2.5)
+        assert "quad_points" not in vars(mesh)
+        assert {kind for kind, _ in shapes} == {"f", "G"}
+        assert {shape for _, shape in shapes} == {(1,)}
+        envelope = reports["sign"].conditions["local_envelope_integrable"]
+        assert envelope.evidence["values"][0].hex() == "0x1.8b389b4c1e6a3p+5"
+        text = json.dumps({k: explain._report(r) for k, r in reports.items()},
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b3240b1ab70d4880eb51417da83adb602965476612f5e5637bffab980be9de4c")
 
 
 class TestComparisonFunctions:

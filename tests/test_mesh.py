@@ -8,7 +8,7 @@ import pytest
 from fem_reference import reference_measures, reference_quad_points
 
 import plapvar as pv
-from plapvar import assembly, cli
+from plapvar import assembly, cli, meshing
 from plapvar.meshing import _INTERVAL_WEIGHTS, _TRI_WEIGHTS
 
 
@@ -308,3 +308,31 @@ class TestQuadPointsOnFirstRead:
                        "h = density: 0.2*sin(pi*x)*sin(pi*y)\n")
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"), "--quiet"]) == 0
         assert len(built) == 1 and "quad_points" not in vars(built[0])
+
+
+class TestNonFiniteGrids:
+    """Infinite bounds, and finite ones whose steps or areas overflow, are refused."""
+
+    @pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0),
+                                      (-1e308, 1e308)])
+    def test_interval(self, a, b):
+        with pytest.raises(ValueError, match="finite bounds and steps"):
+            pv.build_interval_mesh(a, b, 8)
+
+    @pytest.mark.parametrize("box", [(0.0, math.inf, 0.0, 1.0), (0.0, 1.0, -math.inf, 1.0),
+                                     (0.0, 1.0, -1e308, 1e308)])
+    def test_rectangle(self, box):
+        with pytest.raises(ValueError, match="finite bounds, steps and area"):
+            pv.build_rectangle_mesh(*box, 4, 4)
+
+    def test_overflowing_area(self):
+        # steps of 5e199 are finite, but a cell's area is not
+        with pytest.raises(ValueError, match="finite bounds, steps and area"):
+            pv.build_rectangle_mesh(0.0, 1e200, 0.0, 1e200, 2, 2)
+
+    def test_nan_measure(self):
+        m = pv.build_interval_mesh(0.0, 1.0, 4)
+        measures = np.array([0.25, np.nan, 0.25, 0.25])
+        with pytest.raises(ValueError, match="not positive"):
+            meshing._finish_mesh(1, m.vertices, m.elements, m.free_vertices, measures,
+                                 m.quad_weights, m.basis_at_quad, m.structure)

@@ -273,3 +273,31 @@ def test_import_leaves_scipy_integrate_unloaded():
     out = subprocess.run([sys.executable, "-c", code, src], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+def test_divergent_potential_is_infinite_without_warning():
+    # F = G = 1/s diverges at s = 0: +-inf by the sign of zero, no RuntimeWarning
+    spec = pv.NonlinearitySpec("reciprocal", f=lambda x, s: -1.0 / (s * s),
+                               F=lambda x, s: 1.0 / s, G=lambda x, s: 1.0 / s,
+                               p=2.0, lambda1=LAM, autonomous=True)
+    mesh = pv.build_interval_mesh(0.0, 1.0, 8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pv.eval_F(spec, X, 0.0) == np.inf
+        assert pv.eval_F(spec, X, -0.0) == -np.inf
+        assert pv.eval_G(spec, X, 0.0) == np.inf
+        assert pv.eval_G(spec, X, -0.0, lambda1=1.0) == -np.inf  # G from F
+        assert pv.eval_f(spec, X, 0.0) == -np.inf
+        phi = pv.assemble_phi(mesh, pv.zero_field(mesh), spec, pv.zero_dual(mesh), 2.0)
+    assert phi == -math.inf
+
+
+def test_comparison_function_without_derivative_is_refused():
+    # f needs phi', so a spec built on phi without one fails when built,
+    # not at its first eval_f; the checkers still take such a phi
+    phi = pv.ComparisonFunction(lambda s: np.abs(s) ** 1.5, 1.5)
+    with pytest.raises(TypeError, match="derivative"):
+        pv.weighted_comparison(1.0, phi, 10.0, 2.0)
+    with pytest.raises(TypeError, match="derivative"):
+        pv.modulated_resonance(lambda x: -x[:, 0], phi, 10.0, 2.0)
+    assert pv.verify_comparison_function(phi, 2.0).overall == pv.HOLDS

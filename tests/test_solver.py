@@ -1,6 +1,7 @@
 """Energy minimization, truncation machinery, and solution certification."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -559,6 +560,7 @@ def _smooth(mesh, scale=2.0):
 _BLOCK_SPECS = {
     "power": lambda: pv.power_perturbation(LAM, 1.75, 2.5),
     "sine-weighted": lambda: pv.sine_exp(lambda x: 1.0 + x[:, 0] ** 2),
+    "sine-constant": lambda: pv.sine_exp(1.0),  # autonomous: one point
     "points": lambda: pv.NonlinearitySpec(
         "points", f=lambda x, s: (1.0 + x[:, -1]) * np.sin(s) + s ** 3,
         F=lambda x, s: (1.0 + x[:, -1]) * (1.0 - np.cos(s)) + s ** 4 / 4.0),
@@ -703,6 +705,50 @@ class TestOnePointForAutonomousSpecs:
         every = pv.minimize_phi(mesh, self._spec(False), h, 2.5)
         assert one.converged and one.phi == every.phi
         assert np.array_equal(one.u.values, every.u.values)
+
+
+    def test_constant_weight_sine_exp_keeps_its_bits(self):
+        # sine_exp(1.0) is autonomous, so its constant weight is read at one
+        # point; its bits are those of the weight read at every point
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, -0.5, 0.5, 24, 20)
+        spec = pv.sine_exp(1.0)
+        h = pv.load_vector(mesh, lambda x: 3.0 * np.cos(np.pi * x[:, 1]))
+        res = pv.minimize_phi(mesh, spec, h, 2.5)
+        rep = pv.verify_weak_solution(mesh, res.u, spec, h, 2.5)
+        assert "quad_points" not in vars(mesh)
+        assert (res.stop_reason, res.iterations, res.trials, res.cg_iterations) == (
+            "stationarity", 6, 6, 17)
+        assert res.phi.hex() == "-0x1.db03ce994bcaap-4"
+        assert hashlib.sha256(res.u.values.tobytes()).hexdigest() == (
+            "7c094d24123c4164230a65641c0074e7641043b0f70fdd49db3b606ee38d2f01")
+        assert rep.max_relative.hex() == "0x1.3a63b8997d737p-31"
+        assert rep.lambda_u.hex() == "0x1.4d60564e8f58ep-7"
+
+
+class TestNaNResidual:
+    """A NaN weak or eigen residual is never read as converged."""
+
+    def test_norms_keep_the_nan(self):
+        _, max_abs, scale, rel = solver._residual_norms(np.array([np.nan, 1.0]),
+                                                        np.array([1.0, 0.0]))
+        assert math.isnan(max_abs) and math.isnan(scale) and math.isnan(rel)
+        assert solver._residual_norms(np.zeros(3), np.zeros(3))[3] == 0.0
+
+    def test_no_converged_flag_on_nan(self):
+        mesh = pv.build_interval_mesh(0.0, 1.0, 16)
+        spec = pv.power_perturbation(LAM, 1.5, 2.0)
+        h = pv.make_dual(mesh, np.full(mesh.n_free, np.nan))
+        rep = pv.verify_weak_solution(mesh, pv.zero_field(mesh), spec, h, 2.0)
+        assert math.isnan(rep.max_relative) and not rep.passed
+        res = pv.minimize_phi(mesh, spec, h, 2.0, max_iter=5)
+        assert math.isnan(res.stationarity) and not res.converged
+        assert res.stop_reason != "stationarity"
+        nan_weights = np.full(mesh.quad_weights.shape, np.nan)
+        with pytest.raises(pv.EigenConvergenceError) as exc:
+            pv.first_eigenpair(dataclasses.replace(mesh, quad_weights=nan_weights), 2.0,
+                               max_iter=5)
+        assert math.isnan(exc.value.result.residual)
+        assert exc.value.result.stop_reason != "residual"
 
 
 def test_spatial_sine_exp_solve_keeps_its_bits():
