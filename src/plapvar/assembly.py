@@ -31,24 +31,24 @@ element order.  Sums are deterministic per mesh and per numpy build, but
 permuting the element array may change their last bits; the pairwise
 error, O(eps log n) times the sum of |contributions|, is far below
 every tolerance in the package.  Every other element-to-free-dof sum
-goes through `_scatter`, the one scatter, which accumulates in a fixed
-element order.
+goes through `meshing._scatter_corners`, the one scatter, a grid operator
+driven by the cell layout that adds at each vertex in ascending element
+order.
 
 All work at the quadrature nodes walks the elements in the blocks of
 QUAD_BLOCK elements that `_blocks` yields, so its temporaries are block
-sized.  `_quad_blocks` is the one gather: it yields a field's values at
-the quadrature nodes block by block, and `values_at_quad` collects them,
-so a caller that evaluates a user's function there (the energy descent's
-f, F and f') or reduces each block (the eigen line search) never holds
-an (ne, nq) temporary.  `_load` is the one load: it turns a density
-given block by block into a dual vector, writing each block's element
-contributions into one (ne, ndim+1) array that is scattered once;
-`quad_load` and `_lp_load` call it, and `load_vector` and the energy
-descent's f load call it through `_finite_load`, which names the first
-node of a non-finite density.  `load_vector` evaluates a density on the
-quadrature points of one block at a time, made by `Mesh.quad_points_of`
-and not kept, so no pipeline makes the whole-mesh `Mesh.quad_points` for
-its load; the x of f, F and G is `nonlinearity._quad_x`.
+sized.  `_quad_blocks` is the one gather: it reads the field's vertex
+grid at each block's element vertices (`meshing._gather_corners`) and
+yields the values at the block's quadrature nodes; `values_at_quad`
+collects them, and a caller that evaluates a user's function there (the
+energy descent's f, F and f') or reduces each block (the eigen line
+search) never holds an (ne, nq) temporary.  `_load` is the one load: it
+turns a density given block by block into a dual vector, writing each
+block's element contributions into one (ne, ndim+1) array that is
+scattered once; `quad_load` and `_lp_load` call it, and `load_vector`
+and the energy descent's f load call it through `_finite_load`, which
+names the first node of a non-finite density.  `load_vector` makes the
+quadrature points one block at a time (`Mesh.quad_points_of`).
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .meshing import Mesh
+from .meshing import CELL_LAYOUT, Mesh, _gather_corners, _scatter_corners
 
 __all__ = [
     "DiscreteField",
@@ -151,13 +151,6 @@ def _reduce(x: np.ndarray) -> float:
     elements may change the last bits.
     """
     return float(np.sum(x))
-
-
-def _scatter(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
-    """Sum element-local entries, shape (ne, ndim+1) or flat, into free-dof order."""
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return out[mesh.free_vertices]
 
 
 def _spacing(mesh: Mesh) -> list:
@@ -262,8 +255,7 @@ def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
     L_a . M L_b - sum_q w_q m_q psi_a psi_b, with M = |T| w (I + (p-2) g_hat g_hat^T)
     from `_flux_weights`' output, computed in place over its arrays (plus
     one array for M's off-diagonal on a rectangle).  The elements of one
-    type (an interval's cells; a rectangle cell's (v00, v10, v11) and
-    (v00, v11, v01)) share their vertex offsets in the cell and their L_a,
+    type of `CELL_LAYOUT` share their vertex offsets in the cell and their L_a,
     so each entry is one array over the cells, added at its offset on the
     vertex grid: to the diagonal, or to the coupling along its edge, +x on
     an interval, +x, +y and the v00-v11 diagonal on a rectangle.  H v is the
@@ -272,13 +264,10 @@ def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
     overwrite mass_q one QUAD_BLOCK of elements at a time; there are nq of
     them (3 on intervals, 6 on triangles).
     """
-    # per element type, in the layout of `_grad`: its vertices' offsets in the
-    # cell and their basis gradients in units of 1/h; then the edge directions
-    if mesh.ndim == 1:
-        types = [(((0,), (1,)), ((-1,), (1,)))]
-    else:
-        types = [(((0, 0), (1, 0), (1, 1)), ((-1, 0), (1, -1), (0, 1))),
-                 (((0, 0), (1, 1), (0, 1)), ((0, -1), (1, 0), (-1, 1)))]
+    # per element type of `CELL_LAYOUT`: its vertices' offsets in the cell and
+    # their basis gradients in units of 1/h; then the edge directions
+    types = list(zip(CELL_LAYOUT[mesh.ndim], [((-1,), (1,))] if mesh.ndim == 1 else
+                     [((-1, 0), (1, -1), (0, 1)), ((0, -1), (1, 0), (-1, 1))]))
     steps = _edges(mesh.ndim)
     cells = mesh.structure
     pairs = [(a, b) for a in range(mesh.ndim + 1) for b in range(a, mesh.ndim + 1)]
@@ -339,8 +328,7 @@ def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
 
 def interpolate(mesh: Mesh, fn) -> DiscreteField:
     """Interpolate a callable of the free-vertex coordinates into P1."""
-    vals = np.asarray(fn(mesh.free_coordinates()), dtype=float)
-    return DiscreteField(mesh, vals)
+    return DiscreteField(mesh, fn(mesh.free_coordinates()))
 
 
 def gradients_on_elements(mesh: Mesh, u: DiscreteField) -> np.ndarray:
@@ -371,10 +359,9 @@ def _quad_blocks(mesh: Mesh, v: np.ndarray):
     A caller that reduces each block before the next keeps its
     temporaries at block size.
     """
-    full = np.zeros(mesh.n_vertices)
-    full[mesh.free_vertices] = v
+    gather = _gather_corners(mesh, _pad(mesh, v))
     for sl in _blocks(mesh):
-        yield sl, full[mesh.elements[sl]] @ mesh.basis_at_quad.T
+        yield sl, gather(sl).T @ mesh.basis_at_quad.T
 
 
 def _load(mesh: Mesh, densities) -> np.ndarray:
@@ -387,7 +374,7 @@ def _load(mesh: Mesh, densities) -> np.ndarray:
     contrib = np.empty((mesh.n_elements, mesh.ndim + 1))
     for sl, g in densities:
         np.matmul(mesh.quad_weights[sl] * g, mesh.basis_at_quad, out=contrib[sl])
-    return _scatter(mesh, contrib)
+    return _scatter_corners(mesh, contrib)[(slice(1, -1),) * mesh.ndim].ravel()
 
 
 def _finite_load(mesh: Mesh, densities, what: str) -> np.ndarray:

@@ -1,29 +1,22 @@
 """Simplicial meshes for intervals and axis-aligned rectangles.
 
-Meshes carry everything the assembly kernels need: vertex coordinates,
-element connectivity, the free (interior) vertices, per-element measures,
-the quadrature weights of one fixed rule per element type, and the grid
-they were cut from (`Mesh.bounds`, `Mesh.structure`).  Intervals use the
-3-point Gauss-Legendre rule (exact through degree 5), triangles a 6-point
-rule exact through degree 4.  Every mesh is a uniform tensor grid, so
-the mesh holds only what the grid cannot give cheaply:
-- the measures are the products of the grid steps, |dx_i dy_j| / 2 for
-  both triangles of cell (i, j);
-- the quadrature points are made from the grid lines (`Mesh.grid_lines`)
-  by `Mesh.quad_points_of`, for any slice of elements; a block of
-  elements costs only its own cell rows.  `Mesh.quad_points` keeps all
-  of them once read, for the hypothesis checkers and for a spec that is
-  not autonomous.  The eigen problem reads no point, a density load makes
-  one block at a time, and an autonomous spec gets one point, so neither
-  the eigen nor an autonomous solve pipeline ever holds the whole array;
-- no basis gradient is stored: the P1 gradient operator D is a pair of
-  grid difference stencils (`assembly._grad`, `assembly._grad_T`).
-All arrays the mesh keeps are frozen (non-writeable) once made.
-
 Interval meshes are uniform partitions of (a, b).  Rectangle meshes are
 structured triangulations: each grid cell is split into two triangles
 along the cell diagonal, so every interior grid vertex is a free degree
 of freedom and the piecewise-linear space is nested under bisection.
+
+A mesh is its grid (`Mesh.bounds`, `Mesh.structure`) and what the grid
+cannot give cheaply, all frozen: the element measures, and the weights
+and basis values of one quadrature rule per element type (3-point
+Gauss-Legendre on intervals, exact through degree 5; 6 points on
+triangles, exact through degree 4).  It stores no connectivity:
+`CELL_LAYOUT` places the elements in a grid cell, and by it
+`_gather_corners` reads a vertex grid at the vertices of a slice of
+elements and `_scatter_corners`, its adjoint, sums element-local entries
+onto the grid.  `Mesh.quad_points_of` makes the quadrature points of a
+slice of elements from the grid lines, at the cost of the cell rows it
+meets; `Mesh.quad_points`, all of them, is kept once read, for the
+hypothesis checkers and a spec that is not autonomous.
 """
 
 from __future__ import annotations
@@ -66,10 +59,57 @@ _TRI_POINTS = (
 _TRI_WEIGHTS = (0.109951743655322,) * 3 + (0.223381589678011,) * 3
 
 
+#: The cell layout: for each element type t, the offsets of its vertices in
+#: their grid cell, in the element's vertex order.  Interval cell i is element
+#: i; rectangle cell (i, j), i-major, holds elements 2 (i ny + j) + t.
+CELL_LAYOUT = {1: (((0,), (1,)),),
+               2: (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))}
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _corners(mesh: Mesh):
+    """Yield (t, k, at) for each corner k of each element type t: at slices
+    a vertex grid to that corner of every cell's type-t element.  Vertex P
+    is that corner of cell P - o, o its offset, so this order, by -o, then
+    t, meets the elements at each vertex in ascending index."""
+    pairs = [(t, k, off) for t, offsets in enumerate(CELL_LAYOUT[mesh.ndim])
+             for k, off in enumerate(offsets)]
+    for t, k, off in sorted(pairs, key=lambda tko: ([-o for o in tko[2]], tko[0])):
+        yield t, k, tuple(slice(o, o + n) for o, n in zip(off, mesh.structure))
+
+
+def _gather_corners(mesh: Mesh, U: np.ndarray):
+    """gather(sl): the (ndim + 1, k) values of the vertex grid U at the
+    vertices of the elements in sl, corner-major, copied from the corner
+    views of U (taken once) over the cell rows that sl meets."""
+    views = [(t, k, U[at]) for t, k, at in _corners(mesh)]
+    n_types = len(CELL_LAYOUT[mesh.ndim])
+
+    def gather(sl):
+        i0, i1, lo, hi = mesh._cell_rows(sl)
+        V = np.empty((mesh.ndim + 1, i1 - i0, *mesh.structure[1:], n_types))
+        for t, k, corner in views:
+            V[k, ..., t] = corner[i0:i1]
+        return V.reshape(mesh.ndim + 1, -1)[:, lo:hi]
+
+    return gather
+
+
+def _scatter_corners(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
+    """The vertex grid of the sums of element-local entries, shape
+    (ne, ndim + 1) or flat: the adjoint of `_gather_corners`, one shifted +=
+    per element type and corner.  Each vertex adds its terms one at a time
+    from 0 in ascending element order, as adding element by element does."""
+    C = contrib.reshape(*mesh.structure, len(CELL_LAYOUT[mesh.ndim]), mesh.ndim + 1)
+    U = np.zeros([n + 1 for n in mesh.structure])
+    for t, k, at in _corners(mesh):
+        U[at] += C[..., t, k]
+    return U
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,24 +122,19 @@ class Mesh:
     Attributes
     ----------
     ndim : 1 or 2.
-    vertices : (nv, ndim) coordinates.
-    elements : (ne, ndim + 1) vertex indices per simplex.
-    free_vertices : (nf,) indices of interior vertices, in vertex order.
     measures : (ne,) element lengths/areas, all positive.
     quad_weights : (ne, nq) physical quadrature weights (include measures).
     basis_at_quad : (nq, ndim + 1) reference P1 basis values at the rule nodes.
     bounds : (lo, hi) corners of the bounding box, each of shape (ndim,).
     structure : element counts per axis, (n,) or (nx, ny).
 
+    Elements and free vertices are those of the grid (`CELL_LAYOUT`).
     `quad_points_of(sl)` makes the (k, nq, ndim) quadrature points of a
     slice of elements from the grid lines; `quad_points`, those of every
     element, is made by it on first read and kept.
     """
 
     ndim: int
-    vertices: np.ndarray
-    elements: np.ndarray
-    free_vertices: np.ndarray
     measures: np.ndarray
     quad_weights: np.ndarray
     basis_at_quad: np.ndarray
@@ -107,24 +142,22 @@ class Mesh:
     structure: tuple
 
     @property
-    def n_vertices(self) -> int:
-        return self.vertices.shape[0]
-
-    @property
     def n_elements(self) -> int:
-        return self.elements.shape[0]
+        return math.prod(self.structure) * len(CELL_LAYOUT[self.ndim])
 
     @property
     def n_free(self) -> int:
-        return self.free_vertices.shape[0]
+        return math.prod(n - 1 for n in self.structure)
 
     def free_coordinates(self) -> np.ndarray:
-        """Coordinates of the free vertices, shape (nf, ndim)."""
-        return self.vertices[self.free_vertices]
+        """Coordinates of the free vertices, shape (nf, ndim): the interior
+        grid lines' points in C order."""
+        inner = [xs[1:-1] for xs in self.grid_lines()]
+        return np.stack(np.meshgrid(*inner, indexing="ij"), axis=-1).reshape(-1, self.ndim)
 
     def grid_lines(self) -> list:
-        """Each axis' grid lines, np.linspace(lo, hi, n + 1): the vertex
-        coordinates bit for bit, since the builders cut the grid so."""
+        """Each axis' grid lines, np.linspace(lo, hi, n + 1): the builders'
+        own lines bit for bit, since `bounds` holds their ends."""
         lo, hi = self.bounds
         return [np.linspace(a, b, n + 1) for a, b, n in zip(lo, hi, self.structure)]
 
@@ -132,28 +165,24 @@ class Mesh:
         """(k, nq, ndim) physical quadrature points of the elements in sl.
 
         sl is a slice of element indices with step 1, such as an
-        `assembly._blocks` slice; a stop past the last element is clipped.
-        The points come from the grid lines of the cells sl meets, so a
-        block of elements costs only its own cell rows.  Interval element
-        i: x_i + xi (x_{i+1} - x_i).  Rectangle cell (i, j): sum_k b_k v_k
-        over the corners of each triangle, i.e.
+        `assembly._blocks` slice (a stop past the last element is clipped);
+        the points come from the grid lines of the cell rows sl meets.
+        Interval element i: x_i + xi (x_{i+1} - x_i).  Rectangle cell (i, j):
+        sum_k b_k v_k over the corners of each triangle, i.e.
         x = b0 x_i + b1 x_{i+1} + b2 x_{i+1}, y = b0 y_j + b1 y_j + b2 y_{j+1}
         on (v00, v10, v11) and x = b0 x_i + b1 x_{i+1} + b2 x_i,
         y = b0 y_j + b1 y_{j+1} + b2 y_{j+1} on (v00, v11, v01).
         """
-        start, stop, _ = sl.indices(self.n_elements)
-        stop = max(start, stop)
+        i0, i1, lo, hi = self._cell_rows(sl)
         lines = self.grid_lines()
         b = self.basis_at_quad
         if self.ndim == 1:
             (xs,) = lines
-            x0, x1 = xs[start:stop, None], xs[start + 1:stop + 1, None]
+            x0, x1 = xs[i0:i1, None], xs[i0 + 1:i1 + 1, None]
             return (x0 + b[:, 1] * (x1 - x0))[:, :, None]
-        # cell (i, j) holds elements 2 (i ny + j) and 2 (i ny + j) + 1, so
-        # the slice meets the cell rows i0 <= i < i1; x varies with the row
-        # and y with the column, so each is made once and broadcast
+        # x varies with the cell row and y with the column, so each is made
+        # once and broadcast
         nq, ny = b.shape[0], self.structure[1]
-        i0, i1 = start // (2 * ny), -(-stop // (2 * ny))
         xs, ys = lines
         x0, x1 = xs[i0:i1, None], xs[i0 + 1:i1 + 1, None]
         y0, y1 = ys[:-1, None], ys[1:, None]
@@ -166,8 +195,16 @@ class Mesh:
         pts = np.empty((i1 - i0, ny, 2, nq, 2))
         pts[..., 0] = x
         pts[..., 1] = y
-        first = 2 * ny * i0
-        return pts.reshape(-1, nq, 2)[start - first:stop - first]
+        return pts.reshape(-1, nq, 2)[lo:hi]
+
+    def _cell_rows(self, sl: slice) -> tuple:
+        """(i0, i1, lo, hi): the cell rows i0 <= i < i1 (an interval's
+        cells) that the elements of sl meet, and sl's bounds in them."""
+        start, stop, _ = sl.indices(self.n_elements)
+        per_row = self.n_elements // self.structure[0]
+        stop = max(start, stop)
+        i0, i1 = start // per_row, -(-stop // per_row)
+        return i0, i1, start - per_row * i0, stop - per_row * i0
 
     @cached_property
     def quad_points(self) -> np.ndarray:
@@ -183,20 +220,18 @@ class Mesh:
         return self.quad_weights.reshape(-1)
 
 
-def _finish_mesh(ndim, vertices, elements, free, measures,
-                 qw, basis_at_quad, structure) -> Mesh:
+def _finish_mesh(lines, measures, weights, basis_at_quad) -> Mesh:
+    """The mesh of the grid with these per-axis grid lines, element measures
+    and quadrature rule (reference weights summing to 1, basis values)."""
     if np.any(measures <= 0.0) or np.any(np.isnan(measures)):
         raise ValueError("mesh has an element measure that is not positive")
     return Mesh(
-        ndim=ndim,
-        vertices=_freeze(vertices),
-        elements=_freeze(elements),
-        free_vertices=_freeze(free),
+        ndim=len(lines),
         measures=_freeze(measures),
-        quad_weights=_freeze(qw),
+        quad_weights=_freeze(np.array(weights)[None, :] * measures[:, None]),
         basis_at_quad=_freeze(basis_at_quad),
-        bounds=(_freeze(vertices.min(axis=0)), _freeze(vertices.max(axis=0))),
-        structure=structure,
+        bounds=(_freeze([xs[0] for xs in lines]), _freeze([xs[-1] for xs in lines])),
+        structure=tuple(int(xs.size - 1) for xs in lines),
     )
 
 
@@ -207,18 +242,9 @@ def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
         raise ValueError(f"interval requires a < b, finite bounds and steps, got a={a}, b={b}")
     if n < 2:
         raise ValueError(f"interval mesh needs at least 2 elements, got n={n}")
-    xs = np.linspace(a, b, n + 1)
-    vertices = xs.reshape(-1, 1)
-    elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    h = (b - a) / n
-    measures = np.full(n, h)
-
-    xi, w = np.array(_INTERVAL_NODES), np.array(_INTERVAL_WEIGHTS)
-    qw = np.broadcast_to(w[None, :] * h, (n, xi.size)).copy()
-    basis_at_quad = np.column_stack([1.0 - xi, xi])
-
-    return _finish_mesh(1, vertices, elements, np.arange(1, n), measures,
-                        qw, basis_at_quad, (int(n),))
+    xi = np.array(_INTERVAL_NODES)
+    return _finish_mesh([np.linspace(a, b, n + 1)], np.full(n, (b - a) / n),
+                        _INTERVAL_WEIGHTS, np.column_stack([1.0 - xi, xi]))
 
 
 def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
@@ -226,9 +252,9 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
     """Structured triangulation of (ax, bx) x (ay, by).
 
     Each of the nx * ny grid cells is split along its diagonal into two
-    triangles, giving 2 * nx * ny elements and (nx - 1) * (ny - 1) free
-    vertices.  All diagonals are parallel, so bisecting nx and ny yields
-    a nested refinement.
+    triangles (`CELL_LAYOUT`), giving 2 * nx * ny elements and
+    (nx - 1) * (ny - 1) free vertices.  All diagonals are parallel, so
+    bisecting nx and ny yields a nested refinement.
     """
     # a finite area bounds both lengths, every step and every cell's area
     if not (ax < bx and ay < by and math.isfinite((float(bx) - float(ax))
@@ -239,28 +265,10 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
         raise ValueError(f"rectangle mesh needs nx, ny >= 2, got nx={nx}, ny={ny}")
     xs = np.linspace(ax, bx, nx + 1)
     ys = np.linspace(ay, by, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    # cell (i, j), i-major, has corner v00 = i (ny + 1) + j; it is split
-    # along the diagonal v00 -- v11 into (v00, v10, v11) and (v00, v11, v01)
-    v00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
-    v10, v01 = v00 + (ny + 1), v00 + 1
-    v11 = v10 + 1
-    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
-
-    ii, jj = np.divmod(np.arange(vertices.shape[0]), ny + 1)
-    free = np.flatnonzero((0 < ii) & (ii < nx) & (0 < jj) & (jj < ny))
-
     # both triangles' edge determinants reduce to dx_i dy_j exactly
     cells = np.abs((xs[1:] - xs[:-1])[:, None] * (ys[1:] - ys[:-1])) / 2.0
-    measures = np.repeat(cells.ravel(), 2)
-
-    bary, w = np.array(_TRI_POINTS), np.array(_TRI_WEIGHTS)
-    qw = w[None, :] * measures[:, None]
-
-    return _finish_mesh(2, vertices, elements, free, measures,
-                        qw, bary, (int(nx), int(ny)))
+    return _finish_mesh([xs, ys], np.repeat(cells.ravel(), 2), _TRI_WEIGHTS,
+                        np.array(_TRI_POINTS))
 
 
 def refine_structured(mesh: Mesh) -> Mesh:

@@ -360,12 +360,16 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
     the existence theorems need, so any critical point the certificate
     accepts is a weak solution; one descent suffices.
 
-    Raises UnboundedBelowError if Phi falls below -1e12, the numerical
-    signature of a non-coercive functional.
+    Raises ValueError, before any work, if h or `start` has an entry that
+    is not finite, and UnboundedBelowError if Phi falls below -1e12, the
+    numerical signature of a non-coercive functional.
     """
     _check_p(p)
     field = zero_field(mesh) if start is None else start
     _check_mesh(mesh, field)
+    for name, vector in (("h", h), ("start", field)):
+        if not np.all(np.isfinite(vector.values)):
+            raise ValueError(f"minimize_phi needs a finite {name}")
     solve = _poisson_solve(mesh)
     phi_cur = assemble_phi(mesh, field, spec, h, p)
     steps = backtracks = trials = cg_iterations = 0

@@ -1,11 +1,12 @@
-"""Element-by-element oracles for the grid kernels: the quadrature points
-and element measures by gathers of the element vertices, closed-form P1
-basis gradients, the values at the quadrature nodes by one unblocked gather, a
-scatter by `np.add.at`, the p = 2 stiffness matrix and the Newton matrix
-by COO assembly, and the Newton matrix applied matrix-free; and for the
-dual-norm estimate, the hats' L^p integrals element by element, the
-loads of coarse hats paired explicitly, and the dense matrix of dyadic
-tents on an interval."""
+"""Element-by-element oracles for the grid kernels: the vertex coordinates,
+element table and free-vertex indices of a mesh's grid (`mesh_tables`);
+the quadrature points and element measures by gathers of the element
+vertices, closed-form P1 basis gradients, the values at the quadrature
+nodes by one unblocked gather, a scatter by `np.add.at`, the p = 2
+stiffness matrix and the Newton matrix by COO assembly, and the Newton
+matrix applied matrix-free; and for the dual-norm estimate, the hats' L^p
+integrals element by element, the loads of coarse hats paired explicitly,
+and the dense matrix of dyadic tents on an interval."""
 from __future__ import annotations
 
 import math
@@ -16,11 +17,44 @@ import scipy.sparse as sp
 from plapvar.assembly import GRADIENT_FLOOR, _flux_weights, _grad, _grad_T
 
 
+def mesh_tables(mesh):
+    """(vertices, elements, free_vertices) of the mesh's grid: the (nv, ndim)
+    vertex coordinates, i-major on a rectangle; the (ne, ndim + 1) vertex
+    indices of each element, rectangle cell (i, j) split along v00 -- v11
+    into (v00, v10, v11) and (v00, v11, v01); the (nf,) interior vertices,
+    in vertex order.  The builders' own index arithmetic from when meshes
+    stored these tables."""
+    lo, hi = mesh.bounds
+    if mesh.ndim == 1:
+        (n,) = mesh.structure
+        xs = np.linspace(lo[0], hi[0], n + 1)
+        vertices = xs.reshape(-1, 1)
+        elements = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+        return vertices, elements, np.arange(1, n)
+    nx, ny = mesh.structure
+    xs = np.linspace(lo[0], hi[0], nx + 1)
+    ys = np.linspace(lo[1], hi[1], ny + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    vertices = np.column_stack([X.ravel(), Y.ravel()])
+
+    # cell (i, j), i-major, has corner v00 = i (ny + 1) + j; it is split
+    # along the diagonal v00 -- v11 into (v00, v10, v11) and (v00, v11, v01)
+    v00 = (np.arange(nx)[:, None] * (ny + 1) + np.arange(ny)).ravel()
+    v10, v01 = v00 + (ny + 1), v00 + 1
+    v11 = v10 + 1
+    elements = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+
+    ii, jj = np.divmod(np.arange(vertices.shape[0]), ny + 1)
+    free = np.flatnonzero((0 < ii) & (ii < nx) & (0 < jj) & (jj < ny))
+    return vertices, elements, free
+
+
 def reference_quad_points(mesh):
     """(ne, nq, ndim) quadrature points from gathers of each element's
     vertices: x_0 + xi (x_1 - x_0) on an interval, sum_k b_k v_k by
     einsum on a triangle."""
-    v = mesh.vertices[mesh.elements]                       # (ne, ndim + 1, ndim)
+    vertices, elements, _ = mesh_tables(mesh)
+    v = vertices[elements]                                 # (ne, ndim + 1, ndim)
     if mesh.ndim == 1:
         xi = mesh.basis_at_quad[:, 1]
         return v[:, 0][:, None, :] + xi[None, :, None] * (v[:, 1] - v[:, 0])[:, None, :]
@@ -33,9 +67,10 @@ def reference_measures(mesh):
     if mesh.ndim == 1:
         (n,) = mesh.structure
         return np.full(n, (mesh.bounds[1][0] - mesh.bounds[0][0]) / n)
-    v0 = mesh.vertices[mesh.elements[:, 0]]
-    e1 = mesh.vertices[mesh.elements[:, 1]] - v0
-    e2 = mesh.vertices[mesh.elements[:, 2]] - v0
+    vertices, elements, _ = mesh_tables(mesh)
+    v0 = vertices[elements[:, 0]]
+    e1 = vertices[elements[:, 1]] - v0
+    e2 = vertices[elements[:, 2]] - v0
     return np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]) / 2.0
 
 
@@ -45,7 +80,8 @@ def reference_basis_gradients(mesh):
         (n,) = mesh.structure
         h = (mesh.bounds[1][0] - mesh.bounds[0][0]) / n
         return np.broadcast_to([[-1.0 / h], [1.0 / h]], (n, 2, 1))
-    v = mesh.vertices[mesh.elements]                       # (ne, 3, 2)
+    vertices, elements, _ = mesh_tables(mesh)
+    v = vertices[elements]                                 # (ne, 3, 2)
     e1, e2 = v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]
     inv_det = 1.0 / (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
     grads = np.empty((mesh.n_elements, 3, 2))
@@ -55,18 +91,28 @@ def reference_basis_gradients(mesh):
     return grads
 
 
+def reference_corner_values(mesh, v):
+    """(ne, ndim + 1) values at each element's vertices of the field with
+    free values v, gathered through the element table."""
+    vertices, elements, free = mesh_tables(mesh)
+    full = np.zeros(len(vertices))
+    full[free] = v
+    return full[elements]
+
+
 def reference_values_at_quad(mesh, v):
     """(ne, nq) values at the quadrature nodes of the field with free values
     v, gathered for all elements at once."""
-    full = np.zeros(mesh.n_vertices)
-    full[mesh.free_vertices] = v
-    return full[mesh.elements] @ mesh.basis_at_quad.T
+    return reference_corner_values(mesh, v) @ mesh.basis_at_quad.T
 
 
 def reference_scatter(mesh, contrib):
-    out = np.zeros(mesh.n_vertices)
-    np.add.at(out, mesh.elements.ravel(), contrib.ravel())
-    return out[mesh.free_vertices]
+    """Element-local entries, shape (ne, ndim + 1) or flat, summed into
+    free-dof order by `np.add.at` over the element table."""
+    vertices, elements, free = mesh_tables(mesh)
+    out = np.zeros(len(vertices))
+    np.add.at(out, elements.ravel(), contrib.ravel())
+    return out[free]
 
 
 def stiffness_matrix(mesh):
@@ -76,13 +122,19 @@ def stiffness_matrix(mesh):
     assembly over all vertices, then restricted to the free ones.
     """
     grads = reference_basis_gradients(mesh)
-    nloc = mesh.elements.shape[1]
     local = np.einsum("e,ekd,eld->ekl", mesh.measures, grads, grads)
-    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nloc)).ravel()
+    return _coo_free(mesh, local)
+
+
+def _coo_free(mesh, local):
+    """The (ne, ndim + 1, ndim + 1) local matrices summed by COO assembly
+    over all vertices, then restricted to the free ones (CSC)."""
+    vertices, elements, free = mesh_tables(mesh)
+    nloc = elements.shape[1]
+    rows = np.repeat(elements, nloc, axis=1).ravel()
+    cols = np.tile(elements, (1, nloc)).ravel()
     K = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_vertices, mesh.n_vertices)).tocsc()
-    free = mesh.free_vertices
+                      shape=(len(vertices), len(vertices))).tocsc()
     return K[np.ix_(free, free)]
 
 
@@ -100,7 +152,7 @@ def gradient_tolerance(mesh):
     if mesh.ndim == 1:
         return 1e-15
     lo, hi = mesh.bounds
-    grid = mesh.vertices.reshape(mesh.structure[0] + 1, mesh.structure[1] + 1, 2)
+    grid = mesh_tables(mesh)[0].reshape(mesh.structure[0] + 1, mesh.structure[1] + 1, 2)
     gaps = []
     for steps, a, b, n in ((np.diff(grid[:, 0, 0]), lo[0], hi[0], mesh.structure[0]),
                            (np.diff(grid[0, :, 1]), lo[1], hi[1], mesh.structure[1])):
@@ -136,13 +188,7 @@ def reference_hessian(mesh, p, grads, mass_q=None):
     if mass_q is not None:
         phi = mesh.basis_at_quad
         local -= np.einsum("eq,qk,ql->ekl", mesh.quad_weights * mass_q, phi, phi)
-    nloc = mesh.elements.shape[1]
-    rows = np.repeat(mesh.elements, nloc, axis=1).ravel()
-    cols = np.tile(mesh.elements, (1, nloc)).ravel()
-    H = sp.coo_matrix((local.ravel(), (rows, cols)),
-                      shape=(mesh.n_vertices, mesh.n_vertices)).tocsc()
-    free = mesh.free_vertices
-    return H[np.ix_(free, free)]
+    return _coo_free(mesh, local)
 
 
 def matrix_free_hessian(mesh, p, grads, mass_q=None):

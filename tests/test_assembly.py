@@ -7,10 +7,12 @@ import re
 import numpy as np
 import pytest
 from fem_reference import (coarse_hat_loads, gradient_tolerance, matrix_free_hessian,
-                           reference_basis_gradients, reference_hat_lp, reference_hessian,
-                           reference_scatter, reference_values_at_quad, stiffness_matrix)
+                           reference_basis_gradients, reference_corner_values,
+                           reference_hat_lp, reference_hessian, reference_scatter,
+                           reference_values_at_quad, stiffness_matrix)
 
 import plapvar as pv
+from plapvar import meshing
 from plapvar.assembly import (GRADIENT_FLOOR, _grad, _grad_T, _hat_norm, _hessian_stencil, _lp,
                               _lp_load, _pad, _restrict, _spacing)
 
@@ -146,9 +148,7 @@ class TestGradientOperator:
 
     def test_gradients_match_gather_einsum(self, mesh_and_field):
         mesh, u = mesh_and_field
-        full = np.zeros(mesh.n_vertices)
-        full[mesh.free_vertices] = u.values
-        expect = np.einsum("ek,ekd->ed", full[mesh.elements],
+        expect = np.einsum("ek,ekd->ed", reference_corner_values(mesh, u.values),
                            reference_basis_gradients(mesh))
         got = pv.assembly.gradients_on_elements(mesh, u)
         assert np.array_equal(got, _grad(mesh, u.values))
@@ -188,9 +188,7 @@ class TestGradientOperator:
     def test_residual_matches_einsum_scatter(self, mesh_and_field, p):
         mesh, u = mesh_and_field
         grads = reference_basis_gradients(mesh)
-        full = np.zeros(mesh.n_vertices)
-        full[mesh.free_vertices] = u.values
-        g = np.einsum("ek,ekd->ed", full[mesh.elements], grads)
+        g = np.einsum("ek,ekd->ed", reference_corner_values(mesh, u.values), grads)
         norms = np.sqrt(np.einsum("ed,ed->e", g, g))
         with np.errstate(divide="ignore"):
             factor = np.where(norms >= 1e-14, norms ** (p - 2.0), 0.0)
@@ -215,8 +213,7 @@ class TestGradientOperator:
         # every array of the mesh is frozen, and the stencils read frozen
         # inputs without writing to them
         mesh, u = mesh_and_field
-        arrays = [mesh.vertices, mesh.elements, mesh.free_vertices, mesh.measures,
-                  mesh.quad_points, mesh.quad_weights, mesh.basis_at_quad,
+        arrays = [mesh.measures, mesh.quad_points, mesh.quad_weights, mesh.basis_at_quad,
                   *mesh.bounds]
         for arr in arrays:
             assert not arr.flags.writeable
@@ -363,6 +360,41 @@ class TestQuadratureBlocks:
         assert _lp(mesh, q, p) == float(np.sum(np.einsum("eq,eq->e", w, np.abs(q) ** p)))
         density = np.copysign(np.abs(q) ** (p - 1.0), q)
         assert np.array_equal(_lp_load(mesh, q, p), reference_scatter(mesh, (w * density) @ basis))
+
+    @pytest.mark.parametrize("block", [1024, 37])
+    @pytest.mark.parametrize("mesh", [
+        pv.build_interval_mesh(0.0, 1.0, 9),
+        pv.build_interval_mesh(-1.0, 2.5, 4096),
+        pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 5, 7),
+        pv.build_rectangle_mesh(0.0, 2.0, -0.5, 0.5, 24, 16),
+        pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32),
+        pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 700),
+    ], ids=["interval-9", "interval-4096", "rect-5x7", "rect-24x16", "rect-32x32",
+            "rect-3x700"])
+    def test_gather_and_scatter_keep_the_table_bits(self, mesh, block, monkeypatch):
+        # the grid gather and scatter against the element table's gather and
+        # np.add.at, bit for bit (signed zeros too), on values spread over 26
+        # decades, so that adding any vertex's terms in another order than
+        # ascending element index changes its sum; 3 x 700 has cell rows of
+        # 1400 elements, longer than a block
+        monkeypatch.setattr(pv.assembly, "QUAD_BLOCK", block)
+        rng = np.random.default_rng(mesh.n_elements)
+
+        def spread(shape):
+            return rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+
+        def bits(a):
+            return np.asarray(a).tobytes()
+
+        v = spread(mesh.n_free)
+        q = pv.assembly.values_at_quad(mesh, pv.make_field(mesh, v))
+        assert bits(q) == bits(reference_values_at_quad(mesh, v))
+        contrib = spread((mesh.n_elements, mesh.ndim + 1))
+        sums = meshing._scatter_corners(mesh, contrib)[(slice(1, -1),) * mesh.ndim]
+        assert bits(sums.ravel()) == bits(reference_scatter(mesh, contrib))
+        w, g = mesh.quad_weights, spread(mesh.quad_weights.shape)
+        assert bits(pv.assembly.quad_load(mesh, g).values) == bits(
+            reference_scatter(mesh, (w * g) @ mesh.basis_at_quad))
 
 
 class TestResidualAndGradient:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from fem_reference import reference_measures, reference_quad_points
+from fem_reference import mesh_tables, reference_measures, reference_quad_points
 
 import plapvar as pv
 from plapvar import assembly, cli, meshing
@@ -15,17 +15,20 @@ from plapvar.meshing import _INTERVAL_WEIGHTS, _TRI_WEIGHTS
 class TestIntervalMesh:
     def test_counts(self):
         m = pv.build_interval_mesh(0.0, 1.0, 8)
+        vertices, elements, free = mesh_tables(m)
         assert m.ndim == 1
-        assert m.n_vertices == 9
-        assert m.n_elements == 8
-        assert m.n_free == 7
+        assert len(vertices) == 9
+        assert m.n_elements == len(elements) == 8
+        assert m.n_free == len(free) == 7
 
     def test_endpoints_are_boundary(self):
         # the free vertices are the interior ones, in vertex order
         m = pv.build_interval_mesh(-1.0, 3.0, 5)
-        assert np.array_equal(m.free_vertices, [1, 2, 3, 4])
-        assert m.vertices[0, 0] == -1.0
-        assert m.vertices[-1, 0] == 3.0
+        vertices, _, free = mesh_tables(m)
+        assert np.array_equal(free, [1, 2, 3, 4])
+        assert vertices[0, 0] == -1.0
+        assert vertices[-1, 0] == 3.0
+        assert same_bits(m.free_coordinates(), vertices[free])
 
     def test_element_measures_sum_to_length(self):
         m = pv.build_interval_mesh(0.25, 0.75, 13)
@@ -66,10 +69,11 @@ class TestIntervalMesh:
 class TestRectangleMesh:
     def test_counts(self):
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 2.0, 4, 3)
+        vertices, elements, free = mesh_tables(m)
         assert m.ndim == 2
-        assert m.n_vertices == 5 * 4
-        assert m.n_elements == 2 * 4 * 3  # two triangles per cell
-        assert m.n_free == 3 * 2
+        assert len(vertices) == 5 * 4
+        assert m.n_elements == len(elements) == 2 * 4 * 3  # two triangles per cell
+        assert m.n_free == len(free) == 3 * 2
 
     def test_measures(self):
         m = pv.build_rectangle_mesh(0.0, 2.0, -1.0, 1.0, 5, 7)
@@ -85,11 +89,14 @@ class TestRectangleMesh:
         assert lo.tolist() == [-0.5] and hi.tolist() == [3.0]
 
     def test_boundary_ring(self):
+        # the free vertices are the grid vertices off the boundary ring, and
+        # free_coordinates() are theirs
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
-        v = m.vertices
+        v, _, free = mesh_tables(m)
         on_ring = (np.isclose(v[:, 0], 0) | np.isclose(v[:, 0], 1)
                    | np.isclose(v[:, 1], 0) | np.isclose(v[:, 1], 1))
-        assert np.array_equal(m.free_vertices, np.flatnonzero(~on_ring))
+        assert np.array_equal(free, np.flatnonzero(~on_ring))
+        assert same_bits(m.free_coordinates(), v[~on_ring])
 
     def test_quadrature_integrates_bilinears(self):
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 2)
@@ -112,7 +119,9 @@ class TestRectangleMesh:
 
     @pytest.mark.parametrize("nx, ny", [(2, 2), (3, 5), (5, 3)])
     def test_element_table_matches_cell_loop(self, nx, ny):
-        # cell (i, j), i-major, split along v00 -- v11, first triangle first
+        # cell (i, j), i-major, split along v00 -- v11, first triangle first:
+        # the reference table, and the cell layout the kernels read, against
+        # a loop over the cells
         ref = []
         for i in range(nx):
             for j in range(ny):
@@ -120,8 +129,14 @@ class TestRectangleMesh:
                 v01, v11 = v00 + 1, v10 + 1
                 ref += [(v00, v10, v11), (v00, v11, v01)]
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 2.0, nx, ny)
-        assert m.elements.dtype == np.asarray(ref).dtype
-        assert np.array_equal(m.elements, np.asarray(ref))
+        _, elements, _ = mesh_tables(m)
+        assert elements.dtype == np.asarray(ref).dtype
+        assert np.array_equal(elements, np.asarray(ref))
+        assert m.n_elements == len(ref)
+        layout = [[i * (ny + 1) + j + a * (ny + 1) + b for a, b in offsets]
+                  for i in range(nx) for j in range(ny)
+                  for offsets in meshing.CELL_LAYOUT[2]]
+        assert np.array_equal(layout, ref)
 
 
 class TestFreeDofs:
@@ -130,17 +145,19 @@ class TestFreeDofs:
         pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 3, 4),
     ])
     def test_dof_index_roundtrip(self, mesh):
-        # dof j lives on vertex free_vertices[j]: the interior vertices,
-        # in vertex order
+        # dof j lives on vertex free[j] of the reference table: the interior
+        # vertices, in vertex order, whose coordinates free_coordinates() gives
         lo, hi = mesh.bounds
-        v = mesh.vertices
+        v, _, free = mesh_tables(mesh)
         interior = np.all((v > lo) & (v < hi), axis=1)
-        assert np.array_equal(mesh.free_vertices, np.flatnonzero(interior))
-        assert len(mesh.free_vertices) == mesh.n_free
+        assert np.array_equal(free, np.flatnonzero(interior))
+        assert len(free) == mesh.n_free
+        assert same_bits(mesh.free_coordinates(), v[free])
 
     def test_free_coordinates_match(self):
         m = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 4, 4)
-        assert np.array_equal(m.free_coordinates(), m.vertices[m.free_vertices])
+        vertices, _, free = mesh_tables(m)
+        assert same_bits(m.free_coordinates(), vertices[free])
 
 
 class TestMeshIdentity:
@@ -245,13 +262,16 @@ class TestAgainstGatherReference:
     def test_grid_lines_are_the_vertex_coordinates(self, mesh):
         lines = mesh.grid_lines()
         grid = np.stack(np.meshgrid(*lines, indexing="ij"), axis=-1)
-        assert same_bits(mesh.vertices, grid.reshape(-1, mesh.ndim))
+        vertices, elements, free = mesh_tables(mesh)
+        assert same_bits(vertices, grid.reshape(-1, mesh.ndim))
+        assert same_bits(mesh.free_coordinates(), vertices[free])
+        assert (mesh.n_elements, mesh.n_free) == (len(elements), len(free))
         assert same_bits(mesh.bounds[0], [xs[0] for xs in lines])
         assert same_bits(mesh.bounds[1], [xs[-1] for xs in lines])
 
     def test_arrays_frozen_and_contiguous(self, mesh):
-        arrays = [mesh.vertices, mesh.elements, mesh.free_vertices, mesh.measures,
-                  mesh.quad_points, mesh.quad_weights, mesh.basis_at_quad, *mesh.bounds]
+        arrays = [mesh.measures, mesh.quad_points, mesh.quad_weights, mesh.basis_at_quad,
+                  *mesh.bounds]
         for arr in arrays:
             assert not arr.flags.writeable
             assert arr.flags.c_contiguous
@@ -334,5 +354,4 @@ class TestNonFiniteGrids:
         m = pv.build_interval_mesh(0.0, 1.0, 4)
         measures = np.array([0.25, np.nan, 0.25, 0.25])
         with pytest.raises(ValueError, match="not positive"):
-            meshing._finish_mesh(1, m.vertices, m.elements, m.free_vertices, measures,
-                                 m.quad_weights, m.basis_at_quad, m.structure)
+            meshing._finish_mesh(m.grid_lines(), measures, _INTERVAL_WEIGHTS, m.basis_at_quad)

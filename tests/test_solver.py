@@ -740,15 +740,30 @@ class TestNaNResidual:
         h = pv.make_dual(mesh, np.full(mesh.n_free, np.nan))
         rep = pv.verify_weak_solution(mesh, pv.zero_field(mesh), spec, h, 2.0)
         assert math.isnan(rep.max_relative) and not rep.passed
-        res = pv.minimize_phi(mesh, spec, h, 2.0, max_iter=5)
-        assert math.isnan(res.stationarity) and not res.converged
-        assert res.stop_reason != "stationarity"
+        with pytest.raises(ValueError, match="finite h"):
+            pv.minimize_phi(mesh, spec, h, 2.0, max_iter=5)
         nan_weights = np.full(mesh.quad_weights.shape, np.nan)
         with pytest.raises(pv.EigenConvergenceError) as exc:
             pv.first_eigenpair(dataclasses.replace(mesh, quad_weights=nan_weights), 2.0,
                                max_iter=5)
         assert math.isnan(exc.value.result.residual)
         assert exc.value.result.stop_reason != "residual"
+
+    @pytest.mark.parametrize("what", ["h", "start"])
+    def test_minimize_phi_refuses_infinite_data(self, what):
+        # refused before any work: an infinite h used to leak a RuntimeWarning
+        # from `pairing`, an infinite start one from `_poisson_solve`
+        mesh = pv.build_interval_mesh(0.0, 1.0, 16)
+        spec = pv.power_perturbation(LAM, 1.5, 2.0)
+        bad = np.zeros(mesh.n_free)
+        bad[3] = -np.inf
+        h, start = pv.make_dual(mesh, np.ones(mesh.n_free)), None
+        if what == "h":
+            h = pv.make_dual(mesh, bad)
+        else:
+            start = pv.make_field(mesh, bad)
+        with pytest.raises(ValueError, match=f"finite {what}"):
+            pv.minimize_phi(mesh, spec, h, 2.0, start=start)
 
 
 def test_spatial_sine_exp_solve_keeps_its_bits():
