@@ -12,9 +12,12 @@ takes hat loads to the grid of twice the step, for the coarse hats of
 the dual-norm estimate (norms by `_hat_norm`).  The p = 2 stiffness
 matrix D^T diag(|T|) D is never assembled either; the descents apply
 its inverse in closed form (`solver._poisson_solve`).  The one matrix
-assembled is the Newton matrix, once per descent step, as a grid stencil
-(`_hessian_stencil`): the p-energy Hessian minus a mass matrix, of f' in
-the energy descent and of lambda (p-1) |u|^(p-2) in the eigen descent.
+assembled is the Newton matrix, once per descent step: the p-energy
+Hessian D^T M D minus a mass matrix, of f' in the energy descent and of
+lambda (p-1) |u|^(p-2) in the eigen descent.  Only `_flux_weights` forms
+the element coefficient M; `_hessian_stencil` knows only the grid and
+turns M and the mass weight into a `_Stencil`, the matrix's diagonal and
+edge couplings as grid arrays, which applies the matrix when called.
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 one fixed rule: 3-point Gauss-Legendre on intervals (exact through degree
 5), a 6-point rule on triangles (exact through degree 4).
@@ -22,8 +25,6 @@ Each kernel's formula lives in one array-level helper (`_energy`,
 `_flux` of element gradients; `_lp`, `_lp_load` of values at the
 quadrature nodes) that the public field-level function calls, so a
 caller that already holds D u or the quadrature values skips the gather.
-`_flux_weights` holds the derivative of `_flux`, the element weights of
-the p-energy Hessian that `_hessian_stencil` assembles.
 
 Every scalar sum goes through `_reduce`, the one summation policy: one
 pairwise `np.sum` over the contiguous contributions, in the mesh's fixed
@@ -246,23 +247,41 @@ def _restrict(F: np.ndarray) -> np.ndarray:
     return C
 
 
-def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
-    """apply(v) = H v for H the P1 matrix of the p-energy Hessian at the
-    element gradients g, minus, when mass_q holds m at the quadrature nodes,
-    the mass matrix int m psi_a psi_b.  H is assembled once, as a grid stencil.
+@dataclass(frozen=True, eq=False)
+class _Stencil:
+    """A symmetric matrix H on the free-vertex grid as arrays: diag[I] is
+    H[I, I] and couplings[s][I] is H[I, I + s], for each `_edges` step s and
+    free I + s.  Calling it applies H: the diagonal times v plus two shifted
+    products per coupling, 3 slice products on an interval, 7 on a rectangle."""
 
+    diag: np.ndarray
+    couplings: dict
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        V = v.reshape(self.diag.shape)
+        out = self.diag * V
+        for step, C in self.couplings.items():
+            lo = tuple(slice(None, -d or None) for d in step)
+            hi = tuple(slice(d, None) for d in step)
+            out[lo] += C * V[hi]
+            out[hi] += C * V[lo]
+        return out.ravel()
+
+
+def _hessian_stencil(mesh: Mesh, M: dict, mass_q=None) -> _Stencil:
+    """The `_Stencil` of the P1 matrix H of int Dv . M Dv, minus, when mass_q
+    holds m at the quadrature nodes, the mass matrix int m psi_a psi_b.
+
+    M holds a symmetric (ndim, ndim) coefficient per element, its entries
+    (i, j), i <= j, as (ne,) arrays: `_flux_weights`' Newton coefficient.
     On an element with basis gradients L_a, H has the entries
-    L_a . M L_b - sum_q w_q m_q psi_a psi_b, with M = |T| w (I + (p-2) g_hat g_hat^T)
-    from `_flux_weights`' output, computed in place over its arrays (plus
-    one array for M's off-diagonal on a rectangle).  The elements of one
-    type of `CELL_LAYOUT` share their vertex offsets in the cell and their L_a,
-    so each entry is one array over the cells, added at its offset on the
+    L_a . M L_b - sum_q w_q m_q psi_a psi_b.  The elements of one type of
+    `CELL_LAYOUT` share their vertex offsets in the cell and their L_a, so
+    each entry is one array over the cells, added at its offset on the
     vertex grid: to the diagonal, or to the coupling along its edge, +x on
-    an interval, +x, +y and the v00-v11 diagonal on a rectangle.  H v is the
-    diagonal times v plus two shifted products per coupling: 3 slice
-    products on an interval, 7 on a rectangle.  The mass entries, a <= b,
-    overwrite mass_q one QUAD_BLOCK of elements at a time; there are nq of
-    them (3 on intervals, 6 on triangles).
+    an interval, +x, +y and the v00-v11 diagonal on a rectangle.  The mass
+    entries, a <= b, overwrite mass_q one QUAD_BLOCK of elements at a time;
+    there are nq of them (3 on intervals, 6 on triangles).
     """
     # per element type of `CELL_LAYOUT`: its vertices' offsets in the cell and
     # their basis gradients in units of 1/h; then the edge directions
@@ -277,20 +296,6 @@ def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
         for sl in _blocks(mesh):
             np.matmul(mesh.quad_weights[sl] * mass_q[sl], psi_pairs, out=mass_q[sl])
         mass_q = mass_q.reshape(*cells, len(types), len(pairs))
-    c, g_hat = _flux_weights(mesh, g, p)
-    # M's off-diagonal first: its diagonal then overwrites g_hat's columns
-    M = {}
-    for i in range(mesh.ndim):
-        for j in range(i + 1, mesh.ndim):
-            M[i, j] = g_hat[:, i] * g_hat[:, j]
-            M[i, j] *= c
-            M[i, j] *= p - 2.0
-    for i in range(mesh.ndim):
-        M[i, i] = g_hat[:, i]
-        M[i, i] *= M[i, i]
-        M[i, i] *= c
-        M[i, i] *= p - 2.0
-        M[i, i] += c
     M = {ij: m.reshape(*cells, len(types)) for ij, m in M.items()}
     arrays = np.zeros((1 + len(steps), *(n + 1 for n in cells)))
     diag, couplings = arrays[0], dict(zip(steps, arrays[1:]))
@@ -308,22 +313,10 @@ def _hessian_stencil(mesh: Mesh, p: float, g: np.ndarray, mass_q=None):
                     target += coef * m[..., t]
             if mass_q is not None:
                 target -= mass_q[..., t, k]
-    diag = diag[(slice(1, -1),) * mesh.ndim]
     # a coupling joins free vertices when its lower vertex is one step inside
-    stencil = [(couplings[step][tuple(slice(1, -1 - d) for d in step)],
-                tuple(slice(None, -d or None) for d in step),
-                tuple(slice(d, None) for d in step)) for step in steps]
-    shape = diag.shape
-
-    def apply(v):
-        V = v.reshape(shape)
-        out = diag * V
-        for C, lo, hi in stencil:
-            out[lo] += C * V[hi]
-            out[hi] += C * V[lo]
-        return out.ravel()
-
-    return apply
+    return _Stencil(diag[(slice(1, -1),) * mesh.ndim],
+                    {step: C[tuple(slice(1, -1 - d) for d in step)]
+                     for step, C in couplings.items()})
 
 
 def interpolate(mesh: Mesh, fn) -> DiscreteField:
@@ -413,14 +406,14 @@ def _flux(mesh: Mesh, g: np.ndarray, p: float) -> np.ndarray:
     return _grad_T(mesh, flux)
 
 
-def _flux_weights(mesh: Mesh, g: np.ndarray, p: float):
-    """Element weights (|T| w, g_hat) of the derivative of `_flux` at g.
+def _flux_weights(mesh: Mesh, g: np.ndarray, p: float) -> dict:
+    """The Newton element coefficient M = |T| w (I + (p-2) g_hat g_hat^T) at
+    element gradients g: {(i, j): (ne,) array} for i <= j, off-diagonal first.
 
-    With r = |g|, w = r^(p-2) and g_hat = g / r, the derivative maps
-    element gradients G to |T| w (G + (p-2) g_hat (g_hat . G)), so the
-    energy Hessian is D^T of that applied to D v.  Below the gradient
-    floor w is 1 at p = 2 and 0 otherwise, the limit `_flux` takes.
-    """
+    With r = |g|, w = r^(p-2) and g_hat = g / r, the derivative of `_flux`
+    maps element gradients G to M G, so the energy Hessian is D^T M D.
+    Below the gradient floor w is 1 at p = 2 and 0 otherwise, the limit
+    `_flux` takes, and g_hat is 0, so M is |T| I or 0 there."""
     r = np.sqrt(np.einsum("ed,ed->e", g, g))
     dead = ~(r >= GRADIENT_FLOOR)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -429,7 +422,20 @@ def _flux_weights(mesh: Mesh, g: np.ndarray, p: float):
     w[dead] = 1.0 if p == 2.0 else 0.0
     g_hat[dead] = 0.0
     w *= mesh.measures
-    return w, g_hat
+    # the off-diagonal first: the diagonal then overwrites g_hat's columns
+    M = {}
+    for i in range(mesh.ndim):
+        for j in range(i + 1, mesh.ndim):
+            M[i, j] = g_hat[:, i] * g_hat[:, j]
+            M[i, j] *= w
+            M[i, j] *= p - 2.0
+    for i in range(mesh.ndim):
+        M[i, i] = g_hat[:, i]
+        M[i, i] *= M[i, i]
+        M[i, i] *= w
+        M[i, i] *= p - 2.0
+        M[i, i] += w
+    return M
 
 
 def _lp(mesh: Mesh, q: np.ndarray, p: float) -> float:

@@ -317,8 +317,8 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
     })
 
 
-def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh) -> float:
-    c, inverse = _quad_coefficient(spec, mesh)
+def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh, coefficient=None) -> float:
+    c, inverse = _quad_coefficient(spec, mesh) if coefficient is None else coefficient
     n = len(c)
     env = np.zeros(n)
     s = np.linspace(-R, R, F0_SAMPLES)[:, None]
@@ -333,7 +333,7 @@ def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh) -> float:
 
 
 def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
-             refinements: int = 0) -> Verdict:
+             refinements: int = 0, *, _coefficient=None) -> Verdict:
     """Quadrature value of int_Omega sup_{|s| <= R} |f(x, s)| dx.
 
     The sup is a maximum over F0_SAMPLES equispaced s in [-R, R], taken
@@ -343,6 +343,7 @@ def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
     evaluation of f gets a column of s values and fills a (samples x
     distinct values) block of at most F0_BLOCK_BYTES.  The envelope is
     mapped back to the quadrature points before the weighted sum.
+    check_theorems passes its `_quad_coefficient` as the private `_coefficient`.
 
     Fails on a non-finite value.  With refinements > 0 the integral is
     recomputed on nested bisections; the verdict fails when the
@@ -351,7 +352,7 @@ def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
     """
     if not (R > 0.0):
         raise ValueError(f"truncation radius R must be positive, got {R}")
-    values = [_f0_value(spec, R, mesh)]
+    values = [_f0_value(spec, R, mesh, _coefficient)]
     m = mesh
     for _ in range(refinements):
         m = refine_structured(m)
@@ -640,11 +641,11 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     |s|^p, phi(s) and |s|; the envelope check check_f0 runs once, at
     R = F0_RADIUS, and is shared by the three reports.  The spec's
     spatial coefficient is evaluated once at the quadrature points and
-    serves both directions and the domination candidates; G is sampled
-    once per distinct coefficient value, at one point for an autonomous
-    spec (`_quad_coefficient`).  The grid stops at the
-    deepest level at which all three normalizers are finite
-    (`_finite_depth`); the tail verdicts record it as "levels_used".  phi defaults to the
+    serves the envelope, both directions and the domination candidates;
+    G is sampled once per distinct coefficient value, at one point for an
+    autonomous spec (`_quad_coefficient`).  The grid stops at the deepest
+    level at which all three normalizers are finite (`_finite_depth`);
+    the tail verdicts record it as "levels_used".  phi defaults to the
     entry's declared comparison function, else |s|^((1 + p)/2).  Returns
     {"sign", "comparison", "landesman_lazer": HypothesisReport}.
     """
@@ -657,12 +658,12 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     if phi is None:
         phi = power_comparison((1.0 + pp) / 2.0)
     alpha = float(phi.order)
+    c_distinct, inverse = _quad_coefficient(spec, mesh)
     # the envelope first, so that its temporaries do not stack on the
     # per-point arrays below (audit_rect's traced peak: 1.93 -> 1.75 MB)
-    envelope = check_f0(spec, F0_RADIUS, mesh)
+    envelope = check_f0(spec, F0_RADIUS, mesh, _coefficient=(c_distinct, inverse))
     w = mesh.quad_weights_flat()
     phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1).reshape(-1))
-    c_distinct, inverse = _quad_coefficient(spec, mesh)
     eta = _declared_weight(spec)
     eta_q = (None if eta is None else c_distinct[inverse] if spec.coefficient == "eta"
              else eta(mesh.quad_points_flat()))

@@ -20,9 +20,9 @@ for the eigen residual r = A'(u) - lambda B'(u), with
 A'(u)_j = int |grad u|^(p-2) grad u . grad psi_j and
 B'(u)_j = int |u|^(p-2) u psi_j: PCG, preconditioned by the closed-form
 inverse of the p = 2 stiffness matrix K (`solver._poisson_solve`), on a
-matrix assembled once per step as a grid stencil
-(`assembly._hessian_stencil`).  That matrix is the Hessian of the
-Lagrangian (1/p) int |grad u|^p - lambda (1/p) int |u|^p, A''(u) -
+matrix assembled once per step as grid arrays (`assembly._hessian_stencil`
+of `assembly._flux_weights`' coefficient).  That matrix is the Hessian
+of the Lagrangian (1/p) int |grad u|^p - lambda (1/p) int |u|^p, A''(u) -
 lambda B''(u), whose mass weight lambda (p-1) |u|^(p-2) is written at
 the quadrature nodes into the trial buffer, free until the line search;
 where u = 0 (the corner triangles of a rectangle) the weight is 0, and 1
@@ -86,6 +86,7 @@ from .assembly import (
     _check_p,
     _energy,
     _flux,
+    _flux_weights,
     _grad,
     _hessian_stencil,
     _lp,
@@ -263,7 +264,8 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
             mass_q = q_buf
         # u . K u = int |grad u|^2; the pair is built in the call, so no name
         # keeps this u alive after the step
-        d, products = _newton_step(_hessian_stencil(mesh, p, g, mass_q), r, solve, res,
+        d, products = _newton_step(_hessian_stencil(mesh, _flux_weights(mesh, g, p), mass_q),
+                                   r, solve, res,
                                    (u, 2.0 * _energy(mesh, g, 2.0)) if newton else None)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization

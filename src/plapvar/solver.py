@@ -34,9 +34,9 @@ summed twice by two cumulative sums, not the discrete Green's function,
 whose two terms cancel and lose accuracy on fine grids; on a rectangle,
 the fast diagonalization of the 5-point matrix), so nothing is
 factored; each descent builds its own solve.  H is assembled once per
-step as a grid stencil (`assembly._hessian_stencil`), 3 points on an
+step as grid arrays (`assembly._hessian_stencil`), 3 points on an
 interval and 7 on a rectangle, so a CG product is a few shifted
-multiply-adds: the p-energy Hessian from the element weights of
+multiply-adds: the p-energy Hessian of the element coefficient M of
 `assembly._flux_weights`, minus the mass matrix int f'(x, u) psi_i psi_j,
 with f' a central difference of `eval_f` at the quadrature nodes
 (`_df_at_quad`).  The eigensolver takes the same step (`_newton_step`)
@@ -83,6 +83,8 @@ from .assembly import (
     _check_mesh,
     _check_p,
     _finite_load,
+    _flux_weights,
+    _grad,
     _hat_norm,
     _hessian_stencil,
     _pad,
@@ -91,7 +93,6 @@ from .assembly import (
     _restrict,
     _spacing,
     dirichlet_energy,
-    gradients_on_elements,
     pairing,
     plap_residual,
     sup_norm,
@@ -497,7 +498,8 @@ def _poisson_solve(mesh: Mesh):
 
 
 def _pcg(apply, b: np.ndarray, solve, tol: float, complement_of=None):
-    """Truncated PCG for H d = b from d = 0, preconditioned by solve = K^-1.
+    """Truncated PCG for H d = b from d = 0, preconditioned by solve = K^-1,
+    with apply(s) = H s (an `assembly._Stencil` in both descents).
 
     With complement_of = (u, u . K u), CG runs on the K-orthogonal
     complement of u (projected PCG; Gould, Hribar, Nocedal, SIAM J. Sci.
@@ -552,12 +554,12 @@ def _pcg(apply, b: np.ndarray, solve, tol: float, complement_of=None):
 def _newton_step(apply, r: np.ndarray, solve, rel: float, complement_of=None):
     """(d, Hessian products): the inexact Newton direction for the residual r.
 
-    PCG solves apply(d) = r to the forcing term min(FORCING_CAP, sqrt(rel)),
+    PCG solves apply(d) = r, for apply the Newton matrix's product (an
+    `assembly._Stencil`), to the forcing term min(FORCING_CAP, sqrt(rel)),
     on the K-orthogonal complement of u for complement_of = (u, u . K u)
-    (see `_pcg`).
-    The p = 2 direction K^-1 r replaces it when apply is None, when CG
-    meets non-positive curvature at once, or when d is not a descent
-    direction.
+    (see `_pcg`).  The p = 2 direction K^-1 r replaces it when apply is
+    None, when CG meets non-positive curvature at once, or when d is not a
+    descent direction.
     """
     d, products = (None, 0) if apply is None else _pcg(
         apply, r, solve, min(FORCING_CAP, math.sqrt(rel)), complement_of)
@@ -567,17 +569,16 @@ def _newton_step(apply, r: np.ndarray, solve, rel: float, complement_of=None):
 
 
 def _phi_hessian(mesh, spec, p, u):
-    """v -> H v, the Hessian of Phi at u, or None at u = 0 or non-finite f'.
-
-    The p-energy Hessian minus the mass matrix of f', one grid stencil
-    (`assembly._hessian_stencil`).
+    """The Hessian of Phi at u as an `assembly._Stencil`, or None at u = 0 or
+    non-finite f': the stencil of `assembly._flux_weights`' coefficient at
+    D u, minus the mass matrix of f'.
     """
     if not np.any(u.values):
         return None
     df_q = _df_at_quad(mesh, spec, u.values)
     if not np.all(np.isfinite(df_q)):
         return None
-    return _hessian_stencil(mesh, p, gradients_on_elements(mesh, u), df_q)
+    return _hessian_stencil(mesh, _flux_weights(mesh, _grad(mesh, u.values), p), df_q)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from plapvar.assembly import GRADIENT_FLOOR, _flux_weights, _grad, _grad_T
+from plapvar.assembly import GRADIENT_FLOOR, _grad, _grad_T
 
 
 def mesh_tables(mesh):
@@ -191,19 +191,21 @@ def reference_hessian(mesh, p, grads, mass_q=None):
     return _coo_free(mesh, local)
 
 
-def matrix_free_hessian(mesh, p, grads, mass_q=None):
+def matrix_free_hessian(mesh, M, mass_q=None):
     """v -> the Newton matrix times v, applied matrix-free, with the same
-    signature as `assembly._hessian_stencil`: the p-energy part
-    D^T (|T| w (D v + (p-2) g_hat (g_hat . D v))) by the gradient stencils,
-    minus the load of mass_q times v at the quadrature nodes, by
-    `reference_values_at_quad` and `reference_scatter`."""
-    c, g_hat = _flux_weights(mesh, grads, p)
-
+    signature as `assembly._hessian_stencil`: the p-energy part D^T (M D v),
+    with the element coefficient M applied per element from its entries
+    {(i, j): (ne,) array}, i <= j, by the gradient stencils, minus the load
+    of mass_q times v at the quadrature nodes, by `reference_values_at_quad`
+    and `reference_scatter`."""
     def apply(v):
         G = _grad(mesh, v)
-        G += (p - 2.0) * np.einsum("ed,ed->e", g_hat, G)[:, None] * g_hat
-        G *= c[:, None]
-        out = _grad_T(mesh, G)
+        MG = np.zeros_like(G)
+        for (i, j), m in M.items():
+            MG[:, i] += m * G[:, j]
+            if i != j:
+                MG[:, j] += m * G[:, i]
+        out = _grad_T(mesh, MG)
         if mass_q is not None:
             v_q = reference_values_at_quad(mesh, v)
             out -= reference_scatter(mesh, (mesh.quad_weights * (mass_q * v_q))

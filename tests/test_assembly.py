@@ -6,15 +6,15 @@ import re
 
 import numpy as np
 import pytest
-from fem_reference import (coarse_hat_loads, gradient_tolerance, matrix_free_hessian,
-                           reference_basis_gradients, reference_corner_values,
-                           reference_hat_lp, reference_hessian, reference_scatter,
-                           reference_values_at_quad, stiffness_matrix)
+from fem_reference import (_weights, coarse_hat_loads, gradient_tolerance,
+                           matrix_free_hessian, reference_basis_gradients,
+                           reference_corner_values, reference_hat_lp, reference_hessian,
+                           reference_scatter, reference_values_at_quad, stiffness_matrix)
 
 import plapvar as pv
 from plapvar import meshing
-from plapvar.assembly import (GRADIENT_FLOOR, _grad, _grad_T, _hat_norm, _hessian_stencil, _lp,
-                              _lp_load, _pad, _restrict, _spacing)
+from plapvar.assembly import (GRADIENT_FLOOR, _edges, _flux_weights, _grad, _grad_T, _hat_norm,
+                              _hessian_stencil, _lp, _lp_load, _pad, _restrict, _spacing)
 
 
 def unit_hat(n=2):
@@ -271,10 +271,9 @@ class TestHessianStencil:
     # the assembled Newton matrix against COO assembly of the element matrices
     # (fem_reference.reference_hessian), on u with elements below the floor
 
-    @pytest.mark.parametrize("mass", [False, True], ids=["energy", "with-mass"])
-    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("name", sorted(HESSIAN_MESHES))
-    def test_matches_coo_assembly(self, name, p, mass):
+    @staticmethod
+    def case(name, p, mass):
+        """The mesh, the COO matrix and the stencil, with or without mass."""
         mesh = HESSIAN_MESHES[name]()
         g = _grad(mesh, _floored_field(mesh))
         norms = np.linalg.norm(g, axis=1)
@@ -282,13 +281,61 @@ class TestHessianStencil:
         mass_q = (np.random.default_rng(7).standard_normal(mesh.quad_weights.shape)
                   if mass else None)
         expect = reference_hessian(mesh, p, g, mass_q).toarray()
-        apply = _hessian_stencil(mesh, p, g, None if mass_q is None else mass_q.copy())
+        stencil = _hessian_stencil(mesh, _flux_weights(mesh, g, p),
+                                   None if mass_q is None else mass_q.copy())
+        return mesh, expect, stencil
+
+    @pytest.mark.parametrize("mass", [False, True], ids=["energy", "with-mass"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(HESSIAN_MESHES))
+    def test_matches_coo_assembly(self, name, p, mass):
+        mesh, expect, apply = self.case(name, p, mass)
         H = np.column_stack([apply(e) for e in np.eye(mesh.n_free)])
         assert np.max(np.abs(H - expect)) <= 1e-13 * np.max(np.abs(expect))
         assert np.array_equal(H, H.T)
         if p == 2.0 and not mass:
             K = stiffness_matrix(mesh).toarray()
             assert np.max(np.abs(H - K)) <= 1e-13 * np.max(np.abs(K))
+
+    @pytest.mark.parametrize("mass", [False, True], ids=["energy", "with-mass"])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(HESSIAN_MESHES))
+    def test_arrays_are_the_coo_entries(self, name, p, mass):
+        # the arrays read without the product: the diagonal and the coupling
+        # of each edge step are the COO matrix's entries at (I, I) and
+        # (I, I + step), and every other entry of it is zero
+        mesh, expect, stencil = self.case(name, p, mass)
+        tol = 1e-13 * np.max(np.abs(expect))
+        free = np.arange(mesh.n_free).reshape([n - 1 for n in mesh.structure])
+        assert stencil.diag.shape == free.shape
+        assert np.max(np.abs(stencil.diag.ravel() - np.diag(expect))) <= tol
+        assert list(stencil.couplings) == _edges(mesh.ndim)
+        read = np.eye(mesh.n_free, dtype=bool)
+        for step, C in stencil.couplings.items():
+            lo = free[tuple(slice(None, -d or None) for d in step)]
+            hi = free[tuple(slice(d, None) for d in step)]
+            assert C.shape == lo.shape
+            assert np.max(np.abs(C - expect[lo, hi])) <= tol
+            read[lo, hi] = read[hi, lo] = True
+        assert not np.any(expect[~read])
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(HESSIAN_MESHES))
+    def test_coefficient_matches_reference_weights(self, name, p):
+        # M = c (I + (p-2) g_hat g_hat^T) from the reference's element-by-element
+        # c and g_hat; below the floor M is exactly |T| I at p = 2 and 0 otherwise
+        mesh = HESSIAN_MESHES[name]()
+        g = _grad(mesh, _floored_field(mesh))
+        dead = np.linalg.norm(g, axis=1) < GRADIENT_FLOOR
+        assert np.any(dead) and not np.all(dead)
+        c, g_hat = _weights(mesh, p, g)
+        M = _flux_weights(mesh, g, p)
+        assert sorted(M) == [(i, j) for i in range(mesh.ndim) for j in range(i, mesh.ndim)]
+        for (i, j), m in M.items():
+            expect = c * ((i == j) + (p - 2.0) * g_hat[:, i] * g_hat[:, j])
+            assert m.shape == (mesh.n_elements,)
+            assert np.all(np.abs(m - expect) <= 1e-14 * c)
+            assert np.array_equal(m[dead], mesh.measures[dead] * float(p == 2.0 and i == j))
 
     @pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
     def test_product_matches_matrix_free(self, name):
@@ -298,8 +345,9 @@ class TestHessianStencil:
         g = _grad(mesh, rng.standard_normal(mesh.n_free))
         mass_q = rng.standard_normal(mesh.quad_weights.shape)
         v = rng.standard_normal(mesh.n_free)
-        expect = matrix_free_hessian(mesh, 2.5, g, mass_q)(v)
-        got = _hessian_stencil(mesh, 2.5, g, mass_q.copy())(v)
+        M = _flux_weights(mesh, g, 2.5)
+        expect = matrix_free_hessian(mesh, M, mass_q)(v)
+        got = _hessian_stencil(mesh, M, mass_q.copy())(v)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 

@@ -574,3 +574,18 @@ def test_python_dash_m_runs_the_cli():
         env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "pipeline" in done.stdout
+
+
+@pytest.mark.parametrize("demo", ["eigenpair", "hypothesis_audit", "solve_and_verify"])
+def test_demo_runs_with_its_defaults(tmp_path, demo):
+    # the public-API examples in demos/, each in a fresh interpreter with the
+    # suite's warning filters, from a directory of their own
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pv.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning",
+         os.path.join(root, "demos", f"{demo}.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

@@ -632,9 +632,9 @@ class TestIncomparabilitySuite:
 
 class TestWeightEvaluations:
     def test_once_per_point_set(self, monkeypatch):
-        # the suite evaluates each case's weight once for the tail levels,
-        # both directions and the domination candidates, and once for its
-        # envelope; check_f0 evaluates it once per (refined) mesh
+        # the suite evaluates each case's weight once, for its envelope, the
+        # tail levels, both directions and the domination candidates; check_f0
+        # evaluates it once per (refined) mesh
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
         eig = pv.first_eigenpair(mesh, 3.0)
         calls = []
@@ -661,5 +661,5 @@ class TestWeightEvaluations:
                         refinements=2)
             return suite, envelope, len(calls)
 
-        assert counts(40, conditions.F0_BLOCK_BYTES) == (3 * 2, 1, 3)
-        assert counts(200, 1 << 14) == (3 * 2, 1, 3)
+        assert counts(40, conditions.F0_BLOCK_BYTES) == (3, 1, 3)
+        assert counts(200, 1 << 14) == (3, 1, 3)

@@ -468,12 +468,16 @@ class TestHessian:
         assert np.max(np.abs(Hv - fd)) <= 1e-6 * np.max(np.abs(Hv))
 
     def test_weights_reduce_to_stiffness_at_p2(self):
+        # M = |T| I at p = 2, below the gradient floor too; there M is 0 at p = 3
         mesh = _square(8)
         g = np.zeros((mesh.n_elements, mesh.ndim))
         g[::3] = 1.0
-        c, g_hat = assembly._flux_weights(mesh, g, 2.0)
-        assert np.array_equal(c, mesh.measures)
-        assert np.all(g_hat[1::3] == 0.0)
+        M = assembly._flux_weights(mesh, g, 2.0)
+        assert np.array_equal(M[0, 0], mesh.measures)
+        assert np.array_equal(M[1, 1], mesh.measures)
+        assert np.all(M[0, 1] == 0.0)
+        M = assembly._flux_weights(mesh, g, 3.0)
+        assert all(np.all(m[1::3] == 0.0) for m in M.values())
 
     def test_newton_counts_match_matrix_free(self, monkeypatch):
         # the audit_rect problem: both descents take the same steps, trials and
@@ -600,8 +604,8 @@ class TestBlockPass:
         step = solver.FD_STEP * np.maximum(1.0, np.abs(s))
         df = (pv.eval_f(spec, pts, s + step) - pv.eval_f(spec, pts, s - step)) / (
             (s + step) - (s - step))
-        g = assembly.gradients_on_elements(mesh, u)
-        expect = matrix_free_hessian(mesh, p, g, df.reshape(mesh.quad_weights.shape))(v)
+        M = assembly._flux_weights(mesh, assembly.gradients_on_elements(mesh, u), p)
+        expect = matrix_free_hessian(mesh, M, df.reshape(mesh.quad_weights.shape))(v)
         got = solver._phi_hessian(mesh, spec, p, u)(v)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
