@@ -15,12 +15,12 @@ checked here rest on the asymptotic size of G normalized three ways:
 Limits in s are estimated on geometric grids s_k = +-2^k, k <= K, by
 tail maxima.  Estimates beyond +-1e12 are reported as the +-inf
 sentinels.  check_theorems samples G once per spec and direction, on the
-tail levels K//2..K only, and builds all three reports from those
-samples; K is the requested depth, lowered to the deepest level at
-which every normalizer is finite.  Each spatial weight is evaluated
-once per point set, not once per sample of s, and f and G once per
-distinct value of the spec's coefficient (`_quad_coefficient`), not
-once per point.
+tail levels K//2..K only, one evaluation per block of levels, and builds
+all three reports from those samples; K is the requested depth, lowered
+to the deepest level at which every normalizer is finite.  Each
+spatial weight is evaluated once per point set, not once per sample of
+s, and f and G once per distinct value of the spec's coefficient
+(`_quad_coefficient`), not once per point.
 "a.e." and "positive measure" are read through quadrature weight: a
 set matters when it carries more than 1e-6 of the total weight.
 Strict inequalities require a 1e-9 margin; non-strict comparisons
@@ -86,7 +86,9 @@ ZERO_TOL = 1e-3            # residue allowed in non-strict "<= 0" comparisons
 UNIFORM_MARGIN = 1e-6      # slack in pointwise domination by a declared weight
 CHECKER_LEVELS = 200       # default grid depth for the theorem-level checkers
 F0_SAMPLES = 2001          # values of s on [-R, R] in the envelope sup_{|s| <= R} |f|
-F0_BLOCK_BYTES = 1 << 17   # bytes in one (samples x distinct values) block of f values
+# bytes in one (samples x distinct values) block of f values, and the bound
+# on the working set of one block of tail levels of G (_tail_limsups)
+F0_BLOCK_BYTES = 1 << 17
 F0_RADIUS = 10.0           # R of the envelope sup_{|s| <= R} |f| in check_theorems
 
 
@@ -152,25 +154,18 @@ class LimsupEstimate:
 
 def _tail_verdict(m_cur, m_prev):
     """(value, converged) arrays from the tail maxima of the K-grid (levels
-    (K+1)//2..K) and of the (K-1)-grid (levels K//2..K-1)."""
-    m_cur = np.atleast_1d(m_cur)
-    m_prev = np.atleast_1d(m_prev)
+    (K+1)//2..K) and of the (K-1)-grid (levels K//2..K-1).
 
-    def sentinelize(m):
-        out = m.copy()
-        out[m > SENTINEL] = np.inf
-        out[m < -SENTINEL] = -np.inf
-        return out
-
-    v_cur = sentinelize(m_cur)
-    v_prev = sentinelize(m_prev)
-    both_inf = np.isinf(v_cur) & np.isinf(v_prev) & (np.sign(v_cur) == np.sign(v_prev))
+    A maximum past +-SENTINEL reads +-inf.  Two estimates have converged
+    when they agree to 1e-3 (relative, with an absolute floor of 1e-3) or
+    sit at the same sentinel; a nan never converges.
+    """
+    v_cur, v_prev = (np.where(np.abs(m) > SENTINEL, np.copysign(np.inf, m), m)
+                     for m in (m_cur, m_prev))
     with np.errstate(invalid="ignore"):
-        close = np.abs(v_cur - v_prev) <= 1e-3 * np.maximum(
-            1.0, np.maximum(np.abs(v_cur), np.abs(v_prev)))
-    converged = both_inf | (np.isfinite(v_cur) & np.isfinite(v_prev) & close)
-    converged &= ~(np.isnan(m_cur) | np.isnan(m_prev))
-    return v_cur, converged
+        gap = v_cur - v_prev
+    return v_cur, (v_cur == v_prev) | np.isfinite(gap) & (
+        np.abs(gap) <= 1e-3 * np.abs([v_cur, v_prev]).max(0, initial=1.0))
 
 
 def _geometric_grid(levels: int) -> np.ndarray:
@@ -196,10 +191,9 @@ def estimate_limsup(g, direction: int = 1, levels: int = 40) -> LimsupEstimate:
     if samples.shape != s_values.shape:
         raise ValueError(f"g returned shape {samples.shape} on a grid of shape "
                          f"{s_values.shape}")
-    with np.errstate(invalid="ignore"):
-        value, converged = _tail_verdict(np.max(samples[(levels + 1) // 2:]),
-                                         np.max(samples[levels // 2:levels]))
-    return LimsupEstimate(value=float(value[0]), converged=bool(converged[0]),
+    value, converged = _tail_verdict(np.max(samples[(levels + 1) // 2:]),
+                                     np.max(samples[levels // 2:levels]))
+    return LimsupEstimate(value=float(value), converged=bool(converged),
                           direction=direction, s_values=s_values, samples=samples)
 
 
@@ -245,28 +239,34 @@ def _tail_limsups(spec: NonlinearitySpec, c, denoms, direction: int,
 
     c is _spatial(spec, points), or its distinct entries (`_quad_coefficient`),
     evaluated once by the caller for both directions.  Each denom maps
-    |s| to a positive scalar (|s|^p, phi(|s|), or |s|).  G is evaluated
-    once per level and only on the tail levels K//2..K that the tail
-    maxima read; running maxima replace the (points x levels) block.
+    |s| to a positive scalar (|s|^p, phi(|s|), or |s|) and is called once
+    per level on that scalar, since an array power such as 2^k ** 1.1 can
+    differ from the scalar one in the last bit.  G is evaluated only on
+    the tail levels K//2..K that the tail maxima read, once per block of
+    levels, on a column of s against c (the contract of f in
+    `_f0_value`).  Each block's quotient by each denom is reduced at
+    once to its part of the two windows, levels (K+1)//2..K and
+    K//2..K-1, and folded into their running maxima.  G, its temporaries
+    and one quotient take about four blocks of G, so a block of G holds
+    a quarter of F0_BLOCK_BYTES.
     Pass K = _finite_depth(denoms, levels).
     Returns one (values, converged) pair of arrays of length len(c) per
     denom.
     """
-    grid = _geometric_grid(levels)
-    cur = [None] * len(denoms)
-    prev = [None] * len(denoms)
+    mags = _geometric_grid(levels)[levels // 2:]
+    rows = max(1, F0_BLOCK_BYTES // (32 * len(c)))
+    tops = np.full((len(denoms), 2, len(c)), -np.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(levels // 2, levels + 1):
-            mag = grid[k]
-            g = np.broadcast_to(np.asarray(_G_at(spec, c, direction * mag, lambda1, p),
-                                           dtype=float), (len(c),))
-            for i, denom in enumerate(denoms):
-                v = g / denom(mag)
-                if k >= (levels + 1) // 2:
-                    cur[i] = v if cur[i] is None else np.maximum(cur[i], v)
-                if k < levels:
-                    prev[i] = v if prev[i] is None else np.maximum(prev[i], v)
-    return [_tail_verdict(c, q) for c, q in zip(cur, prev)]
+        scales = np.array([[d(mag) for mag in mags] for d in denoms])[:, :, None]
+        for i in range(0, len(mags), rows):
+            g = _G_at(spec, c, direction * mags[i:i + rows, None], lambda1, p)
+            for (cur, prev), scale in zip(tops, scales):
+                q = g / scale[i:i + rows]
+                # the block's levels in (K+1)//2..K and in K//2..K-1
+                np.maximum(cur, q[max(levels % 2 - i, 0):].max(0, initial=-np.inf), out=cur)
+                np.maximum(prev, q[:len(mags) - 1 - i].max(0, initial=-np.inf), out=prev)
+            del g, q  # before the next block's G is made
+    return [_tail_verdict(*top) for top in tops]
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +589,9 @@ def _weighted_integral(values, weights, density) -> float:
     A +inf contribution wins over -inf: the integral is then reported as
     +inf, the conservative answer when certifying strict negativity.
     """
-    mask_pos = np.isposinf(values) & (weights * density > 0)
-    if np.any(mask_pos):
-        return math.inf
-    mask_neg = np.isneginf(values) & (weights * density > 0)
-    if np.any(mask_neg):
-        return -math.inf
+    for inf in (math.inf, -math.inf):
+        if np.any((values == inf) & (weights * density > 0)):
+            return inf
     finite = np.isfinite(values)
     return _reduce(weights[finite] * values[finite] * density[finite])
 
@@ -637,15 +634,15 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
                    levels: int = CHECKER_LEVELS) -> dict:
     """The sign, comparison and Landesman-Lazer reports from one pass over G.
 
-    G is sampled once per direction and tail level and normalized by
-    |s|^p, phi(s) and |s|; the envelope check check_f0 runs once, at
-    R = F0_RADIUS, and is shared by the three reports.  The spec's
-    spatial coefficient is evaluated once at the quadrature points and
-    serves the envelope, both directions and the domination candidates;
-    G is sampled once per distinct coefficient value, at one point for an
-    autonomous spec (`_quad_coefficient`).  The grid stops at the deepest
-    level at which all three normalizers are finite (`_finite_depth`);
-    the tail verdicts record it as "levels_used".  phi defaults to the
+    G is sampled once per direction and block of tail levels and
+    normalized by |s|^p, phi(s) and |s|; the envelope check check_f0
+    runs once, at R = F0_RADIUS, and is shared by the three reports.
+    The spec's spatial coefficient is evaluated once at the quadrature
+    points and serves the envelope, both directions and the domination
+    candidates; G is sampled once per distinct coefficient value, at one
+    point for an autonomous spec (`_quad_coefficient`).  The grid stops
+    at the deepest level at which all three normalizers are finite
+    (`_finite_depth`); the tail verdicts record it as "levels_used".  phi defaults to the
     entry's declared comparison function, else |s|^((1 + p)/2).  Returns
     {"sign", "comparison", "landesman_lazer": HypothesisReport}.
     """

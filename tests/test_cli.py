@@ -316,7 +316,7 @@ class TestSharedWork:
             return first_eigenpair(*args, **kwargs)
 
         def recording_G(spec, c, s, *args, **kwargs):
-            s_seen.append(float(s))
+            s_seen.append(np.ravel(s))
             return G_at(spec, c, s, *args, **kwargs)
 
         monkeypatch.setattr(conditions, "check_f0", counting_f0)
@@ -334,10 +334,19 @@ class TestSharedWork:
 
         assert len(f0_specs) == len({id(s) for s in f0_specs}) == 4
         assert len(eig_calls) == 1
+        # G is sampled in blocks of levels, one sign per pass and direction:
+        # 4 specs through check_theorems + the autonomous superlinear check,
+        # each direction sampling every tail level exactly once
+        passes = [[]]
+        for s in s_seen:
+            if passes[-1] and np.sign(s[0]) != np.sign(passes[-1][-1][0]):
+                passes.append([])
+            assert np.all(np.sign(s) == np.sign(s[0]))
+            passes[-1].append(s)
         tail = [2.0 ** k for k in range(levels // 2, levels + 1)]
-        # 4 specs through check_theorems + the autonomous superlinear check
-        assert len(s_seen) == 5 * 2 * len(tail)
-        assert sorted(set(abs(s) for s in s_seen)) == tail
+        assert len(passes) == 5 * 2
+        for blocks in passes:
+            assert sorted(np.abs(np.concatenate(blocks)).tolist()) == tail
 
 
     def test_run_factors_no_matrix(self, tmp_path, monkeypatch):

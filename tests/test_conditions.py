@@ -156,6 +156,86 @@ class TestStreamedTailMaxima:
                         assert vals.tobytes() == ref_vals.tobytes(), key
                         assert np.array_equal(conv, ref_conv), key
 
+    def test_odd_depth_matches_block_reference_bit_for_bit(self):
+        # at an odd K the K-grid's window starts one level after the
+        # (K-1)-grid's, inside the first block
+        mesh, p = pv.build_interval_mesh(0.0, 1.0, 16), 2.0
+        specs, lam, phi = _audited_specs(mesh, p)
+        pts = mesh.quad_points_flat()
+        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+        for name, spec in specs.items():
+            c = conditions._spatial(spec, pts)
+            for levels in (9, 199):
+                streamed = conditions._tail_limsups(spec, c, denoms, -1, lam, p, levels)
+                for denom, (vals, conv) in zip(denoms, streamed):
+                    ref_vals, ref_conv = _block_limsup(spec, pts, denom, -1, lam, p, levels)
+                    assert vals.tobytes() == ref_vals.tobytes(), (name, levels)
+                    assert np.array_equal(conv, ref_conv), (name, levels)
+
+    @pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
+    @pytest.mark.parametrize("domain", ["interval", "square"])
+    def test_block_size_leaves_the_audit_unchanged(self, monkeypatch, domain, p):
+        # the suite's three cases audited with the default blocks of tail
+        # levels, with one level per block, and with blocks of 50 levels,
+        # whose boundary at level K//2 + 50 splits the K-grid's window and
+        # whose last block holds level K alone; K even and odd
+        mesh = pv.build_interval_mesh(0.0, 1.0, 64) if domain == "interval" \
+            else pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 8, 8)
+        eig = pv.first_eigenpair(mesh, p)
+        lam, h = eig.lambda1, pv.zero_dual(mesh)
+        phi = pv.power_comparison((1.0 + p) / 2.0)
+        eta = conditions._tilted_weight(mesh)
+        specs = (pv.weighted_comparison(eta, phi, lam, p), pv.weighted_absval(eta, lam, p),
+                 pv.modulated_resonance(conditions._plateau_bump(mesh), phi, lam, p))
+        default = conditions.F0_BLOCK_BYTES
+        blocks, G_at = [], conditions._G_at
+
+        def recording_G(spec, c, s, *args):
+            blocks.append(np.size(s))
+            return G_at(spec, c, s, *args)
+
+        monkeypatch.setattr(conditions, "_G_at", recording_G)
+
+        def audit(rows, levels):
+            reports = []
+            for spec in specs:
+                n = len(conditions._quad_coefficient(spec, mesh)[0])
+                monkeypatch.setattr(conditions, "F0_BLOCK_BYTES",
+                                    default if rows is None else 32 * n * rows)
+                blocks.clear()
+                reports.append(repr(pv.check_theorems(spec, eig, h, mesh, p,
+                                                      levels=levels)))
+                tail = levels - levels // 2 + 1
+                if rows is not None:
+                    assert blocks == 2 * [min(rows, tail - i) for i in range(0, tail, rows)]
+            return reports
+
+        for levels in (199, 200):
+            reference = audit(None, levels)
+            assert audit(1, levels) == reference
+            assert audit(50, levels) == reference
+
+    def test_tail_pass_stays_within_two_f0_blocks(self):
+        # the pass runs while check_theorems holds its per-point arrays, so
+        # G, its temporaries and the quotients stay block sized
+        import tracemalloc
+
+        mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
+        p = 3.0
+        lam = pv.first_eigenpair(mesh, p).lambda1
+        phi = pv.power_comparison((1.0 + p) / 2.0)
+        spec = pv.modulated_resonance(conditions._plateau_bump(mesh), phi, lam, p)
+        c, _ = conditions._quad_coefficient(spec, mesh)
+        assert len(c) == 1308
+        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+        tracemalloc.start()
+        try:
+            conditions._tail_limsups(spec, c, denoms, 1, lam, p, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * conditions.F0_BLOCK_BYTES
+
 
 class TestCheckGrowth:
     @pytest.mark.parametrize("q", [2.0, 5.0, 20.0])
