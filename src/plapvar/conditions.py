@@ -14,13 +14,13 @@ checked here rest on the asymptotic size of G normalized three ways:
 
 Limits in s are estimated on geometric grids s_k = +-2^k, k <= K, by
 tail maxima.  Estimates beyond +-1e12 are reported as the +-inf
-sentinels.  check_theorems samples G once per spec and direction, on the
-tail levels K//2..K only, one evaluation per block of levels, and builds
-all three reports from those samples; K is the requested depth, lowered
-to the deepest level at which every normalizer is finite.  Each
-spatial weight is evaluated once per point set, not once per sample of
-s, and f and G once per distinct value of the spec's coefficient
-(`_quad_coefficient`), not once per point.
+sentinels.  f and G meet a grid of s only in `_s_blocks`, once per block
+of s.  check_theorems makes one tail pass per spec (`_tail_limsups`): G
+on the tail levels K//2..K of +s and then -s, each normalizer once per
+level, with K the requested depth lowered to the deepest level at which
+every normalizer is finite.  Each spatial weight is evaluated once per
+point set, and f and G once per distinct value of the spec's
+coefficient (`_quad_coefficient`), not once per point.
 "a.e." and "positive measure" are read through quadrature weight: a
 set matters when it carries more than 1e-6 of the total weight.
 Strict inequalities require a 1e-9 margin; non-strict comparisons
@@ -197,21 +197,6 @@ def estimate_limsup(g, direction: int = 1, levels: int = 40) -> LimsupEstimate:
                           direction=direction, s_values=s_values, samples=samples)
 
 
-def _finite_depth(denoms, levels: int) -> int:
-    """The deepest grid level K <= levels at which every denom is finite.
-
-    Past it a normalizer such as |s|^p overflows (at p = 8 from s = 2^128
-    on) and G/denom reads 0 or nan whatever G does.  At least 8 levels,
-    the grid's minimum, are kept.
-    """
-    grid = _geometric_grid(levels)
-    depth = levels
-    with np.errstate(over="ignore", invalid="ignore"):
-        while depth > 8 and not all(np.isfinite(d(grid[depth])) for d in denoms):
-            depth -= 1
-    return depth
-
-
 def _quad_coefficient(spec: NonlinearitySpec, mesh: Mesh):
     """The distinct entries of c = _spatial(spec, x) at the x of
     `nonlinearity._quad_x` on the mesh, and the inverse map from the
@@ -233,40 +218,58 @@ def _quad_coefficient(spec: NonlinearitySpec, mesh: Mesh):
     return c[index], inverse.reshape(-1)
 
 
-def _tail_limsups(spec: NonlinearitySpec, c, denoms, direction: int,
-                  lambda1: float, p: float, levels: int):
-    """Per-point limsup of G(x, s)/denom(|s|) for each denom, in one pass.
-
-    c is _spatial(spec, points), or its distinct entries (`_quad_coefficient`),
-    evaluated once by the caller for both directions.  Each denom maps
-    |s| to a positive scalar (|s|^p, phi(|s|), or |s|) and is called once
-    per level on that scalar, since an array power such as 2^k ** 1.1 can
-    differ from the scalar one in the last bit.  G is evaluated only on
-    the tail levels K//2..K that the tail maxima read, once per block of
-    levels, on a column of s against c (the contract of f in
-    `_f0_value`).  Each block's quotient by each denom is reduced at
-    once to its part of the two windows, levels (K+1)//2..K and
-    K//2..K-1, and folded into their running maxima.  G, its temporaries
-    and one quotient take about four blocks of G, so a block of G holds
-    a quarter of F0_BLOCK_BYTES.
-    Pass K = _finite_depth(denoms, levels).
-    Returns one (values, converged) pair of arrays of length len(c) per
-    denom.
+def _s_blocks(width: int, s, evaluate, spec: NonlinearitySpec, c, *args):
+    """(i, evaluate(spec, c, s[i:i + rows, None], *args)) for each block of
+    rows = F0_BLOCK_BYTES // (width * len(c)) (at least 1) entries of the
+    1-D s, the values broadcast to (rows, len(c)), so an f that ignores s
+    may return (len(c),).  c is _spatial(spec, points) or its distinct
+    entries (`_quad_coefficient`); the sampler keeps no block's values.
     """
-    mags = _geometric_grid(levels)[levels // 2:]
-    rows = max(1, F0_BLOCK_BYTES // (32 * len(c)))
-    tops = np.full((len(denoms), 2, len(c)), -np.inf)
+    rows = max(1, F0_BLOCK_BYTES // (width * len(c)))
+    for i in range(0, len(s), rows):
+        block = s[i:i + rows, None]
+        yield i, np.broadcast_to(evaluate(spec, c, block, *args), (len(block), len(c)))
+
+
+def _tail_limsups(spec: NonlinearitySpec, c, denoms, lambda1: float, p: float,
+                  levels: int):
+    """Per-point limsup of G(x, s)/denom(|s|) for each denom and direction.
+
+    Each denom maps |s| to a positive scalar (|s|^p, phi(|s|), or |s|) and
+    is called once per level, on that scalar (an array power such as
+    2^k ** 1.1 can differ in the last bit), for both directions.  The depth
+    K is `levels`, lowered (to 8 at least) to the deepest level at which
+    every denom is finite: past it a normalizer such as |s|^p overflows
+    (p = 8, s >= 2^128) and G/denom reads 0 or nan whatever G does.  G is
+    sampled by `_s_blocks` on the tail levels K//2..K, +s then -s.  Each
+    block's quotients are reduced to their part of the two windows,
+    levels (K+1)//2..K and K//2..K-1, and folded into running maxima.  G,
+    its temporaries and one quotient take about four blocks of G, so a
+    block of G holds a quarter of F0_BLOCK_BYTES (width 32).
+    Returns K and, per direction (+ then -), one (values, converged) pair
+    of arrays of length len(c) per denom.
+    """
+    grid = _geometric_grid(levels)
+    tops = np.empty((len(denoms), 2, len(c)))
+    tails = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        scales = np.array([[d(mag) for mag in mags] for d in denoms])[:, :, None]
-        for i in range(0, len(mags), rows):
-            g = _G_at(spec, c, direction * mags[i:i + rows, None], lambda1, p)
-            for (cur, prev), scale in zip(tops, scales):
-                q = g / scale[i:i + rows]
-                # the block's levels in (K+1)//2..K and in K//2..K-1
-                np.maximum(cur, q[max(levels % 2 - i, 0):].max(0, initial=-np.inf), out=cur)
-                np.maximum(prev, q[:len(mags) - 1 - i].max(0, initial=-np.inf), out=prev)
-            del g, q  # before the next block's G is made
-    return [_tail_verdict(*top) for top in tops]
+        last = [d(grid[levels]) for d in denoms]
+        while levels > 8 and not np.all(np.isfinite(last)):
+            levels -= 1
+            last = [d(grid[levels]) for d in denoms]
+        mags = grid[levels // 2:levels + 1]
+        scales = np.array([[d(mag) for d in denoms] for mag in mags[:-1]] + [last]).T
+        for direction in (1, -1):
+            tops.fill(-np.inf)
+            for i, g in _s_blocks(32, direction * mags, _G_at, spec, c, lambda1, p):
+                for (cur, prev), scale in zip(tops, scales):
+                    q = g / scale[i:i + len(g), None]
+                    # the block's levels in (K+1)//2..K and in K//2..K-1
+                    np.maximum(cur, q[max(levels % 2 - i, 0):].max(0, initial=-np.inf), out=cur)
+                    np.maximum(prev, q[:len(mags) - 1 - i].max(0, initial=-np.inf), out=prev)
+                del g, q  # before the next block's G is made
+            tails.append([_tail_verdict(*top) for top in tops])
+    return levels, tails
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +289,27 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
                  levels: int = 40) -> Verdict:
     """Test the polynomial bound |f(x, s)| <= a |s|^(q-1) + b(x).
 
-    The normalized ratio max_x |f| / (|s|^(q-1) + 1) is tracked along the
-    geometric grid; the bound fails when the ratio at the largest |s|
-    exceeds 1e6 times the ratio at the smallest (or overflows).  When the
-    bound holds, the tail maximum of the ratio is reported as the fitted
-    coefficient a.
+    The normalized ratio max_x |f| / (|s|^(q-1) + 1) over s = +-|s| is
+    tracked along the geometric grid; the bound fails when the ratio at
+    the largest |s| exceeds 1e6 times the ratio at the smallest (or
+    overflows).  A point where |f| is nan (0 * inf where a weight
+    vanishes) is skipped, and a level with no other value reads 0.
+    When the bound holds, the tail maximum of the ratio is reported as
+    the fitted coefficient a.
     """
     if not (q > 1.0):
         raise ValueError(f"growth exponent q must exceed 1, got {q}")
     c = _spatial(spec, _box_points(box, per_dim))
     grid = _geometric_grid(levels)
-    ratios = np.empty(grid.size)
+    worst = np.empty(2 * grid.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, mag in enumerate(grid):
-            worst = 0.0
-            for s in (mag, -mag):
-                fv = np.abs(np.asarray(_f_at(spec, c, s), dtype=float))
-                worst = max(worst, float(np.max(fv)))
-            ratios[k] = worst / (mag ** (q - 1.0) + 1.0)
-    first = ratios[0]
-    last = ratios[-1]
-    unbounded = (not np.isfinite(last)) or np.isnan(last) \
-        or last > 1e6 * max(first, 1e-300)
-    tail_a = float(np.max(ratios[(grid.size) // 2:])) if np.all(np.isfinite(ratios)) \
+        for i, fv in _s_blocks(8, np.concatenate([grid, -grid]), _f_at, spec, c):
+            worst[i:i + len(fv)] = np.fmax.reduce(np.abs(fv), axis=1, initial=0.0)
+    ratios = np.fmax(worst[:grid.size], worst[grid.size:]) \
+        / np.array([mag ** (q - 1.0) + 1.0 for mag in grid])
+    first, last = ratios[0], ratios[-1]
+    unbounded = not np.isfinite(last) or last > 1e6 * max(first, 1e-300)
+    tail_a = float(np.max(ratios[grid.size // 2:])) if np.all(np.isfinite(ratios)) \
         else math.inf
     status = FAILS if unbounded else HOLDS
     return Verdict(status, {
@@ -319,16 +320,10 @@ def check_growth(spec: NonlinearitySpec, q: float, box, per_dim: int = 9,
 
 def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh, coefficient=None) -> float:
     c, inverse = _quad_coefficient(spec, mesh) if coefficient is None else coefficient
-    n = len(c)
-    env = np.zeros(n)
-    s = np.linspace(-R, R, F0_SAMPLES)[:, None]
-    rows = max(1, F0_BLOCK_BYTES // (8 * n))
+    env = np.zeros(len(c))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(0, F0_SAMPLES, rows):
-            block = s[i:i + rows]
-            fv = np.abs(np.asarray(_f_at(spec, c, block), dtype=float))
-            # an f that ignores s returns (n,): broadcast before the max
-            env = np.maximum(env, np.broadcast_to(fv, (block.shape[0], n)).max(axis=0))
+        for _, fv in _s_blocks(8, np.linspace(-R, R, F0_SAMPLES), _f_at, spec, c):
+            env = np.maximum(env, np.abs(fv).max(axis=0))
     return _reduce(mesh.quad_weights_flat() * env[inverse])
 
 
@@ -629,25 +624,33 @@ def _best_domination(values, converged, weights, eta, eta_q, order: float, p: fl
     return best
 
 
+def _audit_p(spec: NonlinearitySpec, p: float | None) -> float | None:
+    """The entry's p, else the passed one; a passed p must equal the entry's."""
+    if None not in (p, spec.p) and p != spec.p:
+        raise ValueError(f"p = {p} disagrees with the entry's p = {spec.p}")
+    return spec.p if spec.p is not None else p
+
+
 def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector,
                    mesh: Mesh, p: float | None = None, *, phi=None,
                    levels: int = CHECKER_LEVELS) -> dict:
     """The sign, comparison and Landesman-Lazer reports from one pass over G.
 
-    G is sampled once per direction and block of tail levels and
-    normalized by |s|^p, phi(s) and |s|; the envelope check check_f0
+    One tail pass (`_tail_limsups`) samples G on both directions and
+    normalizes it by |s|^p, phi(s) and |s|; the envelope check check_f0
     runs once, at R = F0_RADIUS, and is shared by the three reports.
     The spec's spatial coefficient is evaluated once at the quadrature
-    points and serves the envelope, both directions and the domination
+    points and serves the envelope, the tail pass and the domination
     candidates; G is sampled once per distinct coefficient value, at one
-    point for an autonomous spec (`_quad_coefficient`).  The grid stops
-    at the deepest level at which all three normalizers are finite
-    (`_finite_depth`); the tail verdicts record it as "levels_used".  phi defaults to the
-    entry's declared comparison function, else |s|^((1 + p)/2).  Returns
-    {"sign", "comparison", "landesman_lazer": HypothesisReport}.
+    point for an autonomous spec (`_quad_coefficient`).  The tail
+    verdicts record the depth of the grid as "levels_used".  p is the
+    entry's, else the passed one; both given must agree (ValueError).
+    lambda1 is the entry's, else the eigenpair's.  phi defaults to the
+    entry's declared comparison function, else |s|^((1 + p)/2).
+    Returns {"sign", "comparison", "landesman_lazer": HypothesisReport}.
     """
     lam = spec.lambda1 if spec.lambda1 is not None else eigenpair.lambda1
-    pp = spec.p if spec.p is not None else p
+    pp = _audit_p(spec, p)
     if pp is None:
         raise ValueError("p is needed (stored on the entry or passed explicitly)")
     if phi is None:
@@ -665,28 +668,24 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     eta_q = (None if eta is None else c_distinct[inverse] if spec.coefficient == "eta"
              else eta(mesh.quad_points_flat()))
     denoms = (lambda mag: mag ** pp, lambda mag: float(phi(mag)), lambda mag: mag)
-    depth = _finite_depth(denoms, levels)
+    depth, tails = _tail_limsups(spec, c_distinct, denoms, lam, pp, levels)
 
-    ae, strict, dom_x, dom_y = [], [], [], []
-    integrals, integrals_1, convs_phi, convs_1 = {}, {}, [], []
-    for direction, tag in ((1, "pos"), (-1, "neg")):
+    def one_direction(tail):
         (vals_p, conv_p), (vals_phi, conv_phi), (vals_1, conv_1) = (
-            (vals[inverse], conv[inverse]) for vals, conv in _tail_limsups(
-                spec, c_distinct, denoms, direction, lam, pp, depth))
-        ae.append(_dominated_by(vals_p, conv_p, w, 0.0, ZERO_TOL))
-        strict.append(_strict_negative_set(vals_p, conv_p, w))
-        dom_x.append(_best_domination(vals_phi, conv_phi, w, eta, eta_q, alpha, pp,
-                                      mesh.ndim, "X"))
-        integrals[tag] = _weighted_integral(vals_phi, w, phi1q ** alpha)
-        convs_phi.append(conv_phi)
-        dom_y.append(_best_domination(vals_1, conv_1, w, eta, eta_q, 1.0, pp,
-                                      mesh.ndim, "Y"))
-        integrals_1[tag] = _weighted_integral(vals_1, w, phi1q)
-        convs_1.append(conv_1)
+            (vals[inverse], conv[inverse]) for vals, conv in tail)
+        tail.clear()  # the distinct values, once mapped to the points
+        return (_dominated_by(vals_p, conv_p, w, 0.0, ZERO_TOL),
+                _strict_negative_set(vals_p, conv_p, w),
+                _best_domination(vals_phi, conv_phi, w, eta, eta_q, alpha, pp, mesh.ndim, "X"),
+                _weighted_integral(vals_phi, w, phi1q ** alpha), conv_phi,
+                _best_domination(vals_1, conv_1, w, eta, eta_q, 1.0, pp, mesh.ndim, "Y"),
+                _weighted_integral(vals_1, w, phi1q), conv_1)
+
+    ae, strict, dom_x, (I_pos, I_neg), convs_phi, dom_y, (I_plus, I_minus), convs_1 = \
+        zip(*map(one_direction, tails))
 
     axioms = verify_comparison_function(phi, pp)
-    neg_ok = integrals["pos"] < -STRICT_MARGIN and integrals["neg"] < -STRICT_MARGIN
-    I_plus, I_minus = integrals_1["pos"], integrals_1["neg"]
+    neg_ok = I_pos < -STRICT_MARGIN and I_neg < -STRICT_MARGIN
     h_phi1 = pairing(h, eigenpair.phi1)
     bracket_ok = (I_minus < h_phi1 - STRICT_MARGIN) and (h_phi1 < -I_plus - STRICT_MARGIN)
     return {
@@ -700,7 +699,7 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
             "dominated_in_X": _both_directions(dom_x, depth),
             "negative_weighted_integrals": Verdict(
                 _unless_unconverged(neg_ok, convs_phi, w),
-                {**integrals, "levels_used": depth}),
+                {"pos": I_pos, "neg": I_neg, "levels_used": depth}),
             "local_envelope_integrable": envelope,
         }),
         "landesman_lazer": make_report("Landesman-Lazer theorem", {
@@ -722,20 +721,20 @@ def check_superlinear_negativity(spec: NonlinearitySpec,
     Holds when both directional tail estimates reach the -inf sentinel;
     inconclusive when an estimate has not converged.  The grid stops at
     the deepest level at which |s| is finite, recorded as "levels_used".
+    A passed lambda1 wins over the entry's; a passed p must equal the
+    entry's (ValueError).
     """
     if not spec.autonomous:
         raise ValueError("superlinear-negativity check needs an autonomous spec")
     lam = lambda1 if lambda1 is not None else spec.lambda1
-    pp = p if p is not None else spec.p
+    pp = _audit_p(spec, p)
     if lam is None or pp is None:
         raise ValueError("lambda1 and p are needed (spec metadata or arguments)")
     c = _spatial(spec, np.zeros((1, 1)))
-    denoms = (lambda mag: mag,)
-    depth = _finite_depth(denoms, levels)
+    depth, tails = _tail_limsups(spec, c, (lambda mag: mag,), lam, pp, levels)
     results = {"levels_used": depth}
     statuses = []
-    for direction, tag in ((1, "pos"), (-1, "neg")):
-        [(vals, conv)] = _tail_limsups(spec, c, denoms, direction, lam, pp, depth)
+    for tag, [(vals, conv)] in zip(("pos", "neg"), tails):
         results[tag] = {"value": float(vals[0]), "converged": bool(conv[0])}
         statuses.append(INCONCLUSIVE if not conv[0]
                         else HOLDS if np.isneginf(vals[0]) else FAILS)

@@ -264,13 +264,16 @@ class TestDeterminism:
                     "pipeline = all\nn = 24\nlevels = 200\n"
                     "nonlinearity = power_perturbation\n"
                     "nonlinearity.beta = 1.9\nh = phi1: 0.05\n")
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["run", cfg, "--out", str(out1), "--quiet"]) == 0
-        assert main(["run", cfg, "--out", str(out2), "--quiet"]) == 0
-        names = [p.name for p in sorted(out1.iterdir())]
-        assert names == [p.name for p in sorted(out2.iterdir())]
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # with --explain, evidence.json carries every tail value of the audit
+        for flags in ([], ["--explain"]):
+            out1, out2 = tmp_path / f"a{len(flags)}", tmp_path / f"b{len(flags)}"
+            assert main(["run", cfg, "--out", str(out1), "--quiet", *flags]) == 0
+            assert main(["run", cfg, "--out", str(out2), "--quiet", *flags]) == 0
+            names = [p.name for p in sorted(out1.iterdir())]
+            assert ("evidence.json" in names) == bool(flags)
+            assert names == [p.name for p in sorted(out2.iterdir())]
+            for name in names:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 class TestExplain:

@@ -118,6 +118,11 @@ def _block_limsup(spec, pts, denom, direction, lam, p, levels):
     return conditions._tail_verdict(m_cur, m_prev)
 
 
+def _denoms(p, phi):
+    """The normalizers |s|^p, phi(|s|) and |s| of check_theorems."""
+    return (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+
+
 def _audited_specs(mesh, p):
     lam = pv.first_eigenpair(mesh, p).lambda1
     phi = pv.power_comparison((1.0 + p) / 2.0)
@@ -141,13 +146,13 @@ class TestStreamedTailMaxima:
         specs, lam, phi = _audited_specs(mesh, p)
         assert specs["power_perturbation"].autonomous
         pts = mesh.quad_points_flat()
-        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+        denoms = _denoms(p, phi)
         for name, spec in specs.items():
             c = conditions._spatial(spec, pts)
-            for direction in (1, -1):
-                for levels in (8, 200):
-                    streamed = conditions._tail_limsups(spec, c, denoms, direction,
-                                                        lam, p, levels)
+            for levels in (8, 200):
+                depth, tails = conditions._tail_limsups(spec, c, denoms, lam, p, levels)
+                assert depth == levels and len(tails) == 2
+                for direction, streamed in zip((1, -1), tails):
                     for denom, (vals, conv) in zip(denoms, streamed):
                         ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction,
                                                            lam, p, levels)
@@ -162,15 +167,19 @@ class TestStreamedTailMaxima:
         mesh, p = pv.build_interval_mesh(0.0, 1.0, 16), 2.0
         specs, lam, phi = _audited_specs(mesh, p)
         pts = mesh.quad_points_flat()
-        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+        denoms = _denoms(p, phi)
         for name, spec in specs.items():
             c = conditions._spatial(spec, pts)
             for levels in (9, 199):
-                streamed = conditions._tail_limsups(spec, c, denoms, -1, lam, p, levels)
-                for denom, (vals, conv) in zip(denoms, streamed):
-                    ref_vals, ref_conv = _block_limsup(spec, pts, denom, -1, lam, p, levels)
-                    assert vals.tobytes() == ref_vals.tobytes(), (name, levels)
-                    assert np.array_equal(conv, ref_conv), (name, levels)
+                depth, tails = conditions._tail_limsups(spec, c, denoms, lam, p, levels)
+                assert depth == levels
+                for direction, streamed in zip((1, -1), tails):
+                    for denom, (vals, conv) in zip(denoms, streamed):
+                        ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction,
+                                                           lam, p, levels)
+                        key = (name, direction, levels)
+                        assert vals.tobytes() == ref_vals.tobytes(), key
+                        assert np.array_equal(conv, ref_conv), key
 
     @pytest.mark.parametrize("p", [1.2, 2.0, 3.0])
     @pytest.mark.parametrize("domain", ["interval", "square"])
@@ -216,8 +225,9 @@ class TestStreamedTailMaxima:
             assert audit(50, levels) == reference
 
     def test_tail_pass_stays_within_two_f0_blocks(self):
-        # the pass runs while check_theorems holds its per-point arrays, so
-        # G, its temporaries and the quotients stay block sized
+        # the whole pass, both directions: G, its temporaries and the
+        # quotients stay block sized, and the first direction's tail values
+        # are all it keeps while the second runs
         import tracemalloc
 
         mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 32, 32)
@@ -225,16 +235,24 @@ class TestStreamedTailMaxima:
         lam = pv.first_eigenpair(mesh, p).lambda1
         phi = pv.power_comparison((1.0 + p) / 2.0)
         spec = pv.modulated_resonance(conditions._plateau_bump(mesh), phi, lam, p)
-        c, _ = conditions._quad_coefficient(spec, mesh)
+        c, inverse = conditions._quad_coefficient(spec, mesh)
         assert len(c) == 1308
-        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
+        denoms = _denoms(p, phi)
         tracemalloc.start()
         try:
-            conditions._tail_limsups(spec, c, denoms, 1, lam, p, 200)
+            depth, tails = conditions._tail_limsups(spec, c, denoms, lam, p, 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * conditions.F0_BLOCK_BYTES
+        # one point per distinct value, in the order of c
+        pts = mesh.quad_points_flat()[np.unique(inverse, return_index=True)[1]]
+        for direction, streamed in zip((1, -1), tails):
+            for denom, (vals, conv) in zip(denoms, streamed):
+                ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction, lam, p,
+                                                   depth)
+                assert vals.tobytes() == ref_vals.tobytes()
+                assert np.array_equal(conv, ref_conv)
 
 
 class TestCheckGrowth:
@@ -249,6 +267,17 @@ class TestCheckGrowth:
 
     def test_zero_nonlinearity_holds(self):
         assert pv.check_growth(pv.sine_exp(0.0), 2.0, [(0.0, 1.0)]).status == HOLDS
+
+    @pytest.mark.parametrize("q", [2.0, 20.0])
+    def test_nan_points_are_skipped_not_their_level(self, q):
+        # where the weight is 0, f reads 0 * inf = nan once exp(|s|/2)
+        # overflows; the other half of the box still grows without bound
+        half = pv.sine_exp(lambda x: np.maximum(x[:, 0] - 0.5, 0.0))
+        v = pv.check_growth(half, q, [(0.0, 1.0)])
+        assert v.status == FAILS and v.evidence["ratio_last"] == math.inf
+        # a level with nothing but nan reads 0
+        v = pv.check_growth(pv.sine_exp(0.0), q, [(0.0, 1.0)])
+        assert v.status == HOLDS and v.evidence["ratio_last"] == 0.0
 
     def test_under_declared_order_fails(self):
         # |f| ~ |s|^2 cannot satisfy a q = 1.5 bound
@@ -426,7 +455,8 @@ class TestDistinctCoefficients:
 
     def test_check_theorems_matches_per_point_tail_limsups(self, monkeypatch, mesh, eig):
         # the per-point arrays check_theorems feeds its verdicts equal a
-        # _tail_limsups pass over the full c, signs of zero included
+        # _tail_limsups pass over the full c, signs of zero and of nan
+        # included, and the block reference up to the sign of a nan
         spec = _mixed_spec(eig.lambda1, 2.0)
         phi = pv.power_comparison(1.5)
         seen = []
@@ -444,13 +474,20 @@ class TestDistinctCoefficients:
         monkeypatch.setattr(conditions, "_weighted_integral", recording_integral)
         pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0, phi=phi, levels=40)
 
-        c = conditions._spatial(spec, mesh.quad_points_flat())
-        denoms = (lambda mag: mag ** 2.0, lambda mag: float(phi(mag)), lambda mag: mag)
-        depth = conditions._finite_depth(denoms, 40)
+        pts = mesh.quad_points_flat()
+        denoms = _denoms(2.0, phi)
+        depth, tails = conditions._tail_limsups(spec, conditions._spatial(spec, pts),
+                                                denoms, eig.lambda1, 2.0, 40)
+        assert depth == 40
         expected = []
-        for direction in (1, -1):
-            full = conditions._tail_limsups(spec, c, denoms, direction, eig.lambda1,
-                                            2.0, depth)
+        for direction, full in zip((1, -1), tails):
+            for denom, (vals, conv) in zip(denoms, full):
+                ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction,
+                                                   eig.lambda1, 2.0, 40)
+                assert np.array_equal(vals, ref_vals, equal_nan=True)
+                assert np.array_equal(np.signbit(vals[vals == 0.0]),
+                                      np.signbit(ref_vals[ref_vals == 0.0]))
+                assert np.array_equal(conv, ref_conv)
             expected += [full[0], (full[1][0], None), (full[2][0], None)]
         assert len(seen) == len(expected) == 6
         assert any(np.any(np.signbit(v) & (v == 0.0)) for v, _ in expected)
@@ -626,6 +663,41 @@ class TestTheoremCheckers:
         assert rep.overall == FAILS
         assert dict(rep.rows())["bracket"] == FAILS
 
+    @pytest.mark.parametrize("levels", [41, 200])
+    def test_one_tail_pass_one_normalizer_call_per_level(self, monkeypatch, mesh, eig,
+                                                          levels):
+        # phi is called once per tail level K//2..K, not once per direction
+        calls, passes = [], []
+
+        def fn(s):
+            calls.append(np.shape(s))
+            return np.abs(s) ** 1.5
+
+        phi = pv.ComparisonFunction(fn, 1.5)
+        tail_limsups = conditions._tail_limsups
+
+        def recording_pass(*args):
+            start = len(calls)
+            out = tail_limsups(*args)
+            passes.append(calls[start:])
+            return out
+
+        monkeypatch.setattr(conditions, "_tail_limsups", recording_pass)
+        spec = pv.power_perturbation(eig.lambda1, 1.9, 2.0)
+        pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0, phi=phi, levels=levels)
+        [tail_calls] = passes
+        assert tail_calls == (levels - levels // 2 + 1) * [()]
+        passes.clear()
+        pv.check_superlinear_negativity(spec, levels=levels)
+        assert passes == [[]]
+
+    def test_passed_p_must_match_the_entry(self, mesh, eig):
+        spec = pv.power_perturbation(eig.lambda1, 1.9, 3.0)
+        with pytest.raises(ValueError, match="disagrees"):
+            pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)
+        reports = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 3.0)
+        assert reports == pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh)
+
     def test_verdict_list_is_stable(self, mesh, eig):
         spec = pv.power_perturbation(eig.lambda1, 1.9, 2.0)
         rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)["sign"]
@@ -650,6 +722,13 @@ class TestSuperlinearNegativity:
     def test_superresonant_power_fails(self):
         spec = pv.power_potential(2.0 * LAM, 2.0, LAM)
         assert pv.check_superlinear_negativity(spec).status == FAILS
+
+    def test_passed_p_must_match_the_entry(self):
+        spec = pv.power_perturbation(LAM, 1.5, 3.0)
+        with pytest.raises(ValueError, match="disagrees"):
+            pv.check_superlinear_negativity(spec, p=2.0)
+        assert pv.check_superlinear_negativity(spec, p=3.0) \
+            == pv.check_superlinear_negativity(spec)
 
     def test_requires_autonomous(self):
         spec = pv.sine_exp(lambda x: x[:, 0])
@@ -687,15 +766,20 @@ class TestIncomparabilitySuite:
         mesh = pv.build_interval_mesh(0.0, 1.0, 64)
         p = 8.0
         specs, lam, phi = _audited_specs(mesh, p)
-        denoms = (lambda mag: mag ** p, lambda mag: float(phi(mag)), lambda mag: mag)
-        depth = conditions._finite_depth(denoms, conditions.CHECKER_LEVELS)
-        assert depth == 127
+        denoms = _denoms(p, phi)
+        pts = mesh.quad_points_flat()
         for name, spec in specs.items():
-            c = conditions._spatial(spec, mesh.quad_points_flat())
-            for direction in (1, -1):
-                for vals, _ in conditions._tail_limsups(spec, c, denoms, direction,
-                                                        lam, p, depth):
+            c = conditions._spatial(spec, pts)
+            depth, tails = conditions._tail_limsups(spec, c, denoms, lam, p,
+                                                    conditions.CHECKER_LEVELS)
+            assert depth == 127
+            for direction, streamed in zip((1, -1), tails):
+                for denom, (vals, conv) in zip(denoms, streamed):
                     assert not np.any(np.isnan(vals)), (name, direction)
+                    ref_vals, ref_conv = _block_limsup(spec, pts, denom, direction,
+                                                       lam, p, 127)
+                    assert vals.tobytes() == ref_vals.tobytes(), (name, direction)
+                    assert np.array_equal(conv, ref_conv), (name, direction)
         table = pv.incomparability_suite(p, mesh)
         sign = table.reports["sign_case"]["sign"].conditions["nonpositive_ae"]
         assert sign.status == HOLDS and sign.evidence["levels_used"] == 127
