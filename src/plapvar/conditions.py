@@ -324,7 +324,8 @@ def _f0_value(spec: NonlinearitySpec, R: float, mesh: Mesh, coefficient=None) ->
     with np.errstate(over="ignore", invalid="ignore"):
         for _, fv in _s_blocks(8, np.linspace(-R, R, F0_SAMPLES), _f_at, spec, c):
             env = np.maximum(env, np.abs(fv).max(axis=0))
-    return _reduce(mesh.quad_weights_flat() * env[inverse])
+    w = mesh.quad_weights
+    return _reduce(w * env[inverse].reshape(w.shape))
 
 
 def check_f0(spec: NonlinearitySpec, R: float, mesh: Mesh,
@@ -532,7 +533,9 @@ def check_class_membership(exponent: float | None, alpha: float, p: float,
 
 
 def _weight_fraction(mask, weights) -> float:
-    return float(np.sum(weights[mask])) / float(np.sum(weights))
+    """The share of the (ne, nq) weights, a broadcast row, on a flat
+    per-point mask; neither sum flattens the weights into a copy."""
+    return float(np.sum(weights[mask.reshape(weights.shape)])) / float(np.sum(weights))
 
 
 def _strict_negative_set(values, converged, weights) -> Verdict:
@@ -584,8 +587,9 @@ def _weighted_integral(values, weights, density) -> float:
     A +inf contribution wins over -inf: the integral is then reported as
     +inf, the conservative answer when certifying strict negativity.
     """
+    values, visible = values.reshape(weights.shape), weights * density > 0
     for inf in (math.inf, -math.inf):
-        if np.any((values == inf) & (weights * density > 0)):
+        if np.any((values == inf) & visible):
             return inf
     finite = np.isfinite(values)
     return _reduce(weights[finite] * values[finite] * density[finite])
@@ -609,7 +613,7 @@ def _best_domination(values, converged, weights, eta, eta_q, order: float, p: fl
     if eta is not None:
         candidates.append(("declared eta", eta_q,
                            check_class_membership(eta.exponent, order, p, ndim, kind)))
-    candidates.append(("zero", np.zeros(weights.size),
+    candidates.append(("zero", 0.0,
                        Verdict(HOLDS, {"kind": kind, "candidate": "zero"})))
     best = None
     for label, bound_vals, membership in candidates:
@@ -624,11 +628,11 @@ def _best_domination(values, converged, weights, eta, eta_q, order: float, p: fl
     return best
 
 
-def _audit_p(spec: NonlinearitySpec, p: float | None) -> float | None:
-    """The entry's p, else the passed one; a passed p must equal the entry's."""
-    if None not in (p, spec.p) and p != spec.p:
-        raise ValueError(f"p = {p} disagrees with the entry's p = {spec.p}")
-    return spec.p if spec.p is not None else p
+def _agreed(name: str, stored: float | None, passed: float | None) -> float | None:
+    """The entry's stored value, else the passed one; both given must agree."""
+    if None not in (passed, stored) and passed != stored:
+        raise ValueError(f"{name} = {passed} disagrees with the entry's {name} = {stored}")
+    return stored if stored is not None else passed
 
 
 def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector,
@@ -644,13 +648,13 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     candidates; G is sampled once per distinct coefficient value, at one
     point for an autonomous spec (`_quad_coefficient`).  The tail
     verdicts record the depth of the grid as "levels_used".  p is the
-    entry's, else the passed one; both given must agree (ValueError).
-    lambda1 is the entry's, else the eigenpair's.  phi defaults to the
+    entry's, else the passed one, and lambda1 the entry's, else the
+    eigenpair's; both given must agree (ValueError).  phi defaults to the
     entry's declared comparison function, else |s|^((1 + p)/2).
     Returns {"sign", "comparison", "landesman_lazer": HypothesisReport}.
     """
-    lam = spec.lambda1 if spec.lambda1 is not None else eigenpair.lambda1
-    pp = _audit_p(spec, p)
+    lam = _agreed("lambda1", spec.lambda1, eigenpair.lambda1)
+    pp = _agreed("p", spec.p, p)
     if pp is None:
         raise ValueError("p is needed (stored on the entry or passed explicitly)")
     if phi is None:
@@ -662,8 +666,8 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     # the envelope first, so that its temporaries do not stack on the
     # per-point arrays below (audit_rect's traced peak: 1.93 -> 1.75 MB)
     envelope = check_f0(spec, F0_RADIUS, mesh, _coefficient=(c_distinct, inverse))
-    w = mesh.quad_weights_flat()
-    phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1).reshape(-1))
+    w = mesh.quad_weights
+    phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1))
     eta = _declared_weight(spec)
     eta_q = (None if eta is None else c_distinct[inverse] if spec.coefficient == "eta"
              else eta(mesh.quad_points_flat()))
@@ -721,13 +725,12 @@ def check_superlinear_negativity(spec: NonlinearitySpec,
     Holds when both directional tail estimates reach the -inf sentinel;
     inconclusive when an estimate has not converged.  The grid stops at
     the deepest level at which |s| is finite, recorded as "levels_used".
-    A passed lambda1 wins over the entry's; a passed p must equal the
-    entry's (ValueError).
+    lambda1 and p are the entry's, else the passed ones; both given must
+    agree (ValueError).
     """
     if not spec.autonomous:
         raise ValueError("superlinear-negativity check needs an autonomous spec")
-    lam = lambda1 if lambda1 is not None else spec.lambda1
-    pp = _audit_p(spec, p)
+    lam, pp = _agreed("lambda1", spec.lambda1, lambda1), _agreed("p", spec.p, p)
     if lam is None or pp is None:
         raise ValueError("lambda1 and p are needed (spec metadata or arguments)")
     c = _spatial(spec, np.zeros((1, 1)))

@@ -54,14 +54,16 @@ the stop does not depend on the domain's size.
 Trials run on a cached line.  The iterate u carries its element
 gradients D u and its values at the quadrature nodes, and once per step
 the direction d gets its gradients D d.  A trial at t combines them
-linearly: D u - t D d, and the values of u minus t times those of d,
-which it gathers block by block (`assembly._quad_blocks`) straight into
-a trial buffer allocated once per descent.  So a trial costs one
-quotient and one gather, with no gradient stencil.  A gather of u - t d
-would round differently, and at small p the step counts follow the
-rounding (p = 1.2, interval n = 128: 142 steps here, 112 with it).
-Besides the iterate's and the trial buffer, the descent keeps no
-(ne, nq) array: int |u|^p, B' and the mass weights work block by block.
+linearly: D u - t D d, into a buffer made per line search (so none sits
+idle under the Newton step, where 128 x 128 peaks), and the values of u
+minus t times those of d, which it gathers block by block
+(`assembly._quad_blocks`) straight into a trial buffer allocated once
+per descent.  So a trial costs one quotient and one gather, with no
+gradient stencil.  A gather of u - t d would round differently, and at
+small p the step counts follow the rounding (p = 1.2, interval n = 128:
+142 steps here, 112 with it).  Besides the iterate's and the trial
+buffer, the descent keeps no (ne, nq) array: int |u|^p, B' and the mass
+weights work block by block.
 The accepted trial's arrays are rescaled to int |u|^p = 1, and the
 quotient and the eigen residual are then evaluated afresh at the
 normalized iterate: reusing the accepted trial's quotient would bias
@@ -240,7 +242,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
     _check_p(p)
     solve = _poisson_solve(mesh)
     u, g, q = _normalized(mesh, _bubble_start(mesh), p)
-    g_buf, q_buf = np.empty_like(g), np.empty_like(q)
+    q_buf = np.empty_like(q)
     iterations = trials = cg_iterations = 0
     history = []
     newton = False
@@ -269,7 +271,8 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
                                    (u, 2.0 * _energy(mesh, g, 2.0)) if newton else None)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
-        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_buf, q_buf),
+        g_trial = np.empty_like(g)  # per line search (module docstring)
+        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_trial, q_buf),
                                        lam + noise, slope)
         trials += rejected + (accepted is not None)
         if accepted is None:
@@ -279,7 +282,7 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
         newton = t == 1.0  # the mass term enters after a full step (module docstring)
         s = b ** (1.0 / p)
         u = (u - t * d) / s
-        g, g_buf = g_buf, g
+        g = g_trial
         q, q_buf = q_buf, q
         g /= s
         q /= s

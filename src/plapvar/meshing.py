@@ -6,10 +6,12 @@ along the cell diagonal, so every interior grid vertex is a free degree
 of freedom and the piecewise-linear space is nested under bisection.
 
 A mesh is its grid (`Mesh.bounds`, `Mesh.structure`) and what the grid
-cannot give cheaply, all frozen: the element measures, and the weights
-and basis values of one quadrature rule per element type (3-point
-Gauss-Legendre on intervals, exact through degree 5; 6 points on
-triangles, exact through degree 4).  It stores no connectivity:
+cannot give cheaply, all frozen: the one element measure of the uniform
+grid, and the weights and basis values of one quadrature rule per element
+type (3-point Gauss-Legendre on intervals, exact through degree 5; 6
+points on triangles, exact through degree 4).  The per-element measures
+and weights are read-only views of that measure and of the one weight
+row, broadcast along the elements.  It stores no connectivity:
 `CELL_LAYOUT` places the elements in a grid cell, and by it
 `_gather_corners` reads a vertex grid at the vertices of a slice of
 elements and `_scatter_corners`, its adjoint, sums element-local entries
@@ -122,8 +124,11 @@ class Mesh:
     Attributes
     ----------
     ndim : 1 or 2.
-    measures : (ne,) element lengths/areas, all positive.
-    quad_weights : (ne, nq) physical quadrature weights (include measures).
+    measures : (ne,) element lengths/areas: one positive value, the grid
+        step (b - a) / n or hx hy / 2, as a read-only stride-0 view.
+    quad_weights : (ne, nq) physical quadrature weights w_q |T|: one row,
+        as a read-only view with stride 0 along the elements (a flat copy
+        is `quad_weights_flat()`).
     basis_at_quad : (nq, ndim + 1) reference P1 basis values at the rule nodes.
     bounds : (lo, hi) corners of the bounding box, each of shape (ndim,).
     structure : element counts per axis, (n,) or (nx, ny).
@@ -217,21 +222,27 @@ class Mesh:
         return self.quad_points.reshape(-1, self.ndim)
 
     def quad_weights_flat(self) -> np.ndarray:
+        """All quadrature weights as one (ne * nq,) array, a copy of the row."""
         return self.quad_weights.reshape(-1)
 
 
-def _finish_mesh(lines, measures, weights, basis_at_quad) -> Mesh:
-    """The mesh of the grid with these per-axis grid lines, element measures
-    and quadrature rule (reference weights summing to 1, basis values)."""
-    if np.any(measures <= 0.0) or np.any(np.isnan(measures)):
+def _finish_mesh(lines, measure, weights, basis_at_quad) -> Mesh:
+    """The mesh of the grid with these per-axis grid lines, element measure
+    (one value, shared by every element) and quadrature rule (reference
+    weights summing to 1, basis values).  `measures` and `quad_weights` are
+    read-only views of the measure and of the one row w_q |T|, broadcast
+    along the elements, so the mesh holds no element-sized array."""
+    if not np.all(measure > 0.0):
         raise ValueError("mesh has an element measure that is not positive")
+    structure = tuple(int(xs.size - 1) for xs in lines)
+    ne = math.prod(structure) * len(CELL_LAYOUT[len(lines)])
     return Mesh(
         ndim=len(lines),
-        measures=_freeze(measures),
-        quad_weights=_freeze(np.array(weights)[None, :] * measures[:, None]),
+        measures=np.broadcast_to(measure, (ne,)),
+        quad_weights=np.broadcast_to(np.array(weights) * measure, (ne, len(weights))),
         basis_at_quad=_freeze(basis_at_quad),
         bounds=(_freeze([xs[0] for xs in lines]), _freeze([xs[-1] for xs in lines])),
-        structure=tuple(int(xs.size - 1) for xs in lines),
+        structure=structure,
     )
 
 
@@ -243,7 +254,7 @@ def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
     if n < 2:
         raise ValueError(f"interval mesh needs at least 2 elements, got n={n}")
     xi = np.array(_INTERVAL_NODES)
-    return _finish_mesh([np.linspace(a, b, n + 1)], np.full(n, (b - a) / n),
+    return _finish_mesh([np.linspace(a, b, n + 1)], (float(b) - float(a)) / n,
                         _INTERVAL_WEIGHTS, np.column_stack([1.0 - xi, xi]))
 
 
@@ -263,12 +274,13 @@ def build_rectangle_mesh(ax: float, bx: float, ay: float, by: float,
                          f"and area, got ({ax}, {bx}) x ({ay}, {by})")
     if nx < 2 or ny < 2:
         raise ValueError(f"rectangle mesh needs nx, ny >= 2, got nx={nx}, ny={ny}")
-    xs = np.linspace(ax, bx, nx + 1)
-    ys = np.linspace(ay, by, ny + 1)
-    # both triangles' edge determinants reduce to dx_i dy_j exactly
-    cells = np.abs((xs[1:] - xs[:-1])[:, None] * (ys[1:] - ys[:-1])) / 2.0
-    return _finish_mesh([xs, ys], np.repeat(cells.ravel(), 2), _TRI_WEIGHTS,
-                        np.array(_TRI_POINTS))
+    # both triangles of cell (i, j) have edge determinant dx_i dy_j, which
+    # is hx hy wherever the linspace steps do not round; every element gets
+    # hx hy / 2 from the uniform steps, the ones `assembly._spacing` gives
+    # the gradient stencil, so the areas and the gradients agree
+    hx, hy = (float(bx) - float(ax)) / nx, (float(by) - float(ay)) / ny
+    return _finish_mesh([np.linspace(ax, bx, nx + 1), np.linspace(ay, by, ny + 1)],
+                        hx * hy / 2.0, _TRI_WEIGHTS, np.array(_TRI_POINTS))
 
 
 def refine_structured(mesh: Mesh) -> Mesh:

@@ -1,6 +1,7 @@
 """Hypothesis checkers: limsup estimation, growth, envelopes, theorems."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -538,7 +539,7 @@ class TestDistinctCoefficients:
         monkeypatch.setattr(conditions, "_G_at", recording_G_at)
         mesh = pv.build_rectangle_mesh(0.0, 1.0, -0.5, 0.5, 24, 20)
         eig = pv.first_eigenpair(mesh, 2.5)
-        assert eig.lambda1.hex() == "0x1.21b6ebd0984b6p+5"
+        assert eig.lambda1.hex() == "0x1.21b6ebd0984b8p+5"
         reports = pv.check_theorems(pv.sine_exp(1.0), eig, pv.zero_dual(mesh), mesh, 2.5)
         assert "quad_points" not in vars(mesh)
         assert {kind for kind, _ in shapes} == {"f", "G"}
@@ -649,15 +650,16 @@ class TestTheoremCheckers:
         assert rows["negative_weighted_integrals"] == HOLDS
 
     def test_landesman_lazer_bounded_perturbation(self, mesh, eig):
-        # G = -|s| gives the classical finite bracket (-I, I), I = int(phi1)
-        spec = pv.weighted_absval(lambda x: -np.ones(len(x)), LAM, 2.0)
+        # G = -|s| gives the classical finite bracket (-I, I), I = int(phi1);
+        # the entry's lambda1 is the mesh's, as check_theorems requires
+        spec = pv.weighted_absval(lambda x: -np.ones(len(x)), eig.lambda1, 2.0)
         rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh,
                                 2.0)["landesman_lazer"]
         assert rep.overall == HOLDS
 
     def test_landesman_lazer_bracket_breaks(self, mesh, eig):
         # same nonlinearity, but a forcing with large phi1-component
-        spec = pv.weighted_absval(lambda x: -np.ones(len(x)), LAM, 2.0)
+        spec = pv.weighted_absval(lambda x: -np.ones(len(x)), eig.lambda1, 2.0)
         h = pv.load_vector(mesh, lambda x: 5.0 * np.sin(np.pi * x[:, 0]))
         rep = pv.check_theorems(spec, eig, h, mesh, 2.0)["landesman_lazer"]
         assert rep.overall == FAILS
@@ -698,6 +700,19 @@ class TestTheoremCheckers:
         reports = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 3.0)
         assert reports == pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh)
 
+    def test_entry_lambda1_must_match_the_eigenpair(self, mesh, eig):
+        # audited at the entry's 2 lambda1, sign read "holds", although G at
+        # the mesh's lambda1 is +4.7e12 at s = 1e6
+        spec = pv.power_perturbation(2.0 * eig.lambda1, 1.9, 2.0)
+        with pytest.raises(ValueError, match="lambda1 = .* disagrees"):
+            pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)
+        # an entry at the eigenpair's lambda1 audits as one that has none
+        # (no closed-form G, so both sample F - lambda1 |s|^p / p)
+        spec = dataclasses.replace(pv.power_perturbation(eig.lambda1, 1.9, 2.0), G=None)
+        assert pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh) \
+            == pv.check_theorems(dataclasses.replace(spec, lambda1=None), eig,
+                                 pv.zero_dual(mesh), mesh)
+
     def test_verdict_list_is_stable(self, mesh, eig):
         spec = pv.power_perturbation(eig.lambda1, 1.9, 2.0)
         rep = pv.check_theorems(spec, eig, pv.zero_dual(mesh), mesh, 2.0)["sign"]
@@ -728,6 +743,13 @@ class TestSuperlinearNegativity:
         with pytest.raises(ValueError, match="disagrees"):
             pv.check_superlinear_negativity(spec, p=2.0)
         assert pv.check_superlinear_negativity(spec, p=3.0) \
+            == pv.check_superlinear_negativity(spec)
+
+    def test_passed_lambda1_must_match_the_entry(self, mesh, eig):
+        spec = pv.power_perturbation(2.0 * eig.lambda1, 1.9, 2.0)
+        with pytest.raises(ValueError, match="lambda1 = .* disagrees"):
+            pv.check_superlinear_negativity(spec, lambda1=eig.lambda1)
+        assert pv.check_superlinear_negativity(spec, lambda1=spec.lambda1) \
             == pv.check_superlinear_negativity(spec)
 
     def test_requires_autonomous(self):

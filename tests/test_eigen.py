@@ -325,6 +325,23 @@ class TestCachedLine:
             tracemalloc.stop()
         assert peak <= 5 * mesh.quad_weights.nbytes
 
+    def test_peak_with_the_mesh_build_below_five_quadrature_arrays(self):
+        # traced from before the build: the mesh's measures and weights are
+        # views of one value and one row, and the trial gradients' buffer
+        # lives only through its line search, so nothing element sized sits
+        # idle under the Newton step; 4.13 (ne, nq) arrays, and 5.50 with
+        # per-element measures and weights and a descent-long buffer
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            mesh = pv.build_rectangle_mesh(0.0, 1.0, 0.0, 1.0, 64, 64)
+            pv.first_eigenpair(mesh, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.6 * mesh.n_elements * mesh.quad_weights.shape[1] * 8
+
 
 class TestLagrangianNewton:
     """The eigen direction solves with A'' - lambda B'' on the K-orthogonal

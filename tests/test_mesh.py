@@ -234,10 +234,22 @@ class TestAgainstGatherReference:
         return REFERENCE_MESHES[request.param]()
 
     def test_points_and_measures_bit_for_bit(self, mesh):
+        # every element has the uniform measure of the grid steps that the
+        # gradient stencil uses, (b - a) / n or hx hy / 2; the areas of the
+        # gathered vertex coordinates differ from it where the linspace steps
+        # round, by up to 102 ulps (1.4e-14 relative) on the pi mesh and
+        # 2.3e-10 relative on the offset one, within a few roundings of the
+        # largest coordinate per step
         rule = _INTERVAL_WEIGHTS if mesh.ndim == 1 else _TRI_WEIGHTS
-        measures = reference_measures(mesh)
-        assert same_bits(mesh.measures, measures)
-        assert same_bits(mesh.quad_weights, np.array(rule)[None, :] * measures[:, None])
+        steps = assembly._spacing(mesh)
+        measure = steps[0] if mesh.ndim == 1 else steps[0] * steps[1] / 2.0
+        ne = mesh.n_elements
+        assert same_bits(mesh.measures, np.full(ne, measure))
+        assert same_bits(mesh.quad_weights, np.tile(np.array(rule) * measure, (ne, 1)))
+        lo, hi = mesh.bounds
+        rounding = sum(4.0 * np.finfo(float).eps * max(abs(a), abs(b)) / h
+                       for a, b, h in zip(lo, hi, steps))
+        assert np.max(np.abs(reference_measures(mesh) / measure - 1.0)) <= rounding
         assert same_bits(mesh.quad_points, reference_quad_points(mesh))
 
     def test_points_of_each_block_bit_for_bit(self, mesh):
@@ -270,11 +282,49 @@ class TestAgainstGatherReference:
         assert same_bits(mesh.bounds[1], [xs[-1] for xs in lines])
 
     def test_arrays_frozen_and_contiguous(self, mesh):
-        arrays = [mesh.measures, mesh.quad_points, mesh.quad_weights, mesh.basis_at_quad,
-                  *mesh.bounds]
-        for arr in arrays:
+        # measures and quad_weights are read-only views of one value and one
+        # row, stride 0 along the elements; the other arrays are contiguous
+        for arr in (mesh.measures, mesh.quad_weights):
+            assert not arr.flags.writeable
+            assert arr.strides[0] == 0
+        for arr in [mesh.quad_points, mesh.basis_at_quad, *mesh.bounds]:
             assert not arr.flags.writeable
             assert arr.flags.c_contiguous
+
+
+class TestOneMeasurePerGrid:
+    """A uniform grid gives every element one measure and one weight row."""
+
+    @pytest.mark.parametrize("mesh, measure", [
+        (pv.build_interval_mesh(-0.3, 2.9, 37), (2.9 - -0.3) / 37),
+        (pv.build_rectangle_mesh(0.1, 1.3, -0.7, 2.0, 11, 6),
+         (1.3 - 0.1) / 11 * ((2.0 - -0.7) / 6) / 2.0),
+    ], ids=["interval", "rectangle"])
+    def test_views_of_the_uniform_value(self, mesh, measure):
+        rule = _INTERVAL_WEIGHTS if mesh.ndim == 1 else _TRI_WEIGHTS
+        ne, nq = mesh.n_elements, len(rule)
+        assert mesh.measures.shape == (ne,) and mesh.quad_weights.shape == (ne, nq)
+        assert mesh.measures.strides == (0,) and mesh.quad_weights.strides == (0, 8)
+        for arr in (mesh.measures, mesh.quad_weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+        assert same_bits(mesh.measures, np.full(ne, measure))
+        assert same_bits(mesh.quad_weights, np.tile(np.array(rule) * measure, (ne, 1)))
+
+    def test_build_makes_no_element_sized_array(self):
+        # 128 x 128: the build peaks at 5 KB traced and keeps 2 KB; per-element
+        # measures and weights kept 1.84 MB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            mesh = pv.build_rectangle_mesh(0, 1, 0, 1, 128, 128)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mesh.n_elements == 32768
+        assert kept <= peak < 16 * 1024
 
 
 class TestQuadPointsOnFirstRead:
