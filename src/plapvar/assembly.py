@@ -16,8 +16,9 @@ assembled is the Newton matrix, once per descent step: the p-energy
 Hessian D^T M D minus a mass matrix, of f' in the energy descent and of
 lambda (p-1) |u|^(p-2) in the eigen descent.  Only `_flux_weights` forms
 the element coefficient M; `_hessian_stencil` knows only the grid and
-turns M and the mass weight into a `_Stencil`, the matrix's diagonal and
-edge couplings as grid arrays, which applies the matrix when called.
+turns M and the mass weight, given block by block, into a `_Stencil`,
+the matrix's diagonal and edge couplings as grid arrays, which applies
+the matrix when called.
 Zeroth order integrals (int |u|^p, loads, potential terms) use the mesh's
 one fixed rule: 3-point Gauss-Legendre on intervals (exact through degree
 5), a 6-point rule on triangles (exact through degree 4).
@@ -43,10 +44,13 @@ grid at each block's element vertices (`meshing._gather_corners`) and
 yields the values at the block's quadrature nodes; `values_at_quad`
 collects them, and a caller that evaluates a user's function there (the
 energy descent's f, F and f') or reduces each block (the eigen line
-search) never holds an (ne, nq) temporary.  `_load` is the one load: it
-turns a density given block by block into a dual vector, writing each
-block's element contributions into one (ne, ndim+1) array that is
-scattered once; `quad_load` and `_lp_load` call it, and `load_vector`
+search) never holds an (ne, nq) temporary.  `_row_chunks` regroups
+per-block element entries into chunks of whole cell rows, a few blocks
+long, which the grid operators take.  `_load` is the one load: it turns a
+density given block by block into a dual vector, scattering the element
+contributions chunk by chunk, so it holds no (ne, ndim+1) array and each
+vertex still adds its terms in ascending element order; `quad_load` and
+`_lp_load` call it, and `load_vector`
 and the energy descent's f load call it through `_finite_load`, which
 names the first node of a non-finite density.  `load_vector` makes the
 quadrature points one block at a time (`Mesh.quad_points_of`).
@@ -268,20 +272,31 @@ class _Stencil:
         return out.ravel()
 
 
-def _hessian_stencil(mesh: Mesh, M: dict, mass_q=None) -> _Stencil:
-    """The `_Stencil` of the P1 matrix H of int Dv . M Dv, minus, when mass_q
-    holds m at the quadrature nodes, the mass matrix int m psi_a psi_b.
+def _hessian_stencil(mesh: Mesh, M: dict, mass=None) -> _Stencil:
+    """The `_Stencil` of the P1 matrix H of int Dv . M Dv, minus, when mass
+    gives m at the quadrature nodes, the mass matrix int m psi_a psi_b.
 
     M holds a symmetric (ndim, ndim) coefficient per element, its entries
     (i, j), i <= j, as (ne,) arrays: `_flux_weights`' Newton coefficient.
-    On an element with basis gradients L_a, H has the entries
-    L_a . M L_b - sum_q w_q m_q psi_a psi_b.  The elements of one type of
-    `CELL_LAYOUT` share their vertex offsets in the cell and their L_a, so
-    each entry is one array over the cells, added at its offset on the
-    vertex grid: to the diagonal, or to the coupling along its edge, +x on
-    an interval, +x, +y and the v00-v11 diagonal on a rectangle.  The mass
-    entries, a <= b, overwrite mass_q one QUAD_BLOCK of elements at a time;
-    there are nq of them (3 on intervals, 6 on triangles).
+    mass gives m as `_load` takes densities, and is the one form of it:
+    (sl, m at the quadrature nodes of block sl) pairs, one for each
+    `_blocks` slice, in order.  On an element with basis gradients L_a, H
+    has the entries L_a . M L_b - sum_q w_q m_q psi_a psi_b.  The
+    elements of one type of `CELL_LAYOUT` share their vertex offsets in
+    the cell and their L_a, so each entry is one array over the cells,
+    added at its offset on the vertex grid: to the diagonal, or to the
+    coupling along its edge, +x on an interval, +x, +y and the v00-v11
+    diagonal on a rectangle.  The mass entries, a <= b, nq of them (3 on
+    intervals, 6 on triangles), are made per block, and all entries go in
+    one chunk of whole cell rows at a time (`_row_chunks`: as many rows as
+    4 QUAD_BLOCKs fill, at least one), so the build holds one chunk of
+    mass entries, not an (ne, nq) array.
+    Within a chunk every (element type, entry), in type-major order, adds
+    its M part and then subtracts its mass part, so a mesh whose rows make
+    one chunk (up to 4 QUAD_BLOCKs of elements) gets the bits of a build
+    from a whole mass array; on more chunks a vertex of a chunk's edge row
+    takes its terms row by row, which moves last bits.  Without mass, all
+    rows are one chunk.
     """
     # per element type of `CELL_LAYOUT`: its vertices' offsets in the cell and
     # their basis gradients in units of 1/h; then the edge directions
@@ -290,29 +305,33 @@ def _hessian_stencil(mesh: Mesh, M: dict, mass_q=None) -> _Stencil:
     steps = _edges(mesh.ndim)
     cells = mesh.structure
     pairs = [(a, b) for a in range(mesh.ndim + 1) for b in range(a, mesh.ndim + 1)]
-    if mass_q is not None:
+    chunks = [(slice(None), None)]
+    if mass is not None:
         psi_pairs = np.stack([mesh.basis_at_quad[:, a] * mesh.basis_at_quad[:, b]
                               for a, b in pairs], axis=1)
-        for sl in _blocks(mesh):
-            np.matmul(mesh.quad_weights[sl] * mass_q[sl], psi_pairs, out=mass_q[sl])
-        mass_q = mass_q.reshape(*cells, len(types), len(pairs))
-    M = {ij: m.reshape(*cells, len(types)) for ij, m in M.items()}
+        chunks = _row_chunks(mesh, ((sl, (mesh.quad_weights[sl] * m) @ psi_pairs)
+                                    for sl, m in mass), len(pairs))
     arrays = np.zeros((1 + len(steps), *(n + 1 for n in cells)))
     diag, couplings = arrays[0], dict(zip(steps, arrays[1:]))
     h = _spacing(mesh)
+    plan = []  # per element type and entry: its target over all cells, its M parts
     for t, (off, grads) in enumerate(types):
         L = [[k / h_k for k, h_k in zip(row, h)] for row in grads]
-        for k, (a, b) in enumerate(pairs):
+        for a, b in pairs:
             # every edge runs along a step from its lower vertex
             step = tuple(abs(y - x) for x, y in zip(off[a], off[b]))
             target = (diag if a == b else couplings[step])[
                 tuple(slice(min(x, y), min(x, y) + n) for x, y, n in zip(off[a], off[b], cells))]
-            for (i, j), m in M.items():
-                coef = L[a][i] * L[b][j] + (L[a][j] * L[b][i] if i != j else 0.0)
-                if coef:
-                    target += coef * m[..., t]
-            if mass_q is not None:
-                target -= mass_q[..., t, k]
+            coefs = [L[a][i] * L[b][j] + (L[a][j] * L[b][i] if i != j else 0.0) for i, j in M]
+            plan.append((target, [(coef, m.reshape(*cells, len(types))[..., t])
+                                  for coef, m in zip(coefs, M.values()) if coef]))
+    for rows, X in chunks:
+        for n, (target, parts) in enumerate(plan):
+            target = target[rows]
+            for coef, m in parts:
+                target += coef * m[rows]
+            if X is not None:
+                target -= X[..., n]
     # a coupling joins free vertices when its lower vertex is one step inside
     return _Stencil(diag[(slice(1, -1),) * mesh.ndim],
                     {step: C[tuple(slice(1, -1 - d) for d in step)]
@@ -357,17 +376,45 @@ def _quad_blocks(mesh: Mesh, v: np.ndarray):
         yield sl, gather(sl).T @ mesh.basis_at_quad.T
 
 
+def _row_chunks(mesh: Mesh, blocks, width: int):
+    """Regroup (sl, E) pairs, E the (k, width) entries of the elements of
+    sl, for the `_blocks` slices in order, into (rows, X): X holds the
+    entries of the elements in the slice `rows` of whole cell rows, shape
+    (rows, *structure[1:], element types * width).  A chunk has as many
+    rows as 4 QUAD_BLOCKs of elements fill, at least one and at most the
+    mesh's, and a block may end inside a row or a chunk.  X is one buffer,
+    overwritten by the next chunk.  The 4 blocks trade the numpy calls
+    made per chunk against the buffer's size: 128 x 128 has 8 chunks of
+    16 rows, 196 KB of mass entries each.
+    """
+    per_row = mesh.n_elements // mesh.structure[0]
+    X = np.empty((min(mesh.structure[0], max(1, 4 * QUAD_BLOCK // per_row)) * per_row, width))
+    start = 0  # the element at X[0]
+    for sl, E in blocks:
+        at = sl.start
+        while len(E):
+            n = min(len(E), start + len(X) - at)
+            X[at - start:at - start + n] = E[:n]
+            E, at = E[n:], at + n
+            if at in (start + len(X), mesh.n_elements):
+                yield slice(start // per_row, at // per_row), X[:at - start].reshape(
+                    -1, *mesh.structure[1:], len(CELL_LAYOUT[mesh.ndim]) * width)
+                start = at
+
+
 def _load(mesh: Mesh, densities) -> np.ndarray:
     """Entries int g psi_j from (sl, g at the quadrature nodes of block sl)
     pairs, one for each `_blocks` slice; a scalar g is a constant density.
 
-    Each block's element contributions (w g) @ basis go into one
-    (ne, ndim+1) array, which is scattered once.
+    Each block's element contributions (w g) @ basis are scattered by the
+    `_row_chunks` of whole cell rows, so every vertex still adds them in
+    ascending element order.
     """
-    contrib = np.empty((mesh.n_elements, mesh.ndim + 1))
-    for sl, g in densities:
-        np.matmul(mesh.quad_weights[sl] * g, mesh.basis_at_quad, out=contrib[sl])
-    return _scatter_corners(mesh, contrib)[(slice(1, -1),) * mesh.ndim].ravel()
+    U = np.zeros([n + 1 for n in mesh.structure])
+    for rows, X in _row_chunks(mesh, ((sl, (mesh.quad_weights[sl] * g) @ mesh.basis_at_quad)
+                                      for sl, g in densities), mesh.ndim + 1):
+        _scatter_corners(mesh, X, U, rows.start)
+    return U[(slice(1, -1),) * mesh.ndim].ravel()
 
 
 def _finite_load(mesh: Mesh, densities, what: str) -> np.ndarray:
@@ -393,8 +440,11 @@ def sup_norm(mesh: Mesh, u: DiscreteField) -> float:
 
 def _energy(mesh: Mesh, g: np.ndarray, p: float) -> float:
     """(1/p) int |g|^p for element gradients g, shape (ne, ndim)."""
-    norms = np.sqrt(np.einsum("ed,ed->e", g, g))
-    return _reduce(mesh.measures * norms ** p) / p
+    norms = np.einsum("ed,ed->e", g, g)
+    np.sqrt(norms, out=norms)
+    norms **= p
+    norms *= mesh.measures
+    return _reduce(norms) / p
 
 
 def _flux(mesh: Mesh, g: np.ndarray, p: float) -> np.ndarray:
@@ -438,23 +488,25 @@ def _flux_weights(mesh: Mesh, g: np.ndarray, p: float) -> dict:
     return M
 
 
-def _lp(mesh: Mesh, q: np.ndarray, p: float) -> float:
-    """int |u|^p from u at the quadrature nodes q, shape (ne, nq)."""
+def _lp(mesh: Mesh, blocks, p: float) -> float:
+    """int |u|^p from (sl, u at the quadrature nodes of block sl) pairs, one
+    for each `_blocks` slice, as `_quad_blocks` yields them."""
     sums = np.empty(mesh.n_elements)
-    for sl in _blocks(mesh):
-        a = np.abs(q[sl])
+    for sl, v in blocks:
+        a = np.abs(v)
         a **= p
         np.einsum("eq,eq->e", mesh.quad_weights[sl], a, out=sums[sl])
     return _reduce(sums)
 
 
-def _lp_load(mesh: Mesh, q: np.ndarray, p: float) -> np.ndarray:
-    """Entries int |u|^(p-2) u psi_j from u at the quadrature nodes q."""
+def _lp_load(mesh: Mesh, blocks, p: float) -> np.ndarray:
+    """Entries int |u|^(p-2) u psi_j from u at the quadrature nodes, in
+    blocks as `_lp` takes them."""
     def densities():
-        for sl in _blocks(mesh):
-            v = np.abs(q[sl])
+        for sl, u_q in blocks:
+            v = np.abs(u_q)
             v **= p - 1.0
-            yield sl, np.copysign(v, q[sl], out=v)
+            yield sl, np.copysign(v, u_q, out=v)
 
     return _load(mesh, densities())
 
@@ -483,7 +535,7 @@ def lp_integral(mesh: Mesh, u: DiscreteField, p: float) -> float:
     _check_mesh(mesh, u)
     if not (p >= 1.0):
         raise ValueError(f"lp_integral needs p >= 1, got p={p}")
-    return _lp(mesh, values_at_quad(mesh, u), p)
+    return _lp(mesh, _quad_blocks(mesh, u.values), p)
 
 
 def lp_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
@@ -494,7 +546,7 @@ def lp_residual(mesh: Mesh, u: DiscreteField, p: float) -> DualVector:
     """
     _check_mesh(mesh, u)
     _check_p(p)
-    return DualVector(mesh, _lp_load(mesh, values_at_quad(mesh, u), p))
+    return DualVector(mesh, _lp_load(mesh, _quad_blocks(mesh, u.values), p))
 
 
 def pairing(h: DualVector, v: DiscreteField) -> float:

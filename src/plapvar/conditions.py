@@ -104,12 +104,8 @@ class Verdict:
 
 
 def _combine(statuses) -> str:
-    statuses = list(statuses)
-    if any(s == FAILS for s in statuses):
-        return FAILS
-    if any(s == INCONCLUSIVE for s in statuses):
-        return INCONCLUSIVE
-    return HOLDS
+    statuses = set(statuses)
+    return FAILS if FAILS in statuses else INCONCLUSIVE if INCONCLUSIVE in statuses else HOLDS
 
 
 @dataclass(frozen=True)
@@ -506,13 +502,12 @@ def check_class_membership(exponent: float | None, alpha: float, p: float,
         raise ValueError("kind must be 'X' or 'Y'")
     if exponent is None:
         return Verdict(INCONCLUSIVE, {"reason": "no declared integrability exponent"})
-    N = ndim
-    if p > N:
+    if p > ndim:
         threshold, strict = 1.0, False
-    elif p == N:
+    elif p == ndim:
         threshold, strict = 1.0, True
     else:
-        pstar = N * p / (N - p)
+        pstar = ndim * p / (ndim - p)
         ratio = pstar / alpha
         threshold = ratio / (ratio - 1.0)
         strict = (kind == "X")
@@ -533,9 +528,13 @@ def check_class_membership(exponent: float | None, alpha: float, p: float,
 
 
 def _weight_fraction(mask, weights) -> float:
-    """The share of the (ne, nq) weights, a broadcast row, on a flat
-    per-point mask; neither sum flattens the weights into a copy."""
-    return float(np.sum(weights[mask.reshape(weights.shape)])) / float(np.sum(weights))
+    """The share of the weights (row, total) of `check_theorems` on a flat
+    per-point mask, read from the one row at the points' columns in point
+    order, so with the bits of a selection on `Mesh.quad_weights`."""
+    row, total = weights
+    columns = np.flatnonzero(mask)
+    columns %= row.size
+    return float(np.sum(row[columns])) / total
 
 
 def _strict_negative_set(values, converged, weights) -> Verdict:
@@ -666,7 +665,7 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
     # the envelope first, so that its temporaries do not stack on the
     # per-point arrays below (audit_rect's traced peak: 1.93 -> 1.75 MB)
     envelope = check_f0(spec, F0_RADIUS, mesh, _coefficient=(c_distinct, inverse))
-    w = mesh.quad_weights
+    w = mesh.quad_weights[0], float(np.sum(mesh.quad_weights))  # row, total
     phi1q = np.abs(values_at_quad(mesh, eigenpair.phi1))
     eta = _declared_weight(spec)
     eta_q = (None if eta is None else c_distinct[inverse] if spec.coefficient == "eta"
@@ -681,9 +680,9 @@ def check_theorems(spec: NonlinearitySpec, eigenpair: EigenResult, h: DualVector
         return (_dominated_by(vals_p, conv_p, w, 0.0, ZERO_TOL),
                 _strict_negative_set(vals_p, conv_p, w),
                 _best_domination(vals_phi, conv_phi, w, eta, eta_q, alpha, pp, mesh.ndim, "X"),
-                _weighted_integral(vals_phi, w, phi1q ** alpha), conv_phi,
+                _weighted_integral(vals_phi, mesh.quad_weights, phi1q ** alpha), conv_phi,
                 _best_domination(vals_1, conv_1, w, eta, eta_q, 1.0, pp, mesh.ndim, "Y"),
-                _weighted_integral(vals_1, w, phi1q), conv_1)
+                _weighted_integral(vals_1, mesh.quad_weights, phi1q), conv_1)
 
     ae, strict, dom_x, (I_pos, I_neg), convs_phi, dom_y, (I_plus, I_minus), convs_1 = \
         zip(*map(one_direction, tails))

@@ -23,8 +23,8 @@ inverse of the p = 2 stiffness matrix K (`solver._poisson_solve`), on a
 matrix assembled once per step as grid arrays (`assembly._hessian_stencil`
 of `assembly._flux_weights`' coefficient).  That matrix is the Hessian
 of the Lagrangian (1/p) int |grad u|^p - lambda (1/p) int |u|^p, A''(u) -
-lambda B''(u), whose mass weight lambda (p-1) |u|^(p-2) is written at
-the quadrature nodes into the trial buffer, free until the line search;
+lambda B''(u), whose mass weight lambda (p-1) |u|^(p-2) the stencil
+takes one block of quadrature nodes at a time (`_mass_blocks`);
 where u = 0 (the corner triangles of a rectangle) the weight is 0, and 1
 at p = 2, the floor rule of `assembly._flux_weights`.  Since
 (A'' - lambda B'') u = (p-1) r, the system has the useless solution
@@ -55,15 +55,18 @@ Trials run on a cached line.  The iterate u carries its element
 gradients D u and its values at the quadrature nodes, and once per step
 the direction d gets its gradients D d.  A trial at t combines them
 linearly: D u - t D d, into a buffer made per line search (so none sits
-idle under the Newton step, where 128 x 128 peaks), and the values of u
-minus t times those of d, which it gathers block by block
-(`assembly._quad_blocks`) straight into a trial buffer allocated once
-per descent.  So a trial costs one quotient and one gather, with no
-gradient stencil.  A gather of u - t d would round differently, and at
-small p the step counts follow the rounding (p = 1.2, interval n = 128:
-142 steps here, 112 with it).  Besides the iterate's and the trial
-buffer, the descent keeps no (ne, nq) array: int |u|^p, B' and the mass
-weights work block by block.
+idle under the Newton step), and the values of u minus t times those of
+d, which it gathers and reduces to int |u - t d|^p block by block
+(`_trial_blocks`), keeping none.  So a trial costs one quotient and one
+gather, with no gradient stencil.  A gather of u - t d would round
+differently, and at small p the step counts follow the rounding
+(p = 1.2, interval n = 128: 142 steps here, 112 with it); so the
+accepted trial's values are rebuilt in place in the iterate's array by
+the same arithmetic, one more gather of d per step.  The iterate's
+values are the descent's one (ne, nq) array: int |u|^p, B' and the mass
+weights work block by block, and the previous direction is dropped
+before the next step's stencil is built.  On 128 x 128 the descent
+peaks in a trial's gather, on 64 x 64 in the stencil build.
 The accepted trial's arrays are rescaled to int |u|^p = 1, and the
 quotient and the eigen residual are then evaluated afresh at the
 normalized iterate: reusing the accepted trial's quotient would bias
@@ -187,12 +190,22 @@ def _bubble_start(mesh: Mesh) -> np.ndarray:
     return np.maximum(vals, 1e-12)
 
 
+def _in_blocks(mesh: Mesh, q: np.ndarray):
+    """(sl, q[sl]) for each `_blocks` slice sl: cached values q at the
+    quadrature nodes, shape (ne, nq), in the blocks `_lp` and `_lp_load` take."""
+    return ((sl, q[sl]) for sl in _blocks(mesh))
+
+
 def _normalized(mesh: Mesh, values: np.ndarray, p: float):
-    """values scaled to int |u|^p = 1, with its gradients D u and quadrature values."""
+    """values scaled to int |u|^p = 1, with its gradients D u and quadrature
+    values, both divided in place (a copy of the values at the quadrature
+    nodes would be the descent's peak on 128 x 128)."""
     field = DiscreteField(mesh, values)
     g, q = gradients_on_elements(mesh, field), values_at_quad(mesh, field)
-    s = _lp(mesh, q, p) ** (1.0 / p)
-    return field.values / s, g / s, q / s
+    s = _lp(mesh, _in_blocks(mesh, q), p) ** (1.0 / p)
+    g /= s
+    q /= s
+    return field.values / s, g, q
 
 
 def _eigen_residual(mesh: Mesh, u: np.ndarray, g: np.ndarray, q: np.ndarray, p: float):
@@ -200,35 +213,52 @@ def _eigen_residual(mesh: Mesh, u: np.ndarray, g: np.ndarray, q: np.ndarray, p: 
     quotient's rounding band p PHI_NOISE sum_j |u_j| (|A'_j| + lambda |B'_j|)
     (`solver._rounding_band`) of the field u with element gradients g and
     quadrature values q."""
-    lam = p * _energy(mesh, g, p) / _lp(mesh, q, p)
-    a, b = _flux(mesh, g, p), lam * _lp_load(mesh, q, p)
+    lam = p * _energy(mesh, g, p) / _lp(mesh, _in_blocks(mesh, q), p)
+    a, b = _flux(mesh, g, p), lam * _lp_load(mesh, _in_blocks(mesh, q), p)
     r, _, _, rel = _residual_norms(a, b)
     return lam, r, rel, p * _rounding_band(u, (a, b))
 
 
+def _trial_blocks(mesh: Mesh, q_u: np.ndarray, d: np.ndarray, t: float):
+    """Yield (sl, values of u - t d at the quadrature nodes of block sl) for
+    each `_blocks` slice, from u's values q_u and a gather of d: d's block
+    times -t, plus q_u's."""
+    for sl, d_q in _quad_blocks(mesh, d):
+        yield sl, np.add(np.multiply(d_q, -t, out=d_q), q_u[sl], out=d_q)
+
+
 def _line(mesh: Mesh, p: float, g_u: np.ndarray, q_u: np.ndarray, d: np.ndarray,
-          g: np.ndarray, q: np.ndarray):
+          g: np.ndarray):
     """Trial function at(t) on the line u - t d, for `solver.armijo`.
 
     g_u, q_u are u's gradients and quadrature values; d's gradients are
-    computed here, once, and its quadrature values block by block in
-    each trial.  at(t) writes the trial's arrays into the buffers g and
-    q and returns (quotient, (t, int |u - t d|^p)), or None for the zero
-    field.  The buffers hold the last trial evaluated, which is the
-    accepted one when the search succeeds.
+    computed here, once, and int |u - t d|^p is reduced block by block
+    (`_trial_blocks`) in each trial.  at(t) writes the trial's gradients
+    into the buffer g and returns (quotient, (t, int |u - t d|^p)), or
+    None for the zero field.  The buffer holds the last trial evaluated,
+    which is the accepted one when the search succeeds.
     """
     g_d = _grad(mesh, d)
 
     def at(t):
-        for sl, d_q in _quad_blocks(mesh, d):
-            np.add(np.multiply(d_q, -t, out=d_q), q_u[sl], out=q[sl])
-        b = _lp(mesh, q, p)
+        b = _lp(mesh, _trial_blocks(mesh, q_u, d, t), p)
         if b == 0.0:
             return None
         np.add(np.multiply(g_d, -t, out=g), g_u, out=g)
         return p * _energy(mesh, g, p) / b, (t, b)
 
     return at
+
+
+def _mass_blocks(mesh: Mesh, q: np.ndarray, lam: float, p: float):
+    """Yield (sl, lambda (p-1) |u|^(p-2) at the quadrature nodes of block sl)
+    for each `_blocks` slice, from u's values q: 0 where u = 0, and 1 there
+    at p = 2 (module docstring)."""
+    for sl, u_q in _in_blocks(mesh, q):
+        m = np.abs(u_q)
+        np.power(m, p - 2.0, out=m, where=(m > 0.0) | (p == 2.0))
+        m *= lam * (p - 1.0)
+        yield sl, m
 
 
 def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResult:
@@ -242,7 +272,6 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
     _check_p(p)
     solve = _poisson_solve(mesh)
     u, g, q = _normalized(mesh, _bubble_start(mesh), p)
-    q_buf = np.empty_like(q)
     iterations = trials = cg_iterations = 0
     history = []
     newton = False
@@ -257,23 +286,16 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
             stop = "max-iter"
             break
 
-        mass_q = None
-        if newton:
-            for sl in _blocks(mesh):
-                m = np.abs(q[sl], out=q_buf[sl])
-                np.power(m, p - 2.0, out=m, where=(m > 0.0) | (p == 2.0))
-                m *= lam * (p - 1.0)
-            mass_q = q_buf
         # u . K u = int |grad u|^2; the pair is built in the call, so no name
         # keeps this u alive after the step
-        d, products = _newton_step(_hessian_stencil(mesh, _flux_weights(mesh, g, p), mass_q),
-                                   r, solve, res,
-                                   (u, 2.0 * _energy(mesh, g, 2.0)) if newton else None)
+        d, products = _newton_step(
+            _hessian_stencil(mesh, _flux_weights(mesh, g, p),
+                             _mass_blocks(mesh, q, lam, p) if newton else None),
+            r, solve, res, (u, 2.0 * _energy(mesh, g, 2.0)) if newton else None)
         cg_iterations += products
         slope = float(np.dot(r, d)) * p  # B = 1 after normalization
         g_trial = np.empty_like(g)  # per line search (module docstring)
-        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_trial, q_buf),
-                                       lam + noise, slope)
+        _, accepted, rejected = armijo(_line(mesh, p, g, q, d, g_trial), lam + noise, slope)
         trials += rejected + (accepted is not None)
         if accepted is None:
             stop = "line-search"
@@ -282,8 +304,10 @@ def first_eigenpair(mesh: Mesh, p: float, *, max_iter: int = 2000) -> EigenResul
         newton = t == 1.0  # the mass term enters after a full step (module docstring)
         s = b ** (1.0 / p)
         u = (u - t * d) / s
+        for sl, v in _trial_blocks(mesh, q, d, t):  # the accepted trial's values
+            q[sl] = v
+        del d  # not held under the next step's build (module docstring)
         g = g_trial
-        q, q_buf = q_buf, q
         g /= s
         q /= s
         iterations += 1

@@ -102,15 +102,18 @@ def _gather_corners(mesh: Mesh, U: np.ndarray):
     return gather
 
 
-def _scatter_corners(mesh: Mesh, contrib: np.ndarray) -> np.ndarray:
-    """The vertex grid of the sums of element-local entries, shape
-    (ne, ndim + 1) or flat: the adjoint of `_gather_corners`, one shifted +=
-    per element type and corner.  Each vertex adds its terms one at a time
-    from 0 in ascending element order, as adding element by element does."""
-    C = contrib.reshape(*mesh.structure, len(CELL_LAYOUT[mesh.ndim]), mesh.ndim + 1)
-    U = np.zeros([n + 1 for n in mesh.structure])
+def _scatter_corners(mesh: Mesh, contrib: np.ndarray, U: np.ndarray, i0: int) -> np.ndarray:
+    """U, the vertex grid, plus the sums of element-local entries: the
+    adjoint of `_gather_corners`, one shifted += per element type and
+    corner.  contrib holds the (ndim + 1) entries of each element of the
+    whole cell rows from row i0 on, in element order, in any shape.  Each
+    vertex adds its terms one at a time in ascending element order, as
+    adding element by element does, so rows scattered chunk after chunk
+    into a zero grid, in order, give the bits of one scatter."""
+    C = contrib.reshape(-1, *mesh.structure[1:], len(CELL_LAYOUT[mesh.ndim]), mesh.ndim + 1)
     for t, k, at in _corners(mesh):
-        U[at] += C[..., t, k]
+        o = at[0].start + i0
+        U[(slice(o, o + len(C)), *at[1:])] += C[..., t, k]
     return U
 
 

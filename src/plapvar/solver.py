@@ -38,11 +38,11 @@ step as grid arrays (`assembly._hessian_stencil`), 3 points on an
 interval and 7 on a rectangle, so a CG product is a few shifted
 multiply-adds: the p-energy Hessian of the element coefficient M of
 `assembly._flux_weights`, minus the mass matrix int f'(x, u) psi_i psi_j,
-with f' a central difference of `eval_f` at the quadrature nodes
-(`_df_at_quad`).  The eigensolver takes the same step (`_newton_step`)
-on the same stencil, with the mass weight lambda (p-1) |u|^(p-2) of its
-Lagrangian, and runs CG on the K-orthogonal complement of its iterate
-(`_pcg`).  CG stops
+with f' a central difference of `eval_f` at the quadrature nodes, which
+the stencil takes one block at a time (`_phi_hessian`).  The eigensolver
+takes the same step (`_newton_step`) on the same stencil, with the mass
+weight lambda (p-1) |u|^(p-2) of its Lagrangian, and runs CG on the
+K-orthogonal complement of its iterate (`_pcg`).  CG stops
 at negative curvature and returns its current iterate (Steihaug).  The
 weight w = |D u|^(p-2) is exact for every p > 1; the step falls back to the
 p = 2 direction, the gradient in the H^1_0 inner product, at u = 0, when
@@ -57,7 +57,7 @@ and the descent stalls.
 The user's f, F and f' carry no growth condition, so the descent
 evaluates them at every quadrature node on every step and trial, and
 f' once per step.  `nonlinear_load`, `potential_integral` and
-`_df_at_quad` (and so the stencil's mass entries) read them from one
+`_phi_hessian` (for the stencil's mass entries) read them from one
 generator, `_at_quad`, which walks the elements in blocks of
 `assembly.QUAD_BLOCK` (`assembly._quad_blocks`) and calls `eval_f`,
 `eval_F` or `_central_difference` once per block, so no (ne, nq)
@@ -407,6 +407,7 @@ def minimize_phi(mesh: Mesh, spec: NonlinearitySpec, h: DualVector, p: float, *,
         steps += 1
         field = trial
         phi_cur = phi_new
+        del d  # not held under the next step's build
 
     return SolveResult(field, phi_cur, stat, steps, stop == "stationarity", stop,
                        backtracks, trials, cg_iterations, tuple(history))
@@ -419,15 +420,6 @@ def _central_difference(spec: NonlinearitySpec, x, s):
     hi, lo = s + step, s - step
     with np.errstate(over="ignore", invalid="ignore"):
         return (eval_f(spec, x, hi) - eval_f(spec, x, lo)) / (hi - lo)
-
-
-def _df_at_quad(mesh: Mesh, spec: NonlinearitySpec, u: np.ndarray) -> np.ndarray:
-    """f'(x, u) at the quadrature nodes, shape (ne, nq), from the free
-    values u, by `_central_difference` on the `_at_quad` blocks."""
-    out = np.empty(mesh.quad_weights.shape)
-    for sl, df in _at_quad(mesh, spec, u, _central_difference):
-        out[sl] = df
-    return out
 
 
 def _sine_basis(n: int):
@@ -571,14 +563,24 @@ def _newton_step(apply, r: np.ndarray, solve, rel: float, complement_of=None):
 def _phi_hessian(mesh, spec, p, u):
     """The Hessian of Phi at u as an `assembly._Stencil`, or None at u = 0 or
     non-finite f': the stencil of `assembly._flux_weights`' coefficient at
-    D u, minus the mass matrix of f'.
+    D u, minus the mass matrix of f', whose `_at_quad` blocks of
+    `_central_difference` go into it one at a time.  A block of f' that is
+    not finite ends the blocks, and the stencil is dropped.
     """
     if not np.any(u.values):
         return None
-    df_q = _df_at_quad(mesh, spec, u.values)
-    if not np.all(np.isfinite(df_q)):
-        return None
-    return _hessian_stencil(mesh, _flux_weights(mesh, _grad(mesh, u.values), p), df_q)
+    finite = True
+
+    def df_blocks():
+        nonlocal finite
+        for sl, df in _at_quad(mesh, spec, u.values, _central_difference):
+            finite = bool(np.all(np.isfinite(df)))
+            if not finite:
+                return
+            yield sl, df
+
+    H = _hessian_stencil(mesh, _flux_weights(mesh, _grad(mesh, u.values), p), df_blocks())
+    return H if finite else None
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ element table and free-vertex indices of a mesh's grid (`mesh_tables`);
 the quadrature points and element measures by gathers of the element
 vertices, closed-form P1 basis gradients, the values at the quadrature
 nodes by one unblocked gather, a scatter by `np.add.at`, the p = 2
-stiffness matrix and the Newton matrix by COO assembly, and the Newton
-matrix applied matrix-free; and for the dual-norm estimate, the hats' L^p
+stiffness matrix and the Newton matrix by COO assembly, the Newton
+matrix's stencil built from a whole mass array, and the Newton matrix
+applied matrix-free; and for the dual-norm estimate, the hats' L^p
 integrals element by element, the loads of coarse hats paired explicitly,
 and the dense matrix of dyadic tents on an interval."""
 from __future__ import annotations
@@ -14,7 +15,8 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from plapvar.assembly import GRADIENT_FLOOR, _grad, _grad_T
+from plapvar.assembly import GRADIENT_FLOOR, _blocks, _edges, _grad, _grad_T, _spacing
+from plapvar.meshing import CELL_LAYOUT
 
 
 def mesh_tables(mesh):
@@ -191,13 +193,61 @@ def reference_hessian(mesh, p, grads, mass_q=None):
     return _coo_free(mesh, local)
 
 
-def matrix_free_hessian(mesh, M, mass_q=None):
+def in_blocks(mesh, a):
+    """(sl, a[sl]) for each `assembly._blocks` slice sl of an (ne, ...)
+    array a: the form in which `_lp`, `_lp_load` and `_hessian_stencil`
+    take values at the quadrature nodes."""
+    return ((sl, a[sl]) for sl in _blocks(mesh))
+
+
+def whole_mass_stencil(mesh, M, mass_q):
+    """(diag, couplings) on the whole vertex grid of the Newton matrix as
+    `assembly._hessian_stencil` built it from a whole (ne, nq) mass array:
+    the mass entries made one `_blocks` slice at a time into one (ne, nq)
+    array, then, per element type and entry (a, b), a <= b, its M parts
+    added and its mass entries subtracted over all cells at once."""
+    types = list(zip(CELL_LAYOUT[mesh.ndim], [((-1,), (1,))] if mesh.ndim == 1 else
+                     [((-1, 0), (1, -1), (0, 1)), ((0, -1), (1, 0), (-1, 1))]))
+    cells = mesh.structure
+    pairs = [(a, b) for a in range(mesh.ndim + 1) for b in range(a, mesh.ndim + 1)]
+    psi_pairs = np.stack([mesh.basis_at_quad[:, a] * mesh.basis_at_quad[:, b]
+                          for a, b in pairs], axis=1)
+    entries = np.empty((mesh.n_elements, len(pairs)))
+    for sl in _blocks(mesh):
+        np.matmul(mesh.quad_weights[sl] * mass_q[sl], psi_pairs, out=entries[sl])
+    entries = entries.reshape(*cells, len(types), len(pairs))
+    M = {ij: m.reshape(*cells, len(types)) for ij, m in M.items()}
+    diag = np.zeros([n + 1 for n in cells])
+    couplings = {step: np.zeros_like(diag) for step in _edges(mesh.ndim)}
+    h = _spacing(mesh)
+    for t, (off, grads) in enumerate(types):
+        L = [[k / h_k for k, h_k in zip(row, h)] for row in grads]
+        for k, (a, b) in enumerate(pairs):
+            step = tuple(abs(y - x) for x, y in zip(off[a], off[b]))
+            target = (diag if a == b else couplings[step])[
+                tuple(slice(min(x, y), min(x, y) + n) for x, y, n in zip(off[a], off[b], cells))]
+            for (i, j), m in M.items():
+                coef = L[a][i] * L[b][j] + (L[a][j] * L[b][i] if i != j else 0.0)
+                if coef:
+                    target += coef * m[..., t]
+            target -= entries[..., t, k]
+    return diag, couplings
+
+
+def matrix_free_hessian(mesh, M, mass=None):
     """v -> the Newton matrix times v, applied matrix-free, with the same
     signature as `assembly._hessian_stencil`: the p-energy part D^T (M D v),
     with the element coefficient M applied per element from its entries
     {(i, j): (ne,) array}, i <= j, by the gradient stencils, minus the load
-    of mass_q times v at the quadrature nodes, by `reference_values_at_quad`
-    and `reference_scatter`."""
+    of m times v at the quadrature nodes, by `reference_values_at_quad`
+    and `reference_scatter`; mass gives m in (sl, m) blocks, as
+    `_hessian_stencil` takes it, and they are collected first."""
+    mass_q = None
+    if mass is not None:
+        mass_q = np.full(mesh.quad_weights.shape, np.nan)
+        for sl, m in mass:
+            mass_q[sl] = m
+
     def apply(v):
         G = _grad(mesh, v)
         MG = np.zeros_like(G)

@@ -6,10 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from fem_reference import (_weights, coarse_hat_loads, gradient_tolerance,
+import scipy.sparse as sp
+from fem_reference import (_weights, coarse_hat_loads, gradient_tolerance, in_blocks,
                            matrix_free_hessian, reference_basis_gradients,
                            reference_corner_values, reference_hat_lp, reference_hessian,
-                           reference_scatter, reference_values_at_quad, stiffness_matrix)
+                           reference_scatter, reference_values_at_quad, stiffness_matrix,
+                           whole_mass_stencil)
 
 import plapvar as pv
 from plapvar import meshing
@@ -282,7 +284,7 @@ class TestHessianStencil:
                   if mass else None)
         expect = reference_hessian(mesh, p, g, mass_q).toarray()
         stencil = _hessian_stencil(mesh, _flux_weights(mesh, g, p),
-                                   None if mass_q is None else mass_q.copy())
+                                   None if mass_q is None else in_blocks(mesh, mass_q))
         return mesh, expect, stencil
 
     @pytest.mark.parametrize("mass", [False, True], ids=["energy", "with-mass"])
@@ -319,6 +321,69 @@ class TestHessianStencil:
             read[lo, hi] = read[hi, lo] = True
         assert not np.any(expect[~read])
 
+    @staticmethod
+    def recorded_chunks(monkeypatch):
+        """The (start, stop) cell rows of each chunk `_row_chunks` yields."""
+        rows, chunks = [], pv.assembly._row_chunks
+
+        def recording(*args):
+            for r, X in chunks(*args):
+                rows.append((r.start, r.stop))
+                yield r, X
+
+        monkeypatch.setattr(pv.assembly, "_row_chunks", recording)
+        return rows
+
+    @pytest.mark.parametrize("shape", [(3, 700), (37, 53)], ids=["rect-3x700", "rect-37x53"])
+    def test_chunks_of_rows_match_coo_assembly(self, shape, monkeypatch):
+        # blocks of 60 elements end inside cell rows; chunks of 4 blocks
+        # hold one row of 1400 elements on 3 x 700 and two of 106 on
+        # 37 x 53, whose last chunk has one
+        monkeypatch.setattr(pv.assembly, "QUAD_BLOCK", 60)
+        rows = self.recorded_chunks(monkeypatch)
+        mesh = pv.build_rectangle_mesh(0.5, 2.0, -1.0, 0.0, *shape)
+        rng = np.random.default_rng(mesh.n_elements)
+        g = _grad(mesh, rng.standard_normal(mesh.n_free))
+        mass_q = rng.standard_normal(mesh.quad_weights.shape)
+        expect = reference_hessian(mesh, 2.5, g, mass_q)
+        stencil = _hessian_stencil(mesh, _flux_weights(mesh, g, 2.5), in_blocks(mesh, mass_q))
+        per_chunk = 1 if shape[0] == 3 else 2
+        assert rows == [(i, min(i + per_chunk, shape[0])) for i in range(0, shape[0], per_chunk)]
+        free = np.arange(mesh.n_free).reshape(stencil.diag.shape)
+        entries = [(free, free, stencil.diag)]
+        for step, C in stencil.couplings.items():
+            lo = free[tuple(slice(None, -d or None) for d in step)]
+            hi = free[tuple(slice(d, None) for d in step)]
+            entries += [(lo, hi, C), (hi, lo, C)]
+        i, j, H = (np.concatenate([e[k].ravel() for e in entries]) for k in range(3))
+        got = sp.csr_matrix((H, (i, j)), shape=expect.shape)
+        assert abs(got - expect).max() <= 1e-13 * abs(expect).max()
+
+    @pytest.mark.parametrize("mesh", [
+        pv.build_interval_mesh(-1.0, 2.5, 4096),
+        pv.build_rectangle_mesh(0.0, 2.0, 0.0, 1.0, 40, 30),
+    ], ids=["interval-4096", "rect-40x30"])
+    def test_one_chunk_keeps_the_bits_of_a_whole_mass_array(self, mesh, monkeypatch):
+        # four and three blocks make one chunk of all rows, so every entry
+        # adds its M part and subtracts its mass part in the order of a build
+        # from a whole mass array, bit for bit; the values spread over 26
+        # decades, so another order changes the sums
+        rows = self.recorded_chunks(monkeypatch)
+        rng = np.random.default_rng(mesh.n_elements)
+
+        def spread(shape):
+            return rng.standard_normal(shape) * np.exp(rng.uniform(-30.0, 30.0, shape))
+
+        M = _flux_weights(mesh, _grad(mesh, spread(mesh.n_free)), 2.5)
+        mass_q = spread(mesh.quad_weights.shape)
+        stencil = _hessian_stencil(mesh, M, in_blocks(mesh, mass_q))
+        assert rows == [(0, mesh.structure[0])]
+        diag, couplings = whole_mass_stencil(mesh, M, mass_q)
+        inner = (slice(1, -1),) * mesh.ndim
+        assert stencil.diag.tobytes() == diag[inner].tobytes()
+        for step, C in stencil.couplings.items():
+            assert C.tobytes() == couplings[step][tuple(slice(1, -1 - d) for d in step)].tobytes()
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     @pytest.mark.parametrize("name", sorted(HESSIAN_MESHES))
     def test_coefficient_matches_reference_weights(self, name, p):
@@ -346,8 +411,8 @@ class TestHessianStencil:
         mass_q = rng.standard_normal(mesh.quad_weights.shape)
         v = rng.standard_normal(mesh.n_free)
         M = _flux_weights(mesh, g, 2.5)
-        expect = matrix_free_hessian(mesh, M, mass_q)(v)
-        got = _hessian_stencil(mesh, M, mass_q.copy())(v)
+        expect = matrix_free_hessian(mesh, M, in_blocks(mesh, mass_q))(v)
+        got = _hessian_stencil(mesh, M, in_blocks(mesh, mass_q))(v)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
@@ -405,9 +470,11 @@ class TestQuadratureBlocks:
         g = rng.standard_normal(w.shape)
         assert np.array_equal(pv.assembly.quad_load(mesh, g).values,
                               reference_scatter(mesh, (w * g) @ basis))
-        assert _lp(mesh, q, p) == float(np.sum(np.einsum("eq,eq->e", w, np.abs(q) ** p)))
+        assert _lp(mesh, in_blocks(mesh, q), p) == float(
+            np.sum(np.einsum("eq,eq->e", w, np.abs(q) ** p)))
         density = np.copysign(np.abs(q) ** (p - 1.0), q)
-        assert np.array_equal(_lp_load(mesh, q, p), reference_scatter(mesh, (w * density) @ basis))
+        assert np.array_equal(_lp_load(mesh, in_blocks(mesh, q), p),
+                              reference_scatter(mesh, (w * density) @ basis))
 
     @pytest.mark.parametrize("block", [1024, 37])
     @pytest.mark.parametrize("mesh", [
@@ -438,7 +505,8 @@ class TestQuadratureBlocks:
         q = pv.assembly.values_at_quad(mesh, pv.make_field(mesh, v))
         assert bits(q) == bits(reference_values_at_quad(mesh, v))
         contrib = spread((mesh.n_elements, mesh.ndim + 1))
-        sums = meshing._scatter_corners(mesh, contrib)[(slice(1, -1),) * mesh.ndim]
+        sums = meshing._scatter_corners(mesh, contrib, np.zeros([n + 1 for n in mesh.structure]),
+                                        0)[(slice(1, -1),) * mesh.ndim]
         assert bits(sums.ravel()) == bits(reference_scatter(mesh, contrib))
         w, g = mesh.quad_weights, spread(mesh.quad_weights.shape)
         assert bits(pv.assembly.quad_load(mesh, g).values) == bits(

@@ -601,3 +601,26 @@ def test_demo_runs_with_its_defaults(tmp_path, demo):
         cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+
+
+def test_eigen_rect_run_phase_traced_peak(tmp_path):
+    # `plap-var run` of the benchmark's eigen_rect config (128 x 128, p = 3)
+    # in a fresh interpreter, traced from the end of the import on: the run
+    # peaks 4.64 MB above what the import left, and 6.23 MB with the eigen
+    # descent's whole trial buffer.  Unlike peak RSS, the traced figure does
+    # not follow the heap layout or the checkout path
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pv.__file__)))
+    code = ("import sys, tracemalloc; sys.path.insert(0, sys.argv[1]); tracemalloc.start(); "
+            "from plapvar.cli import main; held = tracemalloc.get_traced_memory()[0]; "
+            "tracemalloc.reset_peak(); "
+            "code = main(['run', sys.argv[2], '--out', sys.argv[3], '--quiet']); "
+            "print(code, tracemalloc.get_traced_memory()[1] - held)")
+    cfg = os.path.join(root, "bench", "configs", "eigen_rect.cfg")
+    done = subprocess.run([sys.executable, "-c", code, src, cfg, str(tmp_path / "o")],
+                          env=dict(os.environ, PLAPVAR_THREADS="1"), capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr
+    code, peak = done.stdout.split()
+    assert code == "0"
+    assert int(peak) < 5.0e6

@@ -8,8 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from fem_reference import (matrix_free_hessian, reference_scatter, reference_values_at_quad,
-                           stiffness_matrix, tent_lambda_u)
+from fem_reference import (in_blocks, matrix_free_hessian, reference_scatter,
+                           reference_values_at_quad, stiffness_matrix, tent_lambda_u)
 
 import plapvar as pv
 from plapvar import assembly, eigen, solver
@@ -524,7 +524,7 @@ class TestHessian:
             monkeypatch.setattr(assembly, "QUAD_BLOCK", block)
             spec = _BLOCK_SPECS[name]()
             calls.clear()
-            blocked = solver._df_at_quad(mesh, spec, u)
+            blocked = _df_at_quad(mesh, spec, u)
             assert len(calls) == 2 * math.ceil(mesh.n_elements / assembly.QUAD_BLOCK)
             sizes = [size for _, size in calls]
             assert max(sizes) == assembly.QUAD_BLOCK * nq
@@ -535,11 +535,27 @@ class TestHessian:
                 first = mesh.quad_points_of(slice(1))[0, :1]
                 assert all(np.array_equal(pts, first) for pts, _ in calls)
             monkeypatch.setattr(assembly, "QUAD_BLOCK", mesh.n_elements)
-            whole = solver._df_at_quad(mesh, spec, u)
+            whole = _df_at_quad(mesh, spec, u)
             monkeypatch.setattr(assembly, "QUAD_BLOCK", 7)
-            tiny = solver._df_at_quad(mesh, spec, u)
+            tiny = _df_at_quad(mesh, spec, u)
             assert np.array_equal(blocked, whole) and np.array_equal(tiny, whole)
             assert blocked.shape == mesh.quad_weights.shape
+
+
+def _df_at_quad(mesh, spec, u):
+    """f'(x, u) at the quadrature nodes, shape (ne, nq), for the free values
+    u: the `_at_quad` blocks of `_central_difference` that `_phi_hessian`
+    passes to the stencil, collected in place of the build."""
+    out = np.full(mesh.quad_weights.shape, np.nan)
+
+    def collect(mesh_, M, mass):
+        for sl, df in mass:
+            out[sl] = df
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(solver, "_hessian_stencil", collect)
+        solver._phi_hessian(mesh, spec, 2.5, pv.make_field(mesh, u))
+    return out
 
 
 # meshes whose element counts (480, 4096, 32768) leave a partial last block
@@ -605,7 +621,8 @@ class TestBlockPass:
         df = (pv.eval_f(spec, pts, s + step) - pv.eval_f(spec, pts, s - step)) / (
             (s + step) - (s - step))
         M = assembly._flux_weights(mesh, assembly.gradients_on_elements(mesh, u), p)
-        expect = matrix_free_hessian(mesh, M, df.reshape(mesh.quad_weights.shape))(v)
+        df = df.reshape(mesh.quad_weights.shape)
+        expect = matrix_free_hessian(mesh, M, in_blocks(mesh, df))(v)
         got = solver._phi_hessian(mesh, spec, p, u)(v)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -650,6 +667,25 @@ class TestBlockPass:
         assert str(pts[first]) in str(exc.value)
         assert str(pts[second]) not in str(exc.value)
 
+    def test_non_finite_derivative_drops_the_stencil(self, monkeypatch):
+        # f' is nan at one node of the third block of 37: the blocks end
+        # there and no stencil is returned, so the step falls back to the
+        # p = 2 direction; the zero field gets none either
+        monkeypatch.setattr(assembly, "QUAD_BLOCK", 37)
+        mesh = pv.build_rectangle_mesh(0.5, 2.5, -1.0, -0.3, 12, 20)
+        nq = mesh.quad_weights.shape[1]
+        bad = mesh.quad_points_flat()[(2 * 37 + 5) * nq + 3]
+
+        def f(x, s):
+            return np.where(np.all(x == bad, axis=1), np.inf, s ** 3)
+
+        spike = pv.NonlinearitySpec("spike", f=f, F=lambda x, s: s ** 4 / 4.0)
+        u = pv.make_field(mesh, _smooth(mesh))
+        assert solver._phi_hessian(mesh, spike, 2.5, u) is None
+        assert solver._phi_hessian(mesh, _BLOCK_SPECS["points"](), 2.5, u) is not None
+        assert solver._phi_hessian(mesh, _BLOCK_SPECS["points"](), 2.5,
+                                   pv.zero_field(mesh)) is None
+
     def test_peak_memory_below_one_quadrature_array(self):
         # nonlinear_load, potential_integral and a Hessian product on 128 x 128
         # hold block-sized temporaries; one (ne, nq) float64 array is 1.5 MB
@@ -673,6 +709,27 @@ class TestBlockPass:
                 tracemalloc.stop()
             assert peak < limit
 
+    def test_hessian_build_below_one_quadrature_array(self):
+        # beyond the coefficient M, three (ne,) arrays, and the stencil it
+        # returns, the build holds the f' values of one block and one chunk
+        # of mass entries; the whole f' array it made before was one
+        # (ne, nq) array by itself (3.44 MB against 2.23 MB in all here)
+        import tracemalloc
+
+        mesh = _square(128)
+        limit = mesh.quad_weights.size * 8
+        spec, p = pv.power_perturbation(LAM, 2.0, 2.5), 2.5
+        u = pv.make_field(mesh, _smooth(mesh))
+        tracemalloc.start()
+        try:
+            stencil = solver._phi_hessian(mesh, spec, p, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = stencil.diag.base.nbytes + 3 * mesh.n_elements * 8
+        assert stencil.diag.base.nbytes == 4 * 129 * 129 * 8
+        assert peak - kept < limit
+
 
 class TestOnePointForAutonomousSpecs:
     """A spec that ignores x is evaluated at the mesh's first quadrature point."""
@@ -694,7 +751,7 @@ class TestOnePointForAutonomousSpecs:
         assert np.shape(one.f(mesh.quad_points_of(slice(1))[0, :1], 0.0)) == (1,)
         load = solver.nonlinear_load(mesh, u, one).values
         potential = solver.potential_integral(mesh, u, one)
-        df = solver._df_at_quad(mesh, one, u.values)
+        df = _df_at_quad(mesh, one, u.values)
         assert "quad_points" not in vars(mesh)
         every = self._spec(False, flat_F)
         assert np.array_equal(load, solver.nonlinear_load(mesh, u, every).values)
